@@ -64,7 +64,6 @@ func run(args []string) error {
 	qcritSteps := fs.Int("qcrit-steps", 5, "Qcrit grid points (log-spaced)")
 	samples := fs.Int("samples", 60000, "Monte Carlo energies per cross section")
 	shards := fs.Int("shards", runtime.GOMAXPROCS(0), "concurrent design-point evaluators (never affects results)")
-	workers := fs.Int("workers", 0, "deprecated alias for -shards")
 	biasThermal := fs.Float64("bias-thermal", 0, "thermal-band oversampling factor (0 = exact estimator)")
 	biasEpithermal := fs.Float64("bias-epithermal", 0, "epithermal-band oversampling factor (0 = exact estimator)")
 	biasFast := fs.Float64("bias-fast", 0, "fast-band oversampling factor (0 = exact estimator)")
@@ -89,27 +88,7 @@ func run(args []string) error {
 	if *samples <= 0 {
 		return fmt.Errorf("samples must be positive")
 	}
-	shardsSet, workersSet := false, false
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "shards":
-			shardsSet = true
-		case "workers":
-			workersSet = true
-		}
-	})
 	pool := *shards
-	if workersSet {
-		// Exactly one warning, on stderr, so scripted pipelines reading
-		// stdout stay clean.
-		telemetry.Log().Warn("-workers is deprecated, use -shards")
-		if shardsSet && *workers != *shards {
-			return fmt.Errorf("conflicting -workers %d and -shards %d; drop the deprecated -workers", *workers, *shards)
-		}
-		if !shardsSet {
-			pool = *workers // honor the deprecated spelling when -shards is absent
-		}
-	}
 	if pool < 1 {
 		pool = 1
 	}

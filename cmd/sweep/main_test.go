@@ -65,7 +65,7 @@ func TestSweepOutput(t *testing.T) {
 	out, err := capture(t, func() error {
 		return run([]string{
 			"-boron-steps", "3", "-qcrit-steps", "2",
-			"-samples", "8000", "-workers", "2", "-seed", "5",
+			"-samples", "8000", "-shards", "2", "-seed", "5",
 			"-csv", csvPath,
 		})
 	})
@@ -82,73 +82,6 @@ func TestSweepOutput(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
 	if len(lines) != 1+3*2 {
 		t.Errorf("CSV rows = %d, want 7", len(lines))
-	}
-}
-
-// captureStderr runs f with os.Stderr redirected to a pipe.
-func captureStderr(t *testing.T, f func() error) (string, error) {
-	t.Helper()
-	old := os.Stderr
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stderr = w
-	done := make(chan string)
-	go func() {
-		data, _ := io.ReadAll(r)
-		done <- string(data)
-	}()
-	runErr := f()
-	w.Close()
-	os.Stderr = old
-	return <-done, runErr
-}
-
-func TestDeprecatedWorkersWarnsOnce(t *testing.T) {
-	stderr, err := captureStderr(t, func() error {
-		_, runErr := capture(t, func() error {
-			return run([]string{
-				"-boron-steps", "1", "-qcrit-steps", "1",
-				"-samples", "2000", "-workers", "2", "-seed", "5",
-			})
-		})
-		return runErr
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(stderr, "-workers is deprecated"); got != 1 {
-		t.Errorf("deprecation warning appeared %d times, want exactly 1:\n%s", got, stderr)
-	}
-}
-
-func TestWorkersShardsConflict(t *testing.T) {
-	stderr, err := captureStderr(t, func() error {
-		return run([]string{
-			"-boron-steps", "1", "-qcrit-steps", "1",
-			"-samples", "2000", "-workers", "2", "-shards", "4",
-		})
-	})
-	if err == nil || !strings.Contains(err.Error(), "conflicting") {
-		t.Errorf("conflicting -workers/-shards accepted: err=%v", err)
-	}
-	if !strings.Contains(stderr, "-workers is deprecated") {
-		t.Error("conflict path should still warn about the deprecated flag")
-	}
-	// Agreeing values are not a conflict: the user just spelled the same
-	// request twice.
-	_, err = captureStderr(t, func() error {
-		_, runErr := capture(t, func() error {
-			return run([]string{
-				"-boron-steps", "1", "-qcrit-steps", "1",
-				"-samples", "2000", "-workers", "3", "-shards", "3",
-			})
-		})
-		return runErr
-	})
-	if err != nil {
-		t.Errorf("matching -workers and -shards rejected: %v", err)
 	}
 }
 

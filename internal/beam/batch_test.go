@@ -55,9 +55,12 @@ func scalarRunShard(t *testing.T, cfg Config, sh engine.Shard, pl *plan.Campaign
 	var faults, persistent []faultinject.Timed
 	wCarried := 1.0
 	weighted := pl.IsBiased()
+	if weighted {
+		tc.Weighted = new(weightedShardTally)
+	}
 	for run := 0; run < sh.Count; run++ {
 		nInt := poisson()
-		tc.interactions += nInt
+		tc.Interactions += nInt
 		wRun := 1.0
 		faults = faults[:0]
 		faults = append(faults, persistent...)
@@ -66,11 +69,11 @@ func scalarRunShard(t *testing.T, cfg Config, sh engine.Shard, pl *plan.Campaign
 			var upset bool
 			if weighted {
 				en, w := pl.SampleInteractionWeighted(s)
-				tc.w.draws.Add(w)
+				tc.Weighted.Draws.Add(w)
 				wRun *= w
 				f, upset = cfg.Device.InteractionUpset(en, s)
 				if upset {
-					tc.w.upsetsByBand[f.Band].Add(w)
+					tc.Weighted.UpsetsByBand[f.Band].Add(w)
 				}
 			} else {
 				en := pl.SampleInteraction(s)
@@ -79,8 +82,8 @@ func scalarRunShard(t *testing.T, cfg Config, sh engine.Shard, pl *plan.Campaign
 			if !upset {
 				continue
 			}
-			tc.upsets++
-			tc.byBand[f.Band]++
+			tc.Upsets++
+			tc.ByBand[f.Band]++
 			tf := faultinject.Timed{Step: s.Intn(steps), Fault: f}
 			faults = append(faults, tf)
 			if f.Target == device.TargetConfig {
@@ -90,36 +93,36 @@ func scalarRunShard(t *testing.T, cfg Config, sh engine.Shard, pl *plan.Campaign
 		}
 		wOut := wCarried * wRun
 		if len(faults) == 0 {
-			tc.masked++
+			tc.Masked++
 			if weighted {
-				tc.w.masked.Add(wOut)
+				tc.Weighted.Masked.Add(wOut)
 			}
 		} else {
 			outcomeBand := faults[0].Fault.Band
 			switch inj.Run(faults, s).Outcome {
 			case faultinject.OutcomeSDC:
-				tc.sdc++
+				tc.SDC++
 				if weighted {
-					tc.w.sdc.Add(wOut)
+					tc.Weighted.SDC.Add(wOut)
 				}
 				if len(persistent) > 0 {
 					persistent = persistent[:0]
-					tc.reprograms++
+					tc.Reprograms++
 				}
 			case faultinject.OutcomeDUE:
-				tc.due++
+				tc.DUE++
 				if weighted {
-					tc.w.due.Add(wOut)
-					tc.w.dueByBand[outcomeBand].Add(wOut)
+					tc.Weighted.DUE.Add(wOut)
+					tc.Weighted.DUEByBand[outcomeBand].Add(wOut)
 				}
 				if len(persistent) > 0 {
 					persistent = persistent[:0]
-					tc.reprograms++
+					tc.Reprograms++
 				}
 			default:
-				tc.masked++
+				tc.Masked++
 				if weighted {
-					tc.w.masked.Add(wOut)
+					tc.Weighted.Masked.Add(wOut)
 				}
 			}
 		}
@@ -202,13 +205,13 @@ func TestBatchedRunLoopMatchesScalarReference(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("batched shard tally diverged from scalar reference:\n got %+v\nwant %+v", got, want)
 			}
-			if want.interactions == 0 && c.lambda > 0 {
+			if want.Interactions == 0 && c.lambda > 0 {
 				t.Error("reference drew no interactions; comparison is vacuous")
 			}
 			// The events counter is flushed in batches but must still total
 			// exactly the shard's SDC+DUE count by shard completion.
-			if events.Load() != got.sdc+got.due {
-				t.Errorf("events counter = %d, want sdc+due = %d", events.Load(), got.sdc+got.due)
+			if events.Load() != got.SDC+got.DUE {
+				t.Errorf("events counter = %d, want sdc+due = %d", events.Load(), got.SDC+got.DUE)
 			}
 		})
 	}

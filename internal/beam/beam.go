@@ -172,28 +172,52 @@ const defaultShardGrain = 8192
 
 // shardTally accumulates one shard's private counts. Everything here is
 // shard-local; the campaign Result is assembled only after every shard has
-// finished, by summing tallies in shard order. byBand is a fixed array
+// finished, by summing tallies in shard order. ByBand is a fixed array
 // indexed by band value (bands are 1..physics.NumBands) so the per-upset
 // increment is a register op, not a map insert; the merge converts it to
 // the Result's exported map.
+//
+// The tally is also its own wire form: a worker ships it un-merged inside
+// a Partial so the coordinator can fold shards in global shard order
+// exactly as a single-node merge would (DESIGN.md §15). A decoded tally is
+// untrusted until check has passed.
 type shardTally struct {
-	sdc, due, masked   int64
-	upsets, reprograms int64
-	interactions       int64
-	byBand             [physics.NumBands + 1]int64
-	// w holds the weighted tallies of a biased campaign; it stays zero on
-	// the exact path. Fixed-size value state, so the weighted run loop
-	// stays allocation-free.
-	w weightedShardTally
+	SDC          int64                       `json:"sdc"`
+	DUE          int64                       `json:"due"`
+	Masked       int64                       `json:"masked"`
+	Upsets       int64                       `json:"upsets"`
+	Reprograms   int64                       `json:"reprograms"`
+	Interactions int64                       `json:"interactions"`
+	ByBand       [physics.NumBands + 1]int64 `json:"by_band"`
+	// Weighted holds the weighted tallies of a biased campaign and is nil
+	// on the exact path. It is allocated once per biased shard, so the
+	// weighted run loop stays allocation-free.
+	Weighted *weightedShardTally `json:"weighted,omitempty"`
 }
 
 // weightedShardTally is one shard's private weighted accumulators,
-// mirroring the integer tallies above with likelihood-weighted sums.
+// mirroring the integer tallies above with likelihood-weighted sums. The
+// Kahan compensation terms travel with them, so a remote fold is
+// bit-identical to a local one.
 type weightedShardTally struct {
-	draws            stats.Weighted
-	sdc, due, masked stats.Weighted
-	upsetsByBand     [physics.NumBands + 1]stats.Weighted
-	dueByBand        [physics.NumBands + 1]stats.Weighted
+	Draws        stats.Weighted                       `json:"draws"`
+	SDC          stats.Weighted                       `json:"sdc"`
+	DUE          stats.Weighted                       `json:"due"`
+	Masked       stats.Weighted                       `json:"masked"`
+	UpsetsByBand [physics.NumBands + 1]stats.Weighted `json:"upsets_by_band"`
+	DUEByBand    [physics.NumBands + 1]stats.Weighted `json:"due_by_band"`
+}
+
+// merge folds o into t.
+func (t *weightedShardTally) merge(o *weightedShardTally) {
+	t.Draws.Merge(o.Draws)
+	t.SDC.Merge(o.SDC)
+	t.DUE.Merge(o.DUE)
+	t.Masked.Merge(o.Masked)
+	for b := range t.UpsetsByBand {
+		t.UpsetsByBand[b].Merge(o.UpsetsByBand[b])
+		t.DUEByBand[b].Merge(o.DUEByBand[b])
+	}
 }
 
 // campaignSetup is everything a campaign derives deterministically before
@@ -343,17 +367,21 @@ func (s *campaignSetup) assemble(ctx context.Context, tallies []shardTally, elap
 		FaultsByBand: map[physics.EnergyBand]int64{},
 	}
 	var totalInteractions int64
+	var w weightedShardTally
 	for _, tc := range tallies {
-		res.SDC += tc.sdc
-		res.DUE += tc.due
-		res.Masked += tc.masked
-		res.Upsets += tc.upsets
-		res.Reprograms += tc.reprograms
-		totalInteractions += tc.interactions
-		for b, n := range tc.byBand {
+		res.SDC += tc.SDC
+		res.DUE += tc.DUE
+		res.Masked += tc.Masked
+		res.Upsets += tc.Upsets
+		res.Reprograms += tc.Reprograms
+		totalInteractions += tc.Interactions
+		for b, n := range tc.ByBand {
 			if n != 0 {
 				res.FaultsByBand[physics.EnergyBand(b)] += n
 			}
+		}
+		if tc.Weighted != nil {
+			w.merge(tc.Weighted)
 		}
 	}
 	// Post campaign totals once, atomically, after the merge — per-run
@@ -374,69 +402,71 @@ func (s *campaignSetup) assemble(ctx context.Context, tallies []shardTally, elap
 		reg.Gauge("beam.samples_per_sec").Set(
 			(float64(s.cfg.CalSamples) + float64(totalInteractions)) / secs)
 	}
-	var err error
 	if s.cfg.Bias != nil {
-		res.Weighted = mergeWeighted(*s.cfg.Bias, tallies)
+		res.Weighted = &WeightedResult{
+			Bias:         *s.cfg.Bias,
+			Draws:        w.Draws,
+			SDC:          w.SDC,
+			DUE:          w.DUE,
+			Masked:       w.Masked,
+			UpsetsByBand: map[physics.EnergyBand]stats.Weighted{},
+			DUEByBand:    map[physics.EnergyBand]stats.Weighted{},
+		}
+		for b := 1; b < len(w.UpsetsByBand); b++ {
+			if t := w.UpsetsByBand[b]; t.N != 0 {
+				res.Weighted.UpsetsByBand[physics.EnergyBand(b)] = t
+			}
+			if t := w.DUEByBand[b]; t.N != 0 {
+				res.Weighted.DUEByBand[physics.EnergyBand(b)] = t
+			}
+		}
+		res.Weighted.finalize()
 		// beam.neutrons_weighted counts the biased campaign's weighted
 		// interaction draws. Like every Result field it is a pure function
 		// of the shard decomposition, so it is shard-count-invariant.
 		reg.Counter("beam.neutrons_weighted").Add(res.Weighted.Draws.N)
-		// Biased cross sections are the weighted estimates: the raw counts
-		// are biased-sample counts and would mis-state the physics.
-		if res.SDCCrossSection, err = stats.EstimateWeightedRate(res.Weighted.SDC, float64(res.Fluence)); err != nil {
-			return nil, err
-		}
-		if res.DUECrossSection, err = stats.EstimateWeightedRate(res.Weighted.DUE, float64(res.Fluence)); err != nil {
-			return nil, err
-		}
-		return res, nil
 	}
-	if res.SDCCrossSection, err = stats.EstimateRate(res.SDC, float64(res.Fluence)); err != nil {
-		return nil, err
-	}
-	if res.DUECrossSection, err = stats.EstimateRate(res.DUE, float64(res.Fluence)); err != nil {
+	if err := res.estimateCrossSections(); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// mergeWeighted folds the shards' weighted tallies — in shard order, like
-// the integer merge above, so weighted results inherit the engine's
-// bit-identical-across-worker-counts invariant — and finalizes every
-// tally (Kahan compensation folded in) before publishing.
-func mergeWeighted(bias plan.Bias, tallies []shardTally) *WeightedResult {
-	wr := &WeightedResult{
-		Bias:         bias,
-		UpsetsByBand: map[physics.EnergyBand]stats.Weighted{},
-		DUEByBand:    map[physics.EnergyBand]stats.Weighted{},
-	}
-	var upsetsByBand, dueByBand [physics.NumBands + 1]stats.Weighted
-	for i := range tallies {
-		w := &tallies[i].w
-		wr.Draws.Merge(w.draws)
-		wr.SDC.Merge(w.sdc)
-		wr.DUE.Merge(w.due)
-		wr.Masked.Merge(w.masked)
-		for b := range w.upsetsByBand {
-			upsetsByBand[b].Merge(w.upsetsByBand[b])
-			dueByBand[b].Merge(w.dueByBand[b])
-		}
-	}
-	wr.Draws.Finalize()
-	wr.SDC.Finalize()
-	wr.DUE.Finalize()
-	wr.Masked.Finalize()
-	for b := 1; b < len(upsetsByBand); b++ {
-		if t := upsetsByBand[b]; t.N != 0 {
+// finalize folds every tally's Kahan compensation into its exported sums
+// before the result is published (the JSON round-trip guarantee of
+// stats.Weighted).
+func (w *WeightedResult) finalize() {
+	w.Draws.Finalize()
+	w.SDC.Finalize()
+	w.DUE.Finalize()
+	w.Masked.Finalize()
+	for _, m := range []map[physics.EnergyBand]stats.Weighted{w.UpsetsByBand, w.DUEByBand} {
+		for b, t := range m {
 			t.Finalize()
-			wr.UpsetsByBand[physics.EnergyBand(b)] = t
-		}
-		if t := dueByBand[b]; t.N != 0 {
-			t.Finalize()
-			wr.DUEByBand[physics.EnergyBand(b)] = t
+			m[b] = t
 		}
 	}
-	return wr
+}
+
+// estimateCrossSections derives the SDC and DUE cross sections from the
+// result's tallies and fluence. Biased results use the weighted, ESS-gated
+// estimates: their raw counts are biased-sample counts and would mis-state
+// the physics.
+func (r *Result) estimateCrossSections() error {
+	fluence := float64(r.Fluence)
+	var err error
+	if w := r.Weighted; w != nil {
+		if r.SDCCrossSection, err = stats.EstimateWeightedRate(w.SDC, fluence); err != nil {
+			return err
+		}
+		r.DUECrossSection, err = stats.EstimateWeightedRate(w.DUE, fluence)
+		return err
+	}
+	if r.SDCCrossSection, err = stats.EstimateRate(r.SDC, fluence); err != nil {
+		return err
+	}
+	r.DUECrossSection, err = stats.EstimateRate(r.DUE, fluence)
+	return err
 }
 
 // shardRunner executes one shard's slice of beam runs. Each shard owns a
@@ -449,11 +479,15 @@ func mergeWeighted(bias plan.Bias, tallies []shardTally) *WeightedResult {
 // steady-state run loop performs no heap allocations (DESIGN.md §11).
 type shardRunner struct {
 	cfg    Config
-	plan   *plan.CampaignPlan
 	lambda float64
 	// expNegLambda caches exp(-lambda) for the Knuth Poisson draw, which
 	// otherwise recomputes it on every run.
 	expNegLambda float64
+	// biased selects the weighted estimator: draws come from the biased
+	// table with their likelihood weights, and every tally is fed the
+	// weight alongside its integer count. It is fixed by the plan for the
+	// shard's lifetime, so its branches predict perfectly.
+	biased bool
 	// sample and wsample are the plan's hoisted alias-table views: the
 	// batched classify pass reads the fused 32-byte slots through a
 	// runner-local slice header instead of chasing the plan pointer per
@@ -467,14 +501,14 @@ type shardRunner struct {
 	tc         shardTally
 	faults     []faultinject.Timed
 	persistent []faultinject.Timed
-	// wCarried is the weighted run loop's carried likelihood weight: the
+	// wCarried is the weighted estimator's carried likelihood weight: the
 	// product of the weights of every draw since the shard's last
 	// persistent-state regeneration (empty persistent set). A run's
 	// outcome depends on those draws through the carried FPGA
 	// configuration faults, so its outcome weight is wCarried times the
 	// current run's draw-weight product. Regeneration points (persistent
 	// empty) restart the chain from a deterministic state, which is what
-	// keeps the segmented product unbiased.
+	// keeps the segmented product unbiased. It stays 1 on the exact path.
 	wCarried float64
 }
 
@@ -495,11 +529,11 @@ func newShardRunner(cfg Config, sh engine.Shard, pl *plan.CampaignPlan, lambda f
 	// allocated here, once per shard, keeping the run loop itself at zero
 	// allocations.
 	sh.Stream.ReadAhead(runLoopReadAhead)
-	return &shardRunner{
+	r := &shardRunner{
 		cfg:          cfg,
-		plan:         pl,
 		lambda:       lambda,
 		expNegLambda: math.Exp(-lambda),
+		biased:       pl.IsBiased(),
 		sample:       pl.Sampler(),
 		wsample:      pl.WeightedSampler(),
 		inj:          inj,
@@ -507,7 +541,11 @@ func newShardRunner(cfg Config, sh engine.Shard, pl *plan.CampaignPlan, lambda f
 		s:            sh.Stream,
 		events:       events,
 		wCarried:     1,
-	}, nil
+	}
+	if r.biased {
+		r.tc.Weighted = &weightedShardTally{}
+	}
+	return r, nil
 }
 
 // Batched run-loop parameters (DESIGN.md §16).
@@ -527,74 +565,74 @@ const (
 	runBatchSize = 512
 )
 
-// poisson draws the per-run interaction count via the rng layer's
-// cached-exponential Poisson, which matches Stream.Poisson draw-for-draw
-// (pinned by TestPoissonCachedMatchesStream) while paying math.Exp once
-// per shard instead of once per run.
-func (r *shardRunner) poisson() int64 {
-	return r.s.PoissonExp(r.lambda, r.expNegLambda)
-}
-
-// oneRun executes a single beam run: a Poisson number of conditioned
-// interaction draws, device physics per interaction, then workload replay
-// under the collected faults. The common case — no interactions, no
-// carried faults — returns immediately; the rare fault-materialization
-// work lives in materialize so the hot loop stays small. It must stay
-// free of per-run allocations (asserted by TestRunLoopZeroAllocs).
-func (r *shardRunner) oneRun() {
-	before := r.tc.sdc + r.tc.due
-	nInt := r.poisson()
-	if nInt == 0 && len(r.persistent) == 0 {
-		r.tc.masked++
-		return
-	}
-	r.materialize(nInt)
-	if d := r.tc.sdc + r.tc.due - before; d != 0 {
-		r.events.Add(d)
-	}
-}
-
-// runBlock executes n exact runs as one batch: the classify pass
-// separates the no-interaction common path (a Poisson draw and a local
-// masked increment) from the rare materialization path, and the batch's
-// integer deltas flush to the shard tally and the shared events counter
-// once at the end. Every stream draw happens in exactly the per-run
-// order, so the batch is bit-identical to n oneRun calls.
+// runBlock executes n runs as one batch. A run is a Poisson number of
+// conditioned interaction draws, device physics per interaction, then
+// workload replay under the collected faults. The classify pass separates
+// the no-interaction common path (a Poisson draw and a local masked
+// increment) from the rare materialization path, and the batch's integer
+// deltas flush to the shard tally and the shared events counter once at
+// the end. Every stream draw happens in exactly the per-run order, so the
+// batch is bit-identical to n scalar runs. It must stay free of per-run
+// allocations (asserted by TestRunLoopZeroAllocs for both estimators).
 func (r *shardRunner) runBlock(n int) {
-	before := r.tc.sdc + r.tc.due
+	before := r.tc.SDC + r.tc.DUE
 	lambda, expNeg := r.lambda, r.expNegLambda
-	s := r.s
+	s, biased := r.s, r.biased
 	var masked int64
 	for i := 0; i < n; i++ {
 		nInt := s.PoissonExp(lambda, expNeg)
 		if nInt == 0 && len(r.persistent) == 0 {
 			masked++
+			if biased {
+				// No draws and no carried faults: masked with outcome
+				// weight wCarried·1.0, and the empty persistent set resets
+				// the carried product exactly like advanceCarried would.
+				// Kahan adds are order-dependent, so they are fed per run.
+				r.tc.Weighted.Masked.Add(r.wCarried)
+				r.wCarried = 1
+			}
 			continue
 		}
 		r.materialize(nInt)
 	}
-	r.tc.masked += masked
-	if d := r.tc.sdc + r.tc.due - before; d != 0 {
+	r.tc.Masked += masked
+	if d := r.tc.SDC + r.tc.DUE - before; d != 0 {
 		r.events.Add(d)
 	}
 }
 
-// materialize is the rare path of an exact run: nInt > 0 interactions to
-// draw and classify, or carried persistent faults to replay (or both).
+// materialize is the rare path of a run: nInt > 0 interactions to draw
+// and classify, or carried persistent faults to replay (or both).
 // Deliberately outlined from the batch loop — at auto-tuned λ ≈ 0.05 over
-// 95% of runs never come here.
+// 95% of runs never come here. On the biased path every interaction
+// comes from the biased table with its likelihood weight: per-draw
+// tallies (draws, upsets by band) use the draw's own weight, run outcomes
+// (SDC/DUE/Masked) the product of the weights of every draw that
+// influenced the run.
 func (r *shardRunner) materialize(nInt int64) {
-	s := r.s
-	r.tc.interactions += nInt
+	s, w, biased := r.s, r.tc.Weighted, r.biased
+	r.tc.Interactions += nInt
+	wRun := 1.0
 	faults := append(r.faults[:0], r.persistent...)
 	for k := int64(0); k < nInt; k++ {
-		e := r.sample.Sample(s)
+		var e units.Energy
+		wDraw := 1.0
+		if biased {
+			e, wDraw = r.wsample.Sample(s)
+			w.Draws.Add(wDraw)
+			wRun *= wDraw
+		} else {
+			e = r.sample.Sample(s)
+		}
 		f, upset := r.cfg.Device.InteractionUpset(e, s)
 		if !upset {
 			continue
 		}
-		r.tc.upsets++
-		r.tc.byBand[f.Band]++
+		r.tc.Upsets++
+		r.tc.ByBand[f.Band]++
+		if biased {
+			w.UpsetsByBand[f.Band].Add(wDraw)
+		}
 		tf := faultinject.Timed{Step: s.Intn(r.steps), Fault: f}
 		faults = append(faults, tf)
 		if f.Target == device.TargetConfig {
@@ -603,137 +641,40 @@ func (r *shardRunner) materialize(nInt int64) {
 		}
 	}
 	r.faults = faults[:0]
-	if len(faults) == 0 {
-		r.tc.masked++
-		return
-	}
-	switch r.inj.Run(faults, s).Outcome {
-	case faultinject.OutcomeSDC:
-		r.tc.sdc++
-		if len(r.persistent) > 0 {
-			r.persistent = r.persistent[:0] // reprogram the FPGA
-			r.tc.reprograms++
-		}
-	case faultinject.OutcomeDUE:
-		r.tc.due++
-		if len(r.persistent) > 0 {
-			r.persistent = r.persistent[:0]
-			r.tc.reprograms++
-		}
-	default:
-		r.tc.masked++
-	}
-}
-
-// oneRunWeighted is oneRun for biased campaigns: the same batched
-// structure — fast no-interaction path, outlined materialization — but
-// every interaction comes from the biased table with its likelihood
-// weight, and every tally is fed the appropriate weight alongside the
-// integer count. Per-draw tallies (draws, upsets by band) use the draw's
-// own weight; run outcomes (SDC/DUE/Masked) use the product of the
-// weights of every draw that influenced the run. Like oneRun it must stay
-// free of per-run allocations (TestRunLoopZeroAllocs covers both).
-func (r *shardRunner) oneRunWeighted() {
-	before := r.tc.sdc + r.tc.due
-	nInt := r.poisson()
-	if nInt == 0 && len(r.persistent) == 0 {
-		// A run with no draws and no carried faults is masked with outcome
-		// weight wCarried·1.0 and resets the carried product exactly like
-		// advanceCarried would (the persistent set is empty).
-		r.tc.masked++
-		r.tc.w.masked.Add(r.wCarried)
-		r.wCarried = 1
-		return
-	}
-	r.materializeWeighted(nInt)
-	if d := r.tc.sdc + r.tc.due - before; d != 0 {
-		r.events.Add(d)
-	}
-}
-
-// runBlockWeighted is runBlock for biased campaigns. Only the associative
-// integer counts and the events delta are batch-accumulated; the weighted
-// tallies are Kahan-compensated sums whose value depends on add order, so
-// they are fed per run in exactly the scalar order — bit-identity over
-// speed for anything non-associative.
-func (r *shardRunner) runBlockWeighted(n int) {
-	before := r.tc.sdc + r.tc.due
-	lambda, expNeg := r.lambda, r.expNegLambda
-	s := r.s
-	var masked int64
-	for i := 0; i < n; i++ {
-		nInt := s.PoissonExp(lambda, expNeg)
-		if nInt == 0 && len(r.persistent) == 0 {
-			masked++
-			r.tc.w.masked.Add(r.wCarried)
-			r.wCarried = 1
-			continue
-		}
-		r.materializeWeighted(nInt)
-	}
-	r.tc.masked += masked
-	if d := r.tc.sdc + r.tc.due - before; d != 0 {
-		r.events.Add(d)
-	}
-}
-
-// materializeWeighted is the rare path of a weighted run.
-func (r *shardRunner) materializeWeighted(nInt int64) {
-	s := r.s
-	r.tc.interactions += nInt
-	wRun := 1.0
-	faults := append(r.faults[:0], r.persistent...)
-	for k := int64(0); k < nInt; k++ {
-		e, w := r.wsample.Sample(s)
-		r.tc.w.draws.Add(w)
-		wRun *= w
-		f, upset := r.cfg.Device.InteractionUpset(e, s)
-		if !upset {
-			continue
-		}
-		r.tc.upsets++
-		r.tc.byBand[f.Band]++
-		r.tc.w.upsetsByBand[f.Band].Add(w)
-		tf := faultinject.Timed{Step: s.Intn(r.steps), Fault: f}
-		faults = append(faults, tf)
-		if f.Target == device.TargetConfig {
-			tf.Step = 0 // a corrupted bitstream affects the whole run
-			r.persistent = append(r.persistent, tf)
-		}
+	outcome, outcomeBand := faultinject.OutcomeMasked, physics.EnergyBand(0)
+	if len(faults) > 0 {
+		outcomeBand = faults[0].Fault.Band
+		outcome = r.inj.Run(faults, s).Outcome
 	}
 	// This run's outcome is a function of its own draws and of the draws
 	// whose persistent faults were carried in, so its likelihood weight
 	// is the carried product times this run's product.
 	wOut := r.wCarried * wRun
-	r.faults = faults[:0]
-	if len(faults) == 0 {
-		r.tc.masked++
-		r.tc.w.masked.Add(wOut)
-		r.advanceCarried(wRun)
-		return
-	}
-	outcomeBand := faults[0].Fault.Band
-	switch r.inj.Run(faults, s).Outcome {
+	switch outcome {
 	case faultinject.OutcomeSDC:
-		r.tc.sdc++
-		r.tc.w.sdc.Add(wOut)
-		if len(r.persistent) > 0 {
-			r.persistent = r.persistent[:0] // reprogram the FPGA
-			r.tc.reprograms++
+		r.tc.SDC++
+		if biased {
+			w.SDC.Add(wOut)
 		}
 	case faultinject.OutcomeDUE:
-		r.tc.due++
-		r.tc.w.due.Add(wOut)
-		r.tc.w.dueByBand[outcomeBand].Add(wOut)
-		if len(r.persistent) > 0 {
-			r.persistent = r.persistent[:0]
-			r.tc.reprograms++
+		r.tc.DUE++
+		if biased {
+			w.DUE.Add(wOut)
+			w.DUEByBand[outcomeBand].Add(wOut)
 		}
 	default:
-		r.tc.masked++
-		r.tc.w.masked.Add(wOut)
+		r.tc.Masked++
+		if biased {
+			w.Masked.Add(wOut)
+		}
 	}
-	r.advanceCarried(wRun)
+	if (outcome == faultinject.OutcomeSDC || outcome == faultinject.OutcomeDUE) && len(r.persistent) > 0 {
+		r.persistent = r.persistent[:0] // an observed error reprograms the FPGA
+		r.tc.Reprograms++
+	}
+	if biased {
+		r.advanceCarried(wRun)
+	}
 }
 
 // advanceCarried rolls the carried likelihood weight forward after a run:
@@ -760,14 +701,6 @@ func runShard(cfg Config, sh engine.Shard, pl *plan.CampaignPlan, lambda float64
 	// pre-filled by the stream's read-ahead buffer, integer tallies
 	// accumulate batch-locally, and the shared events counter sees one
 	// atomic add per batch instead of one per event.
-	if pl.IsBiased() {
-		for n := sh.Count; n > 0; {
-			b := min(n, runBatchSize)
-			r.runBlockWeighted(b)
-			n -= b
-		}
-		return r.tc, nil
-	}
 	for n := sh.Count; n > 0; {
 		b := min(n, runBatchSize)
 		r.runBlock(b)
@@ -874,48 +807,27 @@ func Merge(results []*Result) (*Result, error) {
 			out.Weighted.SDC.Merge(r.Weighted.SDC)
 			out.Weighted.DUE.Merge(r.Weighted.DUE)
 			out.Weighted.Masked.Merge(r.Weighted.Masked)
-			for b, t := range r.Weighted.UpsetsByBand {
-				m := out.Weighted.UpsetsByBand[b]
-				m.Merge(t)
-				out.Weighted.UpsetsByBand[b] = m
-			}
-			for b, t := range r.Weighted.DUEByBand {
-				m := out.Weighted.DUEByBand[b]
-				m.Merge(t)
-				out.Weighted.DUEByBand[b] = m
-			}
+			mergeBands(out.Weighted.UpsetsByBand, r.Weighted.UpsetsByBand)
+			mergeBands(out.Weighted.DUEByBand, r.Weighted.DUEByBand)
 		}
 	}
-	var err error
 	if weighted {
 		// The inputs were finalized by their campaigns, so the merged
 		// sums carry no compensation residue worth keeping; finalize for
 		// the same round-trip-stable representation.
-		out.Weighted.Draws.Finalize()
-		out.Weighted.SDC.Finalize()
-		out.Weighted.DUE.Finalize()
-		out.Weighted.Masked.Finalize()
-		for b, t := range out.Weighted.UpsetsByBand {
-			t.Finalize()
-			out.Weighted.UpsetsByBand[b] = t
-		}
-		for b, t := range out.Weighted.DUEByBand {
-			t.Finalize()
-			out.Weighted.DUEByBand[b] = t
-		}
-		if out.SDCCrossSection, err = stats.EstimateWeightedRate(out.Weighted.SDC, float64(out.Fluence)); err != nil {
-			return nil, err
-		}
-		if out.DUECrossSection, err = stats.EstimateWeightedRate(out.Weighted.DUE, float64(out.Fluence)); err != nil {
-			return nil, err
-		}
-		return out, nil
+		out.Weighted.finalize()
 	}
-	if out.SDCCrossSection, err = stats.EstimateRate(out.SDC, float64(out.Fluence)); err != nil {
-		return nil, err
-	}
-	if out.DUECrossSection, err = stats.EstimateRate(out.DUE, float64(out.Fluence)); err != nil {
+	if err := out.estimateCrossSections(); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// mergeBands folds the per-band tallies of src into dst.
+func mergeBands(dst, src map[physics.EnergyBand]stats.Weighted) {
+	for b, t := range src {
+		m := dst[b]
+		m.Merge(t)
+		dst[b] = m
+	}
 }

@@ -14,11 +14,12 @@ package beam
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
 	"neutronsim/internal/engine"
-	"neutronsim/internal/physics"
 	"neutronsim/internal/stats"
 	"neutronsim/internal/telemetry"
 )
@@ -60,103 +61,89 @@ func PlanInfo(ctx context.Context, cfg Config) (Info, error) {
 	}, nil
 }
 
-// TallyWire is one shard's tally in wire form: the exported mirror of
-// shardTally, shipped un-merged so the receiving coordinator can fold
-// shards in global shard order exactly as a single-node merge would.
-type TallyWire struct {
-	SDC          int64 `json:"sdc"`
-	DUE          int64 `json:"due"`
-	Masked       int64 `json:"masked"`
-	Upsets       int64 `json:"upsets"`
-	Reprograms   int64 `json:"reprograms"`
-	Interactions int64 `json:"interactions"`
-	// ByBand is indexed by band value (1..physics.NumBands; index 0 unused),
-	// matching the shard tally's fixed array.
-	ByBand []int64 `json:"by_band"`
-	// Weighted carries the biased campaign's per-shard weighted tallies,
-	// with Kahan compensation terms intact (stats.WeightedWire), so the
-	// coordinator's fold is bit-identical to a local one. nil on exact
-	// campaigns.
-	Weighted *WeightedTallyWire `json:"weighted,omitempty"`
-}
-
-// WeightedTallyWire mirrors weightedShardTally for transport.
-type WeightedTallyWire struct {
-	Draws        stats.WeightedWire   `json:"draws"`
-	SDC          stats.WeightedWire   `json:"sdc"`
-	DUE          stats.WeightedWire   `json:"due"`
-	Masked       stats.WeightedWire   `json:"masked"`
-	UpsetsByBand []stats.WeightedWire `json:"upsets_by_band"`
-	DUEByBand    []stats.WeightedWire `json:"due_by_band"`
-}
-
 // Partial is the result of executing one shard range: the per-shard
-// tallies in shard order (Tallies[i] is shard Range.Lo+i).
+// tallies in shard order (Tallies[i] is shard Range.Lo+i), shipped
+// un-merged so the coordinator folds them exactly as a single node would.
 type Partial struct {
-	Range   ShardRange  `json:"range"`
-	Tallies []TallyWire `json:"tallies"`
+	Range   ShardRange   `json:"range"`
+	Tallies []shardTally `json:"tallies"`
 }
 
-func wireOf(tc *shardTally, biased bool) TallyWire {
-	w := TallyWire{
-		SDC:          tc.sdc,
-		DUE:          tc.due,
-		Masked:       tc.masked,
-		Upsets:       tc.upsets,
-		Reprograms:   tc.reprograms,
-		Interactions: tc.interactions,
-		ByBand:       append([]int64(nil), tc.byBand[:]...),
+// check verifies a decoded shard tally against the conservation laws the
+// run loop obeys, so a corrupt tally, or one from a worker running other
+// code or another plan, is rejected instead of merged. runs is the shard's
+// run count in the campaign's engine.Plan. encoding/json zero-pads or
+// truncates the fixed-size band arrays without complaint, so the band
+// sums, not their lengths, are what catch a malformed band section.
+func (t *shardTally) check(runs int, biased bool) error {
+	if biased != (t.Weighted != nil) {
+		return fmt.Errorf("weighted section present=%v, campaign biased=%v", t.Weighted != nil, biased)
 	}
-	if biased {
-		ww := &WeightedTallyWire{
-			Draws:        tc.w.draws.Wire(),
-			SDC:          tc.w.sdc.Wire(),
-			DUE:          tc.w.due.Wire(),
-			Masked:       tc.w.masked.Wire(),
-			UpsetsByBand: make([]stats.WeightedWire, len(tc.w.upsetsByBand)),
-			DUEByBand:    make([]stats.WeightedWire, len(tc.w.dueByBand)),
+	counts := append([]int64{t.SDC, t.DUE, t.Masked, t.Upsets, t.Reprograms, t.Interactions}, t.ByBand[:]...)
+	var sums []stats.Weighted
+	if w := t.Weighted; w != nil {
+		sums = append([]stats.Weighted{w.Draws, w.SDC, w.DUE, w.Masked}, w.UpsetsByBand[:]...)
+		sums = append(sums, w.DUEByBand[:]...)
+		for _, c := range sums {
+			counts = append(counts, c.N)
 		}
-		for b := range tc.w.upsetsByBand {
-			ww.UpsetsByBand[b] = tc.w.upsetsByBand[b].Wire()
-			ww.DUEByBand[b] = tc.w.dueByBand[b].Wire()
-		}
-		w.Weighted = ww
 	}
-	return w
+	switch {
+	case slices.Min(counts) < 0:
+		return fmt.Errorf("negative count in %+v", counts)
+	case !sumsTo(int64(runs), t.SDC, t.DUE, t.Masked):
+		return fmt.Errorf("sdc+due+masked ≠ the shard's %d runs", runs)
+	case t.ByBand[0] != 0:
+		return fmt.Errorf("by_band[0] = %d, want 0", t.ByBand[0])
+	case !sumsTo(t.Upsets, t.ByBand[:]...):
+		return fmt.Errorf("by_band does not sum to upsets = %d", t.Upsets)
+	}
+	w := t.Weighted
+	if w == nil {
+		return nil
+	}
+	for _, c := range sums {
+		if !isFinite(c.SumW) || !isFinite(c.SumW2) || !isFinite(c.CW) || !isFinite(c.CW2) {
+			return fmt.Errorf("non-finite weighted sum in %+v", c)
+		}
+	}
+	var upsetsN, dueN []int64
+	for b := range w.UpsetsByBand {
+		upsetsN = append(upsetsN, w.UpsetsByBand[b].N)
+		dueN = append(dueN, w.DUEByBand[b].N)
+	}
+	for _, p := range []struct {
+		name string
+		ok   bool
+	}{
+		{"draws", w.Draws.N == t.Interactions},
+		{"sdc", w.SDC.N == t.SDC},
+		{"due", w.DUE.N == t.DUE},
+		{"masked", w.Masked.N == t.Masked},
+		{"upsets_by_band", sumsTo(t.Upsets, upsetsN...)},
+		{"due_by_band", sumsTo(t.DUE, dueN...)},
+	} {
+		if !p.ok {
+			return fmt.Errorf("weighted %s N disagrees with the integer tally", p.name)
+		}
+	}
+	return nil
 }
 
-func (w *TallyWire) tally(biased bool) (shardTally, error) {
-	tc := shardTally{
-		sdc:          w.SDC,
-		due:          w.DUE,
-		masked:       w.Masked,
-		upsets:       w.Upsets,
-		reprograms:   w.Reprograms,
-		interactions: w.Interactions,
-	}
-	if len(w.ByBand) != physics.NumBands+1 {
-		return tc, fmt.Errorf("beam: tally by_band has %d entries, want %d", len(w.ByBand), physics.NumBands+1)
-	}
-	copy(tc.byBand[:], w.ByBand)
-	if biased != (w.Weighted != nil) {
-		return tc, fmt.Errorf("beam: tally weighted section present=%v, campaign biased=%v", w.Weighted != nil, biased)
-	}
-	if w.Weighted != nil {
-		if len(w.Weighted.UpsetsByBand) != physics.NumBands+1 || len(w.Weighted.DUEByBand) != physics.NumBands+1 {
-			return tc, fmt.Errorf("beam: weighted tally band arrays have %d/%d entries, want %d",
-				len(w.Weighted.UpsetsByBand), len(w.Weighted.DUEByBand), physics.NumBands+1)
+// sumsTo reports whether the non-negative parts add up to exactly total.
+// It subtracts instead of adding, so crafted huge parts cannot wrap
+// around to a matching sum.
+func sumsTo(total int64, parts ...int64) bool {
+	for _, p := range parts {
+		if p > total {
+			return false
 		}
-		tc.w.draws = w.Weighted.Draws.Tally()
-		tc.w.sdc = w.Weighted.SDC.Tally()
-		tc.w.due = w.Weighted.DUE.Tally()
-		tc.w.masked = w.Weighted.Masked.Tally()
-		for b := range tc.w.upsetsByBand {
-			tc.w.upsetsByBand[b] = w.Weighted.UpsetsByBand[b].Tally()
-			tc.w.dueByBand[b] = w.Weighted.DUEByBand[b].Tally()
-		}
+		total -= p
 	}
-	return tc, nil
+	return total == 0
 }
+
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // RunRange executes shards [lo, hi) of the campaign's deterministic shard
 // plan — the worker side of POST /v1/shards. The shard streams and run
@@ -185,15 +172,7 @@ func RunRange(ctx context.Context, cfg Config, lo, hi int) (*Partial, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Partial{
-		Range:   ShardRange{Lo: lo, Hi: hi},
-		Tallies: make([]TallyWire, len(tallies)),
-	}
-	biased := s.cfg.Bias != nil
-	for i := range tallies {
-		p.Tallies[i] = wireOf(&tallies[i], biased)
-	}
-	return p, nil
+	return &Partial{Range: ShardRange{Lo: lo, Hi: hi}, Tallies: tallies}, nil
 }
 
 // AssemblePartials reconstructs the campaign Result from shard-range
@@ -213,7 +192,8 @@ func AssemblePartials(ctx context.Context, cfg Config, partials []*Partial) (*Re
 	// Same campaign-proportional calibration accounting as RunContext: the
 	// assembling node answered the campaign, wherever the shards ran.
 	telemetry.Count("beam.neutrons_sampled", int64(s.cfg.CalSamples))
-	nShards := len(engine.Plan(s.runs, s.grain))
+	shards := engine.Plan(s.runs, s.grain)
+	nShards := len(shards)
 	sorted := append([]*Partial(nil), partials...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Range.Lo < sorted[j].Range.Lo })
 	biased := s.cfg.Bias != nil
@@ -233,12 +213,12 @@ func AssemblePartials(ctx context.Context, cfg Config, partials []*Partial) (*Re
 			return nil, fmt.Errorf("beam: partial %s carries %d tallies", p.Range, len(p.Tallies))
 		}
 		for i := range p.Tallies {
-			tc, err := p.Tallies[i].tally(biased)
-			if err != nil {
-				return nil, fmt.Errorf("beam: shard %d: %w", p.Range.Lo+i, err)
+			shard := p.Range.Lo + i
+			if err := p.Tallies[i].check(shards[shard].Count, biased); err != nil {
+				return nil, fmt.Errorf("beam: shard %d tally rejected: %w", shard, err)
 			}
-			tallies = append(tallies, tc)
 		}
+		tallies = append(tallies, p.Tallies...)
 		next = p.Range.Hi
 	}
 	if next != nShards {

@@ -3,7 +3,9 @@ package beam
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -106,8 +108,9 @@ func TestAssemblePartialsBitIdentical(t *testing.T) {
 }
 
 // TestAssemblePartialsRejectsBadCoverage pins the double-count and
-// under-count protections: overlaps, gaps, truncated tallies and
-// weighted/exact mismatches are errors, never silently merged.
+// under-count protections — overlaps, gaps, truncated tallies and
+// weighted/exact mismatches — and the per-shard conservation checks: a
+// tally that breaks any of them is an error, never silently merged.
 func TestAssemblePartialsRejectsBadCoverage(t *testing.T) {
 	ctx := context.Background()
 	cfg := rangeCfg(t, nil)
@@ -147,8 +150,8 @@ func TestAssemblePartialsRejectsBadCoverage(t *testing.T) {
 	}
 	t.Run("weighted-mismatch", func(t *testing.T) {
 		trunc := *a
-		trunc.Tallies = append([]TallyWire(nil), a.Tallies...)
-		trunc.Tallies[0].Weighted = &WeightedTallyWire{}
+		trunc.Tallies = append([]shardTally(nil), a.Tallies...)
+		trunc.Tallies[0].Weighted = &weightedShardTally{}
 		if _, err := AssemblePartials(ctx, cfg, []*Partial{&trunc, b}); err == nil || !strings.Contains(err.Error(), "weighted") {
 			t.Errorf("want weighted-mismatch error, got %v", err)
 		}
@@ -160,4 +163,83 @@ func TestAssemblePartialsRejectsBadCoverage(t *testing.T) {
 			t.Errorf("want tally-count error, got %v", err)
 		}
 	})
+
+	// Conservation checks: each case breaks exactly one law of the run
+	// loop in one shard tally of an otherwise valid partial.
+	rejects := func(t *testing.T, cfg Config, ps []*Partial, want string) {
+		t.Helper()
+		if _, err := AssemblePartials(ctx, cfg, ps); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("want error containing %q, got %v", want, err)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		tamper func(*shardTally)
+		want   string
+	}{
+		{"negative-count", func(tl *shardTally) { tl.Reprograms = -1 }, "negative"},
+		{"flipped-count", func(tl *shardTally) { tl.SDC++ }, "runs"},
+		{"wrapped-count", func(tl *shardTally) { tl.SDC, tl.DUE = math.MaxInt64, math.MaxInt64; tl.Masked += 2 }, "runs"},
+		{"by-band-zero", func(tl *shardTally) { tl.ByBand[0]++; tl.Upsets++ }, "by_band[0]"},
+		{"by-band-sum", func(tl *shardTally) { tl.ByBand[1]++ }, "by_band does not sum"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := roundTrip(t, a)
+			tc.tamper(&bad.Tallies[0])
+			rejects(t, cfg, []*Partial{bad, b}, tc.want)
+		})
+	}
+	t.Run("by-band-extra-entry", func(t *testing.T) {
+		// A by_band array one entry too long decodes silently truncated;
+		// the dropped upset then breaks Σby_band = upsets.
+		bad := roundTrip(t, a)
+		bad.Tallies[0].Upsets++
+		blob, err := json.Marshal(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loc := regexp.MustCompile(`"by_band":\[[^\]]*`).FindIndex(blob)
+		blob = append(blob[:loc[1]:loc[1]], append([]byte(",1"), blob[loc[1]:]...)...)
+		bad = &Partial{}
+		if err := json.Unmarshal(blob, bad); err != nil {
+			t.Fatal(err)
+		}
+		rejects(t, cfg, []*Partial{bad, b}, "by_band does not sum")
+	})
+
+	bcfg := rangeCfg(t, &plan.Bias{Thermal: 8})
+	ba, err := RunRange(ctx, bcfg, 0, mid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bb, err := RunRange(ctx, bcfg, mid, info.Shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		tamper func(*weightedShardTally)
+		want   string
+	}{
+		{"weighted-draws", func(w *weightedShardTally) { w.Draws.Add(1) }, "weighted draws"},
+		{"weighted-sdc", func(w *weightedShardTally) { w.SDC.Add(1) }, "weighted sdc"},
+		{"weighted-due", func(w *weightedShardTally) { w.DUE.Add(1) }, "weighted due"},
+		{"weighted-masked", func(w *weightedShardTally) { w.Masked.N-- }, "weighted masked"},
+		{"weighted-upsets-by-band", func(w *weightedShardTally) { w.UpsetsByBand[1].Add(1) }, "weighted upsets_by_band"},
+		{"weighted-due-by-band", func(w *weightedShardTally) { w.DUEByBand[2].Add(1) }, "weighted due_by_band"},
+		{"weighted-negative", func(w *weightedShardTally) { w.UpsetsByBand[1].N--; w.UpsetsByBand[2].N++ }, "negative"},
+		{"non-finite", func(w *weightedShardTally) { w.Masked.SumW = math.NaN() }, "non-finite"},
+		{"non-finite-compensation", func(w *weightedShardTally) { w.Draws.CW2 = math.Inf(1) }, "non-finite"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := roundTrip(t, ba)
+			tc.tamper(bad.Tallies[0].Weighted)
+			rejects(t, bcfg, []*Partial{bad, bb}, tc.want)
+		})
+	}
+	// The untampered biased partials assemble: the checks above reject
+	// the tampering, not the biased wire form itself.
+	if _, err := AssemblePartials(ctx, bcfg, []*Partial{roundTrip(t, ba), bb}); err != nil {
+		t.Errorf("valid biased partials rejected: %v", err)
+	}
 }

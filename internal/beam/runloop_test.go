@@ -33,13 +33,12 @@ func TestRunLoopZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm up scratch capacities before measuring steady state.
-	for i := 0; i < 100; i++ {
-		r.oneRun()
-	}
-	if avg := testing.AllocsPerRun(2000, r.oneRun); avg != 0 {
+	r.runBlock(100)
+	run := func() { r.runBlock(1) }
+	if avg := testing.AllocsPerRun(2000, run); avg != 0 {
 		t.Errorf("run loop allocates %.2f times per run, want 0", avg)
 	}
-	if r.tc.interactions == 0 {
+	if r.tc.Interactions == 0 {
 		t.Fatal("run loop drew no interactions; the measurement exercised nothing")
 	}
 
@@ -54,27 +53,25 @@ func TestRunLoopZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 100; i++ {
-		wr.oneRunWeighted()
-	}
-	if avg := testing.AllocsPerRun(2000, wr.oneRunWeighted); avg != 0 {
+	wr.runBlock(100)
+	wrun := func() { wr.runBlock(1) }
+	if avg := testing.AllocsPerRun(2000, wrun); avg != 0 {
 		t.Errorf("weighted run loop allocates %.2f times per run, want 0", avg)
 	}
-	if wr.tc.w.draws.N == 0 {
+	if wr.tc.Weighted.Draws.N == 0 {
 		t.Fatal("weighted run loop drew no interactions; the measurement exercised nothing")
 	}
 }
 
 // TestPoissonCachedMatchesStream pins the determinism contract of the
-// cached-exponential Poisson fast path: it must consume the shard stream
-// draw-for-draw exactly like Stream.Poisson.
+// cached-exponential Poisson fast path runBlock takes: it must consume the
+// shard stream draw-for-draw exactly like Stream.Poisson.
 func TestPoissonCachedMatchesStream(t *testing.T) {
 	for _, lambda := range []float64{0, 0.05, 2, 29.9, 30, 400} {
-		r := &shardRunner{lambda: lambda, s: rng.New(42)}
-		r.expNegLambda = math.Exp(-lambda)
+		s, expNegLambda := rng.New(42), math.Exp(-lambda)
 		ref := rng.New(42)
 		for i := 0; i < 500; i++ {
-			got := r.poisson()
+			got := s.PoissonExp(lambda, expNegLambda)
 			want := ref.Poisson(lambda)
 			if got != want {
 				t.Fatalf("lambda=%v draw %d: cached poisson = %d, Stream.Poisson = %d", lambda, i, got, want)

@@ -169,27 +169,11 @@ func (p *CampaignPlan) BandWeight(b physics.EnergyBand) float64 {
 }
 
 // SampleInteractionWeighted draws an interacting energy from the biased
-// table and returns it with its likelihood weight. It mirrors
-// SampleInteraction exactly — one uniform, one 32-byte slot read, zero
-// allocations — plus a band classification (two comparisons) to look the
-// weight up. On an exact plan it degrades to SampleInteraction with
-// weight 1, consuming the same stream state.
+// table through the plan's WeightedSampler view and returns it with its
+// likelihood weight. On an exact plan it degrades to SampleInteraction
+// with weight 1, consuming the same stream state.
 func (p *CampaignPlan) SampleInteractionWeighted(s *rng.Stream) (units.Energy, float64) {
-	if p.biased == nil {
-		return p.SampleInteraction(s), 1
-	}
-	n := len(p.biased)
-	u := s.Float64() * float64(n)
-	i := int(u)
-	if i >= n {
-		i = n - 1
-	}
-	sl := &p.biased[i]
-	e := sl.alias
-	if u-float64(i) < sl.prob {
-		e = sl.self
-	}
-	return e, p.bandW[physics.Classify(e)]
+	return p.WeightedSampler().Sample(s)
 }
 
 // UpsetCrossSectionWeighted estimates the device's upset cross section
@@ -208,8 +192,9 @@ func (p *CampaignPlan) UpsetCrossSectionWeighted(d *device.Device, n int, s *rng
 		return 0, stats.Weighted{}, errors.New("plan: sample count must be positive")
 	}
 	var upsets stats.Weighted
+	sample := p.WeightedSampler()
 	for i := 0; i < n; i++ {
-		e, w := p.SampleInteractionWeighted(s)
+		e, w := sample.Sample(s)
 		if _, ok := d.InteractionUpset(e, s); ok {
 			upsets.Add(w)
 		}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -222,23 +223,24 @@ func TestCacheForBiased(t *testing.T) {
 	c := NewCache(8, reg)
 	d := device.K20()
 	const n = 256
+	ctx := context.Background()
 
 	exact := c.For(d, spectrum.ChipIR(), n, 1)
-	if viaNil := c.ForBiased(d, spectrum.ChipIR(), n, 1, nil); viaNil != exact {
+	if viaNil := c.ForBiasedContext(ctx, d, spectrum.ChipIR(), n, 1, nil); viaNil != exact {
 		t.Error("nil bias must share the exact plan's cache entry")
 	}
-	identity := c.ForBiased(d, spectrum.ChipIR(), n, 1, &Bias{})
+	identity := c.ForBiasedContext(ctx, d, spectrum.ChipIR(), n, 1, &Bias{})
 	if identity == exact {
 		t.Error("identity bias shared the exact entry; it must compile its own biased plan")
 	}
 	if !identity.IsBiased() {
 		t.Error("cached identity plan lost its biased table")
 	}
-	thermal := c.ForBiased(d, spectrum.ChipIR(), n, 1, &Bias{Thermal: 8})
+	thermal := c.ForBiasedContext(ctx, d, spectrum.ChipIR(), n, 1, &Bias{Thermal: 8})
 	if thermal == identity || thermal == exact {
 		t.Error("distinct bias factors shared a cache entry")
 	}
-	if again := c.ForBiased(d, spectrum.ChipIR(), n, 1, &Bias{Thermal: 8}); again != thermal {
+	if again := c.ForBiasedContext(ctx, d, spectrum.ChipIR(), n, 1, &Bias{Thermal: 8}); again != thermal {
 		t.Error("repeated biased lookup recompiled instead of hitting")
 	}
 	st := c.Stats()

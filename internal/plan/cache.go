@@ -93,40 +93,32 @@ func NewCache(capacity int, reg *telemetry.Registry) *Cache {
 // shared — callers must treat it as read-only, which the CampaignPlan API
 // enforces by construction.
 func (c *Cache) For(d *device.Device, sp spectrum.Spectrum, calSamples int, seed uint64) *CampaignPlan {
-	return c.ForContext(context.Background(), d, sp, calSamples, seed)
+	return c.ForBiasedContext(context.Background(), d, sp, calSamples, seed, nil)
 }
 
-// ForContext is For with a caller context: the lookup opens a
-// "plan.lookup" telemetry span (annotated with the outcome — hit, miss,
-// coalesced or bypass) and a cache miss nests the "plan.compile" span
-// under it, so traced jobs see exactly where campaign setup time went.
-func (c *Cache) ForContext(ctx context.Context, d *device.Device, sp spectrum.Spectrum, calSamples int, seed uint64) *CampaignPlan {
-	key, ok := KeyFor(d, sp, calSamples, seed)
-	return c.lookup(ctx, key, ok, func(ctx context.Context, key string) *CampaignPlan {
-		return c.timedCompile(ctx, d, sp, calSamples, seed, key)
-	})
-}
-
-// ForBiased returns the compiled plan for an importance-sampled campaign.
-// A nil bias is the exact path (For); a non-nil bias — including the
-// identity Bias{} — compiles through CompileBiased under a bias-extended
-// key (KeyForBiased), so biased and exact plans never collide and two
-// different bias knobs never share an entry. The bias must be valid
-// (Bias.Validate); callers validate at the API boundary, so an invalid
-// bias reaching the cache panics like any other impossible compile input.
-func (c *Cache) ForBiased(d *device.Device, sp spectrum.Spectrum, calSamples int, seed uint64, bias *Bias) *CampaignPlan {
-	return c.ForBiasedContext(context.Background(), d, sp, calSamples, seed, bias)
-}
-
-// ForBiasedContext is ForBiased with a caller context (see ForContext).
+// ForBiasedContext is For with an optional importance-sampling bias and a
+// caller context. A nil bias is the exact path; a non-nil bias —
+// including the identity Bias{} — compiles through CompileBiased under a
+// bias-extended key (KeyForBiased), so biased and exact plans never
+// collide and two different bias knobs never share an entry. The bias
+// must be valid (Bias.Validate); callers validate at the API boundary, so
+// an invalid bias reaching the cache panics like any other impossible
+// compile input.
+//
+// The lookup opens a "plan.lookup" telemetry span (annotated with the
+// outcome — hit, miss, coalesced or bypass) and a cache miss nests the
+// "plan.compile" span under it, so traced jobs see exactly where campaign
+// setup time went.
 func (c *Cache) ForBiasedContext(ctx context.Context, d *device.Device, sp spectrum.Spectrum, calSamples int, seed uint64, bias *Bias) *CampaignPlan {
+	var key string
+	var ok bool
 	if bias == nil {
-		return c.ForContext(ctx, d, sp, calSamples, seed)
+		key, ok = KeyFor(d, sp, calSamples, seed)
+	} else {
+		key, ok = KeyForBiased(d, sp, calSamples, seed, *bias)
 	}
-	b := *bias
-	key, ok := KeyForBiased(d, sp, calSamples, seed, b)
 	return c.lookup(ctx, key, ok, func(ctx context.Context, key string) *CampaignPlan {
-		return c.timedCompileBiased(ctx, d, sp, calSamples, seed, b, key)
+		return c.timedCompile(ctx, d, sp, calSamples, seed, bias, key)
 	})
 }
 
@@ -193,29 +185,24 @@ func (c *Cache) compileFlight(ctx context.Context, fl *flight, key string, compi
 	return pl
 }
 
-// timedCompile runs Compile with the canonical calibration substream for
-// the seed, recording the duration into plan.compile_seconds and a
-// "plan.compile" span.
-func (c *Cache) timedCompile(ctx context.Context, d *device.Device, sp spectrum.Spectrum, calSamples int, seed uint64, key string) *CampaignPlan {
+// timedCompile compiles the plan — Compile, or CompileBiased for a
+// non-nil bias — from the canonical calibration substream for the seed,
+// recording the duration into plan.compile_seconds and a "plan.compile"
+// span. The bias was validated at the API boundary (beam.Config.validate,
+// the neutrond request normalizer), so a compile error here is a
+// programming error and panics — same contract as the alias-table build in
+// Compile.
+func (c *Cache) timedCompile(ctx context.Context, d *device.Device, sp spectrum.Spectrum, calSamples int, seed uint64, bias *Bias, key string) *CampaignPlan {
 	_, span := c.reg.StartSpan(ctx, "plan.compile")
 	t := telemetry.StartTimer(c.compile)
-	pl := Compile(d, sp, calSamples, CalibrationStream(seed))
-	pl.key = key
-	t.ObserveDuration()
-	span.End()
-	return pl
-}
-
-// timedCompileBiased is timedCompile for importance-sampled plans. The
-// bias was validated at the API boundary (beam.Config.validate, the
-// neutrond request normalizer), so a compile error here is a programming
-// error and panics — same contract as the alias-table build in Compile.
-func (c *Cache) timedCompileBiased(ctx context.Context, d *device.Device, sp spectrum.Spectrum, calSamples int, seed uint64, bias Bias, key string) *CampaignPlan {
-	_, span := c.reg.StartSpan(ctx, "plan.compile")
-	t := telemetry.StartTimer(c.compile)
-	pl, err := CompileBiased(d, sp, calSamples, CalibrationStream(seed), bias)
-	if err != nil {
-		panic(fmt.Sprintf("plan: compile biased plan: %v", err))
+	var pl *CampaignPlan
+	if bias == nil {
+		pl = Compile(d, sp, calSamples, CalibrationStream(seed))
+	} else {
+		var err error
+		if pl, err = CompileBiased(d, sp, calSamples, CalibrationStream(seed), *bias); err != nil {
+			panic(fmt.Sprintf("plan: compile biased plan: %v", err))
+		}
 	}
 	pl.key = key
 	t.ObserveDuration()

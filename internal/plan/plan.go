@@ -193,18 +193,25 @@ func (p *CampaignPlan) MeanP() float64 { return p.meanP }
 func (p *CampaignPlan) Len() int { return len(p.slots) }
 
 // SampleInteraction draws an interacting energy (weighted by interaction
-// probability) in constant time: the integer part of one uniform picks a
-// slot, the fractional part decides between the slot's energy and its
-// alias. It performs no allocations — it is the innermost call of the beam
-// run loop, which TestRunLoopZeroAllocs holds to zero allocs/op.
+// probability) in constant time through the plan's exact Sampler view. It
+// performs no allocations.
 func (p *CampaignPlan) SampleInteraction(s *rng.Stream) units.Energy {
-	n := len(p.slots)
+	return p.Sampler().Sample(s)
+}
+
+// draw is the one alias draw behind every sampler: the integer part of one
+// uniform picks a slot, the fractional part decides between the slot's
+// energy and its alias. It performs no allocations — it is the innermost
+// call of the beam run loop, which TestRunLoopZeroAllocs holds to zero
+// allocs/op.
+func draw(slots []slot, s *rng.Stream) units.Energy {
+	n := len(slots)
 	u := s.Float64() * float64(n)
 	i := int(u)
 	if i >= n {
 		i = n - 1
 	}
-	sl := &p.slots[i]
+	sl := &slots[i]
 	if u-float64(i) < sl.prob {
 		return sl.self
 	}
@@ -214,9 +221,7 @@ func (p *CampaignPlan) SampleInteraction(s *rng.Stream) units.Energy {
 // Sampler is the batch-friendly view of the plan's exact alias table: the
 // fused 32-byte slot slice hoisted into a value the run loop keeps on its
 // own stack, so a batched classify pass does not reload the plan pointer
-// and re-derive the slice header on every draw. Draw-for-draw it is
-// SampleInteraction exactly — same uniform consumption, same energy — the
-// view changes only where the table header lives.
+// and re-derive the slice header on every draw.
 type Sampler struct {
 	slots []slot
 }
@@ -224,40 +229,14 @@ type Sampler struct {
 // Sampler returns the plan's exact-table sampling view.
 func (p *CampaignPlan) Sampler() Sampler { return Sampler{slots: p.slots} }
 
-// Sample draws one interacting energy; it is SampleInteraction through
-// the hoisted view.
-func (v Sampler) Sample(s *rng.Stream) units.Energy {
-	n := len(v.slots)
-	u := s.Float64() * float64(n)
-	i := int(u)
-	if i >= n {
-		i = n - 1
-	}
-	sl := &v.slots[i]
-	if u-float64(i) < sl.prob {
-		return sl.self
-	}
-	return sl.alias
-}
-
-// Fill draws len(out) interacting energies in one pass — the batch
-// equivalent of len(out) successive Sample calls, bit for bit, for
-// consumers whose per-energy processing does not interleave further
-// stream draws between energies. The beam run loop is NOT such a
-// consumer (device physics draws between energies), which is why it
-// batches at the uniform level with rng.Stream.ReadAhead instead
-// (DESIGN.md §16); Fill serves non-interleaved table scans.
-func (v Sampler) Fill(s *rng.Stream, out []units.Energy) {
-	for i := range out {
-		out[i] = v.Sample(s)
-	}
-}
+// Sample draws one interacting energy.
+func (v Sampler) Sample(s *rng.Stream) units.Energy { return draw(v.slots, s) }
 
 // WeightedSampler is Sampler for the weighted (importance-sampled) draw:
 // the active alias table — biased when the plan carries one, exact
 // otherwise — and the per-band likelihood weights, hoisted by value. On
 // an exact plan every weight is 1 and the draw consumes the stream
-// exactly like the exact sampler, mirroring SampleInteractionWeighted.
+// exactly like the exact sampler.
 type WeightedSampler struct {
 	slots []slot
 	bandW [physics.NumBands + 1]float64
@@ -275,20 +254,11 @@ func (p *CampaignPlan) WeightedSampler() WeightedSampler {
 	return v
 }
 
-// Sample draws one interacting energy with its likelihood weight; it is
-// SampleInteractionWeighted through the hoisted view.
+// Sample draws one interacting energy with its likelihood weight: one
+// uniform, one 32-byte slot read, plus a band classification (two
+// comparisons) to look the weight up.
 func (v WeightedSampler) Sample(s *rng.Stream) (units.Energy, float64) {
-	n := len(v.slots)
-	u := s.Float64() * float64(n)
-	i := int(u)
-	if i >= n {
-		i = n - 1
-	}
-	sl := &v.slots[i]
-	e := sl.alias
-	if u-float64(i) < sl.prob {
-		e = sl.self
-	}
+	e := draw(v.slots, s)
 	return e, v.bandW[physics.Classify(e)]
 }
 

@@ -16,9 +16,8 @@ import (
 //
 // The zero value is an empty tally ready for Add. Weighted is a value
 // type: copy it freely, Merge shard tallies in a fixed order, and call
-// Finalize once before publishing (Finalize folds the unexported
-// compensation terms into the exported sums so the tally survives a JSON
-// round trip bit-for-bit).
+// Finalize once before publishing (Finalize folds the compensation terms
+// into the sums, so published tallies carry none).
 type Weighted struct {
 	// N counts events as drawn in the biased campaign (the raw,
 	// pre-reweighting count).
@@ -30,8 +29,13 @@ type Weighted struct {
 	// ingredient of the effective sample size and the variance estimate.
 	SumW2 float64 `json:"sum_w2"`
 
-	// Kahan compensation terms, folded into the sums by Finalize.
-	cw, cw2 float64
+	// CW and CW2 are the Kahan compensation terms of SumW and SumW2. They
+	// serialize too, so an un-finalized shard tally survives the
+	// distributed shard protocol bit for bit; Finalize folds them into the
+	// sums and zeroes them, so a published tally omits them. Go's JSON
+	// encoding round-trips float64 values exactly.
+	CW  float64 `json:"cw,omitempty"`
+	CW2 float64 `json:"cw2,omitempty"`
 }
 
 // Add records one event with likelihood weight w.
@@ -42,16 +46,16 @@ func (t *Weighted) Add(w float64) {
 }
 
 func (t *Weighted) addW(v float64) {
-	y := v - t.cw
+	y := v - t.CW
 	s := t.SumW + y
-	t.cw = (s - t.SumW) - y
+	t.CW = (s - t.SumW) - y
 	t.SumW = s
 }
 
 func (t *Weighted) addW2(v float64) {
-	y := v - t.cw2
+	y := v - t.CW2
 	s := t.SumW2 + y
-	t.cw2 = (s - t.SumW2) - y
+	t.CW2 = (s - t.SumW2) - y
 	t.SumW2 = s
 }
 
@@ -64,50 +68,24 @@ func (t *Weighted) addW2(v float64) {
 func (t *Weighted) Merge(o Weighted) {
 	t.N += o.N
 	t.addW(o.SumW)
-	t.addW(o.cw)
+	t.addW(o.CW)
 	t.addW2(o.SumW2)
-	t.addW2(o.cw2)
+	t.addW2(o.CW2)
 }
 
 // Finalize folds the compensation terms into the exported sums and clears
 // them. Call once, after the last Add/Merge, before publishing the tally.
 func (t *Weighted) Finalize() {
-	t.SumW += t.cw
-	t.SumW2 += t.cw2
-	t.cw, t.cw2 = 0, 0
-}
-
-// WeightedWire is the complete serialized state of a Weighted tally,
-// including the Kahan compensation terms that Weighted's own JSON shape
-// deliberately omits. It exists for the distributed shard protocol: a
-// worker ships its per-shard tallies un-finalized, and the coordinator
-// must fold them in shard order exactly as a single-node merge would —
-// which requires the compensation terms to survive the trip. Go's JSON
-// encoding round-trips float64 values exactly (shortest-representation
-// formatting), so Wire/Tally is lossless bit-for-bit.
-type WeightedWire struct {
-	N     int64   `json:"n"`
-	SumW  float64 `json:"sum_w"`
-	SumW2 float64 `json:"sum_w2"`
-	CW    float64 `json:"cw,omitempty"`
-	CW2   float64 `json:"cw2,omitempty"`
-}
-
-// Wire exports the tally's full state for transport.
-func (t Weighted) Wire() WeightedWire {
-	return WeightedWire{N: t.N, SumW: t.SumW, SumW2: t.SumW2, CW: t.cw, CW2: t.cw2}
-}
-
-// Tally reconstructs the Weighted value, compensation terms included.
-func (w WeightedWire) Tally() Weighted {
-	return Weighted{N: w.N, SumW: w.SumW, SumW2: w.SumW2, cw: w.CW, cw2: w.CW2}
+	t.SumW += t.CW
+	t.SumW2 += t.CW2
+	t.CW, t.CW2 = 0, 0
 }
 
 // Sum returns the compensated weighted event count.
-func (t Weighted) Sum() float64 { return t.SumW + t.cw }
+func (t Weighted) Sum() float64 { return t.SumW + t.CW }
 
 // SumSquares returns the compensated sum of squared weights.
-func (t Weighted) SumSquares() float64 { return t.SumW2 + t.cw2 }
+func (t Weighted) SumSquares() float64 { return t.SumW2 + t.CW2 }
 
 // ESS is the Kish effective sample size (Σw)²/Σw², the number of
 // equal-weight events carrying the same statistical information as the

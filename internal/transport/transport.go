@@ -273,13 +273,9 @@ func SimulateContext(ctx context.Context, slabs []Slab, n int, source func(*rng.
 		tt := &trackTally{absorbedBy: map[string]int{}}
 		if opts.ImplicitCapture {
 			tt.w = &weightedTrack{absorbedBy: map[string]*stats.Weighted{}}
-			for i := 0; i < sh.Count; i++ {
-				trackOneWeighted(slabs, bounds, source(sh.Stream), sh.Stream, kT, tt, opts)
-			}
-		} else {
-			for i := 0; i < sh.Count; i++ {
-				trackOne(slabs, bounds, source(sh.Stream), sh.Stream, kT, tt, opts)
-			}
+		}
+		for i := 0; i < sh.Count; i++ {
+			trackOne(slabs, bounds, source(sh.Stream), sh.Stream, kT, tt, opts)
 		}
 		tt.fold(t)
 		return t, nil
@@ -442,11 +438,24 @@ func (tt *trackTally) fold(t *Tally) {
 	t.Weighted = w
 }
 
+// trackOne walks one history through the slab stack: exponential free
+// flights, boundary crossings, and elastic scattering. In analog mode
+// (tally.w nil) a collision kills the history on an absorption draw. Under
+// implicit capture (tally.w set) absorption is continuous instead: every
+// collision deposits weight × P(absorb) into the weighted absorption
+// tallies (apportioned over the material's elements by their macroscopic
+// absorption share, no extra random draws) and the history survives with
+// its weight reduced by the survival probability. A Russian roulette
+// terminates histories whose weight decays below rouletteThreshold,
+// doubling the survivors' weight so every tally stays an unbiased
+// estimate of its analog counterpart.
 func trackOne(slabs []Slab, bounds []float64, e units.Energy, s *rng.Stream, kT float64, tally *trackTally, opts Options) {
 	x := 0.0
 	mu := 1.0 // entering along +x
+	wt := 1.0 // survival weight; stays 1 in analog mode
 	slab := 0
 	back := bounds[len(bounds)-1]
+	w := tally.w
 	for c := 0; c < maxCollisions; c++ {
 		// Thermal equilibrium: below ~the thermal cutoff the neutron
 		// exchanges energy with the lattice instead of monotonically
@@ -476,13 +485,21 @@ func trackOne(slabs []Slab, bounds []float64, e units.Energy, s *rng.Stream, kT 
 			if mu > 0 {
 				slab++
 				if x >= back || slab >= len(slabs) {
-					tally.transmitted[physics.Classify(e)]++
+					b := physics.Classify(e)
+					tally.transmitted[b]++
+					if w != nil {
+						w.transmitted[b].Add(wt)
+					}
 					return
 				}
 			} else {
 				slab--
 				if x <= 0 || slab < 0 {
-					tally.reflected[physics.Classify(e)]++
+					b := physics.Classify(e)
+					tally.reflected[b]++
+					if w != nil {
+						w.reflected[b].Add(wt)
+					}
 					return
 				}
 			}
@@ -491,10 +508,27 @@ func trackOne(slabs []Slab, bounds []float64, e units.Energy, s *rng.Stream, kT 
 		// Collision inside the current slab.
 		x += flight * mu
 		tally.collisions++
-		if s.Bernoulli(m.AbsorptionProbability(e)) {
-			tally.absorbed++
-			tally.absorbedBy[sampleAbsorber(m, e, s)]++
-			return
+		if w == nil {
+			if s.Bernoulli(m.AbsorptionProbability(e)) {
+				tally.absorbed++
+				tally.absorbedBy[sampleAbsorber(m, e, s)]++
+				return
+			}
+		} else {
+			if pAbs := m.AbsorptionProbability(e); pAbs > 0 {
+				wAbs := wt * pAbs
+				w.absorbed.Add(wAbs)
+				depositAbsorbed(w.absorbedBy, m, e, wAbs)
+				wt *= 1 - pAbs
+			}
+			if wt < rouletteThreshold {
+				if !s.Bernoulli(0.5) {
+					w.rouletteKills++
+					tally.absorbed++ // history terminated inside the geometry
+					return
+				}
+				wt *= 2
+			}
 		}
 		nucleus := m.SampleScatterer(s)
 		e = physics.ScatterEnergy(e, nucleus.A, s)
@@ -511,101 +545,12 @@ func trackOne(slabs []Slab, bounds []float64, e units.Energy, s *rng.Stream, kT 
 			break
 		}
 	}
-	tally.lost++
-	tally.absorbed++ // a lost neutron has certainly thermalized and died
-}
-
-// trackOneWeighted is the implicit-capture walk: the same free flights,
-// boundary crossings and scattering as trackOne, but absorption is
-// continuous — every collision deposits weight × P(absorb) into the
-// weighted absorption tallies (apportioned over the material's elements
-// by their macroscopic absorption share, no extra random draws) and the
-// history survives with its weight reduced by the survival probability.
-// A Russian roulette terminates histories whose weight decays below
-// rouletteThreshold, doubling the survivors' weight so every tally stays
-// an unbiased estimate of its analog counterpart.
-func trackOneWeighted(slabs []Slab, bounds []float64, e units.Energy, s *rng.Stream, kT float64, tally *trackTally, opts Options) {
-	x := 0.0
-	mu := 1.0
-	wt := 1.0
-	slab := 0
-	back := bounds[len(bounds)-1]
-	w := tally.w
-	for c := 0; c < maxCollisions; c++ {
-		if float64(e) < kT {
-			e = units.Energy(s.MaxwellEnergy(kT))
-		}
-		m := slabs[slab].Material
-		sigmaT := m.MacroTotal(e)
-		var flight float64
-		if sigmaT <= 0 {
-			flight = math.Inf(1)
-		} else {
-			flight = s.Exponential(sigmaT)
-		}
-		var boundaryX float64
-		if mu > 0 {
-			boundaryX = bounds[slab+1]
-		} else {
-			boundaryX = bounds[slab]
-		}
-		pathToBoundary := (boundaryX - x) / mu
-		if flight >= pathToBoundary {
-			x = boundaryX
-			if mu > 0 {
-				slab++
-				if x >= back || slab >= len(slabs) {
-					b := physics.Classify(e)
-					tally.transmitted[b]++
-					w.transmitted[b].Add(wt)
-					return
-				}
-			} else {
-				slab--
-				if x <= 0 || slab < 0 {
-					b := physics.Classify(e)
-					tally.reflected[b]++
-					w.reflected[b].Add(wt)
-					return
-				}
-			}
-			continue
-		}
-		x += flight * mu
-		tally.collisions++
-		if pAbs := m.AbsorptionProbability(e); pAbs > 0 {
-			wAbs := wt * pAbs
-			w.absorbed.Add(wAbs)
-			depositAbsorbed(w.absorbedBy, m, e, wAbs)
-			wt *= 1 - pAbs
-		}
-		if wt < rouletteThreshold {
-			if s.Bernoulli(0.5) {
-				wt *= 2
-			} else {
-				w.rouletteKills++
-				tally.absorbed++ // history terminated inside the geometry
-				return
-			}
-		}
-		nucleus := m.SampleScatterer(s)
-		e = physics.ScatterEnergy(e, nucleus.A, s)
-		for {
-			mu = s.Float64()
-			if mu == 0 {
-				continue
-			}
-			if !s.Bernoulli(0.5 + opts.ForwardBias/2) {
-				mu = -mu
-			}
-			break
-		}
-	}
+	// A lost neutron has certainly thermalized and died. Under implicit
+	// capture the bound cut discards the history's remaining weight;
+	// maxCollisions is far beyond any physical walk, so the truncation
+	// bias is nil in practice and Lost records that it happened at all.
 	tally.lost++
 	tally.absorbed++
-	// The bound cut discards the history's remaining weight; maxCollisions
-	// is far beyond any physical walk, so the truncation bias is nil in
-	// practice and Lost records that it happened at all.
 }
 
 // depositAbsorbed apportions one collision's absorbed weight over the
