@@ -197,10 +197,7 @@ func TestBatchedRunLoopMatchesScalarReference(t *testing.T) {
 			// streams: the batched runner buffers its stream, the scalar
 			// reference draws unbuffered.
 			var events atomic.Int64
-			got, err := runShard(cfg, engine.Shard{Index: 3, Count: c.runs, Stream: engine.StreamForShard(cfg.Seed, 3)}, pl, c.lambda, &events)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := runShard(cfg, engine.Shard{Index: 3, Count: c.runs, Stream: engine.StreamForShard(cfg.Seed, 3)}, pl, injectorFor(t, cfg), c.lambda, &events)
 			want := scalarRunShard(t, cfg, engine.Shard{Index: 3, Count: c.runs, Stream: engine.StreamForShard(cfg.Seed, 3)}, pl, c.lambda)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("batched shard tally diverged from scalar reference:\n got %+v\nwant %+v", got, want)

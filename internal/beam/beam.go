@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -221,10 +222,11 @@ func (t *weightedShardTally) merge(o *weightedShardTally) {
 }
 
 // campaignSetup is everything a campaign derives deterministically before
-// its run loop: the compiled plan and the auto-tuned decomposition. It is
-// a pure function of Config — the coordinator computing it to partition a
-// campaign, a worker computing it to execute a shard range, and a
-// single-node run all derive identical values (DESIGN.md §15).
+// its run loop: the compiled plan, the auto-tuned decomposition and the
+// golden workload run. It is a pure function of Config — the coordinator
+// computing it to partition a campaign, a worker computing it to execute a
+// shard range, and a single-node run all derive identical values
+// (DESIGN.md §15).
 type campaignSetup struct {
 	cfg        Config // defaulted and validated
 	pl         *plan.CampaignPlan
@@ -233,6 +235,13 @@ type campaignSetup struct {
 	lambda     float64
 	runs       int
 	grain      int
+	// golden is the workload's golden run, which depends only on the
+	// workload and the seed. The first shard the setup executes records
+	// it on its own workload instance and every shard replays against
+	// it; a coordinator that only partitions or merges never records it.
+	goldenOnce sync.Once
+	golden     *faultinject.GoldenRun
+	goldenErr  error
 }
 
 // prepare validates the config, compiles (or cache-hits) the campaign
@@ -242,8 +251,7 @@ func prepare(ctx context.Context, cfg Config) (*campaignSetup, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	// Validate the workload name (and capture the golden output) before
-	// committing to the campaign.
+	// Validate the workload name before committing to the campaign.
 	if _, err := workload.New(cfg.WorkloadName); err != nil {
 		return nil, err
 	}
@@ -288,6 +296,24 @@ func prepare(ctx context.Context, cfg Config) (*campaignSetup, error) {
 		runs:       runs,
 		grain:      grain,
 	}, nil
+}
+
+// runShard executes one shard of the campaign on a fresh workload
+// instance, replaying it against the campaign's golden run.
+func (s *campaignSetup) runShard(sh engine.Shard, events *atomic.Int64) (shardTally, error) {
+	w, err := workload.New(s.cfg.WorkloadName)
+	if err != nil {
+		return shardTally{}, err
+	}
+	s.goldenOnce.Do(func() { s.golden, s.goldenErr = faultinject.RecordGolden(w, s.cfg.Seed) })
+	if s.goldenErr != nil {
+		return shardTally{}, s.goldenErr
+	}
+	inj, err := s.golden.NewInjector(w, s.cfg.Inject)
+	if err != nil {
+		return shardTally{}, err
+	}
+	return runShard(s.cfg, sh, s.pl, inj, s.lambda, events), nil
 }
 
 // RunContext is Run with a caller context, so the campaign's telemetry
@@ -337,7 +363,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			})
 		},
 	}, s.runs, defaultShardGrain, func(_ context.Context, sh engine.Shard) (shardTally, error) {
-		return runShard(s.cfg, sh, s.pl, s.lambda, &events)
+		return s.runShard(sh, &events)
 	})
 	runSpan.End()
 	if err != nil {
@@ -471,7 +497,8 @@ func (r *Result) estimateCrossSections() error {
 
 // shardRunner executes one shard's slice of beam runs. Each shard owns a
 // fresh workload instance and injector (injectors replay mutable workload
-// state and are not safe to share), plus the shard-local list of
+// state and are not safe to share; the golden run they replay against is
+// recorded once per campaign), plus the shard-local list of
 // persistent FPGA configuration faults (§V): corruption survives from run
 // to run until an observed error triggers a bitstream reload, and is
 // dropped at the shard boundary. The fault and persistent buffers are
@@ -512,15 +539,7 @@ type shardRunner struct {
 	wCarried float64
 }
 
-func newShardRunner(cfg Config, sh engine.Shard, pl *plan.CampaignPlan, lambda float64, events *atomic.Int64) (*shardRunner, error) {
-	w, err := workload.New(cfg.WorkloadName)
-	if err != nil {
-		return nil, err
-	}
-	inj, err := faultinject.NewInjector(w, cfg.Seed, cfg.Inject)
-	if err != nil {
-		return nil, err
-	}
+func newShardRunner(cfg Config, sh engine.Shard, pl *plan.CampaignPlan, inj *faultinject.Injector, lambda float64, events *atomic.Int64) *shardRunner {
 	// The shard stream runs the whole campaign in buffered read-ahead
 	// mode: uniforms are pre-generated a batch at a time and served in
 	// order, so every data-dependent consumer below (Poisson loop, alias
@@ -537,7 +556,7 @@ func newShardRunner(cfg Config, sh engine.Shard, pl *plan.CampaignPlan, lambda f
 		sample:       pl.Sampler(),
 		wsample:      pl.WeightedSampler(),
 		inj:          inj,
-		steps:        w.Steps(),
+		steps:        inj.Steps(),
 		s:            sh.Stream,
 		events:       events,
 		wCarried:     1,
@@ -545,7 +564,7 @@ func newShardRunner(cfg Config, sh engine.Shard, pl *plan.CampaignPlan, lambda f
 	if r.biased {
 		r.tc.Weighted = &weightedShardTally{}
 	}
-	return r, nil
+	return r
 }
 
 // Batched run-loop parameters (DESIGN.md §16).
@@ -692,11 +711,8 @@ func (r *shardRunner) advanceCarried(wRun float64) {
 	r.wCarried *= wRun
 }
 
-func runShard(cfg Config, sh engine.Shard, pl *plan.CampaignPlan, lambda float64, events *atomic.Int64) (shardTally, error) {
-	r, err := newShardRunner(cfg, sh, pl, lambda, events)
-	if err != nil {
-		return shardTally{}, err
-	}
+func runShard(cfg Config, sh engine.Shard, pl *plan.CampaignPlan, inj *faultinject.Injector, lambda float64, events *atomic.Int64) shardTally {
+	r := newShardRunner(cfg, sh, pl, inj, lambda, events)
 	// The shard executes in batches of runBatchSize runs: uniforms are
 	// pre-filled by the stream's read-ahead buffer, integer tallies
 	// accumulate batch-locally, and the shared events counter sees one
@@ -706,7 +722,7 @@ func runShard(cfg Config, sh engine.Shard, pl *plan.CampaignPlan, lambda float64
 		r.runBlock(b)
 		n -= b
 	}
-	return r.tc, nil
+	return r.tc
 }
 
 // String renders a one-line summary.

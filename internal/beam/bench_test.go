@@ -64,17 +64,15 @@ func benchRunLoop(b *testing.B, sp spectrum.Spectrum, d *device.Device, lambda f
 		Seed:         7,
 	}.withDefaults()
 	sampler := benchSampler(b, sp, d)
+	inj := injectorFor(b, cfg)
 	var events atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
-	_, err := runShard(cfg, engine.Shard{
+	runShard(cfg, engine.Shard{
 		Index:  0,
 		Count:  b.N,
 		Stream: rng.New(3),
-	}, sampler, lambda, &events)
-	if err != nil {
-		b.Fatal(err)
-	}
+	}, sampler, inj, lambda, &events)
 }
 
 // BenchmarkBeamCampaignRunLoopFast is the ChipIR (fast-dominated) per-run

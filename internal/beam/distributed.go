@@ -167,7 +167,7 @@ func RunRange(ctx context.Context, cfg Config, lo, hi int) (*Partial, error) {
 		Seed:    s.cfg.Seed,
 		Name:    "beam",
 	}, s.runs, defaultShardGrain, lo, hi, func(_ context.Context, sh engine.Shard) (shardTally, error) {
-		return runShard(s.cfg, sh, s.pl, s.lambda, &events)
+		return s.runShard(sh, &events)
 	})
 	if err != nil {
 		return nil, err

@@ -7,11 +7,28 @@ import (
 
 	"neutronsim/internal/device"
 	"neutronsim/internal/engine"
+	"neutronsim/internal/faultinject"
 	"neutronsim/internal/plan"
 	"neutronsim/internal/rng"
 	"neutronsim/internal/spectrum"
 	"neutronsim/internal/telemetry"
+	"neutronsim/internal/workload"
 )
+
+// injectorFor builds the injector a shard of a campaign of cfg replays
+// its workload with.
+func injectorFor(tb testing.TB, cfg Config) *faultinject.Injector {
+	tb.Helper()
+	w, err := workload.New(cfg.WorkloadName)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	inj, err := faultinject.NewInjector(w, cfg.Seed, cfg.Inject)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return inj
+}
 
 // TestRunLoopZeroAllocs is the tier-1 gate behind the "allocs/op = 0 in
 // the run loop" acceptance criterion: a steady-state beam run — Poisson
@@ -28,10 +45,7 @@ func TestRunLoopZeroAllocs(t *testing.T) {
 	}.withDefaults()
 	pl := plan.Compile(cfg.Device, cfg.Beam, 20000, rng.New(1))
 	var events atomic.Int64
-	r, err := newShardRunner(cfg, engine.Shard{Index: 0, Count: 1, Stream: rng.New(3)}, pl, 2, &events)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newShardRunner(cfg, engine.Shard{Index: 0, Count: 1, Stream: rng.New(3)}, pl, injectorFor(t, cfg), 2, &events)
 	// Warm up scratch capacities before measuring steady state.
 	r.runBlock(100)
 	run := func() { r.runBlock(1) }
@@ -49,10 +63,7 @@ func TestRunLoopZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wr, err := newShardRunner(cfg, engine.Shard{Index: 0, Count: 1, Stream: rng.New(3)}, bpl, 2, &events)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wr := newShardRunner(cfg, engine.Shard{Index: 0, Count: 1, Stream: rng.New(3)}, bpl, injectorFor(t, cfg), 2, &events)
 	wr.runBlock(100)
 	wrun := func() { wr.runBlock(1) }
 	if avg := testing.AllocsPerRun(2000, wrun); avg != 0 {
@@ -60,6 +71,39 @@ func TestRunLoopZeroAllocs(t *testing.T) {
 	}
 	if wr.tc.Weighted.Draws.N == 0 {
 		t.Fatal("weighted run loop drew no interactions; the measurement exercised nothing")
+	}
+}
+
+// TestReplayRunsZeroAllocs extends the zero-alloc contract to runs that
+// upset the device: the injector resumes the workload from a golden
+// checkpoint in place and compares its output through a reused buffer, so
+// replaying a faulty run touches the heap no more than a clean run does.
+func TestReplayRunsZeroAllocs(t *testing.T) {
+	loud := func(d *device.Device) *device.Device {
+		d.SensitiveFraction = 0.3
+		return d
+	}
+	for _, c := range []struct {
+		dev      *device.Device
+		workload string
+	}{
+		{loud(device.K20()), "SC"},
+		{loud(device.K20()), "YOLO"},
+		{loud(device.FPGA()), "MNIST"}, // persistent configuration faults replay every run
+	} {
+		t.Run(c.workload, func(t *testing.T) {
+			cfg := Config{Device: c.dev, WorkloadName: c.workload, Beam: spectrum.ChipIR(), Seed: 7}.withDefaults()
+			pl := plan.Compile(cfg.Device, cfg.Beam, 20000, rng.New(1))
+			var events atomic.Int64
+			r := newShardRunner(cfg, engine.Shard{Index: 0, Count: 1, Stream: rng.New(3)}, pl, injectorFor(t, cfg), 2, &events)
+			r.runBlock(300)
+			if avg := testing.AllocsPerRun(300, func() { r.runBlock(1) }); avg != 0 {
+				t.Errorf("replaying run loop allocates %.2f times per run, want 0", avg)
+			}
+			if r.tc.SDC+r.tc.DUE == 0 {
+				t.Fatal("no run produced an error; the measurement replayed nothing")
+			}
+		})
 	}
 }
 

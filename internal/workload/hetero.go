@@ -86,12 +86,10 @@ func (c *SC) Step(i int) error {
 	return nil
 }
 
-// Output implements Workload: the compacted prefix plus the final count.
-func (c *SC) Output() []float64 {
-	out := make([]float64, c.n+1)
-	copy(out, c.out)
-	out[c.n] = float64(c.cursor[0])
-	return out
+// AppendOutput implements Workload: the compacted prefix plus the final
+// count.
+func (c *SC) AppendOutput(dst []float64) []float64 {
+	return append(append(dst, c.out...), float64(c.cursor[0]))
 }
 
 // Regions implements Workload.
@@ -102,6 +100,22 @@ func (c *SC) Regions() []Region {
 		{Name: "flags", U32: c.flags},
 		{Name: "cursor", U32: c.cursor},
 	}
+}
+
+// State implements Workload: the compacted output and its write cursor.
+func (c *SC) State() []Region {
+	return []Region{
+		{Name: "out", F64: c.out},
+		{Name: "cursor", U32: c.cursor},
+	}
+}
+
+// Uses implements Workload: a step reads its chunk and appends to out.
+func (c *SC) Uses(i int) []Use {
+	if i == c.chunks {
+		return []Use{Unused, Reads, Unused, Reads}
+	}
+	return []Use{Reads, Reads, Reads, Reads}
 }
 
 // CED ------------------------------------------------------------------------
@@ -207,8 +221,8 @@ func (c *CED) Step(i int) error {
 	return nil
 }
 
-// Output implements Workload.
-func (c *CED) Output() []float64 { return append([]float64(nil), c.edges...) }
+// AppendOutput implements Workload.
+func (c *CED) AppendOutput(dst []float64) []float64 { return append(dst, c.edges...) }
 
 // Regions implements Workload.
 func (c *CED) Regions() []Region {
@@ -218,6 +232,29 @@ func (c *CED) Regions() []Region {
 		{Name: "gradient", F64: c.grad},
 		{Name: "edges", F64: c.edges},
 	}
+}
+
+// State implements Workload: every pipeline buffer but the input frame.
+func (c *CED) State() []Region {
+	return []Region{
+		{Name: "blur", F64: c.blur},
+		{Name: "gradient", F64: c.grad},
+		{Name: "edges", F64: c.edges},
+	}
+}
+
+// Uses implements Workload: each stage reads its input buffer and fills
+// its output buffer.
+func (c *CED) Uses(i int) []Use {
+	switch i {
+	case 0:
+		return []Use{Reads, Overwrites, Unused, Unused}
+	case 1:
+		return []Use{Unused, Reads, Overwrites, Unused}
+	case 2:
+		return []Use{Unused, Unused, Reads, Overwrites}
+	}
+	return []Use{Unused, Unused, Unused, Reads}
 }
 
 // BFS ------------------------------------------------------------------------
@@ -312,13 +349,12 @@ func (b *BFS) Step(i int) error {
 	return nil
 }
 
-// Output implements Workload.
-func (b *BFS) Output() []float64 {
-	out := make([]float64, b.n)
-	for i, d := range b.dist {
-		out[i] = float64(d)
+// AppendOutput implements Workload.
+func (b *BFS) AppendOutput(dst []float64) []float64 {
+	for _, d := range b.dist {
+		dst = append(dst, float64(d))
 	}
-	return out
+	return dst
 }
 
 // Regions implements Workload.
@@ -328,4 +364,15 @@ func (b *BFS) Regions() []Region {
 		{Name: "edges", U32: b.edges},
 		{Name: "dist", U32: b.dist},
 	}
+}
+
+// State implements Workload: the search writes only the distances.
+func (b *BFS) State() []Region { return []Region{{Name: "dist", U32: b.dist}} }
+
+// Uses implements Workload.
+func (b *BFS) Uses(i int) []Use {
+	if i == b.levels {
+		return []Use{Unused, Unused, Reads}
+	}
+	return []Use{Reads, Reads, Reads}
 }

@@ -62,8 +62,8 @@ func (m *MxM) Step(i int) error {
 	return nil
 }
 
-// Output implements Workload.
-func (m *MxM) Output() []float64 { return append([]float64(nil), m.c...) }
+// AppendOutput implements Workload.
+func (m *MxM) AppendOutput(dst []float64) []float64 { return append(dst, m.c...) }
 
 // Regions implements Workload.
 func (m *MxM) Regions() []Region {
@@ -72,6 +72,17 @@ func (m *MxM) Regions() []Region {
 		{Name: "B", F64: m.b},
 		{Name: "C", F64: m.c},
 	}
+}
+
+// State implements Workload: steps write only C.
+func (m *MxM) State() []Region { return []Region{{Name: "C", F64: m.c}} }
+
+// Uses implements Workload: a step reads A and B and writes one row of C.
+func (m *MxM) Uses(i int) []Use {
+	if i == m.n {
+		return []Use{Unused, Unused, Reads}
+	}
+	return []Use{Reads, Reads, Reads}
 }
 
 // LUD ------------------------------------------------------------------------
@@ -144,13 +155,19 @@ func (l *LUD) Step(i int) error {
 	return nil
 }
 
-// Output implements Workload.
-func (l *LUD) Output() []float64 { return append([]float64(nil), l.m...) }
+// AppendOutput implements Workload.
+func (l *LUD) AppendOutput(dst []float64) []float64 { return append(dst, l.m...) }
 
 // Regions implements Workload.
 func (l *LUD) Regions() []Region {
 	return []Region{{Name: "M", F64: l.m}}
 }
+
+// State implements Workload: the decomposition is in place.
+func (l *LUD) State() []Region { return l.Regions() }
+
+// Uses implements Workload.
+func (l *LUD) Uses(int) []Use { return []Use{Reads} }
 
 // LavaMD ---------------------------------------------------------------------
 
@@ -277,8 +294,8 @@ func (l *LavaMD) Step(i int) error {
 	return nil
 }
 
-// Output implements Workload.
-func (l *LavaMD) Output() []float64 { return append([]float64(nil), l.force...) }
+// AppendOutput implements Workload.
+func (l *LavaMD) AppendOutput(dst []float64) []float64 { return append(dst, l.force...) }
 
 // Regions implements Workload.
 func (l *LavaMD) Regions() []Region {
@@ -288,6 +305,18 @@ func (l *LavaMD) Regions() []Region {
 		{Name: "forces", F64: l.force},
 		{Name: "neighbors", U32: l.neighbors},
 	}
+}
+
+// State implements Workload: steps accumulate into the forces only.
+func (l *LavaMD) State() []Region { return []Region{{Name: "forces", F64: l.force}} }
+
+// Uses implements Workload: a step reads every input and adds into one
+// box's forces.
+func (l *LavaMD) Uses(i int) []Use {
+	if i == l.Steps() {
+		return []Use{Unused, Unused, Reads, Unused}
+	}
+	return []Use{Reads, Reads, Reads, Reads}
 }
 
 // HotSpot --------------------------------------------------------------------
@@ -349,7 +378,8 @@ func (h *HotSpot) Reset(seed uint64) {
 // Steps implements Workload: one diffusion iteration per step.
 func (h *HotSpot) Steps() int { return h.iterations }
 
-// Step applies one explicit diffusion update.
+// Step applies one explicit diffusion update. The new grid is built in the
+// scratch buffer and copied back, so temp stays the same buffer.
 func (h *HotSpot) Step(i int) error {
 	if i < 0 || i >= h.iterations {
 		return fmt.Errorf("HotSpot: step %d out of range", i)
@@ -366,12 +396,12 @@ func (h *HotSpot) Step(i int) error {
 			h.next[y*n+x] = c + k*((up+down+left+right)/4-c) + 0.1*h.power[y*n+x]
 		}
 	}
-	h.temp, h.next = h.next, h.temp
+	copy(h.temp, h.next)
 	return nil
 }
 
-// Output implements Workload.
-func (h *HotSpot) Output() []float64 { return append([]float64(nil), h.temp...) }
+// AppendOutput implements Workload.
+func (h *HotSpot) AppendOutput(dst []float64) []float64 { return append(dst, h.temp...) }
 
 // Regions implements Workload.
 func (h *HotSpot) Regions() []Region {
@@ -379,4 +409,16 @@ func (h *HotSpot) Regions() []Region {
 		{Name: "temperature", F64: h.temp},
 		{Name: "power", F64: h.power},
 	}
+}
+
+// State implements Workload: the temperatures (next is scratch every
+// step rewrites before reading).
+func (h *HotSpot) State() []Region { return []Region{{Name: "temperature", F64: h.temp}} }
+
+// Uses implements Workload.
+func (h *HotSpot) Uses(i int) []Use {
+	if i == h.iterations {
+		return []Use{Reads, Unused}
+	}
+	return []Use{Reads, Reads}
 }

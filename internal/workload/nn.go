@@ -5,15 +5,10 @@ import (
 	"math"
 )
 
-// convNet is the shared machinery of the two CNN-ish workloads. Weights
-// and activations are plain slices so the injector can flip bits in them —
-// faults in weights model configuration/parameter memory corruption,
-// faults in activations model datapath strikes.
-type convNet struct {
-	in, act1, act2, act3 []float64
-	dense                []float64
-	out                  []float64
-}
+// The two networks keep weights and activations in plain slices so the
+// injector can flip bits in them: faults in weights model
+// configuration/parameter memory corruption, faults in activations model
+// datapath strikes.
 
 // YOLO is a miniature object-detection network: two convolution+pool
 // blocks feeding a detection head. It stands in for the YOLOv2 CNN the
@@ -127,9 +122,10 @@ func (y *YOLO) Step(i int) error {
 	return nil
 }
 
-// Output implements Workload: argmax class plus per-class confidences
-// quantized to 0.01 (the paper-style detection-correctness criterion).
-func (y *YOLO) Output() []float64 { return detectionOutput(y.scores) }
+// AppendOutput implements Workload: argmax class plus per-class
+// confidences quantized to 0.01 (the paper-style detection-correctness
+// criterion).
+func (y *YOLO) AppendOutput(dst []float64) []float64 { return appendDetection(dst, y.scores) }
 
 // Regions implements Workload.
 func (y *YOLO) Regions() []Region {
@@ -142,6 +138,38 @@ func (y *YOLO) Regions() []Region {
 		{Name: "act2", F64: y.a2},
 		{Name: "pool2", F64: y.p2},
 	}
+}
+
+// State implements Workload: the activations, including the pool1 and
+// score buffers that are not injection targets.
+func (y *YOLO) State() []Region {
+	return []Region{
+		{Name: "act1", F64: y.a1},
+		{Name: "pool1", F64: y.p1},
+		{Name: "act2", F64: y.a2},
+		{Name: "pool2", F64: y.p2},
+		{Name: "scores", F64: y.scores},
+	}
+}
+
+// Uses implements Workload: each layer reads its input and weights and
+// fills its output; the softmax and the output touch only the scores.
+func (y *YOLO) Uses(i int) []Use {
+	// Regions: frame, conv1.w, conv2.w, head.w, act1, act2, pool2.
+	u := make([]Use, 7)
+	switch i {
+	case 0:
+		u[0], u[1], u[4] = Reads, Reads, Overwrites
+	case 1:
+		u[4] = Reads
+	case 2:
+		u[2], u[5] = Reads, Overwrites
+	case 3:
+		u[5], u[6] = Reads, Overwrites
+	case 4:
+		u[3], u[6] = Reads, Reads
+	}
+	return u
 }
 
 // MNIST is a small fully connected classifier for handwritten digits; the
@@ -226,8 +254,8 @@ func (m *MNIST) Step(i int) error {
 	return nil
 }
 
-// Output implements Workload (same detection criterion as YOLO).
-func (m *MNIST) Output() []float64 { return detectionOutput(m.scores) }
+// AppendOutput implements Workload (same detection criterion as YOLO).
+func (m *MNIST) AppendOutput(dst []float64) []float64 { return appendDetection(dst, m.scores) }
 
 // Regions implements Workload.
 func (m *MNIST) Regions() []Region {
@@ -237,6 +265,27 @@ func (m *MNIST) Regions() []Region {
 		{Name: "w2", F64: m.w2},
 		{Name: "hidden", F64: m.h},
 	}
+}
+
+// State implements Workload: the hidden layer and the scores.
+func (m *MNIST) State() []Region {
+	return []Region{
+		{Name: "hidden", F64: m.h},
+		{Name: "scores", F64: m.scores},
+	}
+}
+
+// Uses implements Workload: the hidden layer reads the digit and w1, the
+// output layer the hidden layer and w2; the softmax and the output touch
+// only the scores.
+func (m *MNIST) Uses(i int) []Use {
+	switch i {
+	case 0:
+		return []Use{Reads, Reads, Unused, Overwrites}
+	case 1:
+		return []Use{Unused, Unused, Reads, Reads}
+	}
+	return []Use{Unused, Unused, Unused, Unused}
 }
 
 // Shared NN primitives -------------------------------------------------------
@@ -321,17 +370,18 @@ func softmax(scores []float64) {
 	}
 }
 
-// detectionOutput builds the CNN correctness signature: argmax first, then
+// appendDetection appends the CNN correctness signature: argmax first, then
 // confidences quantized to 0.01.
-func detectionOutput(scores []float64) []float64 {
-	out := make([]float64, len(scores)+1)
+func appendDetection(dst, scores []float64) []float64 {
 	best := 0
 	for i, v := range scores {
 		if v > scores[best] {
 			best = i
 		}
-		out[i+1] = math.Round(v*100) / 100
 	}
-	out[0] = float64(best)
-	return out
+	dst = append(dst, float64(best))
+	for _, v := range scores {
+		dst = append(dst, math.Round(v*100)/100)
+	}
+	return dst
 }

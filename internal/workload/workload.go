@@ -63,13 +63,46 @@ type Workload interface {
 	// Step runs step i (0-based). It may return ErrHang or
 	// ErrCorruptState when injected faults break control flow.
 	Step(i int) error
-	// Output returns a copy of the result signature used for golden
-	// comparison. For the CNNs this is the quantized detection output
-	// (class + confidence), matching how the paper judges CNN correctness.
-	Output() []float64
+	// AppendOutput appends the result signature used for golden
+	// comparison to dst and returns the extended slice, so a replay loop
+	// can reuse one buffer. For the CNNs this is the quantized detection
+	// output (class + confidence), matching how the paper judges CNN
+	// correctness.
+	AppendOutput(dst []float64) []float64
 	// Regions exposes the mutable state for fault injection.
 	Regions() []Region
+	// State returns every buffer Step writes that carries data across a
+	// step boundary, injectable or not; a scratch buffer each step fully
+	// rewrites before reading it may be left out. Step must never write
+	// an injectable region outside State: the fault injector checkpoints
+	// State at each step boundary of the golden run and resumes a faulty
+	// run from a checkpoint, so it restores only State and undoes its own
+	// bit flips everywhere else.
+	//
+	// Regions and State return the same buffers, in the same order, for
+	// the workload's whole lifetime.
+	State() []Region
+	// Uses reports how step i uses each of Regions(), in order; i ==
+	// Steps() stands for AppendOutput, which never overwrites. The injector
+	// defers a bit flip to the first step that uses its region and drops
+	// it when that use overwrites it, so a declaration may overstate
+	// Reads but must never understate it.
+	Uses(i int) []Use
 }
+
+// Use is how one step uses one injectable region.
+type Use uint8
+
+// Region uses.
+const (
+	// Unused: the step neither reads nor writes the region.
+	Unused Use = iota
+	// Reads: the step may read the region, or write part of it.
+	Reads
+	// Overwrites: the step writes every word of the region before it
+	// reads any.
+	Overwrites
+)
 
 // Region is one injectable memory region. Exactly one of F64 or U32 is
 // non-nil. U32 regions hold control-ish state (indices, flags) whose

@@ -16,7 +16,7 @@ func runAll(t *testing.T, w Workload, seed uint64) []float64 {
 			t.Fatalf("%s step %d: %v", w.Name(), i, err)
 		}
 	}
-	return w.Output()
+	return w.AppendOutput(nil)
 }
 
 func TestRegistryCoversAllNames(t *testing.T) {
@@ -228,7 +228,7 @@ func TestMxMCorrectness(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i, v := range m.Output() {
+	for i, v := range m.AppendOutput(nil) {
 		if v != 2*float64(i) {
 			t.Fatalf("C[%d] = %v, want %v", i, v, 2*float64(i))
 		}
@@ -246,7 +246,7 @@ func TestLUDReconstructs(t *testing.T) {
 	}
 	// Rebuild A = L·U and compare.
 	n := 8
-	lu := l.Output()
+	lu := l.AppendOutput(nil)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			sum := 0.0
@@ -291,7 +291,7 @@ func TestLavaMDForcesAntisymmetric(t *testing.T) {
 	// other; with clamped neighbor lists every pair within cutoff is
 	// symmetric, so total force cancels.
 	var fx, fy, fz float64
-	out := l.Output()
+	out := l.AppendOutput(nil)
 	for i := 0; i < len(out); i += 3 {
 		fx += out[i]
 		fy += out[i+1]
@@ -324,7 +324,7 @@ func TestHotSpotHeatsUnderPower(t *testing.T) {
 		}
 	}
 	after := 0.0
-	for _, v := range h.Output() {
+	for _, v := range h.AppendOutput(nil) {
 		after += v
 	}
 	if after <= before {
@@ -346,7 +346,7 @@ func TestSCCompactsCorrectly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out := c.Output()
+	out := c.AppendOutput(nil)
 	count := int(out[len(out)-1])
 	if count != len(want) {
 		t.Fatalf("compacted %d elements, want %d", count, len(want))
@@ -483,7 +483,7 @@ func TestCNNMasksTinyPerturbations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out := y2.Output()
+	out := y2.AppendOutput(nil)
 	for i := range golden {
 		if out[i] != golden[i] {
 			t.Fatalf("low-order activation flip changed detection output at %d", i)
@@ -528,7 +528,7 @@ func benchWorkload(b *testing.B, name string) {
 				b.Fatal(err)
 			}
 		}
-		if out := w.Output(); len(out) == 0 {
+		if out := w.AppendOutput(nil); len(out) == 0 {
 			b.Fatal("empty output")
 		}
 	}
