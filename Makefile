@@ -1,11 +1,14 @@
 # Developer entry points. `make check` is the tier-1 gate plus vet and the
-# race detector; `make bench` regenerates every paper artifact and leaves a
-# BENCH_telemetry.json snapshot from the telemetry registry plus the
-# BENCH_sampling.json sampling fast-path snapshot.
+# race detector; `make bench-gates` runs the table of design floors;
+# `make bench` runs the gates, regenerates every paper artifact, and runs
+# neutronbench, the repository's benchmark ledger, on each of its workloads.
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-sampling bench-plan bench-vr bench-cluster bench-engine bench-surrogate neutrond loadgen clean
+# The workloads declared in BENCHMARK.json.
+LEDGER_WORKLOADS = design-sweep beam-campaigns beam-cluster assess
+
+.PHONY: check vet build test race bench bench-gates neutrond loadgen clean
 
 check: vet build race
 
@@ -23,55 +26,22 @@ test:
 race:
 	$(GO) test -race -timeout 45m ./...
 
-bench: bench-sampling bench-plan bench-vr bench-cluster bench-engine bench-surrogate
-	$(GO) test -bench=. -benchmem -run='^$$' .
+# bench-gates runs BenchmarkGates (gates_test.go), one row per design floor:
+# warm plan hit vs cold compile, importance-sampling neutron budget,
+# surrogate vs exact MC, cluster saturation, and 4-core engine scaling.
+# Any row below its floor fails the run.
+bench-gates:
+	$(GO) test -run '^$$' -bench '^BenchmarkGates$$' -benchtime 1x -v .
 
-# bench-sampling runs the sampling + beam hot-loop benchmarks single-threaded
-# (the configuration the ≥2x speedup claim is made under) and writes
-# BENCH_sampling.json with ns/op, allocs/op, and speedups against the
-# recorded pre-alias baseline. The snapshot writer fails if the run-loop
-# benchmarks report any allocations.
-bench-sampling:
-	GOMAXPROCS=1 $(GO) test -run='^$$' -bench=. -benchmem ./internal/spectrum ./internal/beam
-
-# bench-plan measures campaign setup cold (full calibration compile) vs warm
-# (plan-cache hit) and writes BENCH_plan.json. The snapshot writer fails if
-# the warm path compiled anything during the timed loop or is less than 10x
-# faster than cold setup.
-bench-plan:
-	GOMAXPROCS=1 $(GO) test -run='^$$' -bench='BenchmarkPlan' -benchmem ./internal/plan
-
-# bench-vr runs the importance-sampling E3 comparison (exact vs zero-bias
-# vs thermally biased Zynq campaign at ChipIR) and writes BENCH_vr.json.
-# The snapshot writer fails if the zero-bias campaign is not bit-identical
-# to the exact one or the neutron-budget reduction on the thermal-DUE
-# channel drops below 20x.
-bench-vr:
-	$(GO) test -run='^$$' -bench='BenchmarkVR' -benchmem ./internal/vr
-
-# bench-engine measures the sharded campaign executor across a GOMAXPROCS
-# matrix (1, 2, 4, … up to NumCPU) and rewrites BENCH_engine.json as a
-# scaling curve. The snapshot writer fails if the curve contains a 4-core
-# point whose speedup over serial is below 2.5x — the CI scaling floor.
-bench-engine:
-	$(GO) test -run='^$$' -bench='BeamCampaign' -benchtime=2x ./internal/engine
-
-# bench-surrogate trains the stock design-space surrogate, measures its
-# predict path against warm exact Monte Carlo at the production sample
-# budget, storms a surrogate-enabled server across all three serving
-# tiers, and writes BENCH_surrogate.json. The snapshot writer fails if
-# the held-out error escapes the certified bound, the latency win drops
-# below 1000x, or the tier storm sees errors.
-bench-surrogate:
-	$(GO) test -run='^$$' -bench='BenchmarkSurrogate' -benchmem ./internal/surrogate
-
-# bench-cluster compares a single neutrond node against a coordinator +
-# 3-worker fleet under the same closed-loop job storm and writes
-# BENCH_cluster.json. The snapshot writer fails if distributed execution
-# is not bit-identical to the direct library result or the fleet's
-# saturation throughput is below 2x the single node's.
-bench-cluster:
-	$(GO) test -run='^$$' -bench='BenchmarkClusterStorm' -benchtime=1x ./internal/cluster
+# bench runs the gates, the per-artifact benchmarks of the root package,
+# and one traced neutronbench run per workload: the per-layer metrics, each
+# with its host block, recorded under .bench_build/runs/ (see
+# cmd/neutronbench/README.md for untraced runs and `run.sh compare`).
+bench: bench-gates
+	$(GO) test -run '^$$' -bench . -skip '^BenchmarkGates$$' -benchmem .
+	for w in $(LEDGER_WORKLOADS); do \
+		bash cmd/neutronbench/run.sh --workload $$w --seed 1 --seconds 20 --trace 1 || exit 1; \
+	done
 
 neutrond:
 	$(GO) build -o neutrond ./cmd/neutrond
@@ -80,4 +50,4 @@ loadgen:
 	$(GO) build -o loadgen ./cmd/loadgen
 
 clean:
-	rm -f BENCH_telemetry.json BENCH_sampling.json BENCH_plan.json BENCH_vr.json BENCH_cluster.json BENCH_engine.json BENCH_surrogate.json neutrond loadgen
+	rm -f neutrond loadgen

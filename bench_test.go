@@ -4,7 +4,7 @@ package neutronsim
 // experiment generator end to end (Monte Carlo campaigns included) and
 // reports per-artifact regeneration cost. Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -skip '^BenchmarkGates$' -benchmem .
 //
 // The printable tables themselves come from cmd/paperfigs; these benches
 // exist so `go test -bench` regenerates every artifact and exposes its
@@ -13,31 +13,10 @@ package neutronsim
 // per-iteration cost amortizes the one-time campaign across iterations.
 
 import (
-	"flag"
-	"fmt"
-	"os"
 	"testing"
 
 	"neutronsim/internal/experiments"
-	"neutronsim/internal/telemetry"
 )
-
-// TestMain writes a BENCH_telemetry.json snapshot of the Default registry
-// after benchmark runs, so `make bench` leaves a machine-readable perf
-// trajectory (counters, samples/sec, per-phase span timings) next to the
-// usual -bench output. Plain `go test` runs skip the file.
-func TestMain(m *testing.M) {
-	code := m.Run()
-	bench := flag.Lookup("test.bench")
-	if code == 0 && bench != nil && bench.Value.String() != "" {
-		telemetry.Default.SetProgram("bench")
-		if err := telemetry.Default.WriteSnapshot("BENCH_telemetry.json"); err != nil {
-			fmt.Fprintln(os.Stderr, "bench telemetry snapshot:", err)
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
 
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()

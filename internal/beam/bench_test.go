@@ -1,11 +1,6 @@
 package beam
 
 import (
-	"encoding/json"
-	"flag"
-	"fmt"
-	"os"
-	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -76,8 +71,8 @@ func benchRunLoop(b *testing.B, sp spectrum.Spectrum, d *device.Device, lambda f
 }
 
 // BenchmarkBeamCampaignRunLoopFast is the ChipIR (fast-dominated) per-run
-// hot loop. This is the benchmark the BENCH_sampling.json allocs/op gate
-// watches.
+// hot loop. TestRunLoopZeroAllocs holds it, and the ROTAX loop below, to
+// 0 allocs/op.
 func BenchmarkBeamCampaignRunLoopFast(b *testing.B) {
 	benchRunLoop(b, spectrum.ChipIR(), benchQuietDevice(), 2)
 }
@@ -102,8 +97,7 @@ func BenchmarkInteractionSamplerBuild(b *testing.B) {
 }
 
 // BenchmarkCampaignSingleThread runs a complete single-threaded campaign —
-// calibration plus the sharded run loop on the serial executor — the
-// configuration the BENCH_sampling.json speedup tracks.
+// calibration plus the sharded run loop on the serial executor.
 func BenchmarkCampaignSingleThread(b *testing.B) {
 	cfg := Config{
 		Device:          device.K20(),
@@ -122,88 +116,4 @@ func BenchmarkCampaignSingleThread(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// samplingBaselines records the pre-alias numbers these benchmarks
-// measured at the parent commit (binary-search interaction sampler,
-// rejection-loop Mixture.Sample, allocating run loop) on the reference
-// host: GOMAXPROCS=1, Intel Xeon @ 2.10GHz. The snapshot reports current
-// numbers as speedups against these.
-var samplingBaselines = map[string]float64{
-	"BenchmarkInteractionSamplerDraw":     164.2,
-	"BenchmarkBeamCampaignRunLoopFast":    546.9,
-	"BenchmarkBeamCampaignRunLoopThermal": 571.6,
-	"BenchmarkInteractionSamplerBuild":    10675872,
-	"BenchmarkCampaignSingleThread":       15821171,
-}
-
-// TestMain writes BENCH_sampling.json at the repo root when benchmarks
-// run, following the BENCH_engine.json idiom. It exits non-zero if the
-// run-loop benchmark reports any allocations, which is the CI allocs/op
-// gate.
-func TestMain(m *testing.M) {
-	code := m.Run()
-	bench := flag.Lookup("test.bench")
-	if code == 0 && bench != nil && bench.Value.String() != "" {
-		if err := writeSamplingSnapshot("../../BENCH_sampling.json"); err != nil {
-			fmt.Fprintln(os.Stderr, "sampling bench snapshot:", err)
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
-
-type samplingBenchResult struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	BaselineNs  float64 `json:"pre_change_baseline_ns_per_op"`
-	Speedup     float64 `json:"speedup_vs_baseline"`
-}
-
-func writeSamplingSnapshot(path string) error {
-	cases := []struct {
-		name string
-		fn   func(*testing.B)
-	}{
-		{"BenchmarkInteractionSamplerDraw", BenchmarkInteractionSamplerDraw},
-		{"BenchmarkBeamCampaignRunLoopFast", BenchmarkBeamCampaignRunLoopFast},
-		{"BenchmarkBeamCampaignRunLoopThermal", BenchmarkBeamCampaignRunLoopThermal},
-		{"BenchmarkInteractionSamplerBuild", BenchmarkInteractionSamplerBuild},
-		{"BenchmarkCampaignSingleThread", BenchmarkCampaignSingleThread},
-	}
-	results := map[string]samplingBenchResult{}
-	for _, c := range cases {
-		r := testing.Benchmark(c.fn)
-		base := samplingBaselines[c.name]
-		results[c.name] = samplingBenchResult{
-			NsPerOp:     float64(r.NsPerOp()),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			BaselineNs:  base,
-			Speedup:     base / float64(r.NsPerOp()),
-		}
-	}
-	snap := struct {
-		Note       string                         `json:"note"`
-		GOMAXPROCS int                            `json:"gomaxprocs"`
-		Baseline   string                         `json:"baseline"`
-		Benchmarks map[string]samplingBenchResult `json:"benchmarks"`
-	}{
-		Note:       "O(1) alias sampling fast path (DESIGN.md §11); run-loop benchmarks must report 0 allocs/op",
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Baseline: "pre-alias parent commit: binary-search interaction sampler, rejection-loop Mixture.Sample, " +
-			"allocating run loop (GOMAXPROCS=1, Intel Xeon @ 2.10GHz)",
-		Benchmarks: results,
-	}
-	for _, name := range []string{"BenchmarkBeamCampaignRunLoopFast", "BenchmarkBeamCampaignRunLoopThermal"} {
-		if allocs := results[name].AllocsPerOp; allocs != 0 {
-			return fmt.Errorf("%s reports %d allocs/op, want 0", name, allocs)
-		}
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

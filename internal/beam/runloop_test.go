@@ -33,44 +33,38 @@ func injectorFor(tb testing.TB, cfg Config) *faultinject.Injector {
 // TestRunLoopZeroAllocs is the tier-1 gate behind the "allocs/op = 0 in
 // the run loop" acceptance criterion: a steady-state beam run — Poisson
 // draw, alias energy draws, device physics, fault bookkeeping — must not
-// touch the heap. The quiet device keeps the critical charge above any
-// possible deposit so the measurement isolates the sampling path (upset
-// runs replay the workload, which legitimately allocates its output copy).
+// touch the heap, at both beamlines and in both modes. The quiet device
+// keeps the critical charge above any possible deposit so the measurement
+// isolates the sampling path; TestReplayRunsZeroAllocs covers upset runs.
 func TestRunLoopZeroAllocs(t *testing.T) {
-	cfg := Config{
-		Device:       benchQuietDevice(),
-		WorkloadName: "MxM",
-		Beam:         spectrum.ChipIR(),
-		Seed:         7,
-	}.withDefaults()
-	pl := plan.Compile(cfg.Device, cfg.Beam, 20000, rng.New(1))
-	var events atomic.Int64
-	r := newShardRunner(cfg, engine.Shard{Index: 0, Count: 1, Stream: rng.New(3)}, pl, injectorFor(t, cfg), 2, &events)
-	// Warm up scratch capacities before measuring steady state.
-	r.runBlock(100)
-	run := func() { r.runBlock(1) }
-	if avg := testing.AllocsPerRun(2000, run); avg != 0 {
-		t.Errorf("run loop allocates %.2f times per run, want 0", avg)
-	}
-	if r.tc.Interactions == 0 {
-		t.Fatal("run loop drew no interactions; the measurement exercised nothing")
-	}
-
-	// The weighted (importance-sampled) run loop shares the zero-alloc
-	// contract: the weights live in the plan's band table and the shard
-	// scratch, never on the heap.
-	bpl, err := plan.CompileBiased(cfg.Device, cfg.Beam, 20000, rng.New(1), plan.Bias{Thermal: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wr := newShardRunner(cfg, engine.Shard{Index: 0, Count: 1, Stream: rng.New(3)}, bpl, injectorFor(t, cfg), 2, &events)
-	wr.runBlock(100)
-	wrun := func() { wr.runBlock(1) }
-	if avg := testing.AllocsPerRun(2000, wrun); avg != 0 {
-		t.Errorf("weighted run loop allocates %.2f times per run, want 0", avg)
-	}
-	if wr.tc.Weighted.Draws.N == 0 {
-		t.Fatal("weighted run loop drew no interactions; the measurement exercised nothing")
+	for _, sp := range []spectrum.Spectrum{spectrum.ChipIR(), spectrum.ROTAX()} {
+		cfg := Config{Device: benchQuietDevice(), WorkloadName: "MxM", Beam: sp, Seed: 7}.withDefaults()
+		// The weighted (importance-sampled) run loop shares the contract:
+		// the weights live in the plan's band table and the shard scratch,
+		// never on the heap.
+		biased, err := plan.CompileBiased(cfg.Device, cfg.Beam, 20000, rng.New(1), plan.Bias{Thermal: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			mode string
+			pl   *plan.CampaignPlan
+		}{
+			{"exact", plan.Compile(cfg.Device, cfg.Beam, 20000, rng.New(1))},
+			{"weighted", biased},
+		} {
+			t.Run(sp.Name()+"/"+c.mode, func(t *testing.T) {
+				var events atomic.Int64
+				r := newShardRunner(cfg, engine.Shard{Index: 0, Count: 1, Stream: rng.New(3)}, c.pl, injectorFor(t, cfg), 2, &events)
+				r.runBlock(100) // warm up scratch capacities before measuring steady state
+				if avg := testing.AllocsPerRun(2000, func() { r.runBlock(1) }); avg != 0 {
+					t.Errorf("run loop allocates %.2f times per run, want 0", avg)
+				}
+				if r.tc.Interactions == 0 {
+					t.Fatal("run loop drew no interactions; the measurement exercised nothing")
+				}
+			})
+		}
 	}
 }
 

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
 	"neutronsim/internal/server"
+	"neutronsim/internal/stats"
 )
 
 // LoadConfig shapes one loadgen storm: Concurrency workers submitting
@@ -80,7 +80,8 @@ func DefaultCampaign(key int) *server.CampaignRequest {
 	}
 }
 
-// Quantiles are latency percentiles in milliseconds.
+// Quantiles are latency percentiles in milliseconds, interpolated between
+// order statistics (stats.Quantile).
 type Quantiles struct {
 	P50 float64 `json:"p50_ms"`
 	P90 float64 `json:"p90_ms"`
@@ -200,11 +201,19 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*Report, error) {
 	if elapsed > 0 {
 		rep.Throughput = float64(requests-errors) / elapsed
 	}
-	rep.Latency = quantiles(latencies)
+	rep.Latency = Quantiles{
+		P50: stats.Quantile(latencies, 0.50),
+		P90: stats.Quantile(latencies, 0.90),
+		P99: stats.Quantile(latencies, 0.99),
+	}
 	if len(byTier) > 0 {
 		rep.Tiers = map[string]TierLatency{}
 		for tier, ms := range byTier {
-			rep.Tiers[tier] = TierLatency{Requests: int64(len(ms)), Latency: quantiles(ms)}
+			rep.Tiers[tier] = TierLatency{Requests: int64(len(ms)), Latency: Quantiles{
+				P50: stats.Quantile(ms, 0.50),
+				P90: stats.Quantile(ms, 0.90),
+				P99: stats.Quantile(ms, 0.99),
+			}}
 		}
 	}
 	return rep, nil
@@ -237,18 +246,4 @@ func XsectionCampaign(tolerance float64) func(key int) *server.CampaignRequest {
 			},
 		}
 	}
-}
-
-// quantiles computes p50/p90/p99 by nearest-rank over the sample.
-func quantiles(ms []float64) Quantiles {
-	if len(ms) == 0 {
-		return Quantiles{}
-	}
-	s := append([]float64(nil), ms...)
-	sort.Float64s(s)
-	at := func(q float64) float64 {
-		i := int(q * float64(len(s)-1))
-		return s[i]
-	}
-	return Quantiles{P50: at(0.50), P90: at(0.90), P99: at(0.99)}
 }

@@ -1,11 +1,6 @@
 package engine_test
 
 import (
-	"encoding/json"
-	"flag"
-	"fmt"
-	"os"
-	"runtime"
 	"testing"
 
 	"neutronsim/internal/beam"
@@ -13,9 +8,9 @@ import (
 	"neutronsim/internal/spectrum"
 )
 
-// benchCampaign is the workload every scaling point shares: a boosted
-// K20/MxM ChipIR campaign of 2000 runs at grain 64, i.e. ~32 shards for
-// the pool.
+// benchCampaign is a boosted K20/MxM ChipIR campaign of 2000 runs at
+// grain 64, i.e. ~32 shards for the pool. The engine row of the root
+// BenchmarkGates table times the same campaign at GOMAXPROCS 1 and 4.
 func benchCampaign(b *testing.B, workers int) {
 	b.Helper()
 	d := device.K20()
@@ -49,118 +44,3 @@ func BenchmarkBeamCampaignSerial(b *testing.B) { benchCampaign(b, 1) }
 // pool. The conformance suite proves the results are bit-identical; this
 // benchmark measures only the wall-clock effect.
 func BenchmarkBeamCampaign4Shards(b *testing.B) { benchCampaign(b, 4) }
-
-// TestMain regenerates BENCH_engine.json at the repo root whenever the
-// engine benchmarks run (make bench-engine, or any -bench invocation of
-// this package). The snapshot is a scaling curve: the same campaign
-// measured at GOMAXPROCS = workers = 1, 2, 4, … up to NumCPU, so the
-// artifact shows how far the sharded executor actually scales on the
-// measuring host rather than a single serial-vs-4 ratio. On hosts with
-// at least four CPUs the curve must clear the scaling floor (≥2.5× at 4
-// cores) or the snapshot write fails, which is the CI gate.
-func TestMain(m *testing.M) {
-	code := m.Run()
-	bench := flag.Lookup("test.bench")
-	if code == 0 && bench != nil && bench.Value.String() != "" {
-		if err := writeBenchSnapshot("../../BENCH_engine.json"); err != nil {
-			fmt.Fprintln(os.Stderr, "engine bench snapshot:", err)
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
-
-// scalingFloorProcs and scalingFloorMin define the CI gate: at 4 cores the
-// campaign must run at least 2.5× faster than serial. The floor is only
-// enforceable when the measuring host has ≥4 CPUs — a smaller host cannot
-// produce the 4-core point, and its snapshot says so honestly.
-const (
-	scalingFloorProcs = 4
-	scalingFloorMin   = 2.5
-)
-
-// benchRuns is the campaign size of benchCampaign, used to convert ns/op
-// into throughput.
-const benchRuns = 2000
-
-type scalingPoint struct {
-	GOMAXPROCS      int     `json:"gomaxprocs"`
-	Workers         int     `json:"workers"`
-	NsPerOp         float64 `json:"ns_per_op"`
-	RunsPerSec      float64 `json:"runs_per_sec"`
-	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
-}
-
-// scalingProcs returns the GOMAXPROCS matrix: 1, 2, 4, … doubling up to
-// NumCPU, with NumCPU always included as the final point.
-func scalingProcs() []int {
-	n := runtime.NumCPU()
-	var procs []int
-	for p := 1; p < n; p *= 2 {
-		procs = append(procs, p)
-	}
-	return append(procs, n)
-}
-
-func writeBenchSnapshot(path string) error {
-	restore := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(restore)
-
-	var curve []scalingPoint
-	var serialNs float64
-	for _, p := range scalingProcs() {
-		runtime.GOMAXPROCS(p)
-		r := testing.Benchmark(func(b *testing.B) { benchCampaign(b, p) })
-		ns := float64(r.NsPerOp())
-		if p == 1 {
-			serialNs = ns
-		}
-		curve = append(curve, scalingPoint{
-			GOMAXPROCS:      p,
-			Workers:         p,
-			NsPerOp:         ns,
-			RunsPerSec:      benchRuns / (ns * 1e-9),
-			SpeedupVsSerial: serialNs / ns,
-		})
-	}
-
-	floor := struct {
-		AtGOMAXPROCS    int     `json:"at_gomaxprocs"`
-		MinSpeedup      float64 `json:"min_speedup"`
-		Enforced        bool    `json:"enforced"`
-		MeasuredSpeedup float64 `json:"measured_speedup,omitempty"`
-	}{AtGOMAXPROCS: scalingFloorProcs, MinSpeedup: scalingFloorMin}
-	for _, pt := range curve {
-		if pt.GOMAXPROCS == scalingFloorProcs {
-			floor.Enforced = true
-			floor.MeasuredSpeedup = pt.SpeedupVsSerial
-		}
-	}
-
-	snap := struct {
-		Benchmark    string         `json:"benchmark"`
-		NumCPU       int            `json:"num_cpu"`
-		Curve        []scalingPoint `json:"curve"`
-		ScalingFloor any            `json:"scaling_floor"`
-		Note         string         `json:"note"`
-	}{
-		Benchmark:    "beam campaign, 2000 runs, grain 64 (~32 shards), workers = GOMAXPROCS per point",
-		NumCPU:       runtime.NumCPU(),
-		Curve:        curve,
-		ScalingFloor: floor,
-		Note: "results are bit-identical for any worker count (see conformance_test.go); " +
-			"the scaling floor is enforced only on hosts with a 4-core point in the curve",
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	if floor.Enforced && floor.MeasuredSpeedup < scalingFloorMin {
-		return fmt.Errorf("scaling floor violated: %.2fx at GOMAXPROCS=%d, want >= %.1fx",
-			floor.MeasuredSpeedup, scalingFloorProcs, scalingFloorMin)
-	}
-	return nil
-}

@@ -400,6 +400,22 @@ func TestConformanceMemoryHTTP(t *testing.T) {
 	}
 }
 
+// invalidSubmits are submit bodies the service must answer with 400.
+var invalidSubmits = []struct {
+	name string
+	body string
+}{
+	{"bad json", `{`},
+	{"unknown field", `{"kind":"beam","frobnicate":1}`},
+	{"unknown kind", `{"kind":"warp"}`},
+	{"missing section", `{"kind":"beam"}`},
+	{"unknown device", `{"kind":"beam","beam":{"device":"PDP11","workload":"MxM","spectrum":"ChipIR","duration_seconds":1}}`},
+	{"unknown spectrum", `{"kind":"beam","beam":{"device":"K20","workload":"MxM","spectrum":"LANSCE","duration_seconds":1}}`},
+	{"unknown material", `{"kind":"transport","transport":{"slabs":[{"material":"unobtainium","thickness_cm":1}],"neutrons":100}}`},
+	{"two sections", `{"kind":"beam","beam":{"device":"K20","workload":"MxM","spectrum":"ChipIR","duration_seconds":1},"memory":{"generation":"DDR3","duration_seconds":1}}`},
+	{"zero duration", `{"kind":"beam","beam":{"device":"K20","workload":"MxM","spectrum":"ChipIR"}}`},
+}
+
 // TestSubmitValidation exercises the 400 paths.
 func TestSubmitValidation(t *testing.T) {
 	srv := New(Config{Workers: 1, Registry: telemetry.NewRegistry()})
@@ -407,21 +423,7 @@ func TestSubmitValidation(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	cases := []struct {
-		name string
-		body string
-	}{
-		{"bad json", `{`},
-		{"unknown field", `{"kind":"beam","frobnicate":1}`},
-		{"unknown kind", `{"kind":"warp"}`},
-		{"missing section", `{"kind":"beam"}`},
-		{"unknown device", `{"kind":"beam","beam":{"device":"PDP11","workload":"MxM","spectrum":"ChipIR","duration_seconds":1}}`},
-		{"unknown spectrum", `{"kind":"beam","beam":{"device":"K20","workload":"MxM","spectrum":"LANSCE","duration_seconds":1}}`},
-		{"unknown material", `{"kind":"transport","transport":{"slabs":[{"material":"unobtainium","thickness_cm":1}],"neutrons":100}}`},
-		{"two sections", `{"kind":"beam","beam":{"device":"K20","workload":"MxM","spectrum":"ChipIR","duration_seconds":1},"memory":{"generation":"DDR3","duration_seconds":1}}`},
-		{"zero duration", `{"kind":"beam","beam":{"device":"K20","workload":"MxM","spectrum":"ChipIR"}}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range invalidSubmits {
 		resp, err := ts.Client().Post(ts.URL+"/v1/campaigns", "application/json", bytes.NewBufferString(tc.body))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -48,6 +49,18 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// decodeCampaign reads a submit body strictly: unknown fields are an
+// error, so a misspelled knob is rejected instead of silently defaulted.
+func decodeCampaign(body io.Reader) (*CampaignRequest, error) {
+	var raw CampaignRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&raw); err != nil {
+		return nil, err
+	}
+	return &raw, nil
+}
+
 // handleSubmit is POST /v1/campaigns: cache-first, then enqueue.
 //
 //	200  cached result (X-Cache: hit), or 304 on a matching If-None-Match
@@ -60,10 +73,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.unavailable(w)
 		return
 	}
-	var raw CampaignRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&raw); err != nil {
+	raw, err := decodeCampaign(r.Body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}

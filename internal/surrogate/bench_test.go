@@ -1,17 +1,13 @@
-// Surrogate serving benchmarks and the BENCH_surrogate.json gate. This
-// file lives in the external test package so it can drive the full
-// serving pyramid — server and cluster import surrogate, so the storm
-// harness cannot live in package surrogate itself.
+// Surrogate serving benchmarks and the tier storm. This file lives in the
+// external test package so it can drive the full serving pyramid — server
+// and cluster import surrogate, so the storm harness cannot live in
+// package surrogate itself. The surrogate row of the root BenchmarkGates
+// table holds the certified bound, the 1000× floor and the clean storm.
 package surrogate_test
 
 import (
 	"context"
-	"encoding/json"
-	"flag"
-	"fmt"
 	"net/http/httptest"
-	"os"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -38,7 +34,7 @@ var (
 )
 
 // defaultModel trains the stock DefaultGrid model once per process —
-// the same model CI retrains and the quickstart ships.
+// the same model the gate table retrains and the quickstart ships.
 func defaultModel() (*surrogate.Model, error) {
 	benchOnce.Do(func() {
 		var ds *surrogate.Dataset
@@ -134,90 +130,4 @@ func TestSurrogateTierStorm(t *testing.T) {
 	if rep.Tiers[cluster.TierExact].Requests == 0 {
 		t.Fatalf("no exact-tier answers in storm: %+v", rep.Tiers)
 	}
-}
-
-// TestMain writes BENCH_surrogate.json at the repo root when benchmarks
-// run, following the BENCH_plan.json idiom. It exits non-zero if the
-// held-out error escaped the certified bound, if the surrogate's
-// latency win over warm exact MC is below 1000×, or if the tier storm
-// saw errors — the surrogate CI gates.
-func TestMain(m *testing.M) {
-	code := m.Run()
-	bench := flag.Lookup("test.bench")
-	if code == 0 && bench != nil && bench.Value.String() != "" {
-		if err := writeSurrogateSnapshot("../../BENCH_surrogate.json"); err != nil {
-			fmt.Fprintln(os.Stderr, "surrogate bench snapshot:", err)
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
-
-func writeSurrogateSnapshot(path string) error {
-	model, err := defaultModel()
-	if err != nil {
-		return err
-	}
-	predict := testing.Benchmark(BenchmarkSurrogatePredict)
-	exact := testing.Benchmark(BenchmarkSurrogateExactXsection)
-	if predict.N == 0 || exact.N == 0 {
-		return fmt.Errorf("benchmarks did not run")
-	}
-	speedup := float64(exact.NsPerOp()) / float64(predict.NsPerOp())
-	storm, err := runTierStorm(model)
-	if err != nil {
-		return err
-	}
-	snap := struct {
-		Note              string                         `json:"note"`
-		GOMAXPROCS        int                            `json:"gomaxprocs"`
-		ModelHash         string                         `json:"model_hash"`
-		TrainRows         int                            `json:"train_rows"`
-		HeldOutRows       int                            `json:"held_out_rows"`
-		HeldOutMaxRelErr  float64                        `json:"held_out_max_rel_err"`
-		HeldOutMeanRelErr float64                        `json:"held_out_mean_rel_err"`
-		CertifiedRelErr   float64                        `json:"certified_rel_err"`
-		ExactSamples      int                            `json:"exact_samples"`
-		PredictNsPerOp    float64                        `json:"surrogate_ns_per_op"`
-		PredictAllocs     int64                          `json:"surrogate_allocs_per_op"`
-		ExactNsPerOp      float64                        `json:"exact_ns_per_op"`
-		Speedup           float64                        `json:"surrogate_speedup_vs_exact"`
-		StormRequests     int64                          `json:"storm_requests"`
-		StormErrors       int64                          `json:"storm_errors"`
-		StormTiers        map[string]cluster.TierLatency `json:"storm_tiers"`
-	}{
-		Note: "surrogate serving tier (DESIGN.md §17); held-out error must stay " +
-			"within the certified bound and the surrogate must be >= 1000x faster " +
-			"than warm exact MC",
-		GOMAXPROCS:        runtime.GOMAXPROCS(0),
-		ModelHash:         model.Hash,
-		TrainRows:         model.TrainRows,
-		HeldOutRows:       model.HeldOutRows,
-		HeldOutMaxRelErr:  model.HeldOutMaxRelErr,
-		HeldOutMeanRelErr: model.HeldOutMeanRelErr,
-		CertifiedRelErr:   model.CertifiedRelErr,
-		ExactSamples:      benchExactSamples,
-		PredictNsPerOp:    float64(predict.NsPerOp()),
-		PredictAllocs:     predict.AllocsPerOp(),
-		ExactNsPerOp:      float64(exact.NsPerOp()),
-		Speedup:           speedup,
-		StormRequests:     storm.Requests,
-		StormErrors:       storm.Errors,
-		StormTiers:        storm.Tiers,
-	}
-	if snap.HeldOutMaxRelErr > snap.CertifiedRelErr {
-		return fmt.Errorf("held-out max rel err %.4f escaped the certified bound %.4f",
-			snap.HeldOutMaxRelErr, snap.CertifiedRelErr)
-	}
-	if speedup < 1000 {
-		return fmt.Errorf("surrogate speedup %.0fx vs warm exact MC, want >= 1000x", speedup)
-	}
-	if storm.Errors != 0 {
-		return fmt.Errorf("tier storm saw %d errors, want 0", storm.Errors)
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	return telemetry.WriteFileAtomic(path, append(data, '\n'), 0o644)
 }

@@ -9,8 +9,10 @@ import (
 // WriteFileAtomic writes data to path via a temp file in the same
 // directory renamed over the target, so a reader polling the file — or a
 // run interrupted mid-write — never observes a torn or truncated
-// document. Every artifact writer in the repo (telemetry snapshots,
-// sweep grids, surrogate models, bench reports) goes through here.
+// document. Files written whole at the end go through here: telemetry
+// snapshots, heap profiles, sweep grids, surrogate models and datasets,
+// and loadgen reports. The CPU profile is the one exception: it streams
+// into its own temp file while the program runs (CLI.Start).
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	dir, base := filepath.Split(path)
 	tmp, err := os.CreateTemp(dir, base+".tmp-*")

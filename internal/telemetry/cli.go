@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"net/http"
@@ -24,7 +25,9 @@ import (
 //
 // The profile files are written like -metrics-out: to a temp file in the
 // target directory, renamed into place at Close, so a crash mid-run never
-// leaves a truncated profile under the requested name.
+// leaves a truncated profile under the requested name. The CPU profile
+// streams into its temp file while the program runs; the heap profile is
+// taken at Close and goes through WriteFileAtomic.
 type CLI struct {
 	ObsAddr    string
 	MetricsOut string
@@ -111,30 +114,14 @@ func (c *CLI) finishCPUProfile() error {
 }
 
 // writeMemProfile captures the live heap (after a GC, so the profile shows
-// retained memory rather than garbage) and renames it into place.
+// retained memory rather than garbage) and writes it atomically.
 func (c *CLI) writeMemProfile() error {
 	runtime.GC()
-	dir, base := filepath.Split(c.MemProfile)
-	tmp, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
+	var buf bytes.Buffer
+	if err := pprof.WriteHeapProfile(&buf); err != nil {
 		return fmt.Errorf("mem profile: %w", err)
 	}
-	defer os.Remove(tmp.Name())
-	if err := pprof.WriteHeapProfile(tmp); err != nil {
-		tmp.Close()
-		return fmt.Errorf("mem profile: %w", err)
-	}
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		return fmt.Errorf("mem profile: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("mem profile: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), c.MemProfile); err != nil {
-		return fmt.Errorf("mem profile: %w", err)
-	}
-	return nil
+	return WriteFileAtomic(c.MemProfile, buf.Bytes(), 0o644)
 }
 
 // Close writes the snapshot (if requested), stops the progress reporter

@@ -254,22 +254,24 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
+// malformedTraceparents are header values ParseTraceparent must reject.
+var malformedTraceparents = []string{
+	"",
+	"00-abc",
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",       // 3 fields
+	"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",    // forbidden version
+	"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",    // uppercase
+	"00-4bf92f3577b34da6a3ce929d0e0e473-00f067aa0ba902b7-01",     // short trace ID
+	"00-00000000000000000000000000000000-00f067aa0ba902b7-01",    // zero trace ID
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",    // zero span ID
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-1",     // short flags
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-xx", // 5 fields
+	"0x-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",    // bad version hex
+	"00-4bf92f3577b34da6a3ce929d0e0e47zz-00f067aa0ba902b7-01",    // bad trace hex
+}
+
 func TestParseTraceparentRejectsMalformed(t *testing.T) {
-	bad := []string{
-		"",
-		"00-abc",
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",       // 3 fields
-		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",    // forbidden version
-		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",    // uppercase
-		"00-4bf92f3577b34da6a3ce929d0e0e473-00f067aa0ba902b7-01",     // short trace ID
-		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",    // zero trace ID
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",    // zero span ID
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-1",     // short flags
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-xx", // 5 fields
-		"0x-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",    // bad version hex
-		"00-4bf92f3577b34da6a3ce929d0e0e47zz-00f067aa0ba902b7-01",    // bad trace hex
-	}
-	for _, s := range bad {
+	for _, s := range malformedTraceparents {
 		if _, err := ParseTraceparent(s); err == nil {
 			t.Errorf("ParseTraceparent(%q) must fail", s)
 		}
@@ -277,4 +279,29 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 	if _, err := ParseTraceparent(" 00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01 "); err != nil {
 		t.Errorf("surrounding whitespace must be tolerated: %v", err)
 	}
+}
+
+// FuzzParseTraceparent feeds arbitrary header values to the parser, which
+// sits on a trust boundary: it must never panic, and any value it accepts
+// must re-parse from its canonical String form to the same Traceparent.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	f.Add(" 00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-00 ")
+	f.Add("cc-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-ff")
+	for _, s := range malformedTraceparents {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tp, err := ParseTraceparent(s)
+		if err != nil {
+			return
+		}
+		again, err := ParseTraceparent(tp.String())
+		if err != nil {
+			t.Fatalf("ParseTraceparent(%q) accepted, but its String %q is rejected: %v", s, tp.String(), err)
+		}
+		if again != tp {
+			t.Fatalf("ParseTraceparent(%q) = %+v, but its String re-parses to %+v", s, tp, again)
+		}
+	})
 }

@@ -1,57 +1,17 @@
 package vr
 
 import (
-	"encoding/json"
-	"flag"
-	"fmt"
-	"os"
 	"testing"
 
 	"neutronsim/internal/beam"
 	"neutronsim/internal/plan"
 )
 
-// minReduction is the CI floor on the headline number: the biased E3
-// campaign must match the exact campaign's 95% CI width on the thermal-DUE
-// channel from at least 20× fewer neutrons (ISSUE acceptance criterion).
-const minReduction = 20
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	bench := flag.Lookup("test.bench")
-	if code == 0 && bench != nil && bench.Value.String() != "" {
-		if err := writeVRSnapshot("../../BENCH_vr.json"); err != nil {
-			fmt.Fprintln(os.Stderr, "vr bench snapshot:", err)
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
-
-// writeVRSnapshot runs the full E3 comparison, enforces the gates, and
-// publishes the report. Gate failures fail the bench run (exit 1), so CI
-// cannot silently ship a regression in either the identity contract or
-// the variance reduction.
-func writeVRSnapshot(path string) error {
-	rep, err := Compare(DefaultOptions())
-	if err != nil {
-		return err
-	}
-	if err := Gate(rep, minReduction); err != nil {
-		return err
-	}
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
-}
-
 // TestVRCompareQuick runs a shortened E3 comparison as a tier-1 smoke
 // test: the identity gate must hold and the report must be coherent. The
-// reduction floor itself is only enforced at full statistics by the bench
-// snapshot — a 6000-second campaign records too few exact thermal DUEs to
-// pin a factor.
+// 20× reduction floor is only enforced at full statistics, by the vr row
+// of the root BenchmarkGates table — a 6000-second campaign records too
+// few exact thermal DUEs to pin a factor.
 func TestVRCompareQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping E3 comparison in -short mode")

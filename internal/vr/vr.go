@@ -5,9 +5,9 @@
 // interaction mass. It runs the same campaign three ways — exact, zero-bias
 // (the identity gate), and thermally biased — and reports how many times
 // fewer neutrons the biased campaign needs to match the exact campaign's
-// 95% CI width on that channel. The snapshot writer in bench_test.go turns
-// the report into BENCH_vr.json and fails the build when the reduction
-// falls below its floor or the zero-bias run stops being bit-exact.
+// 95% CI width on that channel. The vr row of the root BenchmarkGates
+// table fails when the reduction falls below its floor or the zero-bias
+// run stops being bit-exact.
 package vr
 
 import (
@@ -48,7 +48,7 @@ type Options struct {
 	ShardGrain    int
 }
 
-// DefaultOptions is the configuration BENCH_vr.json is generated with.
+// DefaultOptions is the full-statistics E3 configuration.
 func DefaultOptions() Options {
 	return Options{
 		DurationSeconds:   24000,
@@ -99,46 +99,36 @@ func (o Options) config() beam.Config {
 	}
 }
 
-// Report is the outcome of one E3 comparison; it serializes to
-// BENCH_vr.json.
+// Report is the outcome of one E3 comparison.
 type Report struct {
-	Device          string  `json:"device"`
-	Workload        string  `json:"workload"`
-	Spectrum        string  `json:"spectrum"`
-	DurationSeconds float64 `json:"duration_seconds"`
-	RunSeconds      float64 `json:"run_seconds"`
-	ThermalFactor   float64 `json:"thermal_factor"`
-	Runs            int     `json:"runs"`
-	Fluence         float64 `json:"fluence"`
-
 	// IdentityBitExact records whether the zero-bias campaign reproduced
 	// the exact campaign bit-for-bit (Weighted section stripped).
-	IdentityBitExact bool `json:"identity_bit_exact"`
+	IdentityBitExact bool
 
 	// Exact side of the comparison: raw thermal-band DUE count and the
 	// relative width of its Garwood 95% CI.
-	ExactThermalDUE int64   `json:"exact_thermal_due"`
-	ExactRelWidth   float64 `json:"exact_rel_ci_width"`
+	ExactThermalDUE int64
+	ExactRelWidth   float64
 
 	// Biased side: history count and weighted sum on the same channel,
 	// its effective sample size, and the relative width of the ESS-gated
 	// 95% CI at the same neutron budget.
-	BiasedThermalDUEHits int64   `json:"biased_thermal_due_hits"`
-	BiasedThermalDUESum  float64 `json:"biased_thermal_due_weighted_sum"`
-	BiasedChannelESS     float64 `json:"biased_thermal_due_ess"`
-	BiasedRelWidth       float64 `json:"biased_rel_ci_width"`
+	BiasedThermalDUEHits int64
+	BiasedThermalDUESum  float64
+	BiasedChannelESS     float64
+	BiasedRelWidth       float64
 
 	// NeutronBudgetReduction is the headline number: how many times fewer
 	// neutrons the biased campaign needs to match the exact campaign's CI
 	// width on the thermal-DUE channel. CI widths shrink with the square
 	// root of the budget, so the factor is (exact width / biased width)².
-	NeutronBudgetReduction float64 `json:"neutron_budget_reduction"`
+	NeutronBudgetReduction float64
 
 	// DrawsESS is the effective neutron budget behind the whole biased
 	// campaign; ESSPerSecond divides it by the campaign's wall time.
-	DrawsESS          float64 `json:"biased_draws_ess"`
-	BiasedWallSeconds float64 `json:"biased_wall_seconds"`
-	ESSPerSecond      float64 `json:"ess_per_second"`
+	DrawsESS          float64
+	BiasedWallSeconds float64
+	ESSPerSecond      float64
 }
 
 // Compare runs the three campaigns and assembles the report. It fails
@@ -199,15 +189,6 @@ func Compare(o Options) (*Report, error) {
 
 	ratio := relExact / relBiased
 	return &Report{
-		Device:          cfg.Device.Name,
-		Workload:        cfg.WorkloadName,
-		Spectrum:        cfg.Beam.Name(),
-		DurationSeconds: o.DurationSeconds,
-		RunSeconds:      o.RunSeconds,
-		ThermalFactor:   o.ThermalFactor,
-		Runs:            exact.Runs,
-		Fluence:         float64(exact.Fluence),
-
 		IdentityBitExact: identity,
 
 		ExactThermalDUE: exactThermal,
@@ -224,17 +205,4 @@ func Compare(o Options) (*Report, error) {
 		BiasedWallSeconds: wall,
 		ESSPerSecond:      biased.Weighted.Draws.ESS() / wall,
 	}, nil
-}
-
-// Gate enforces the CI contract on a report: the zero-bias identity must
-// hold and the neutron-budget reduction must clear the floor.
-func Gate(r *Report, minReduction float64) error {
-	if !r.IdentityBitExact {
-		return errors.New("vr: zero-bias campaign is no longer bit-identical to the exact campaign")
-	}
-	if r.NeutronBudgetReduction < minReduction {
-		return fmt.Errorf("vr: neutron-budget reduction %.1f× below the %.0f× floor (exact rel width %.3f, biased %.3f)",
-			r.NeutronBudgetReduction, minReduction, r.ExactRelWidth, r.BiasedRelWidth)
-	}
-	return nil
 }
