@@ -167,9 +167,13 @@ func Run(cfg Config) (*Result, error) {
 
 // defaultShardGrain is the number of beam runs per engine shard. Large
 // enough that a shard amortizes its golden-workload replay setup, small
-// enough that auto-tuned campaigns (up to 2e6 runs) decompose into
+// enough that auto-tuned campaigns (up to MaxAutoRuns) decompose into
 // hundreds of shards.
 const defaultShardGrain = 8192
+
+// MaxAutoRuns caps the runs an auto-tuned campaign (RunSeconds 0) splits
+// its beam time into.
+const MaxAutoRuns = 2e6
 
 // shardTally accumulates one shard's private counts. Everything here is
 // shard-local; the campaign Result is assembled only after every shard has
@@ -275,8 +279,8 @@ func prepare(ctx context.Context, cfg Config) (*campaignSetup, error) {
 		if ratePerSecond > 0.05 {
 			runSeconds = 0.05 / ratePerSecond
 		}
-		if got := cfg.DurationSeconds / runSeconds; got > 2e6 {
-			runSeconds = cfg.DurationSeconds / 2e6
+		if got := cfg.DurationSeconds / runSeconds; got > MaxAutoRuns {
+			runSeconds = cfg.DurationSeconds / MaxAutoRuns
 		}
 	}
 	runs := int(cfg.DurationSeconds / runSeconds)
@@ -394,13 +398,21 @@ func (s *campaignSetup) assemble(ctx context.Context, tallies []shardTally, elap
 	}
 	var totalInteractions int64
 	var w weightedShardTally
+	// Shard counts are non-negative (AssemblePartials checks remote ones),
+	// so a total wraps only past MaxInt64: an error, not a wrong answer.
+	// Per shard, by-band counts and weighted Ns are bounded by these.
+	overflow := false
+	add := func(total *int64, n int64) {
+		overflow = overflow || n > math.MaxInt64-*total
+		*total += n
+	}
 	for _, tc := range tallies {
-		res.SDC += tc.SDC
-		res.DUE += tc.DUE
-		res.Masked += tc.Masked
-		res.Upsets += tc.Upsets
-		res.Reprograms += tc.Reprograms
-		totalInteractions += tc.Interactions
+		add(&res.SDC, tc.SDC)
+		add(&res.DUE, tc.DUE)
+		add(&res.Masked, tc.Masked)
+		add(&res.Upsets, tc.Upsets)
+		add(&res.Reprograms, tc.Reprograms)
+		add(&totalInteractions, tc.Interactions)
 		for b, n := range tc.ByBand {
 			if n != 0 {
 				res.FaultsByBand[physics.EnergyBand(b)] += n
@@ -409,6 +421,9 @@ func (s *campaignSetup) assemble(ctx context.Context, tallies []shardTally, elap
 		if tc.Weighted != nil {
 			w.merge(tc.Weighted)
 		}
+	}
+	if overflow {
+		return nil, errors.New("beam: shard tallies overflow the campaign's int64 totals")
 	}
 	// Post campaign totals once, atomically, after the merge — per-run
 	// counter traffic from inside shards would be racy bookkeeping at
@@ -515,10 +530,10 @@ type shardRunner struct {
 	// weight alongside its integer count. It is fixed by the plan for the
 	// shard's lifetime, so its branches predict perfectly.
 	biased bool
-	// sample and wsample are the plan's hoisted alias-table views: the
-	// batched classify pass reads the fused 32-byte slots through a
-	// runner-local slice header instead of chasing the plan pointer per
-	// draw.
+	// sample (exact) or wsample (biased) is the plan's hoisted alias-table
+	// view, whichever the mode draws from: the batched classify pass reads
+	// the fused 32-byte slots through a runner-local slice header instead
+	// of chasing the plan pointer per draw.
 	sample     plan.Sampler
 	wsample    plan.WeightedSampler
 	inj        *faultinject.Injector
@@ -553,8 +568,6 @@ func newShardRunner(cfg Config, sh engine.Shard, pl *plan.CampaignPlan, inj *fau
 		lambda:       lambda,
 		expNegLambda: math.Exp(-lambda),
 		biased:       pl.IsBiased(),
-		sample:       pl.Sampler(),
-		wsample:      pl.WeightedSampler(),
 		inj:          inj,
 		steps:        inj.Steps(),
 		s:            sh.Stream,
@@ -562,7 +575,10 @@ func newShardRunner(cfg Config, sh engine.Shard, pl *plan.CampaignPlan, inj *fau
 		wCarried:     1,
 	}
 	if r.biased {
+		r.wsample = pl.WeightedSampler()
 		r.tc.Weighted = &weightedShardTally{}
+	} else {
+		r.sample = pl.Sampler()
 	}
 	return r
 }

@@ -97,6 +97,9 @@ func (t *shardTally) check(runs int, biased bool) error {
 		return fmt.Errorf("by_band[0] = %d, want 0", t.ByBand[0])
 	case !sumsTo(t.Upsets, t.ByBand[:]...):
 		return fmt.Errorf("by_band does not sum to upsets = %d", t.Upsets)
+	case t.Upsets > t.Interactions:
+		// The run loop makes at most one upset per interaction.
+		return fmt.Errorf("upsets = %d exceed interactions = %d", t.Upsets, t.Interactions)
 	}
 	w := t.Weighted
 	if w == nil {

@@ -16,7 +16,7 @@ import (
 
 // rangeCfg is a small multi-shard campaign: 2000 runs over grain 64 gives
 // a 32-shard plan cheap enough for the unit suite.
-func rangeCfg(t *testing.T, bias *plan.Bias) Config {
+func rangeCfg(t testing.TB, bias *plan.Bias) Config {
 	t.Helper()
 	var zynq *device.Device
 	for _, d := range device.All() {
@@ -42,7 +42,7 @@ func rangeCfg(t *testing.T, bias *plan.Bias) Config {
 
 // roundTrip pushes a Partial through its JSON wire form, as the cluster
 // protocol does, to prove the encoding is lossless.
-func roundTrip(t *testing.T, p *Partial) *Partial {
+func roundTrip(t testing.TB, p *Partial) *Partial {
 	t.Helper()
 	blob, err := json.Marshal(p)
 	if err != nil {
@@ -172,23 +172,23 @@ func TestAssemblePartialsRejectsBadCoverage(t *testing.T) {
 			t.Errorf("want error containing %q, got %v", want, err)
 		}
 	}
-	for _, tc := range []struct {
-		name   string
-		tamper func(*shardTally)
-		want   string
-	}{
-		{"negative-count", func(tl *shardTally) { tl.Reprograms = -1 }, "negative"},
-		{"flipped-count", func(tl *shardTally) { tl.SDC++ }, "runs"},
-		{"wrapped-count", func(tl *shardTally) { tl.SDC, tl.DUE = math.MaxInt64, math.MaxInt64; tl.Masked += 2 }, "runs"},
-		{"by-band-zero", func(tl *shardTally) { tl.ByBand[0]++; tl.Upsets++ }, "by_band[0]"},
-		{"by-band-sum", func(tl *shardTally) { tl.ByBand[1]++ }, "by_band does not sum"},
-	} {
+	for _, tc := range tallyTampers {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := roundTrip(t, a)
 			tc.tamper(&bad.Tallies[0])
 			rejects(t, cfg, []*Partial{bad, b}, tc.want)
 		})
 	}
+	t.Run("overflowing-total", func(t *testing.T) {
+		// Each shard obeys every per-shard law; only their sum wraps.
+		bad := roundTrip(t, a)
+		for i := 0; i < 2; i++ {
+			bad.Tallies[i].Interactions = wrapHalf
+			bad.Tallies[i].Upsets = wrapHalf
+			bad.Tallies[i].ByBand = [len(bad.Tallies[i].ByBand)]int64{1: wrapHalf}
+		}
+		rejects(t, cfg, []*Partial{bad, b}, "overflow")
+	})
 	t.Run("by-band-extra-entry", func(t *testing.T) {
 		// A by_band array one entry too long decodes silently truncated;
 		// the dropped upset then breaks Σby_band = upsets.
@@ -216,21 +216,7 @@ func TestAssemblePartialsRejectsBadCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name   string
-		tamper func(*weightedShardTally)
-		want   string
-	}{
-		{"weighted-draws", func(w *weightedShardTally) { w.Draws.Add(1) }, "weighted draws"},
-		{"weighted-sdc", func(w *weightedShardTally) { w.SDC.Add(1) }, "weighted sdc"},
-		{"weighted-due", func(w *weightedShardTally) { w.DUE.Add(1) }, "weighted due"},
-		{"weighted-masked", func(w *weightedShardTally) { w.Masked.N-- }, "weighted masked"},
-		{"weighted-upsets-by-band", func(w *weightedShardTally) { w.UpsetsByBand[1].Add(1) }, "weighted upsets_by_band"},
-		{"weighted-due-by-band", func(w *weightedShardTally) { w.DUEByBand[2].Add(1) }, "weighted due_by_band"},
-		{"weighted-negative", func(w *weightedShardTally) { w.UpsetsByBand[1].N--; w.UpsetsByBand[2].N++ }, "negative"},
-		{"non-finite", func(w *weightedShardTally) { w.Masked.SumW = math.NaN() }, "non-finite"},
-		{"non-finite-compensation", func(w *weightedShardTally) { w.Draws.CW2 = math.Inf(1) }, "non-finite"},
-	} {
+	for _, tc := range weightedTampers {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := roundTrip(t, ba)
 			tc.tamper(bad.Tallies[0].Weighted)
@@ -242,4 +228,123 @@ func TestAssemblePartialsRejectsBadCoverage(t *testing.T) {
 	if _, err := AssemblePartials(ctx, bcfg, []*Partial{roundTrip(t, ba), bb}); err != nil {
 		t.Errorf("valid biased partials rejected: %v", err)
 	}
+}
+
+// wrapHalf is 2^63 - 2^61: two shard counts of it wrap an int64 total to
+// -2^62.
+const wrapHalf = 6917529027641081856
+
+// tallyTampers each break one law of the run loop in a shard tally.
+var tallyTampers = []struct {
+	name   string
+	tamper func(*shardTally)
+	want   string
+}{
+	{"negative-count", func(tl *shardTally) { tl.Reprograms = -1 }, "negative"},
+	{"flipped-count", func(tl *shardTally) { tl.SDC++ }, "runs"},
+	{"wrapped-count", func(tl *shardTally) { tl.SDC, tl.DUE = math.MaxInt64, math.MaxInt64; tl.Masked += 2 }, "runs"},
+	{"by-band-zero", func(tl *shardTally) { tl.ByBand[0]++; tl.Upsets++ }, "by_band[0]"},
+	{"by-band-sum", func(tl *shardTally) { tl.ByBand[1]++ }, "by_band does not sum"},
+	{"upsets-exceed-interactions", func(tl *shardTally) { tl.Upsets, tl.ByBand[1] = wrapHalf, wrapHalf }, "exceed interactions"},
+}
+
+// weightedTampers each break one law of the weighted run loop in a
+// biased shard tally.
+var weightedTampers = []struct {
+	name   string
+	tamper func(*weightedShardTally)
+	want   string
+}{
+	{"weighted-draws", func(w *weightedShardTally) { w.Draws.Add(1) }, "weighted draws"},
+	{"weighted-sdc", func(w *weightedShardTally) { w.SDC.Add(1) }, "weighted sdc"},
+	{"weighted-due", func(w *weightedShardTally) { w.DUE.Add(1) }, "weighted due"},
+	{"weighted-masked", func(w *weightedShardTally) { w.Masked.N-- }, "weighted masked"},
+	{"weighted-upsets-by-band", func(w *weightedShardTally) { w.UpsetsByBand[1].Add(1) }, "weighted upsets_by_band"},
+	{"weighted-due-by-band", func(w *weightedShardTally) { w.DUEByBand[2].Add(1) }, "weighted due_by_band"},
+	{"weighted-negative", func(w *weightedShardTally) { w.UpsetsByBand[1].N--; w.UpsetsByBand[2].N++ }, "negative"},
+	{"non-finite", func(w *weightedShardTally) { w.Masked.SumW = math.NaN() }, "non-finite"},
+	{"non-finite-compensation", func(w *weightedShardTally) { w.Draws.CW2 = math.Inf(1) }, "non-finite"},
+}
+
+// FuzzAssemblePartials feeds AssemblePartials fuzzed JSON partial lists
+// for rangeCfg, exact and biased: shard partials are untrusted input from
+// peers. It must never panic, and a result it accepts must have
+// non-negative counts with SDC+DUE+Masked equal to the campaign's runs.
+// The corpus is seeded with valid splits, the coverage faults and the
+// tampers of TestAssemblePartialsRejectsBadCoverage, and partials whose
+// shard counts wrap an int64 total.
+func FuzzAssemblePartials(f *testing.F) {
+	ctx := context.Background()
+	cfgs := map[bool]Config{false: rangeCfg(f, nil), true: rangeCfg(f, &plan.Bias{Thermal: 8})}
+	add := func(biased bool, ps ...*Partial) {
+		// NaN and ±Inf have no JSON form, so the non-finite tampers
+		// cannot arrive over the wire; they are the only ones left out.
+		if blob, err := json.Marshal(ps); err == nil {
+			f.Add(biased, blob)
+		}
+	}
+	for _, biased := range []bool{false, true} {
+		cfg := cfgs[biased]
+		info, err := PlanInfo(ctx, cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		mid := info.Shards / 2
+		split := func(lo, hi int) *Partial {
+			p, err := RunRange(ctx, cfg, lo, hi)
+			if err != nil {
+				f.Fatal(err)
+			}
+			return roundTrip(f, p)
+		}
+		a, b, overlap := split(0, mid), split(mid, info.Shards), split(mid-1, info.Shards)
+		add(biased, a, b)
+		add(biased, a)
+		add(biased, a, overlap)
+		add(biased, a, a, b)
+		add(biased)
+		for _, tc := range tallyTampers {
+			bad := roundTrip(f, a)
+			tc.tamper(&bad.Tallies[0])
+			add(biased, bad, b)
+		}
+		if biased {
+			for _, tc := range weightedTampers {
+				bad := roundTrip(f, a)
+				tc.tamper(bad.Tallies[0].Weighted)
+				add(biased, bad, b)
+			}
+		}
+		for _, interactions := range []int64{0, wrapHalf} {
+			bad := roundTrip(f, a)
+			for i := 0; i < 2; i++ {
+				bad.Tallies[i].Upsets = wrapHalf
+				bad.Tallies[i].ByBand = [len(bad.Tallies[i].ByBand)]int64{1: wrapHalf}
+				bad.Tallies[i].Interactions += interactions
+			}
+			add(biased, bad, b)
+		}
+	}
+	f.Fuzz(func(t *testing.T, biased bool, blob []byte) {
+		var ps []*Partial
+		if json.Unmarshal(blob, &ps) != nil {
+			return
+		}
+		res, err := AssemblePartials(ctx, cfgs[biased], ps)
+		if err != nil {
+			return
+		}
+		counts := []int64{res.SDC, res.DUE, res.Masked, res.Upsets, res.Reprograms}
+		for _, n := range res.FaultsByBand {
+			counts = append(counts, n)
+		}
+		for _, n := range counts {
+			if n < 0 {
+				t.Fatalf("accepted partials assemble to a negative count: %+v", res)
+			}
+		}
+		if res.SDC+res.DUE+res.Masked != int64(res.Runs) {
+			t.Fatalf("sdc %d + due %d + masked %d ≠ runs %d", res.SDC, res.DUE, res.Masked, res.Runs)
+		}
+	})
 }

@@ -14,14 +14,28 @@ import (
 const benchPlanSamples = 20000
 
 // BenchmarkPlanCompileCold is the uncached campaign setup: derive the
-// calibration substream and compile the full plan, every iteration.
+// calibration substream and compile the full plan, every iteration. Its
+// table is the four plans the beam-campaigns workload compiles: exact and
+// thermally biased, on both beamlines.
 func BenchmarkPlanCompileCold(b *testing.B) {
 	d := device.K20()
-	sp := spectrum.ChipIR()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Compile(d, sp, benchPlanSamples, CalibrationStream(1))
+	for _, sp := range []spectrum.Spectrum{spectrum.ChipIR(), spectrum.ROTAX()} {
+		for _, bias := range []*Bias{nil, {Thermal: 10}} {
+			name := sp.Name() + "/exact"
+			if bias != nil {
+				name = sp.Name() + "/biased"
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if bias == nil {
+						_ = Compile(d, sp, benchPlanSamples, CalibrationStream(1))
+					} else if _, err := CompileBiased(d, sp, benchPlanSamples, CalibrationStream(1), *bias); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

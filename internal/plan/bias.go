@@ -97,12 +97,12 @@ func KeyForBiased(d *device.Device, sp spectrum.Spectrum, calSamples int, seed u
 	return hex.EncodeToString(h.Sum(nil)), true
 }
 
-// CompileBiased compiles a plan carrying both the exact alias table and a
-// band-biased one. The calibration pass is shared with Compile — same
-// stream consumption, same Kahan accumulation — so the exact table of a
-// biased plan is bit-identical to the plan Compile builds, and with
-// identity factors the biased table is bit-identical too (every per-band
-// weight then computes to exactly 1.0).
+// CompileBiased compiles a plan whose one alias table is band-biased. The
+// calibration pass is Compile's — same stream consumption, same Kahan
+// accumulation of the exact mass, which sets meanP — so with identity
+// factors the table is bit-identical to the exact plan's (every per-band
+// weight then computes to exactly 1.0). The plan carries no exact table:
+// every reader of a biased plan draws through its weights.
 //
 // The biased table reweights each calibration energy by its band's
 // factor; a draw from it carries the likelihood weight
@@ -111,67 +111,34 @@ func KeyForBiased(d *device.Device, sp spectrum.Spectrum, calSamples int, seed u
 //
 // where S and S' are the exact and biased calibration mass. E[w] = 1
 // under the biased distribution, which is exactly the unbiasedness of the
-// importance-sampling estimator.
+// importance-sampling estimator. A degenerate calibration (nothing
+// interacts, before or after biasing) falls back to the uniform table
+// with unit weights, so the weighted path stays exactly the exact path.
 func CompileBiased(d *device.Device, sp spectrum.Spectrum, n int, cal *rng.Stream, bias Bias) (*CampaignPlan, error) {
 	if err := bias.Validate(); err != nil {
 		return nil, err
 	}
-	energies, weights, sum := calibrate(d, sp, n, cal)
-	p := &CampaignPlan{
-		slots: buildSlots(energies, weights, sum),
-		meanP: sum / float64(n),
-		bias:  bias,
-	}
 	factors := bias.factors()
-	biasedWeights := make([]float64, n)
-	var bsum, comp float64
-	for i, w := range weights {
-		bw := w * factors[physics.Classify(energies[i])]
-		biasedWeights[i] = bw
-		y := bw - comp
-		t := bsum + y
-		comp = (t - bsum) - y
-		bsum = t
-	}
-	p.biased = buildSlots(energies, biasedWeights, bsum)
-	if sum <= 0 || bsum <= 0 {
-		// Degenerate calibration (nothing interacts, before or after
-		// biasing — the weights are non-negative, so the two degenerate
-		// together). Both tables fell back to uniform selection; unit
-		// weights keep the weighted path exactly the exact path.
-		for b := range p.bandW {
-			p.bandW[b] = 1
-		}
-		return p, nil
-	}
-	ratio := bsum / sum // exactly 1.0 for identity factors
-	for b := range p.bandW {
-		p.bandW[b] = ratio / factors[b]
-	}
-	return p, nil
+	return compile(d, sp, n, cal, &factors), nil
 }
 
-// IsBiased reports whether the plan carries a biased table (it was built
-// by CompileBiased — including with identity factors).
-func (p *CampaignPlan) IsBiased() bool { return p.biased != nil }
-
-// Bias returns the bias knob the plan was compiled with, and whether the
-// plan is biased at all.
-func (p *CampaignPlan) Bias() (Bias, bool) { return p.bias, p.biased != nil }
+// IsBiased reports whether the plan's table is the biased one (it was
+// built by CompileBiased — including with identity factors).
+func (p *CampaignPlan) IsBiased() bool { return p.biased }
 
 // BandWeight returns the likelihood weight a draw in the given band
 // carries (1 for exact plans and out-of-range bands).
 func (p *CampaignPlan) BandWeight(b physics.EnergyBand) float64 {
-	if p.biased == nil || int(b) < 0 || int(b) >= len(p.bandW) {
+	if int(b) < 0 || int(b) >= len(p.bandW) {
 		return 1
 	}
 	return p.bandW[b]
 }
 
-// SampleInteractionWeighted draws an interacting energy from the biased
-// table through the plan's WeightedSampler view and returns it with its
-// likelihood weight. On an exact plan it degrades to SampleInteraction
-// with weight 1, consuming the same stream state.
+// SampleInteractionWeighted draws an interacting energy through the plan's
+// WeightedSampler view and returns it with its likelihood weight. On an
+// exact plan it degrades to SampleInteraction with weight 1, consuming
+// the same stream state.
 func (p *CampaignPlan) SampleInteractionWeighted(s *rng.Stream) (units.Energy, float64) {
 	return p.WeightedSampler().Sample(s)
 }

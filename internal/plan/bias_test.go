@@ -97,6 +97,22 @@ func TestCompileBiasedIdentity(t *testing.T) {
 	}
 }
 
+// TestBiasedPlanHasNoUnweightedView pins that a biased plan, whose one
+// table is the biased one, refuses unweighted draws instead of returning
+// energies without their likelihood weights.
+func TestBiasedPlanHasNoUnweightedView(t *testing.T) {
+	p, err := CompileBiased(device.K20(), spectrum.ChipIR(), 64, CalibrationStream(1), Bias{Thermal: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Sampler on a biased plan did not panic")
+		}
+	}()
+	p.Sampler()
+}
+
 // TestCompileBiasedWeights pins the likelihood-weight arithmetic: for a
 // genuinely biased plan, w(band) = (S'/S)/factor(band), every draw's
 // weight matches its band, and the weighted draws remain an unbiased

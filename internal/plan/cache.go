@@ -12,9 +12,9 @@ import (
 )
 
 // DefaultCapacity bounds the Shared cache. A plan for the default 20k
-// calibration budget is ~640 KiB of slots, so the default keeps the cache
-// within a few tens of MiB; neutrond exposes -plan-cache-entries to tune
-// it (SetCapacity).
+// calibration budget, exact or biased, is one 625 KiB table of slots, so
+// the default keeps the cache near 40 MiB; neutrond exposes
+// -plan-cache-entries to tune it (SetCapacity).
 const DefaultCapacity = 64
 
 // Cache memoizes compiled campaign plans under their canonical keys with

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"hash"
 	"math"
+	"sync"
 
 	"neutronsim/internal/device"
 	"neutronsim/internal/physics"
@@ -33,18 +34,19 @@ import (
 type CampaignPlan struct {
 	key   string
 	meanP float64
+	// slots is the plan's one alias table: over the interaction
+	// probabilities for an exact plan, over the band-biased ones for a
+	// biased plan (CompileBiased).
 	slots []slot
 
-	// Importance-sampling extension (CompileBiased). biased is the alias
-	// table over the band-biased calibration weights — nil for exact
-	// plans — and bandW[b] is the likelihood weight every draw landing in
-	// band b carries: S'/(S·factor(b)), where S and S' are the exact and
-	// biased calibration mass. The weight depends only on the band, so
-	// the weighted draw needs no per-slot storage beyond the exact
-	// 32-byte layout.
-	biased []slot
+	// Importance-sampling extension (CompileBiased). biased marks a plan
+	// whose table is the band-biased one, and bandW[b] is the likelihood
+	// weight every draw landing in band b carries: S'/(S·factor(b)), where
+	// S and S' are the exact and biased calibration mass (1 in every band
+	// for an exact plan). The weight depends only on the band, so the
+	// weighted draw needs no per-slot storage beyond the 32-byte layout.
+	biased bool
 	bandW  [physics.NumBands + 1]float64
-	bias   Bias
 }
 
 // slot is one fused alias slot: accept keeps self, reject takes the
@@ -128,58 +130,98 @@ func keyHash(d *device.Device, sp spectrum.Spectrum, calSamples int, seed uint64
 // both meanP and the table. The caller owns cal only during the call; the
 // returned plan holds no reference to it.
 func Compile(d *device.Device, sp spectrum.Spectrum, n int, cal *rng.Stream) *CampaignPlan {
-	energies, weights, sum := calibrate(d, sp, n, cal)
-	return &CampaignPlan{
-		slots: buildSlots(energies, weights, sum),
-		meanP: sum / float64(n),
-	}
+	return compile(d, sp, n, cal, nil)
 }
 
-// calibrate draws the n calibration energies and their interaction
-// probabilities, Kahan-summing the probability mass. It is the shared
-// front half of Compile and CompileBiased — both consume the stream
-// identically, which is what makes a zero-bias plan's exact table
-// bit-identical to an unbiased plan's.
-func calibrate(d *device.Device, sp spectrum.Spectrum, n int, cal *rng.Stream) ([]units.Energy, []float64, float64) {
-	energies := make([]units.Energy, n)
-	weights := make([]float64, n)
-	var sum, comp float64
-	for i := 0; i < n; i++ {
-		e := sp.Sample(cal)
-		p := d.InteractionProbability(e)
-		energies[i] = e
-		weights[i] = p
-		y := p - comp
-		t := sum + y
-		comp = (t - sum) - y
-		sum = t
-	}
-	return energies, weights, sum
-}
-
-// buildSlots fuses an alias table over weights into 32-byte slots. A
-// non-positive total falls back to uniform selection over the calibration
-// energies (prob 1 ⇒ always self), the degenerate nothing-interacts case.
-func buildSlots(energies []units.Energy, weights []float64, sum float64) []slot {
-	slots := make([]slot, len(energies))
-	if sum <= 0 {
-		for i := range slots {
-			slots[i] = slot{prob: 1, self: energies[i], alias: energies[i]}
+// compile is the one calibration pass behind Compile and CompileBiased.
+// Each of the n draws writes its energy and its table weight straight
+// into its slot: the interaction probability for an exact plan (factors
+// nil), times its band's factor for a biased one. The exact mass (meanP)
+// and the table's mass are Kahan-summed in draw order, and the alias
+// table is built in place over the slots, so a compile allocates only the
+// table the plan keeps. Both entry points consume the stream identically,
+// which is what makes an identity-bias table bit-identical to the exact.
+func compile(d *device.Device, sp spectrum.Spectrum, n int, cal *rng.Stream, factors *[physics.NumBands + 1]float64) *CampaignPlan {
+	p := &CampaignPlan{slots: make([]slot, n), biased: factors != nil}
+	var sum, comp, mass, mcomp float64
+	var buf [256]units.Energy
+	for base := 0; base < n; base += len(buf) {
+		energies := buf[:min(len(buf), n-base)]
+		if m, ok := sp.(*spectrum.Mixture); ok {
+			m.SampleN(energies, cal) // the energies successive Samples draw
+		} else {
+			for i := range energies {
+				energies[i] = sp.Sample(cal)
+			}
 		}
-		return slots
+		for i, e := range energies {
+			pr := d.InteractionProbability(e)
+			w := pr
+			if factors != nil {
+				w *= factors[physics.Classify(e)]
+			}
+			if !(w >= 0) || math.IsInf(w, 1) {
+				panic(fmt.Sprintf("plan: calibration weight %v at %v eV is not finite and non-negative", w, e))
+			}
+			sum, comp = kahanAdd(sum, comp, pr)
+			mass, mcomp = kahanAdd(mass, mcomp, w)
+			p.slots[base+i] = slot{prob: w, self: e}
+		}
 	}
-	at, err := rng.NewAliasTable(weights)
-	if err != nil {
-		// Unreachable: interaction probabilities are finite, non-negative,
-		// and sum > 0 was checked above.
-		panic(fmt.Sprintf("plan: alias table over interaction probabilities: %v", err))
+	p.meanP = sum / float64(n)
+	fuse(p.slots, mass)
+	for b := range p.bandW {
+		p.bandW[b] = 1
+		if factors != nil && sum > 0 && mass > 0 {
+			p.bandW[b] = (mass / sum) / factors[b] // exactly 1.0 for identity factors
+		}
 	}
-	for i := range slots {
-		pr, a := at.Slot(i)
-		slots[i] = slot{prob: pr, self: energies[i], alias: energies[a]}
-	}
-	return slots
+	return p
 }
+
+// kahanAdd adds x to the compensated sum (sum, comp).
+func kahanAdd(sum, comp, x float64) (float64, float64) {
+	y := x - comp
+	t := sum + y
+	return t, (t - sum) - y
+}
+
+// fuse turns the weights held in the slots' prob fields, whose Kahan
+// total is mass, into the plan's alias table in place: rng.Vose on pooled
+// scratch, with each alias resolved to its energy, or uniform selection
+// over the calibration energies (prob 1 ⇒ always self) when nothing
+// interacts.
+func fuse(slots []slot, mass float64) {
+	if mass <= 0 {
+		for i := range slots {
+			slots[i].prob, slots[i].alias = 1, slots[i].self
+		}
+		return
+	}
+	n := len(slots)
+	sc := scratchPool.Get().(*voseScratch)
+	if cap(sc.prob) < n {
+		sc.prob, sc.alias, sc.work = make([]float64, n), make([]int32, n), make([]int32, n)
+	}
+	prob, alias := sc.prob[:n], sc.alias[:n]
+	for i := range prob {
+		prob[i] = slots[i].prob
+	}
+	rng.Vose(prob, alias, sc.work[:n], mass)
+	for i, a := range alias {
+		slots[i].prob, slots[i].alias = prob[i], slots[a].self
+	}
+	scratchPool.Put(sc)
+}
+
+// voseScratch is rng.Vose's working set, recycled so that a compile
+// allocates only the table the plan keeps.
+type voseScratch struct {
+	prob        []float64
+	alias, work []int32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(voseScratch) }}
 
 // Key returns the plan's cache key, or "" for plans compiled outside the
 // cache (direct Compile calls and fingerprint-less spectra).
@@ -193,8 +235,8 @@ func (p *CampaignPlan) MeanP() float64 { return p.meanP }
 func (p *CampaignPlan) Len() int { return len(p.slots) }
 
 // SampleInteraction draws an interacting energy (weighted by interaction
-// probability) in constant time through the plan's exact Sampler view. It
-// performs no allocations.
+// probability) in constant time through an exact plan's Sampler view; like
+// Sampler, it panics on a biased plan. It performs no allocations.
 func (p *CampaignPlan) SampleInteraction(s *rng.Stream) units.Energy {
 	return p.Sampler().Sample(s)
 }
@@ -218,7 +260,7 @@ func draw(slots []slot, s *rng.Stream) units.Energy {
 	return sl.alias
 }
 
-// Sampler is the batch-friendly view of the plan's exact alias table: the
+// Sampler is the batch-friendly view of an exact plan's alias table: the
 // fused 32-byte slot slice hoisted into a value the run loop keeps on its
 // own stack, so a batched classify pass does not reload the plan pointer
 // and re-derive the slice header on every draw.
@@ -226,16 +268,23 @@ type Sampler struct {
 	slots []slot
 }
 
-// Sampler returns the plan's exact-table sampling view.
-func (p *CampaignPlan) Sampler() Sampler { return Sampler{slots: p.slots} }
+// Sampler returns an exact plan's sampling view. A biased plan's one
+// table is the biased one, whose draws mean nothing without their
+// likelihood weights, so asking a biased plan for it panics: take its
+// WeightedSampler instead.
+func (p *CampaignPlan) Sampler() Sampler {
+	if p.biased {
+		panic("plan: unweighted draw from a biased plan")
+	}
+	return Sampler{slots: p.slots}
+}
 
 // Sample draws one interacting energy.
 func (v Sampler) Sample(s *rng.Stream) units.Energy { return draw(v.slots, s) }
 
 // WeightedSampler is Sampler for the weighted (importance-sampled) draw:
-// the active alias table — biased when the plan carries one, exact
-// otherwise — and the per-band likelihood weights, hoisted by value. On
-// an exact plan every weight is 1 and the draw consumes the stream
+// the plan's table and its per-band likelihood weights, hoisted by value.
+// On an exact plan every weight is 1 and the draw consumes the stream
 // exactly like the exact sampler.
 type WeightedSampler struct {
 	slots []slot
@@ -244,14 +293,7 @@ type WeightedSampler struct {
 
 // WeightedSampler returns the plan's weighted sampling view.
 func (p *CampaignPlan) WeightedSampler() WeightedSampler {
-	v := WeightedSampler{slots: p.biased, bandW: p.bandW}
-	if p.biased == nil {
-		v.slots = p.slots
-		for b := range v.bandW {
-			v.bandW[b] = 1
-		}
-	}
-	return v
+	return WeightedSampler{slots: p.slots, bandW: p.bandW}
 }
 
 // Sample draws one interacting energy with its likelihood weight: one
@@ -262,10 +304,10 @@ func (v WeightedSampler) Sample(s *rng.Stream) (units.Energy, float64) {
 	return e, v.bandW[physics.Classify(e)]
 }
 
-// Checksum content-hashes the compiled plan (meanP and every slot). Two
-// plans with equal checksums are bit-identical samplers; the conformance
-// suite uses this to prove a cache hit returns exactly the plan a fresh
-// Compile would build.
+// Checksum content-hashes the compiled plan (meanP and every slot, then
+// the band weights of a biased plan). Two plans with equal checksums are
+// bit-identical samplers; the conformance suite uses this to prove a
+// cache hit returns exactly the plan a fresh Compile would build.
 func (p *CampaignPlan) Checksum() string {
 	h := sha256.New()
 	h.Write([]byte("plan.checksum/v1\x00"))
@@ -280,18 +322,13 @@ func (p *CampaignPlan) Checksum() string {
 		writeF64(float64(p.slots[i].self))
 		writeF64(float64(p.slots[i].alias))
 	}
-	if p.biased != nil {
-		// Biased extension appended after the exact stream, so exact
-		// plans checksum exactly as before and a biased plan can never
-		// checksum-collide with its exact counterpart.
+	if p.biased {
+		// Appended after the table, so exact plans checksum exactly as
+		// before and a biased plan can never checksum-collide with its
+		// exact counterpart, even under identity factors.
 		h.Write([]byte("bias\x00"))
 		for _, w := range p.bandW {
 			writeF64(w)
-		}
-		for i := range p.biased {
-			writeF64(p.biased[i].prob)
-			writeF64(float64(p.biased[i].self))
-			writeF64(float64(p.biased[i].alias))
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))

@@ -64,7 +64,7 @@ func TestAliasTableExtremeDynamicRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < at.Len(); i++ {
-		p, a := at.Slot(i)
+		p, a := at.prob[i], int(at.alias[i])
 		if math.IsNaN(p) || p < 0 || p > 1 {
 			t.Fatalf("slot %d prob = %v", i, p)
 		}
@@ -131,7 +131,7 @@ func TestAliasTableMassConservation(t *testing.T) {
 	n := at.Len()
 	mass := make([]float64, n)
 	for i := 0; i < n; i++ {
-		p, a := at.Slot(i)
+		p, a := at.prob[i], int(at.alias[i])
 		mass[i] += p / float64(n)
 		mass[a] += (1 - p) / float64(n)
 	}

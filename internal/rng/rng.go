@@ -186,9 +186,11 @@ func (s *Stream) Split() *Stream {
 }
 
 // Float64 returns a uniform value in [0, 1).
-func (s *Stream) Float64() float64 {
-	return float64(s.Uint64()>>11) / (1 << 53)
-}
+func (s *Stream) Float64() float64 { return Float64From(s.Uint64()) }
+
+// Float64From maps one raw Uint64 output to the uniform Float64 derives
+// from it, for samplers that batch-generate their outputs with Fill.
+func Float64From(x uint64) float64 { return float64(x>>11) / (1 << 53) }
 
 // Float64Open returns a uniform value in (0, 1), safe for log transforms.
 func (s *Stream) Float64Open() float64 {

@@ -19,6 +19,7 @@ import (
 	"math"
 	"strings"
 
+	"neutronsim/internal/beam"
 	"neutronsim/internal/device"
 	"neutronsim/internal/memsim"
 	"neutronsim/internal/plan"
@@ -174,6 +175,37 @@ const (
 	defaultTransportGrain = 16384
 )
 
+// Request-size ceilings, enforced by Normalize (400) because running out
+// of memory is fatal: one oversized POST would kill the node, or in a
+// cluster the coordinator, whose PlanInfo compiles every campaign's plan.
+// Every request in the repo's tests, loadgen and neutronbench sits well
+// below them.
+const (
+	// maxSamples bounds the two sizes a compiled plan takes, beam
+	// cal_samples and biased xsection samples (an exact xsection query
+	// streams its samples in constant memory): at 32 bytes a slot, plans
+	// stay within 8 MiB and a full 64-entry plan cache within 512 MiB.
+	maxSamples = 1 << 18
+	// maxBeamRuns bounds duration_seconds / run_seconds, 8× the
+	// beam.MaxAutoRuns an auto-tuned campaign never exceeds.
+	maxBeamRuns = 1 << 24
+	// maxShards bounds the shards a campaign's work items make at its
+	// shard_grain, for every sharded kind: beam runs (beam.MaxAutoRuns
+	// when auto-tuned), memory passes and transport neutrons. The engine
+	// allocates every shard's descriptor, and transport its stream, up
+	// front.
+	maxShards = 1 << 16
+)
+
+// checkShards rejects a campaign whose items split into more than
+// maxShards shards of grain items.
+func checkShards(kind string, items float64, grain int) error {
+	if shards := math.Ceil(items / float64(grain)); shards > maxShards {
+		return fmt.Errorf("%s campaign of %g items at shard_grain %d makes %g shards, above the ceiling of %d", kind, items, grain, shards, maxShards)
+	}
+	return nil
+}
+
 // Normalize validates the request against the catalogs and returns a
 // canonical deep copy with every default filled in. Two requests that
 // normalize to equal values are the same campaign and share a cache entry.
@@ -252,8 +284,8 @@ func (n *CampaignRequest) normalizeBeam(p *BeamParams) error {
 	if b.Derating <= 0 || b.Derating > 1 {
 		return fmt.Errorf("beam derating must be in (0,1]")
 	}
-	if b.CalSamples < 0 {
-		return fmt.Errorf("beam cal_samples cannot be negative")
+	if b.CalSamples < 0 || b.CalSamples > maxSamples {
+		return fmt.Errorf("beam cal_samples must be in [0, %d]", maxSamples)
 	}
 	if b.CalSamples == 0 {
 		b.CalSamples = 20000
@@ -263,6 +295,16 @@ func (n *CampaignRequest) normalizeBeam(p *BeamParams) error {
 	}
 	if b.ShardGrain == 0 {
 		b.ShardGrain = defaultBeamGrain
+	}
+	runs := beam.MaxAutoRuns
+	if b.RunSeconds > 0 {
+		runs = b.DurationSeconds / b.RunSeconds
+	}
+	if runs > maxBeamRuns {
+		return fmt.Errorf("beam campaign of %g runs exceeds the ceiling of %d", runs, maxBeamRuns)
+	}
+	if err := checkShards("beam", runs, b.ShardGrain); err != nil {
+		return err
 	}
 	if b.Bias != nil {
 		if err := b.Bias.Validate(); err != nil {
@@ -354,6 +396,10 @@ func (n *CampaignRequest) normalizeMemory(p *MemoryParams) error {
 	if m.ShardGrain == 0 {
 		m.ShardGrain = defaultMemoryGrain
 	}
+	passes := math.Max(1, math.Floor(m.DurationSeconds/m.PassSeconds)) // as memsim counts them
+	if err := checkShards("memory", passes, m.ShardGrain); err != nil {
+		return err
+	}
 	n.Memory = &m
 	return nil
 }
@@ -398,6 +444,9 @@ func (n *CampaignRequest) normalizeTransport(p *TransportParams) error {
 	if t.ShardGrain == 0 {
 		t.ShardGrain = defaultTransportGrain
 	}
+	if err := checkShards("transport", float64(t.Neutrons), t.ShardGrain); err != nil {
+		return err
+	}
 	n.Transport = &t
 	return nil
 }
@@ -425,6 +474,9 @@ func (n *CampaignRequest) normalizeXsection(p *XsectionParams) error {
 	if x.Bias != nil {
 		if err := x.Bias.Validate(); err != nil {
 			return err
+		}
+		if x.Samples > maxSamples {
+			return fmt.Errorf("biased xsection samples must not exceed %d", maxSamples)
 		}
 		bias := *x.Bias
 		x.Bias = &bias

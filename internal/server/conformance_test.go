@@ -414,6 +414,15 @@ var invalidSubmits = []struct {
 	{"unknown material", `{"kind":"transport","transport":{"slabs":[{"material":"unobtainium","thickness_cm":1}],"neutrons":100}}`},
 	{"two sections", `{"kind":"beam","beam":{"device":"K20","workload":"MxM","spectrum":"ChipIR","duration_seconds":1},"memory":{"generation":"DDR3","duration_seconds":1}}`},
 	{"zero duration", `{"kind":"beam","beam":{"device":"K20","workload":"MxM","spectrum":"ChipIR"}}`},
+	// Request-size ceilings: each of these used to be accepted and then
+	// kill the node with a fatal out-of-memory error.
+	{"huge cal_samples", `{"kind":"beam","beam":{"device":"K20","workload":"MxM","spectrum":"ChipIR","duration_seconds":2,"cal_samples":400000000}}`},
+	{"huge xsection samples", `{"kind":"xsection","xsection":{"boron_per_cm2":1e14,"qcrit_fc":3,"spectrum":"ROTAX","samples":400000000,"bias":{"thermal":10}}}`},
+	{"huge run count", `{"kind":"beam","beam":{"device":"K20","workload":"MxM","spectrum":"ChipIR","duration_seconds":1e6,"run_seconds":1e-9}}`},
+	{"huge shard count", `{"kind":"beam","beam":{"device":"K20","workload":"MxM","spectrum":"ChipIR","duration_seconds":100000,"run_seconds":0.01,"shard_grain":1}}`},
+	{"huge auto-tuned shard count", `{"kind":"beam","beam":{"device":"K20","workload":"MxM","spectrum":"ChipIR","duration_seconds":2,"shard_grain":1}}`},
+	{"huge memory shard count", `{"kind":"memory","memory":{"generation":"DDR3","duration_seconds":1e12,"pass_seconds":1e-3,"shard_grain":1}}`},
+	{"huge transport shard count", `{"kind":"transport","transport":{"slabs":[{"material":"Water","thickness_cm":1}],"neutrons":4000000000,"shard_grain":1}}`},
 }
 
 // TestSubmitValidation exercises the 400 paths.
@@ -433,6 +442,18 @@ func TestSubmitValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
 		}
+	}
+}
+
+// TestNormalizeExactXsectionUncapped checks that maxSamples bounds only a
+// biased xsection query, which compiles a plan of its samples; the exact
+// query streams them in constant memory.
+func TestNormalizeExactXsectionUncapped(t *testing.T) {
+	req := &CampaignRequest{Kind: KindXsection, Xsection: &XsectionParams{
+		BoronPerCm2: 1e14, QcritFC: 3, Spectrum: "ROTAX", Samples: 4 * maxSamples,
+	}}
+	if _, err := req.Normalize(); err != nil {
+		t.Fatalf("exact xsection of %d samples rejected: %v", req.Xsection.Samples, err)
 	}
 }
 

@@ -290,3 +290,31 @@ func TestLogNormalBumpTruncation(t *testing.T) {
 		}
 	}
 }
+
+// TestSampleNMatchesSample pins the batch draw to the scalar one: for
+// batch lengths around the internal Fill batch, on plain and read-ahead
+// streams, SampleN must return exactly the energies successive Sample
+// calls return and leave the stream in the same state.
+func TestSampleNMatchesSample(t *testing.T) {
+	for _, m := range []*Mixture{ChipIR(), ROTAX()} {
+		for _, n := range []int{0, 1, 255, 256, 257, 1000} {
+			for _, ahead := range []int{0, 7} {
+				scalar, batch := rng.New(uint64(n)), rng.New(uint64(n))
+				scalar.ReadAhead(ahead)
+				batch.ReadAhead(ahead)
+				scalar.Uint64() // start mid read-ahead buffer
+				batch.Uint64()
+				got := make([]units.Energy, n)
+				m.SampleN(got, batch)
+				for i := range got {
+					if want := m.Sample(scalar); got[i] != want {
+						t.Fatalf("%s n=%d ahead=%d: energy %d = %v, Sample gives %v", m.Name(), n, ahead, i, got[i], want)
+					}
+				}
+				if scalar.Uint64() != batch.Uint64() {
+					t.Fatalf("%s n=%d ahead=%d: SampleN left the stream elsewhere than Sample", m.Name(), n, ahead)
+				}
+			}
+		}
+	}
+}
