@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -69,7 +70,7 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown band %q", *band)
 	}
-	res, err := memsim.Run(cfg)
+	res, err := memsim.RunContext(context.Background(), cfg)
 	if err != nil {
 		return err
 	}

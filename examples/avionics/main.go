@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func main() {
 	fastSource := func(st *rng.Stream) units.Energy {
 		return units.Energy(st.WattEnergy(0.988, 2.249) * 1e6)
 	}
-	albedo, err := transport.ThermalAlbedo(materials.Kerosene(), 30, 20000, fastSource, s)
+	albedo, err := transport.ThermalAlbedoContext(context.Background(), materials.Kerosene(), 30, 20000, fastSource, s)
 	if err != nil {
 		log.Fatal(err)
 	}

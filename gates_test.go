@@ -17,7 +17,6 @@ import (
 	"neutronsim/internal/spectrum"
 	"neutronsim/internal/surrogate"
 	"neutronsim/internal/telemetry"
-	"neutronsim/internal/vr"
 )
 
 var gates = []struct {
@@ -91,7 +90,7 @@ func gatePlanWarmHit(b *testing.B) float64 {
 // bit for bit, and the thermal bias must reach the exact thermal-DUE CI
 // width from the floor's factor fewer neutrons.
 func gateVRReduction(b *testing.B) float64 {
-	rep, err := vr.Compare(vr.DefaultOptions())
+	rep, err := compareVR(24000)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -154,7 +153,7 @@ func gateSurrogateSpeedup(b *testing.B) float64 {
 // library result, storms must see no errors, and a 3-worker fleet must
 // saturate above a single node by the floor.
 func gateClusterSaturation(b *testing.B) float64 {
-	rep, err := cluster.CompareBench(context.Background(), cluster.DefaultBenchOptions())
+	rep, err := cluster.CompareBench(context.Background(), 3*time.Second)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -185,7 +184,7 @@ func gateEngineScaling(b *testing.B) float64 {
 			Shards: workers, ShardGrain: 64,
 		}
 		var err error
-		ns := nsPerOp(func() { _, err = beam.Run(cfg) })
+		ns := nsPerOp(func() { _, err = beam.RunContext(context.Background(), cfg) })
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -160,11 +160,6 @@ type WeightedResult struct {
 	DUEByBand    map[physics.EnergyBand]stats.Weighted `json:"due_by_band"`
 }
 
-// Run executes the campaign and reports counts and cross sections.
-func Run(cfg Config) (*Result, error) {
-	return RunContext(context.Background(), cfg)
-}
-
 // defaultShardGrain is the number of beam runs per engine shard. Large
 // enough that a shard amortizes its golden-workload replay setup, small
 // enough that auto-tuned campaigns (up to MaxAutoRuns) decompose into
@@ -320,8 +315,9 @@ func (s *campaignSetup) runShard(sh engine.Shard, events *atomic.Int64) (shardTa
 	return runShard(s.cfg, sh, s.pl, inj, s.lambda, events), nil
 }
 
-// RunContext is Run with a caller context, so the campaign's telemetry
-// spans nest under any span the caller has open (e.g. core.assess).
+// RunContext executes the campaign and reports counts and cross sections.
+// Its telemetry spans nest under any span the caller has open (e.g.
+// core.assess), and cancellation stops it at the next shard boundary.
 //
 // The runs loop executes on the sharded engine: each shard of ShardGrain
 // runs draws from its own stream (engine.StreamForShard(Seed, shard)) and
@@ -765,33 +761,6 @@ func (p Pair) SDCRatio() (ratio, lo, hi float64) {
 // approximate 95% interval.
 func (p Pair) DUERatio() (ratio, lo, hi float64) {
 	return stats.RatioCI(p.Fast.DUECrossSection, p.Thermal.DUECrossSection)
-}
-
-// RunPair runs the same device and workload on both beamlines — exactly
-// the paper's protocol ("we irradiate the same physical devices executing
-// the codes with the same input both in ROTAX and in ChipIR").
-func RunPair(d *device.Device, workloadName string, fastSeconds, thermalSeconds float64, seed uint64) (Pair, error) {
-	fast, err := Run(Config{
-		Device:          d,
-		WorkloadName:    workloadName,
-		Beam:            spectrum.ChipIR(),
-		DurationSeconds: fastSeconds,
-		Seed:            seed,
-	})
-	if err != nil {
-		return Pair{}, fmt.Errorf("beam: ChipIR campaign: %w", err)
-	}
-	thermal, err := Run(Config{
-		Device:          d,
-		WorkloadName:    workloadName,
-		Beam:            spectrum.ROTAX(),
-		DurationSeconds: thermalSeconds,
-		Seed:            seed + 1,
-	})
-	if err != nil {
-		return Pair{}, fmt.Errorf("beam: ROTAX campaign: %w", err)
-	}
-	return Pair{Fast: fast, Thermal: thermal}, nil
 }
 
 // Merge combines campaign results from multiple workloads on one device

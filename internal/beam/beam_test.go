@@ -1,6 +1,7 @@
 package beam
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -41,12 +42,12 @@ func TestRunValidation(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := valid
 			tt.mutate(&cfg)
-			if _, err := Run(cfg); err == nil {
+			if _, err := RunContext(context.Background(), cfg); err == nil {
 				t.Error("expected error")
 			}
 		})
 	}
-	if _, err := Run(Config{
+	if _, err := RunContext(context.Background(), Config{
 		Device:          device.K20(),
 		WorkloadName:    "not-a-benchmark",
 		Beam:            spectrum.ChipIR(),
@@ -65,7 +66,7 @@ func TestRunConservationAndFluence(t *testing.T) {
 		RunSeconds:      0.05,
 		Seed:            1,
 	}
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +91,11 @@ func TestRunDeterministic(t *testing.T) {
 		RunSeconds:      0.05,
 		Seed:            7,
 	}
-	r1, err := Run(cfg)
+	r1, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(cfg)
+	r2, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +113,12 @@ func TestDeratingScalesFluence(t *testing.T) {
 		RunSeconds:      0.05,
 		Seed:            3,
 	}
-	full, err := Run(base)
+	full, err := RunContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base.Derating = 0.5
-	half, err := Run(base)
+	half, err := RunContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestDeratingScalesFluence(t *testing.T) {
 
 func TestBandAttribution(t *testing.T) {
 	// At ROTAX, faults must be thermal/epithermal; at ChipIR, mostly fast.
-	rotax, err := Run(Config{
+	rotax, err := RunContext(context.Background(), Config{
 		Device:          boosted(device.K20(), 400),
 		WorkloadName:    "MxM",
 		Beam:            spectrum.ROTAX(),
@@ -155,7 +156,7 @@ func TestBandAttribution(t *testing.T) {
 	if rotax.FaultsByBand[physics.BandThermal] == 0 {
 		t.Errorf("no thermal faults at ROTAX: %v", rotax.FaultsByBand)
 	}
-	chip, err := Run(Config{
+	chip, err := RunContext(context.Background(), Config{
 		Device:          boosted(device.K20(), 400),
 		WorkloadName:    "MxM",
 		Beam:            spectrum.ChipIR(),
@@ -178,10 +179,16 @@ func TestRunPairRatioK20(t *testing.T) {
 	// K20 target: total ratio ≈ 2.2, SDC ratio ≈ 2. Boosted device keeps
 	// the ratio; verify within generous statistics.
 	d := boosted(device.K20(), 300)
-	pair, err := RunPair(d, "MxM", 30, 240, 11)
-	if err != nil {
-		t.Fatal(err)
+	campaign := func(sp *spectrum.Mixture, seconds float64, seed uint64) *Result {
+		res, err := RunContext(context.Background(), Config{
+			Device: d, WorkloadName: "MxM", Beam: sp, DurationSeconds: seconds, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
+	pair := Pair{Fast: campaign(spectrum.ChipIR(), 30, 11), Thermal: campaign(spectrum.ROTAX(), 240, 12)}
 	ratio, lo, hi := pair.SDCRatio()
 	if math.IsNaN(ratio) {
 		t.Fatalf("no ratio: fast SDC %d thermal SDC %d", pair.Fast.SDC, pair.Thermal.SDC)
@@ -195,7 +202,7 @@ func TestRunPairRatioK20(t *testing.T) {
 }
 
 func TestFPGAPersistenceAndReprogram(t *testing.T) {
-	res, err := Run(Config{
+	res, err := RunContext(context.Background(), Config{
 		Device:          boosted(device.FPGA(), 2000),
 		WorkloadName:    "MNIST",
 		Beam:            spectrum.ROTAX(),
@@ -221,7 +228,7 @@ func TestFPGAPersistenceAndReprogram(t *testing.T) {
 func TestMerge(t *testing.T) {
 	d := boosted(device.K20(), 200)
 	mk := func(wl string, seed uint64) *Result {
-		res, err := Run(Config{
+		res, err := RunContext(context.Background(), Config{
 			Device:          d,
 			WorkloadName:    wl,
 			Beam:            spectrum.ChipIR(),
@@ -259,7 +266,7 @@ func TestMergeValidation(t *testing.T) {
 }
 
 func TestResultString(t *testing.T) {
-	res, err := Run(Config{
+	res, err := RunContext(context.Background(), Config{
 		Device:          boosted(device.K20(), 100),
 		WorkloadName:    "MxM",
 		Beam:            spectrum.ChipIR(),
@@ -279,7 +286,7 @@ func TestResultString(t *testing.T) {
 }
 
 func TestBoronFreeDeviceSeesNothingAtROTAX(t *testing.T) {
-	res, err := Run(Config{
+	res, err := RunContext(context.Background(), Config{
 		Device:          boosted(device.BoronFree(device.K20()), 400),
 		WorkloadName:    "MxM",
 		Beam:            spectrum.ROTAX(),
@@ -309,7 +316,7 @@ func stats_RelWidth(r *Result) float64 {
 func TestUnitsSanity(t *testing.T) {
 	// One second at full ChipIR flux on a 1 cm² die ⇒ fluence equals flux.
 	d := device.FPGA() // 1 cm²
-	res, err := Run(Config{
+	res, err := RunContext(context.Background(), Config{
 		Device:          d,
 		WorkloadName:    "MNIST",
 		Beam:            spectrum.ChipIR(),

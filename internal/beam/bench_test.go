@@ -1,6 +1,7 @@
 package beam
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 
@@ -112,7 +113,7 @@ func BenchmarkCampaignSingleThread(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg); err != nil {
+		if _, err := RunContext(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

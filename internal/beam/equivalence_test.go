@@ -1,6 +1,7 @@
 package beam
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -53,12 +54,12 @@ func equivalenceBias(sp spectrum.Spectrum) *plan.Bias {
 func TestZeroBiasIdentity(t *testing.T) {
 	for _, sp := range []spectrum.Spectrum{spectrum.ChipIR(), spectrum.ROTAX()} {
 		cfg := equivalenceConfig(device.FPGA(), sp, 17)
-		exact, err := Run(cfg)
+		exact, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Bias = &plan.Bias{}
-		unit, err := Run(cfg)
+		unit, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,12 +113,12 @@ func TestWeightedEquivalenceAllDevices(t *testing.T) {
 				t.Parallel()
 				seed := uint64(900 + i)
 				cfg := equivalenceConfig(d, sp, seed)
-				exact, err := Run(cfg)
+				exact, err := RunContext(context.Background(), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				cfg.Bias = equivalenceBias(sp)
-				biased, err := Run(cfg)
+				biased, err := RunContext(context.Background(), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package beam
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -33,11 +34,11 @@ func TestConcurrentCampaignsMatchSerial(t *testing.T) {
 	cfgA := mkCfg(101, spectrum.ChipIR())
 	cfgB := mkCfg(202, spectrum.ROTAX())
 
-	refA, err := Run(cfgA)
+	refA, err := RunContext(context.Background(), cfgA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refB, err := Run(cfgB)
+	refB, err := RunContext(context.Background(), cfgB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +50,11 @@ func TestConcurrentCampaignsMatchSerial(t *testing.T) {
 	chA := make(chan out, 1)
 	chB := make(chan out, 1)
 	go func() {
-		r, err := Run(cfgA)
+		r, err := RunContext(context.Background(), cfgA)
 		chA <- out{r, err}
 	}()
 	go func() {
-		r, err := Run(cfgB)
+		r, err := RunContext(context.Background(), cfgB)
 		chB <- out{r, err}
 	}()
 	gotA, gotB := <-chA, <-chB

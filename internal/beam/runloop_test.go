@@ -1,6 +1,7 @@
 package beam
 
 import (
+	"context"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -129,7 +130,7 @@ func TestNeutronsSampledCountsCalibrationOnly(t *testing.T) {
 	reg := telemetry.Default
 	sampledBefore := reg.Counter("beam.neutrons_sampled").Value()
 	interactionsBefore := reg.Counter("beam.interactions").Value()
-	_, err := Run(Config{
+	_, err := RunContext(context.Background(), Config{
 		Device:          d,
 		WorkloadName:    "MxM",
 		Beam:            spectrum.ChipIR(),

@@ -11,65 +11,28 @@ import (
 	"neutronsim/internal/telemetry"
 )
 
-// BenchOptions shapes the single-node vs cluster comparison.
-//
-// The fleet's advantage on this machine is aggregate cache capacity, not
-// CPU count: every node shares the same cores, so fanning compute out
-// buys nothing, but HRW routing shards the key space across per-worker
-// result caches. The bench therefore picks Keys larger than one node's
-// cache (the single node thrashes and recomputes) but smaller than the
-// fleet's combined capacity (each worker's key shard fits, so steady
-// state answers from cache). The headline number is the saturation
-// throughput ratio at equal offered load.
-type BenchOptions struct {
-	// Workers is the fleet size behind the coordinator (default 3).
-	Workers int
-	// Keys is the distinct-campaign key space (default 45).
-	Keys int
-	// CacheEntries bounds every node's result cache (default 16): one
-	// node holds 16/45 of the keys, the 3-worker fleet all of them.
-	CacheEntries int
-	// Concurrency is the loadgen's closed-loop in-flight requests
-	// (default 8).
-	Concurrency int
-	// Duration is each measured storm (default 3s).
-	Duration time.Duration
-	// CampaignSeconds sizes each key's compute so a recompute visibly
-	// outweighs a forwarded cache hit (default 2000 beam-seconds, about
-	// 200k runs — tens of milliseconds of CPU per miss).
-	CampaignSeconds float64
-	// Distribution is the loadgen key distribution (default uniform —
-	// the worst case for a single small cache).
-	Distribution string
-}
-
-func (o BenchOptions) withDefaults() BenchOptions {
-	if o.Workers <= 0 {
-		o.Workers = 3
-	}
-	if o.Keys <= 0 {
-		o.Keys = 45
-	}
-	if o.CacheEntries <= 0 {
-		o.CacheEntries = 16
-	}
-	if o.Concurrency <= 0 {
-		o.Concurrency = 8
-	}
-	if o.Duration <= 0 {
-		o.Duration = 3 * time.Second
-	}
-	if o.CampaignSeconds <= 0 {
-		o.CampaignSeconds = 2000
-	}
-	if o.Distribution == "" {
-		o.Distribution = "uniform"
-	}
-	return o
-}
-
-// DefaultBenchOptions returns the configuration the gate table runs.
-func DefaultBenchOptions() BenchOptions { return BenchOptions{}.withDefaults() }
+// The single-node vs cluster comparison. The fleet's advantage on this
+// machine is aggregate cache capacity, not CPU count: every node shares
+// the same cores, so fanning compute out buys nothing, but HRW routing
+// shards the key space across per-worker result caches. The bench
+// therefore picks more keys than one node's cache holds (the single node
+// thrashes and recomputes) but fewer than the fleet's combined capacity
+// (each worker's key shard fits, so steady state answers from cache). The
+// headline number is the saturation throughput ratio at equal offered
+// load, under a uniform key distribution, the worst case for a single
+// small cache.
+const (
+	benchWorkers = 3  // fleet size behind the coordinator
+	benchKeys    = 45 // distinct-campaign key space
+	// benchCacheEntries bounds every node's result cache: one node holds
+	// 16/45 of the keys, the 3-worker fleet all of them.
+	benchCacheEntries = 16
+	benchConcurrency  = 8 // the loadgen's closed-loop in-flight requests
+	// benchCampaignSeconds sizes each key's compute so a recompute visibly
+	// outweighs a forwarded cache hit: about 200k runs, tens of
+	// milliseconds of CPU per miss.
+	benchCampaignSeconds = 2000
+)
 
 // BenchReport is the outcome of one single-node vs cluster comparison.
 type BenchReport struct {
@@ -167,20 +130,20 @@ func warm(ctx context.Context, target string, keys int, campaign func(int) *serv
 	return nil
 }
 
-// CompareBench runs the two topologies under the same storm and reports.
-func CompareBench(ctx context.Context, o BenchOptions) (*BenchReport, error) {
-	o = o.withDefaults()
-	campaign := BenchCampaign(o.CampaignSeconds)
+// CompareBench runs the two topologies under the same storm, each storm
+// lasting the given duration, and reports.
+func CompareBench(ctx context.Context, storm time.Duration) (*BenchReport, error) {
+	campaign := BenchCampaign(benchCampaignSeconds)
 
 	// Single node: one server, one small cache.
-	_, singleTS := benchServer(o.CacheEntries)
+	_, singleTS := benchServer(benchCacheEntries)
 	defer singleTS.Close()
 
-	// Cluster: coordinator in front of Workers nodes, same cache size
+	// Cluster: coordinator in front of benchWorkers nodes, same cache size
 	// everywhere.
 	var peerURLs []string
-	for i := 0; i < o.Workers; i++ {
-		_, ts := benchServer(o.CacheEntries)
+	for i := 0; i < benchWorkers; i++ {
+		_, ts := benchServer(benchCacheEntries)
 		defer ts.Close()
 		peerURLs = append(peerURLs, ts.URL)
 	}
@@ -192,12 +155,12 @@ func CompareBench(ctx context.Context, o BenchOptions) (*BenchReport, error) {
 		Registry:       telemetry.NewRegistry(),
 	})
 	coord.Start(coordCtx)
-	if len(coord.Peers().Healthy()) != o.Workers {
-		return nil, fmt.Errorf("only %d/%d workers healthy", len(coord.Peers().Healthy()), o.Workers)
+	if len(coord.Peers().Healthy()) != benchWorkers {
+		return nil, fmt.Errorf("only %d/%d workers healthy", len(coord.Peers().Healthy()), benchWorkers)
 	}
 	coordSrv := server.New(server.Config{
 		Workers:      8,
-		CacheEntries: o.CacheEntries,
+		CacheEntries: benchCacheEntries,
 		Execute:      coord.Execute,
 		Registry:     telemetry.NewRegistry(),
 	})
@@ -209,20 +172,20 @@ func CompareBench(ctx context.Context, o BenchOptions) (*BenchReport, error) {
 		return nil, fmt.Errorf("identity check: %w", err)
 	}
 
-	if err := warm(ctx, singleTS.URL, o.Keys, campaign); err != nil {
+	if err := warm(ctx, singleTS.URL, benchKeys, campaign); err != nil {
 		return nil, err
 	}
-	if err := warm(ctx, coordTS.URL, o.Keys, campaign); err != nil {
+	if err := warm(ctx, coordTS.URL, benchKeys, campaign); err != nil {
 		return nil, err
 	}
 
 	load := func(target string) (*Report, error) {
 		return RunLoad(ctx, LoadConfig{
 			Target:       target,
-			Concurrency:  o.Concurrency,
-			Duration:     o.Duration,
-			Keys:         o.Keys,
-			Distribution: o.Distribution,
+			Concurrency:  benchConcurrency,
+			Duration:     storm,
+			Keys:         benchKeys,
+			Distribution: "uniform",
 			Seed:         12345,
 			Campaign:     campaign,
 		})

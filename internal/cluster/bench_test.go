@@ -26,9 +26,7 @@ func TestClusterBenchQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping cluster storm in -short mode")
 	}
-	o := DefaultBenchOptions()
-	o.Duration = 800 * time.Millisecond
-	rep, err := CompareBench(context.Background(), o)
+	rep, err := CompareBench(context.Background(), 800*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,9 +50,7 @@ func TestClusterBenchQuick(t *testing.T) {
 // its floor live in the root BenchmarkGates table).
 func BenchmarkClusterStorm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		o := DefaultBenchOptions()
-		o.Duration = 500 * time.Millisecond
-		if _, err := CompareBench(context.Background(), o); err != nil {
+		if _, err := CompareBench(context.Background(), 500*time.Millisecond); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,25 +16,12 @@ func hrwScore(key, node string) uint64 {
 	return h.Sum64()
 }
 
-// Owner returns the highest-random-weight node for key among nodes, or ""
-// when nodes is empty. Every caller with the same node list computes the
-// same owner without coordination, and removing a node only reassigns the
-// keys that node owned — the property that keeps cache shards stable as
-// peers fail and return.
-func Owner(key string, nodes []string) string {
-	var best string
-	var bestScore uint64
-	for _, n := range nodes {
-		if s := hrwScore(key, n); best == "" || s > bestScore || (s == bestScore && n < best) {
-			best, bestScore = n, s
-		}
-	}
-	return best
-}
-
 // Rank returns nodes ordered by descending rendezvous weight for key: the
-// failover sequence. Rank(k, ns)[0] == Owner(k, ns); if the owner is
-// down, the next entry is the fallback every node agrees on.
+// failover sequence. Rank(k, ns)[0] is the key's owner: every caller with
+// the same node list computes the same owner without coordination, and
+// removing a node only reassigns the keys that node owned — the property
+// that keeps cache shards stable as peers fail and return. If the owner
+// is down, the next entry is the fallback every node agrees on.
 func Rank(key string, nodes []string) []string {
 	type scored struct {
 		node  string

@@ -9,20 +9,16 @@ func TestOwnerDeterministicAndRankConsistent(t *testing.T) {
 	nodes := []string{"http://a:1", "http://b:2", "http://c:3"}
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		owner := Owner(key, nodes)
-		if owner == "" {
-			t.Fatalf("empty owner for %q", key)
+		rank := Rank(key, nodes)
+		if len(rank) != len(nodes) || rank[0] == "" {
+			t.Fatalf("Rank(%q) = %v", key, rank)
 		}
-		if owner != Owner(key, []string{nodes[2], nodes[0], nodes[1]}) {
+		if rank[0] != Rank(key, []string{nodes[2], nodes[0], nodes[1]})[0] {
 			t.Errorf("owner of %q depends on node order", key)
 		}
-		rank := Rank(key, nodes)
-		if len(rank) != len(nodes) || rank[0] != owner {
-			t.Errorf("Rank(%q)[0] = %v, want owner %q", key, rank, owner)
-		}
 	}
-	if Owner("k", nil) != "" {
-		t.Error("Owner with no nodes should be empty")
+	if len(Rank("k", nil)) != 0 {
+		t.Error("Rank with no nodes should be empty")
 	}
 }
 
@@ -33,7 +29,7 @@ func TestOwnerSpreadsKeys(t *testing.T) {
 	counts := map[string]int{}
 	const keys = 3000
 	for i := 0; i < keys; i++ {
-		counts[Owner(fmt.Sprintf("key-%d", i), nodes)]++
+		counts[Rank(fmt.Sprintf("key-%d", i), nodes)[0]]++
 	}
 	for _, n := range nodes {
 		if counts[n] < keys/10 {
@@ -49,8 +45,8 @@ func TestOwnerMinimalDisruption(t *testing.T) {
 	survivors := []string{"http://a:1", "http://c:3"}
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		before := Owner(key, nodes)
-		after := Owner(key, survivors)
+		before := Rank(key, nodes)[0]
+		after := Rank(key, survivors)[0]
 		if before != "http://b:2" && after != before {
 			t.Errorf("key %q moved %s -> %s though its owner survived", key, before, after)
 		}

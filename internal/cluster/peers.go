@@ -49,9 +49,6 @@ func NewPeerSet(peers []string, client *http.Client) *PeerSet {
 	return ps
 }
 
-// Peers returns the configured peer list (healthy or not), in order.
-func (ps *PeerSet) Peers() []string { return append([]string(nil), ps.peers...) }
-
 // Poll probes every peer's /readyz once, concurrently, and updates
 // health. It returns the number of healthy peers.
 func (ps *PeerSet) Poll(ctx context.Context) int {
@@ -143,23 +140,4 @@ func (ps *PeerSet) MarkDown(peer string, cooldown time.Duration) {
 		st.healthy = false
 		st.downUntil = time.Now().Add(cooldown)
 	}
-}
-
-// PeerHealth is one row of Snapshot.
-type PeerHealth struct {
-	Peer    string            `json:"peer"`
-	Healthy bool              `json:"healthy"`
-	Ready   server.ReadyzInfo `json:"ready"`
-}
-
-// Snapshot reports every peer's last observed state, in configured order.
-func (ps *PeerSet) Snapshot() []PeerHealth {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	out := make([]PeerHealth, 0, len(ps.peers))
-	for _, p := range ps.peers {
-		st := ps.st[p]
-		out = append(out, PeerHealth{Peer: p, Healthy: st.healthy, Ready: st.ready})
-	}
-	return out
 }

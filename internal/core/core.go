@@ -43,12 +43,6 @@ type Budget struct {
 	Bias *plan.Bias
 }
 
-// DefaultBudget gives production-quality statistics (hundreds of errors
-// per campaign).
-func DefaultBudget() Budget {
-	return Budget{FastSeconds: 2 * 3600, ThermalSeconds: 40 * 3600, Boost: 1}
-}
-
 // QuickBudget trades precision for speed (useful in examples and tests);
 // the boost preserves ratios exactly and cross sections are corrected
 // back.

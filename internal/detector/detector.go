@@ -94,17 +94,17 @@ func New(cfg Config, s *rng.Stream) (*Detector, error) {
 	}
 	thermal := func(st *rng.Stream) units.Energy { return units.Energy(st.MaxwellEnergy(0.0253)) }
 	gas := materials.Helium3Gas(cfg.TubePressureAtm)
-	tally, err := transport.Simulate([]transport.Slab{
+	tally, err := transport.SimulateContext(context.Background(), []transport.Slab{
 		{Material: gas, Thickness: cfg.TubeDiameterCm},
-	}, cfg.EfficiencySamples, thermal, s)
+	}, cfg.EfficiencySamples, thermal, s, transport.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("detector: efficiency estimate: %w", err)
 	}
 	eff := float64(tally.AbsorbedByElement["He3"]) / float64(tally.Incident)
-	shielded, err := transport.Simulate([]transport.Slab{
+	shielded, err := transport.SimulateContext(context.Background(), []transport.Slab{
 		{Material: materials.CadmiumSheet(), Thickness: cfg.CadmiumThicknessCm},
 		{Material: gas, Thickness: cfg.TubeDiameterCm},
-	}, cfg.EfficiencySamples, thermal, s)
+	}, cfg.EfficiencySamples, thermal, s, transport.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("detector: shield estimate: %w", err)
 	}
@@ -131,17 +131,6 @@ type Series struct {
 
 // Hours returns the series length.
 func (s Series) Hours() int { return len(s.Bare) }
-
-// GapCount returns the number of missing hours.
-func (s Series) GapCount() int {
-	n := 0
-	for _, v := range s.ThermalEstimate {
-		if math.IsNaN(v) {
-			n++
-		}
-	}
-	return n
-}
 
 // Interpolated returns a copy of the thermal-estimate series with gaps
 // filled by linear interpolation between the nearest valid neighbors
@@ -224,21 +213,6 @@ func (d *Detector) observedMeanPerHour(truePerHour float64) float64 {
 	}
 	perSecond := truePerHour / 3600
 	return 3600 * perSecond / (1 + perSecond*tau)
-}
-
-// CorrectDeadTime inverts the dead-time distortion for an observed hourly
-// count: r_true = r_obs / (1 - r_obs·τ). It returns an error when the
-// observed rate is at or beyond saturation.
-func (d *Detector) CorrectDeadTime(observedPerHour float64) (float64, error) {
-	tau := d.cfg.DeadTimeMicros * 1e-6
-	if tau <= 0 {
-		return observedPerHour, nil
-	}
-	perSecond := observedPerHour / 3600
-	if perSecond*tau >= 1 {
-		return 0, errors.New("detector: observed rate beyond dead-time saturation")
-	}
-	return 3600 * perSecond / (1 - perSecond*tau), nil
 }
 
 // StepSchedule returns a flux schedule that jumps from base to
@@ -358,24 +332,4 @@ func RunWaterExperimentContext(ctx context.Context, cfg WaterExperimentConfig, s
 		Change:      change,
 		WaterHour:   waterHour,
 	}, nil
-}
-
-// CrossCalibrate runs both tubes bare for the given hours (the paper's
-// 18-hour calibration) and returns the relative rate difference, which
-// should be consistent with zero for identical tubes.
-func (d *Detector) CrossCalibrate(hours int, thermalFluxPerHour float64, s *rng.Stream) (relDiff float64, err error) {
-	if hours <= 0 {
-		return 0, errors.New("detector: non-positive calibration window")
-	}
-	area := d.cfg.FaceAreaCm2()
-	mean := thermalFluxPerHour*area*d.Efficiency + d.cfg.NonThermalRatePerHour
-	var a, b float64
-	for h := 0; h < hours; h++ {
-		a += float64(s.Poisson(mean))
-		b += float64(s.Poisson(mean))
-	}
-	if a == 0 {
-		return 0, errors.New("detector: calibration collected no counts")
-	}
-	return (b - a) / a, nil
 }

@@ -2,7 +2,6 @@ package device
 
 import (
 	"errors"
-	"fmt"
 
 	"neutronsim/internal/rng"
 	"neutronsim/internal/units"
@@ -45,35 +44,4 @@ func MeasuredRatio(d *Device, fastBeam, thermalBeam func(*rng.Stream) units.Ener
 		return 0, errors.New("device: zero thermal cross section (boron-free device?)")
 	}
 	return float64(sigmaF) / float64(sigmaT), nil
-}
-
-// Calibrate adjusts d.Boron10PerCm2 in place until the measured
-// fast:thermal ratio matches targetRatio within tol (relative). Because the
-// thermal cross section is linear in the boron areal density, a few fixed-
-// point iterations converge. This mirrors the paper's methodology: the
-// boron content is unknown, so it is inferred from the two beam
-// measurements.
-func Calibrate(d *Device, targetRatio float64, fastBeam, thermalBeam func(*rng.Stream) units.Energy, n int, tol float64, s *rng.Stream) error {
-	if targetRatio <= 0 {
-		return errors.New("device: target ratio must be positive")
-	}
-	if d.Boron10PerCm2 <= 0 {
-		d.Boron10PerCm2 = 1e14 // seed for boron-free starting points
-	}
-	if tol <= 0 {
-		tol = 0.05
-	}
-	for iter := 0; iter < 12; iter++ {
-		ratio, err := MeasuredRatio(d, fastBeam, thermalBeam, n, s)
-		if err != nil {
-			return fmt.Errorf("calibrate %s: %w", d.Name, err)
-		}
-		rel := ratio/targetRatio - 1
-		if rel < tol && rel > -tol {
-			return nil
-		}
-		// ratio ∝ 1/boron (to first order): scale boron by ratio/target.
-		d.Boron10PerCm2 *= ratio / targetRatio
-	}
-	return fmt.Errorf("calibrate %s: did not converge to ratio %.3g", d.Name, targetRatio)
 }

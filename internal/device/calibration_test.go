@@ -40,43 +40,6 @@ func TestBakedBoronMatchesTargets(t *testing.T) {
 	}
 }
 
-func TestCalibrateConverges(t *testing.T) {
-	fast, thermal := beamSamplers()
-	s := rng.New(100)
-	d := K20()
-	d.Boron10PerCm2 = 1e12 // deliberately far off
-	if err := Calibrate(d, 2.18, fast, thermal, 80000, 0.10, s); err != nil {
-		t.Fatal(err)
-	}
-	got, err := MeasuredRatio(d, fast, thermal, 150000, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-2.18)/2.18 > 0.25 {
-		t.Errorf("post-calibration ratio %v, want ~2.18", got)
-	}
-}
-
-func TestCalibrateSeedsBoronFreeDevice(t *testing.T) {
-	fast, thermal := beamSamplers()
-	s := rng.New(101)
-	d := BoronFree(K20())
-	if err := Calibrate(d, 3, fast, thermal, 60000, 0.15, s); err != nil {
-		t.Fatal(err)
-	}
-	if d.Boron10PerCm2 <= 0 {
-		t.Error("calibration left device boron-free")
-	}
-}
-
-func TestCalibrateValidation(t *testing.T) {
-	fast, thermal := beamSamplers()
-	s := rng.New(102)
-	if err := Calibrate(K20(), 0, fast, thermal, 1000, 0.1, s); err == nil {
-		t.Error("zero target ratio accepted")
-	}
-}
-
 func TestMeasuredRatioBoronFreeErrors(t *testing.T) {
 	fast, thermal := beamSamplers()
 	s := rng.New(103)

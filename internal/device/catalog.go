@@ -12,9 +12,9 @@ import "neutronsim/internal/rng"
 //   - Critical charge shrinks with the node (28 nm ≈ 6 fC → 12 nm ≈ 1.2 fC).
 //   - Boron10PerCm2 is calibrated so that Monte Carlo beam campaigns
 //     reproduce the fast:thermal cross-section ratios the paper measured
-//     (Fig. cs_ratio). The calibration procedure lives in Calibrate; the
-//     baked-in numbers were produced by it (see calibration_test.go, which
-//     re-verifies self-consistency).
+//     (Fig. cs_ratio): the ratio scales as 1/boron to first order, so a
+//     few fixed-point steps on MeasuredRatio produced the baked-in numbers
+//     (calibration_test.go re-verifies them against RatioTargets).
 //   - ControlFracFast/Thermal encode how often a fault lands in control
 //     logic (the DUE path). The per-band split is what lets one device
 //     show SDC ratio 10.14 but DUE ratio 6.37 (Xeon Phi), or the APU's

@@ -202,15 +202,6 @@ func (d *Device) InteractionProbability(e units.Energy) float64 {
 	return p * d.SensitiveFraction
 }
 
-// TryUpset simulates one neutron of energy e crossing the die. It returns
-// the fault and true if the neutron produced an upset.
-func (d *Device) TryUpset(e units.Energy, s *rng.Stream) (Fault, bool) {
-	if !s.Bernoulli(d.InteractionProbability(e)) {
-		return Fault{}, false
-	}
-	return d.upsetFromInteraction(e, s)
-}
-
 // InteractionUpset runs the charge-deposition and classification stage for
 // a neutron of energy e that is already known to have interacted in the
 // die. Campaign harnesses that sample interactions directly (rather than

@@ -9,6 +9,15 @@ import (
 	"neutronsim/internal/units"
 )
 
+// tryUpset follows one neutron of energy e across the die: it interacts
+// with the device's interaction probability, then runs the upset stage.
+func tryUpset(d *Device, e units.Energy, s *rng.Stream) (Fault, bool) {
+	if !s.Bernoulli(d.InteractionProbability(e)) {
+		return Fault{}, false
+	}
+	return d.upsetFromInteraction(e, s)
+}
+
 func TestCatalogValidates(t *testing.T) {
 	for _, d := range All() {
 		if err := d.Validate(); err != nil {
@@ -72,7 +81,7 @@ func TestBoronFreeDeviceThermallyImmune(t *testing.T) {
 	}
 	s := rng.New(1)
 	for i := 0; i < 200000; i++ {
-		if _, ok := d.TryUpset(0.0253, s); ok {
+		if _, ok := tryUpset(d, 0.0253, s); ok {
 			t.Fatal("boron-free device upset by a thermal neutron")
 		}
 	}
@@ -100,7 +109,7 @@ func TestTryUpsetProducesClassifiedFaults(t *testing.T) {
 	secondaries := map[physics.SecondaryKind]int{}
 	upsets := 0
 	for i := 0; i < 20000; i++ {
-		f, ok := d.TryUpset(0.0253, s)
+		f, ok := tryUpset(d, 0.0253, s)
 		if !ok {
 			continue
 		}
@@ -132,7 +141,7 @@ func TestFPGAFaultsTargetConfig(t *testing.T) {
 	s := rng.New(3)
 	config, control := 0, 0
 	for i := 0; i < 20000; i++ {
-		if f, ok := d.TryUpset(0.0253, s); ok {
+		if f, ok := tryUpset(d, 0.0253, s); ok {
 			switch f.Target {
 			case TargetConfig:
 				config++
@@ -186,7 +195,7 @@ func TestMBUBits(t *testing.T) {
 	s := rng.New(5)
 	multi, total := 0, 0
 	for i := 0; i < 30000; i++ {
-		if f, ok := d.TryUpset(0.0253, s); ok {
+		if f, ok := tryUpset(d, 0.0253, s); ok {
 			total++
 			if f.Bits > 1 {
 				multi++

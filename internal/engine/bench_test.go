@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"testing"
 
 	"neutronsim/internal/beam"
@@ -27,7 +28,7 @@ func benchCampaign(b *testing.B, workers int) {
 		ShardGrain:      64,
 	}
 	for i := 0; i < b.N; i++ {
-		res, err := beam.Run(cfg)
+		res, err := beam.RunContext(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -199,7 +199,7 @@ func TestTransportShardCountInvariance(t *testing.T) {
 	run := func(workers int) *transport.Tally {
 		// Streams are consumed by the walk, so every invocation needs a
 		// fresh root stream for the comparison to be meaningful.
-		tally, err := transport.SimulateWithOptions(slabs, n, fastSource, rng.New(17),
+		tally, err := transport.SimulateContext(context.Background(), slabs, n, fastSource, rng.New(17),
 			transport.Options{Shards: workers, ShardGrain: 2048})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -249,7 +249,7 @@ func TestMemsimShardCountInvariance(t *testing.T) {
 				cfg.Seed = 5
 				cfg.Shards = workers
 				cfg.ShardGrain = 64
-				res, err := memsim.Run(cfg)
+				res, err := memsim.RunContext(context.Background(), cfg)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -47,7 +48,7 @@ func A1TransportAnisotropy(scale Scale, seed uint64) (Table, error) {
 			thickness = 30
 		}
 		for _, bias := range []float64{0, 0.2, 0.4} {
-			tally, err := transport.SimulateWithOptions(
+			tally, err := transport.SimulateContext(context.Background(),
 				[]transport.Slab{{Material: mat, Thickness: thickness}},
 				n, atmosphericFast, s, transport.Options{ForwardBias: bias})
 			if err != nil {
@@ -141,7 +142,7 @@ func A3ECCFIT(scale Scale, seed uint64) (Table, error) {
 		if spec.Generation == memsim.DDR4 {
 			hrs *= 4
 		}
-		res, err := memsim.Run(memsim.Config{
+		res, err := memsim.RunContext(context.Background(), memsim.Config{
 			Spec:            spec,
 			Band:            memsim.ThermalBeam,
 			Flux:            spectrum.ROTAXTotalFlux,
@@ -186,7 +187,7 @@ func A4Derating(scale Scale, seed uint64) (Table, error) {
 		Header: []string{"derating", "fluence [n/cm²]", "SDC", "σ_SDC [cm²]"},
 	}
 	for _, derating := range []float64{1.0, 0.5, 0.25} {
-		res, err := beam.Run(beam.Config{
+		res, err := beam.RunContext(context.Background(), beam.Config{
 			Device:          d,
 			WorkloadName:    "MxM",
 			Beam:            spectrum.ChipIR(),
@@ -312,7 +313,7 @@ func A7SampleVariation(scale Scale, seed uint64) (Table, error) {
 	var sigmas []float64
 	for i := 0; i < samples; i++ {
 		dut := device.Sample(base, s)
-		res, err := beam.Run(beam.Config{
+		res, err := beam.RunContext(context.Background(), beam.Config{
 			Device:          dut,
 			WorkloadName:    "MxM",
 			Beam:            spectrum.ChipIR(),

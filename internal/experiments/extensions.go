@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"neutronsim/internal/beam"
@@ -32,14 +33,14 @@ func E13FPGAPrecision(scale Scale, seed uint64) (Table, error) {
 	for i, double := range []bool{false, true} {
 		d := device.FPGAPrecision(double)
 		d.SensitiveFraction *= 50 // statistics accelerator; cancels in ratios
-		fres, err := beam.Run(beam.Config{
+		fres, err := beam.RunContext(context.Background(), beam.Config{
 			Device: d, WorkloadName: "MNIST", Beam: spectrum.ChipIR(),
 			DurationSeconds: fast, Seed: seed + uint64(i),
 		})
 		if err != nil {
 			return Table{}, err
 		}
-		tres, err := beam.Run(beam.Config{
+		tres, err := beam.RunContext(context.Background(), beam.Config{
 			Device: d, WorkloadName: "MNIST", Beam: spectrum.ROTAX(),
 			DurationSeconds: thermal, Seed: seed + 10 + uint64(i),
 		})
@@ -75,7 +76,7 @@ func E14FieldStudy(scale Scale, seed uint64) (Table, error) {
 		SDCFast: 8e-7, SDCThermal: 8e-7,
 		DUEFast: 3e-7, DUEThermal: 3e-7,
 	}
-	log, err := fleet.Simulate(fleet.Config{
+	log, err := fleet.SimulateContext(context.Background(), fleet.Config{
 		Classes: []fleet.NodeClass{
 			{Name: "dry-aisle", Count: nodes,
 				Env: fit.Environment{Location: site, ConcreteFloor: true}, Sigmas: sigmas},

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"neutronsim/internal/fit"
@@ -34,7 +35,7 @@ func E4DDR(scale Scale, seed uint64) (Table, error) {
 		if spec.Generation == memsim.DDR4 {
 			hrs *= 4 // DDR4 errors are ~10× rarer; match statistics
 		}
-		res, err := memsim.Run(memsim.Config{
+		res, err := memsim.RunContext(context.Background(), memsim.Config{
 			Spec:            spec,
 			Band:            memsim.ThermalBeam,
 			Flux:            spectrum.ROTAXTotalFlux,
@@ -93,7 +94,7 @@ func E6SupercomputerFIT(scale Scale, seed uint64) (Table, error) {
 		if spec.Generation == memsim.DDR4 {
 			hrs *= 4
 		}
-		res, err := memsim.Run(memsim.Config{
+		res, err := memsim.RunContext(context.Background(), memsim.Config{
 			Spec:            spec,
 			Band:            memsim.ThermalBeam,
 			Flux:            spectrum.ROTAXTotalFlux,

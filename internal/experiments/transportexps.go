@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"neutronsim/internal/materials"
@@ -90,7 +91,7 @@ func E12Moderation(scale Scale, seed uint64) (Table, error) {
 	}
 	sum := 0.0
 	for _, c := range cases {
-		albedo, err := transport.ThermalAlbedo(c.mat, c.thickness, n, atmosphericFast, s)
+		albedo, err := transport.ThermalAlbedoContext(context.Background(), c.mat, c.thickness, n, atmosphericFast, s)
 		if err != nil {
 			return Table{}, err
 		}

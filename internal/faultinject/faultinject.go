@@ -232,11 +232,6 @@ func NewInjector(w workload.Workload, seed uint64, cfg Config) (*Injector, error
 // Steps is the replayed workload's step count.
 func (inj *Injector) Steps() int { return len(inj.golden.checkpoints) }
 
-// Golden returns a copy of the fault-free output.
-func (inj *Injector) Golden() []float64 {
-	return append([]float64(nil), inj.golden.output...)
-}
-
 // Run replays the workload under the faults, each landing before its step,
 // and classifies the outcome.
 func (inj *Injector) Run(faults []Timed, s *rng.Stream) Result {

@@ -31,15 +31,6 @@ func TestNewInjectorNilWorkload(t *testing.T) {
 	}
 }
 
-func TestGoldenIsCopied(t *testing.T) {
-	inj := newInjector(t, "MxM")
-	g := inj.Golden()
-	g[0] = 1e99
-	if inj.Golden()[0] == 1e99 {
-		t.Error("Golden() exposed internal slice")
-	}
-}
-
 func TestNoFaultsIsMasked(t *testing.T) {
 	inj := newInjector(t, "MxM")
 	s := rng.New(1)

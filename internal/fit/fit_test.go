@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"neutronsim/internal/memsim"
-	"neutronsim/internal/physics"
 	"neutronsim/internal/units"
 )
 
@@ -15,7 +14,7 @@ func TestNYCReference(t *testing.T) {
 	if nyc.FastFluxPerHour != 13 {
 		t.Errorf("NYC fast flux = %v", nyc.FastFluxPerHour)
 	}
-	if r := nyc.ThermalToFastRatio(); math.Abs(r-0.31) > 1e-9 {
+	if r := nyc.ThermalFluxPerHour / nyc.FastFluxPerHour; math.Abs(r-0.31) > 1e-9 {
 		t.Errorf("NYC thermal:fast = %v, want 0.31", r)
 	}
 }
@@ -26,7 +25,7 @@ func TestLeadvilleScaling(t *testing.T) {
 	if math.Abs(fastAccel-12.9)/12.9 > 0.03 {
 		t.Errorf("Leadville fast acceleration = %v, want ~12.9", fastAccel)
 	}
-	if r := lv.ThermalToFastRatio(); math.Abs(r-0.54) > 0.04 {
+	if r := lv.ThermalFluxPerHour / lv.FastFluxPerHour; math.Abs(r-0.54) > 0.04 {
 		t.Errorf("Leadville bare thermal:fast = %v, want ~0.54", r)
 	}
 	if math.Abs(lv.AltitudeFt-10151) > 110 {
@@ -273,28 +272,6 @@ func TestTop10Composition(t *testing.T) {
 	}
 	if ddr3 != 2 {
 		t.Errorf("expected 2 DDR3 machines (TaihuLight, Tianhe-2A), got %d", ddr3)
-	}
-}
-
-func TestSpectrumForMatchesEnvironment(t *testing.T) {
-	env := DataCenter(Leadville())
-	sp, err := SpectrumFor(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotThermal := sp.FluxInBand(physics.BandThermal).PerHour()
-	if math.Abs(gotThermal-env.ThermalFluxPerHour())/env.ThermalFluxPerHour() > 1e-9 {
-		t.Errorf("spectrum thermal %v vs env %v", gotThermal, env.ThermalFluxPerHour())
-	}
-	gotFast := sp.FluxInBand(physics.BandFast).PerHour()
-	if math.Abs(gotFast-env.FastFluxPerHour())/env.FastFluxPerHour() > 1e-9 {
-		t.Errorf("spectrum fast %v vs env %v", gotFast, env.FastFluxPerHour())
-	}
-}
-
-func TestSpectrumForInvalidEnvironment(t *testing.T) {
-	if _, err := SpectrumFor(Environment{}); err == nil {
-		t.Error("fluxless environment accepted")
 	}
 }
 

@@ -108,13 +108,9 @@ type Log struct {
 	Days      int
 }
 
-// Simulate runs the fleet for the configured number of days.
-func Simulate(cfg Config) (*Log, error) {
-	return SimulateContext(context.Background(), cfg)
-}
-
-// SimulateContext is Simulate with a caller context; cancellation stops the
-// simulation at the next day boundary and returns the context's error.
+// SimulateContext runs the fleet for the configured number of days;
+// cancellation stops the simulation at the next day boundary and returns
+// the context's error.
 func SimulateContext(ctx context.Context, cfg Config) (*Log, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -48,18 +49,18 @@ func TestConfigValidation(t *testing.T) {
 	for i, m := range mutations {
 		cfg := twoClassConfig(10, 500, 0, 1)
 		m(&cfg)
-		if _, err := Simulate(cfg); err == nil {
+		if _, err := SimulateContext(context.Background(), cfg); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
 	}
-	if _, err := Simulate(good); err != nil {
+	if _, err := SimulateContext(context.Background(), good); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 }
 
 func TestSimulateBookkeeping(t *testing.T) {
 	cfg := twoClassConfig(30, 500, 0.3, 2)
-	log, err := Simulate(cfg)
+	log, err := SimulateContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestSimulateBookkeeping(t *testing.T) {
 
 func TestAnalyzeRecoversFIT(t *testing.T) {
 	cfg := twoClassConfig(180, 1000, 0, 3)
-	log, err := Simulate(cfg)
+	log, err := SimulateContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestAnalyzeDetectsCoolingEffect(t *testing.T) {
 	// is only a few percent (fast neutrons dominate), so it takes a year
 	// of a 4000-node class to resolve — exactly why such field studies
 	// need production-scale data.
-	log, err := Simulate(twoClassConfig(365, 8000, 0, 4))
+	log, err := SimulateContext(context.Background(), twoClassConfig(365, 8000, 0, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestAnalyzeDetectsCoolingEffect(t *testing.T) {
 }
 
 func TestAnalyzeRainEffect(t *testing.T) {
-	log, err := Simulate(twoClassConfig(365, 2000, 0.4, 5))
+	log, err := SimulateContext(context.Background(), twoClassConfig(365, 2000, 0.4, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +181,11 @@ func TestAnalyzeValidation(t *testing.T) {
 }
 
 func TestSimulateDeterministic(t *testing.T) {
-	l1, err := Simulate(twoClassConfig(10, 500, 0.5, 6))
+	l1, err := SimulateContext(context.Background(), twoClassConfig(10, 500, 0.5, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, err := Simulate(twoClassConfig(10, 500, 0.5, 6))
+	l2, err := SimulateContext(context.Background(), twoClassConfig(10, 500, 0.5, 6))
 	if err != nil {
 		t.Fatal(err)
 	}

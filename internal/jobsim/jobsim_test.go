@@ -122,31 +122,6 @@ func TestSweepValidation(t *testing.T) {
 	}
 }
 
-func TestWeatherWeek(t *testing.T) {
-	rainy := []bool{false, false, true, true, true, false, false}
-	adaptive, static, err := WeatherWeek(6*3600, 3*3600, 120, rainy, rng.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adaptive <= 0 || static <= 0 || adaptive > 1 || static > 1 {
-		t.Fatalf("goodputs out of range: %v %v", adaptive, static)
-	}
-	// Adaptive must not be meaningfully worse (the optimum is flat, so
-	// allow noise).
-	if adaptive < static-0.01 {
-		t.Errorf("adaptive %v clearly worse than static %v", adaptive, static)
-	}
-}
-
-func TestWeatherWeekValidation(t *testing.T) {
-	if _, _, err := WeatherWeek(3600, 7200, 60, []bool{true}, rng.New(8)); err == nil {
-		t.Error("rainy MTBF above sunny accepted")
-	}
-	if _, _, err := WeatherWeek(7200, 3600, 60, nil, rng.New(9)); err == nil {
-		t.Error("empty week accepted")
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	r1, err := Simulate(baseParams(), rng.New(10))
 	if err != nil {

@@ -47,7 +47,9 @@ type Config struct {
 	DurationSeconds float64
 	// PassSeconds is the time to read the whole module once (default 1).
 	PassSeconds float64
-	// ECC enables SECDED accounting.
+	// ECC enables SECDED(72,64) accounting by rule: a misread word with at
+	// most one flipped bit counts as corrected, any other word as
+	// uncorrectable. No code is encoded or decoded.
 	ECC bool
 	// PermanentAbortLimit stops a campaign shard once this many permanent
 	// faults are live in it — what happened to both modules "after few
@@ -175,7 +177,10 @@ func (r *recorder) observe(pass int, addr uint64, dir Direction, bits int) {
 	}
 }
 
-// Run executes the correct-loop campaign.
+// RunContext executes the correct-loop campaign. Campaign spans nest under
+// the caller's, progress posts reach any observer attached with
+// telemetry.ContextWithProgress, and cancellation stops the campaign at the
+// next shard boundary.
 //
 // The pass loop executes on the sharded engine: the campaign's passes are
 // split into contiguous shards, each drawing from its own deterministic
@@ -184,14 +189,6 @@ func (r *recorder) observe(pass int, addr uint64, dir Direction, bits int) {
 // the abort limit, and the taxonomy classifier are all per shard, and the
 // merged result sums the per-session counts. The result is identical for
 // any Shards worker count, including 1.
-func Run(cfg Config) (*Result, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext is Run with a caller context: campaign spans nest under the
-// caller's, progress posts reach any observer attached with
-// telemetry.ContextWithProgress, and cancellation stops the campaign at the
-// next shard boundary.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -10,7 +11,7 @@ import (
 
 func thermalRun(t *testing.T, spec ModuleSpec, hours float64, seed uint64) *Result {
 	t.Helper()
-	res, err := Run(Config{
+	res, err := RunContext(context.Background(), Config{
 		Spec:            spec,
 		Band:            ThermalBeam,
 		Flux:            spectrum.ROTAXTotalFlux,
@@ -42,7 +43,7 @@ func TestValidation(t *testing.T) {
 		cfg := good
 		cfg.Spec = DDR3Module()
 		mutate(&cfg)
-		if _, err := Run(cfg); err == nil {
+		if _, err := RunContext(context.Background(), cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
@@ -166,7 +167,7 @@ func TestClassifierRecoversTruth(t *testing.T) {
 }
 
 func TestChipIRAbortsOnPermanents(t *testing.T) {
-	res, err := Run(Config{
+	res, err := RunContext(context.Background(), Config{
 		Spec:                DDR3Module(),
 		Band:                FastBeam,
 		Flux:                spectrum.ChipIR().TotalFlux(),
@@ -187,7 +188,7 @@ func TestChipIRAbortsOnPermanents(t *testing.T) {
 }
 
 func TestThermalDoesNotAbort(t *testing.T) {
-	res, err := Run(Config{
+	res, err := RunContext(context.Background(), Config{
 		Spec:                DDR3Module(),
 		Band:                ThermalBeam,
 		Flux:                spectrum.ROTAXTotalFlux,
@@ -204,7 +205,7 @@ func TestThermalDoesNotAbort(t *testing.T) {
 }
 
 func TestECCAccounting(t *testing.T) {
-	res, err := Run(Config{
+	res, err := RunContext(context.Background(), Config{
 		Spec:            DDR3Module(),
 		Band:            ThermalBeam,
 		Flux:            spectrum.ROTAXTotalFlux,
@@ -267,7 +268,7 @@ func TestDirectionBiasEmpty(t *testing.T) {
 func TestClassifierBalanceProperty(t *testing.T) {
 	for seed := uint64(0); seed < 12; seed++ {
 		hours := 1 + float64(seed)
-		res, err := Run(Config{
+		res, err := RunContext(context.Background(), Config{
 			Spec:            DDR3Module(),
 			Band:            ThermalBeam,
 			Flux:            spectrum.ROTAXTotalFlux,

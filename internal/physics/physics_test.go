@@ -52,19 +52,13 @@ func TestOneOverVColdCap(t *testing.T) {
 	}
 }
 
-func TestHelium3Capture(t *testing.T) {
-	got := Helium3Capture(ReferenceThermalEnergy)
-	if math.Abs(got.Barns()-Helium3ThermalSigma) > 1e-6 {
-		t.Errorf("3He sigma = %v b", got.Barns())
-	}
-}
-
 func TestBoronCaptureProductsBranching(t *testing.T) {
 	s := rng.New(1)
 	excited := 0
 	const n = 50000
+	var buf [MaxCaptureProducts]Secondary
 	for i := 0; i < n; i++ {
-		prods := BoronCaptureProducts(s)
+		prods := AppendBoronCaptureProducts(buf[:0], s)
 		hasAlpha, hasLi := false, false
 		for _, p := range prods {
 			switch p.Kind {
@@ -90,17 +84,6 @@ func TestBoronCaptureProductsBranching(t *testing.T) {
 	}
 }
 
-func TestHelium3CaptureProducts(t *testing.T) {
-	prods := Helium3CaptureProducts()
-	if len(prods) != 2 {
-		t.Fatalf("got %d products", len(prods))
-	}
-	sum := prods[0].Energy.MeV() + prods[1].Energy.MeV()
-	if math.Abs(sum-0.764) > 0.001 {
-		t.Errorf("p+t energy = %v MeV, want Q=0.764", sum)
-	}
-}
-
 func TestElasticAlpha(t *testing.T) {
 	tests := []struct {
 		a    float64
@@ -113,25 +96,6 @@ func TestElasticAlpha(t *testing.T) {
 	for _, tt := range tests {
 		if got := ElasticAlpha(tt.a); math.Abs(got-tt.want) > 1e-12 {
 			t.Errorf("ElasticAlpha(%v) = %v, want %v", tt.a, got, tt.want)
-		}
-	}
-}
-
-func TestXiKnownValues(t *testing.T) {
-	tests := []struct {
-		a    float64
-		want float64
-		tol  float64
-	}{
-		{1, 1, 0},
-		{2, 0.725, 0.01},   // deuterium
-		{12, 0.158, 0.002}, // carbon
-		{16, 0.120, 0.002}, // oxygen
-		{28, 0.070, 0.002}, // silicon
-	}
-	for _, tt := range tests {
-		if got := Xi(tt.a); math.Abs(got-tt.want) > tt.tol {
-			t.Errorf("Xi(%v) = %v, want %v", tt.a, got, tt.want)
 		}
 	}
 }
@@ -157,25 +121,6 @@ func TestScatterEnergyNeverIncreases(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCollisionsToThermalizeHydrogen(t *testing.T) {
-	// The classic result: ~18 collisions on hydrogen from 2 MeV to thermal.
-	n := CollisionsToThermalize(2*units.MeV, 0.0253, 1)
-	if n < 17 || n < 0 || n > 19 {
-		t.Errorf("collisions on H = %v, want ~18", n)
-	}
-	// Carbon needs far more.
-	nc := CollisionsToThermalize(2*units.MeV, 0.0253, 12)
-	if nc < 100 || nc > 130 {
-		t.Errorf("collisions on C = %v, want ~115", nc)
-	}
-}
-
-func TestCollisionsToThermalizeDegenerate(t *testing.T) {
-	if got := CollisionsToThermalize(0.01, 0.02, 1); got != 0 {
-		t.Errorf("already-thermal neutron needs %v collisions, want 0", got)
 	}
 }
 

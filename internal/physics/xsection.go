@@ -71,9 +71,6 @@ func (t *XSTable) At(e units.Energy) units.CrossSection {
 	return units.FromBarns(math.Exp(y0 + f*(y1-y0)))
 }
 
-// Points returns the number of table points.
-func (t *XSTable) Points() int { return len(t.energiesEV) }
-
 // CadmiumAbsorption is the evaluated-data-shaped natural-cadmium (n,γ)
 // cross section: 1/v-ish below the ¹¹³Cd resonance, a ~7 kb peak at
 // 0.178 eV, and a collapse above ~0.5 eV — the cadmium cutoff.

@@ -41,7 +41,7 @@ func TestXSTableExactPoints(t *testing.T) {
 			t.Errorf("At(%v) = %v, want %v", e, got, want)
 		}
 	}
-	if tbl.Points() != 3 {
+	if len(tbl.energiesEV) != 3 {
 		t.Error("point count")
 	}
 }

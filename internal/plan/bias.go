@@ -126,15 +126,6 @@ func CompileBiased(d *device.Device, sp spectrum.Spectrum, n int, cal *rng.Strea
 // built by CompileBiased — including with identity factors).
 func (p *CampaignPlan) IsBiased() bool { return p.biased }
 
-// BandWeight returns the likelihood weight a draw in the given band
-// carries (1 for exact plans and out-of-range bands).
-func (p *CampaignPlan) BandWeight(b physics.EnergyBand) float64 {
-	if int(b) < 0 || int(b) >= len(p.bandW) {
-		return 1
-	}
-	return p.bandW[b]
-}
-
 // SampleInteractionWeighted draws an interacting energy through the plan's
 // WeightedSampler view and returns it with its likelihood weight. On an
 // exact plan it degrades to SampleInteraction with weight 1, consuming

@@ -81,7 +81,7 @@ func TestCompileBiasedIdentity(t *testing.T) {
 		t.Errorf("meanP %v != exact %v", unit.MeanP(), exact.MeanP())
 	}
 	for b := physics.EnergyBand(0); b <= physics.BandFast; b++ {
-		if w := unit.BandWeight(b); w != 1 {
+		if w := unit.bandW[b]; w != 1 {
 			t.Errorf("band %d weight %v, want exactly 1", b, w)
 		}
 	}
@@ -125,7 +125,7 @@ func TestCompileBiasedWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wThermal, wFast := p.BandWeight(physics.BandThermal), p.BandWeight(physics.BandFast)
+	wThermal, wFast := p.bandW[physics.BandThermal], p.bandW[physics.BandFast]
 	if !(wThermal < wFast) {
 		t.Fatalf("oversampled thermal weight %v must be below fast weight %v", wThermal, wFast)
 	}
@@ -138,7 +138,7 @@ func TestCompileBiasedWeights(t *testing.T) {
 	thermal := 0
 	for i := 0; i < draws; i++ {
 		e, w := p.SampleInteractionWeighted(s)
-		if want := p.BandWeight(physics.Classify(e)); w != want {
+		if want := p.bandW[physics.Classify(e)]; w != want {
 			t.Fatalf("draw %d: weight %v != band weight %v", i, w, want)
 		}
 		if physics.Classify(e) == physics.BandThermal {
@@ -169,7 +169,7 @@ func TestCompileBiasedDegenerate(t *testing.T) {
 		t.Fatalf("meanP = %v, want 0", p.MeanP())
 	}
 	for b := physics.EnergyBand(0); b <= physics.BandFast; b++ {
-		if w := p.BandWeight(b); w != 1 {
+		if w := p.bandW[b]; w != 1 {
 			t.Errorf("degenerate plan band %d weight %v, want 1", b, w)
 		}
 	}

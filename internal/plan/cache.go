@@ -272,10 +272,3 @@ func (c *Cache) Stats() Stats {
 		Capacity:  capacity,
 	}
 }
-
-// Len reports the number of cached plans.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}

@@ -7,6 +7,7 @@
 package plan_test
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -52,11 +53,11 @@ func TestConformanceCachedRunsBitIdentical(t *testing.T) {
 			t.Run(d.Name+"/"+sp.Name(), func(t *testing.T) {
 				t.Parallel()
 				cfg := conformanceConfig(d, sp, seed)
-				first, err := beam.Run(cfg)
+				first, err := beam.RunContext(context.Background(), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				second, err := beam.Run(cfg)
+				second, err := beam.RunContext(context.Background(), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -78,14 +79,14 @@ func TestConformanceCachedRunsBitIdentical(t *testing.T) {
 // engine's contract the shard count must never affect results.
 func TestConformanceShardCountsShareOnePlan(t *testing.T) {
 	cfg := conformanceConfig(device.TitanX(), spectrum.ChipIR(), 0xC0FFEE77)
-	ref, err := beam.Run(cfg)
+	ref, err := beam.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 2, 7, runtime.GOMAXPROCS(0)} {
 		c := cfg
 		c.Shards = shards
-		got, err := beam.Run(c)
+		got, err := beam.RunContext(context.Background(), c)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -106,11 +107,11 @@ func TestConformanceTransportRepeatable(t *testing.T) {
 	}
 	for _, sp := range []spectrum.Spectrum{spectrum.ChipIR(), spectrum.ROTAX()} {
 		source := func(s *rng.Stream) units.Energy { return sp.Sample(s) }
-		first, err := transport.Simulate(slabs, 2000, source, rng.New(29))
+		first, err := transport.SimulateContext(context.Background(), slabs, 2000, source, rng.New(29), transport.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		second, err := transport.Simulate(slabs, 2000, source, rng.New(29))
+		second, err := transport.SimulateContext(context.Background(), slabs, 2000, source, rng.New(29), transport.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -223,10 +223,6 @@ type voseScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(voseScratch) }}
 
-// Key returns the plan's cache key, or "" for plans compiled outside the
-// cache (direct Compile calls and fingerprint-less spectra).
-func (p *CampaignPlan) Key() string { return p.key }
-
 // MeanP returns the calibration's mean interaction probability — the
 // quantity that converts beam flux × die area into an interaction rate.
 func (p *CampaignPlan) MeanP() float64 { return p.meanP }

@@ -79,7 +79,7 @@ func TestCacheHitMissEvict(t *testing.T) {
 	if got := c.Stats(); got.Misses != 1 || got.Hits != 0 || got.Entries != 1 {
 		t.Fatalf("after first compile: %+v", got)
 	}
-	if p1.Key() == "" {
+	if p1.key == "" {
 		t.Error("cached plan lost its key")
 	}
 	p1again := c.For(d, spectrum.ChipIR(), n, 1)
@@ -123,8 +123,8 @@ func TestCacheBypass(t *testing.T) {
 	if a == b {
 		t.Error("bypass returned a shared instance; unkeyable spectra must compile per call")
 	}
-	if a.Key() != "" {
-		t.Errorf("bypass plan has key %q, want none", a.Key())
+	if a.key != "" {
+		t.Errorf("bypass plan has key %q, want none", a.key)
 	}
 	st := c.Stats()
 	if st.Bypass != 2 || st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
@@ -141,8 +141,8 @@ func TestSetCapacityEvicts(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		c.For(d, spectrum.ChipIR(), 64, seed)
 	}
-	if c.Len() != 4 {
-		t.Fatalf("cache holds %d plans, want 4", c.Len())
+	if c.Stats().Entries != 4 {
+		t.Fatalf("cache holds %d plans, want 4", c.Stats().Entries)
 	}
 	c.SetCapacity(2)
 	st := c.Stats()

@@ -135,7 +135,7 @@ func FuzzReadAhead(f *testing.F) {
 			case 5:
 				got, want = buffered.Exponential(2), ref.Exponential(2)
 			case 6:
-				got, want = float64(buffered.Binomial(40, 0.3)), float64(ref.Binomial(40, 0.3))
+				got, want = buffered.WattEnergy(0.988, 2.249), ref.WattEnergy(0.988, 2.249)
 			case 7:
 				got, want = float64(buffered.Split().Uint64()), float64(ref.Split().Uint64())
 			case 8:

@@ -331,45 +331,6 @@ func (s *Stream) knuthPoisson(expNegMean float64) int64 {
 	}
 }
 
-// Binomial returns a draw from Binomial(n, p). It uses direct simulation
-// for small n and a Poisson/normal approximation for large n, matching the
-// accuracy needs of error tallies.
-func (s *Stream) Binomial(n int64, p float64) int64 {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	mean := float64(n) * p
-	switch {
-	case n <= 64:
-		var k int64
-		for i := int64(0); i < n; i++ {
-			if s.Float64() < p {
-				k++
-			}
-		}
-		return k
-	case mean < 20:
-		// Rare-event regime: Poisson approximation, truncated to n.
-		k := s.Poisson(mean)
-		if k > n {
-			k = n
-		}
-		return k
-	default:
-		v := math.Round(s.NormalMeanStd(mean, math.Sqrt(mean*(1-p))))
-		if v < 0 {
-			return 0
-		}
-		if v > float64(n) {
-			return n
-		}
-		return int64(v)
-	}
-}
-
 // MaxwellEnergy returns a kinetic energy drawn from a Maxwell-Boltzmann
 // distribution with temperature kT (in the same unit as the return value).
 // The energy of a particle with Maxwellian velocity components is
@@ -398,41 +359,10 @@ func (s *Stream) WattEnergy(a, b float64) float64 {
 	}
 }
 
-// PowerLawEnergy samples E in [lo, hi] from p(E) ∝ E^(-gamma).
-func (s *Stream) PowerLawEnergy(lo, hi, gamma float64) float64 {
-	if lo <= 0 || hi <= lo {
-		panic("rng: PowerLawEnergy requires 0 < lo < hi")
-	}
-	u := s.Float64()
-	if math.Abs(gamma-1) < 1e-12 {
-		return lo * math.Pow(hi/lo, u)
-	}
-	g := 1 - gamma
-	return math.Pow(math.Pow(lo, g)+u*(math.Pow(hi, g)-math.Pow(lo, g)), 1/g)
-}
-
 // LogUniform samples a value in [lo, hi] uniform in log-space.
 func (s *Stream) LogUniform(lo, hi float64) float64 {
 	if lo <= 0 || hi < lo {
 		panic("rng: LogUniform requires 0 < lo <= hi")
 	}
 	return lo * math.Exp(s.Float64()*math.Log(hi/lo))
-}
-
-// Shuffle randomizes the order of n elements via the provided swap function.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (s *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	s.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }

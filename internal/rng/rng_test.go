@@ -225,49 +225,6 @@ func TestPoissonZero(t *testing.T) {
 	}
 }
 
-func TestBinomialMoments(t *testing.T) {
-	type tc struct {
-		n int64
-		p float64
-	}
-	for _, c := range []tc{{10, 0.5}, {1000, 0.001}, {100000, 0.3}} {
-		s := New(uint64(c.n))
-		const reps = 20000
-		sum := 0.0
-		for i := 0; i < reps; i++ {
-			sum += float64(s.Binomial(c.n, c.p))
-		}
-		mean := sum / reps
-		want := float64(c.n) * c.p
-		tol := 5*math.Sqrt(want*(1-c.p)/reps) + 0.02*want + 0.05
-		if math.Abs(mean-want) > tol {
-			t.Errorf("Binomial(%d,%v) mean = %v, want %v (tol %v)", c.n, c.p, mean, want, tol)
-		}
-	}
-}
-
-func TestBinomialEdges(t *testing.T) {
-	s := New(13)
-	if got := s.Binomial(100, 0); got != 0 {
-		t.Errorf("Binomial(100,0) = %d", got)
-	}
-	if got := s.Binomial(100, 1); got != 100 {
-		t.Errorf("Binomial(100,1) = %d", got)
-	}
-	if got := s.Binomial(0, 0.5); got != 0 {
-		t.Errorf("Binomial(0,0.5) = %d", got)
-	}
-}
-
-func TestBinomialNeverExceedsN(t *testing.T) {
-	s := New(14)
-	for i := 0; i < 2000; i++ {
-		if got := s.Binomial(100, 0.15); got < 0 || got > 100 {
-			t.Fatalf("Binomial out of range: %d", got)
-		}
-	}
-}
-
 func TestMaxwellEnergyMean(t *testing.T) {
 	s := New(15)
 	const kT = 0.0253
@@ -309,72 +266,12 @@ func TestWattEnergyMean(t *testing.T) {
 	}
 }
 
-func TestPowerLawEnergyBounds(t *testing.T) {
-	s := New(18)
-	for i := 0; i < 10000; i++ {
-		e := s.PowerLawEnergy(1, 1000, 1.5)
-		if e < 1 || e > 1000 {
-			t.Fatalf("power-law sample %v out of [1,1000]", e)
-		}
-	}
-}
-
-func TestPowerLawGammaOne(t *testing.T) {
-	s := New(19)
-	// gamma=1 is log-uniform; median should be sqrt(lo*hi).
-	const n = 100000
-	below := 0
-	for i := 0; i < n; i++ {
-		if s.PowerLawEnergy(1, 10000, 1) < 100 {
-			below++
-		}
-	}
-	frac := float64(below) / n
-	if math.Abs(frac-0.5) > 0.01 {
-		t.Errorf("log-uniform median check: frac below sqrt = %v", frac)
-	}
-}
-
 func TestLogUniformBounds(t *testing.T) {
 	s := New(20)
 	for i := 0; i < 10000; i++ {
 		v := s.LogUniform(0.01, 100)
 		if v < 0.01 || v > 100 {
 			t.Fatalf("LogUniform out of bounds: %v", v)
-		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	s := New(21)
-	p := s.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestShuffleUniformish(t *testing.T) {
-	s := New(22)
-	// Position of element 0 after shuffling [0,1,2] should be ~uniform.
-	counts := [3]int{}
-	const n = 30000
-	for i := 0; i < n; i++ {
-		a := []int{0, 1, 2}
-		s.Shuffle(3, func(x, y int) { a[x], a[y] = a[y], a[x] })
-		for pos, v := range a {
-			if v == 0 {
-				counts[pos]++
-			}
-		}
-	}
-	for pos, c := range counts {
-		frac := float64(c) / n
-		if math.Abs(frac-1.0/3) > 0.02 {
-			t.Errorf("element 0 at position %d with frequency %v", pos, frac)
 		}
 	}
 }

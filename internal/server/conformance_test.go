@@ -347,7 +347,7 @@ func TestConformanceTransportHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := transport.SimulateWithOptions(
+	direct, err := transport.SimulateContext(context.Background(),
 		[]transport.Slab{{Material: m, Thickness: 5}},
 		20000, spectrum.ChipIR().Sample, rng.New(17),
 		transport.Options{ShardGrain: defaultTransportGrain})
@@ -383,7 +383,7 @@ func TestConformanceMemoryHTTP(t *testing.T) {
 	if err := json.Unmarshal(info.Result, &env); err != nil {
 		t.Fatal(err)
 	}
-	direct, err := memsim.Run(memsim.Config{
+	direct, err := memsim.RunContext(context.Background(), memsim.Config{
 		Spec:            memsim.DDR4Module(),
 		Band:            memsim.ThermalBeam,
 		Flux:            units.Flux(float64(spectrum.ROTAXTotalFlux)),

@@ -207,18 +207,6 @@ func (s *Server) Start() error {
 	return nil
 }
 
-// Run starts the server and blocks until ctx is canceled, then drains:
-// intake switches to 503, in-flight jobs get DrainTimeout to finish
-// before being canceled, and the HTTP server shuts down last so job
-// watchers see their terminal events.
-func (s *Server) Run(ctx context.Context) error {
-	if err := s.Start(); err != nil {
-		return err
-	}
-	<-ctx.Done()
-	return s.Drain()
-}
-
 // Drain performs the graceful-shutdown sequence. It is safe to call once.
 func (s *Server) Drain() error {
 	s.draining.Store(true)

@@ -359,8 +359,8 @@ func TestCacheLRUBounds(t *testing.T) {
 	if _, _, ok := cb.Get("x"); ok {
 		t.Error("x should have been evicted by the byte bound")
 	}
-	if cb.Bytes() != 4 || cb.Len() != 1 {
-		t.Errorf("cache holds %d entries / %d bytes, want 1/4", cb.Len(), cb.Bytes())
+	if st := cb.Stats(); st.Bytes != 4 || st.Entries != 1 {
+		t.Errorf("cache holds %d entries / %d bytes, want 1/4", st.Entries, st.Bytes)
 	}
 	cb.Put("huge", bytes.Repeat([]byte("z"), 11))
 	if _, _, ok := cb.Get("huge"); ok {
@@ -371,8 +371,8 @@ func TestCacheLRUBounds(t *testing.T) {
 	// stable ETag.
 	etag1 := cb.Put("y", []byte("1234"))
 	etag2 := cb.Put("y", []byte("1234"))
-	if etag1 != etag2 || cb.Len() != 1 {
-		t.Errorf("re-put changed the entry: %q vs %q, len %d", etag1, etag2, cb.Len())
+	if n := cb.Stats().Entries; etag1 != etag2 || n != 1 {
+		t.Errorf("re-put changed the entry: %q vs %q, len %d", etag1, etag2, n)
 	}
 }
 

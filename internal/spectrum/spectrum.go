@@ -310,20 +310,6 @@ func LogNormalBumpSampler(centerEV, sigmaLn float64, lo, hi units.Energy) func(*
 	}
 }
 
-// WattSampler returns a Watt fission-like fast sampler (a in MeV, b in
-// 1/MeV), truncated below at loMeV.
-func WattSampler(a, b, loMeV float64) func(*rng.Stream) units.Energy {
-	return func(s *rng.Stream) units.Energy {
-		for i := 0; i < 64; i++ {
-			e := s.WattEnergy(a, b)
-			if e >= loMeV {
-				return units.Energy(e * 1e6)
-			}
-		}
-		return units.Energy(loMeV * 1e6)
-	}
-}
-
 // Beamlines ------------------------------------------------------------------
 
 // Paper fluxes (§III-C): ChipIR >10 MeV flux, ChipIR thermal component, and

@@ -259,16 +259,6 @@ func TestComponentsCopied(t *testing.T) {
 	}
 }
 
-func TestWattSampler(t *testing.T) {
-	s := rng.New(9)
-	sample := WattSampler(0.988, 2.249, 1)
-	for i := 0; i < 5000; i++ {
-		if e := sample(s); e < 1*units.MeV {
-			t.Fatalf("Watt sample %v below cutoff", e)
-		}
-	}
-}
-
 func TestOneOverESamplerBounds(t *testing.T) {
 	s := rng.New(10)
 	sample := OneOverESampler(0.5, 1e6)

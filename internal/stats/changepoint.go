@@ -78,26 +78,6 @@ func DetectStep(series []float64, minSeg int, threshold float64) (ChangePoint, e
 	return best, nil
 }
 
-// CUSUM computes the one-sided cumulative-sum statistic for an upward mean
-// shift relative to a reference mean and slack. It returns the running
-// statistic and the first index at which it exceeded h (or -1).
-func CUSUM(series []float64, reference, slack, h float64) (stat []float64, alarm int) {
-	stat = make([]float64, len(series))
-	alarm = -1
-	s := 0.0
-	for i, v := range series {
-		s += v - reference - slack
-		if s < 0 {
-			s = 0
-		}
-		stat[i] = s
-		if alarm < 0 && s > h {
-			alarm = i
-		}
-	}
-	return stat, alarm
-}
-
 // MovingAverage returns the centered moving average of the series with the
 // given window (clamped at the edges). Used for plotting detector series.
 func MovingAverage(series []float64, window int) []float64 {

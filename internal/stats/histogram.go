@@ -2,34 +2,17 @@ package stats
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"strings"
 )
 
-// Histogram is a fixed-bin histogram over either a linear or logarithmic
-// axis. Log-binned histograms with per-lethargy normalization are how the
-// paper presents beamline spectra (Fig. 2, "lethargy scale").
+// Histogram is a fixed-bin histogram over a logarithmic axis. Log-binned
+// histograms with per-lethargy normalization are how the paper presents
+// beamline spectra (Fig. 2, "lethargy scale").
 type Histogram struct {
 	edges  []float64 // len = bins+1, strictly increasing
 	counts []float64
 	under  float64
 	over   float64
-	log    bool
-}
-
-// NewLinearHistogram builds a histogram with uniform bins on [lo, hi).
-func NewLinearHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 || hi <= lo {
-		return nil, errors.New("stats: invalid histogram range")
-	}
-	edges := make([]float64, bins+1)
-	w := (hi - lo) / float64(bins)
-	for i := range edges {
-		edges[i] = lo + float64(i)*w
-	}
-	edges[bins] = hi
-	return &Histogram{edges: edges, counts: make([]float64, bins)}, nil
 }
 
 // NewLogHistogram builds a histogram with log-uniform bins on [lo, hi),
@@ -45,11 +28,8 @@ func NewLogHistogram(lo, hi float64, bins int) (*Histogram, error) {
 		edges[i] = lo * math.Exp(ratio*float64(i)/float64(bins))
 	}
 	edges[bins] = hi
-	return &Histogram{edges: edges, counts: make([]float64, bins), log: true}, nil
+	return &Histogram{edges: edges, counts: make([]float64, bins)}, nil
 }
-
-// Add records one observation with unit weight.
-func (h *Histogram) Add(x float64) { h.AddWeighted(x, 1) }
 
 // AddWeighted records one observation with the given weight.
 func (h *Histogram) AddWeighted(x, w float64) {
@@ -72,29 +52,16 @@ func (h *Histogram) binIndex(x float64) int {
 	if x >= hi {
 		return len(h.counts)
 	}
-	if h.log {
-		return int(math.Log(x/lo) / math.Log(hi/lo) * float64(len(h.counts)))
-	}
-	return int((x - lo) / (hi - lo) * float64(len(h.counts)))
+	return int(math.Log(x/lo) / math.Log(hi/lo) * float64(len(h.counts)))
 }
 
 // Bins returns the number of bins.
 func (h *Histogram) Bins() int { return len(h.counts) }
 
-// Count returns the weight in bin i.
-func (h *Histogram) Count(i int) float64 { return h.counts[i] }
-
-// Edges returns a copy of the bin edges.
-func (h *Histogram) Edges() []float64 { return append([]float64(nil), h.edges...) }
-
-// BinCenter returns the representative x of bin i (geometric mean for log
-// bins, arithmetic mean for linear bins).
+// BinCenter returns the representative x of bin i, the geometric mean of
+// its edges.
 func (h *Histogram) BinCenter(i int) float64 {
-	lo, hi := h.edges[i], h.edges[i+1]
-	if h.log {
-		return math.Sqrt(lo * hi)
-	}
-	return 0.5 * (lo + hi)
+	return math.Sqrt(h.edges[i] * h.edges[i+1])
 }
 
 // Total returns the total recorded weight including under/overflow.
@@ -106,25 +73,10 @@ func (h *Histogram) Total() float64 {
 	return t
 }
 
-// Underflow and Overflow return the out-of-range weights.
-func (h *Histogram) Underflow() float64 { return h.under }
-
-// Overflow returns the weight recorded above the histogram range.
-func (h *Histogram) Overflow() float64 { return h.over }
-
-// Density returns counts normalized per unit x, i.e. counts[i] / binwidth.
-func (h *Histogram) Density() []float64 {
-	out := make([]float64, len(h.counts))
-	for i, c := range h.counts {
-		out[i] = c / (h.edges[i+1] - h.edges[i])
-	}
-	return out
-}
-
 // PerLethargy returns counts normalized per unit lethargy:
 // counts[i] / ln(edge[i+1]/edge[i]). On a log-x plot this is the standard
 // "flux per lethargy" representation where area is proportional to flux
-// (Fig. 2 of the paper). Only meaningful for log histograms.
+// (Fig. 2 of the paper).
 func (h *Histogram) PerLethargy() []float64 {
 	out := make([]float64, len(h.counts))
 	for i, c := range h.counts {
@@ -146,32 +98,4 @@ func (h *Histogram) IntegralBetween(lo, hi float64) float64 {
 		}
 	}
 	return sum
-}
-
-// ASCII renders a quick horizontal bar plot of the histogram, scaled so the
-// tallest bin spans width characters. Values are the per-lethargy density
-// for log histograms and raw counts otherwise.
-func (h *Histogram) ASCII(width int) string {
-	if width <= 0 {
-		width = 50
-	}
-	vals := h.counts
-	if h.log {
-		vals = h.PerLethargy()
-	}
-	maxV := 0.0
-	for _, v := range vals {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	var b strings.Builder
-	for i, v := range vals {
-		n := 0
-		if maxV > 0 {
-			n = int(v / maxV * float64(width))
-		}
-		fmt.Fprintf(&b, "%12.4g |%s\n", h.BinCenter(i), strings.Repeat("#", n))
-	}
-	return b.String()
 }

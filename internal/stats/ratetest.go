@@ -75,6 +75,3 @@ func CompareRates(eventsA int64, exposureA float64, eventsB int64, exposureB flo
 func normalSF(z float64) float64 {
 	return 0.5 * math.Erfc(z/math.Sqrt2)
 }
-
-// NormalSF exposes the survival function for other packages.
-func NormalSF(z float64) float64 { return normalSF(z) }

@@ -131,16 +131,6 @@ func PoissonConfidence(count int64, confidence float64) PoissonCI {
 // Poisson95 is shorthand for the paper's standard 95% interval.
 func Poisson95(count int64) PoissonCI { return PoissonConfidence(count, 0.95) }
 
-// RelativeWidth returns (upper-lower)/count, a convenient figure of merit
-// for deciding whether a campaign has collected enough statistics. It
-// returns +Inf for zero counts.
-func (ci PoissonCI) RelativeWidth() float64 {
-	if ci.Count == 0 {
-		return math.Inf(1)
-	}
-	return (ci.Upper - ci.Lower) / float64(ci.Count)
-}
-
 // chiSquaredQuantile returns the p-quantile of a chi-squared distribution
 // with k degrees of freedom, using the Wilson-Hilferty normal approximation
 // refined by a few Newton steps on the regularized gamma CDF.
@@ -216,9 +206,6 @@ func normalQuantile(p float64) float64 {
 	}
 }
 
-// NormalQuantile exposes the inverse standard-normal CDF for other packages.
-func NormalQuantile(p float64) float64 { return normalQuantile(p) }
-
 func lgamma(x float64) float64 {
 	v, _ := math.Lgamma(x)
 	return v
@@ -272,9 +259,6 @@ func regularizedGammaP(a, x float64) float64 {
 	q := math.Exp(-x+a*math.Log(x)-lgamma(a)) * h
 	return 1 - q
 }
-
-// RegularizedGammaP exposes P(a,x) for tests and other packages.
-func RegularizedGammaP(a, x float64) float64 { return regularizedGammaP(a, x) }
 
 // RateEstimate is an estimated event rate (events per unit exposure) with a
 // Poisson confidence interval, the core quantity behind every cross section

@@ -15,6 +15,11 @@ import (
 // hash, so a layout change can never collide with an old model.
 const ModelVersion = "surrogate/v1"
 
+// MaxDegree is the highest polynomial total degree Train fits and Verify
+// accepts. It bounds the multiplications Predict spends per term, so a
+// model that loads answers in the O(µs) serving budget.
+const MaxDegree = 8
+
 // Hull is the axis-aligned bounding box of the training features — the
 // region where the certified error bound was actually measured. The
 // bounds are inclusive: a query exactly on a face is inside.
@@ -101,13 +106,16 @@ func (m *Model) contentHash() string {
 // treated as immutable.
 func (m *Model) seal() { m.Hash = m.contentHash() }
 
-// Verify checks structural consistency and that the stored hash matches
-// the content — the guard Load applies before a model may serve.
+// Verify checks structural consistency, that the polynomial stays within
+// MaxDegree, and that the stored hash matches the content — the guard
+// Load applies before a model may serve. The hash is a checksum, not a
+// signature: anyone can re-seal an edited model, so every bound Predict
+// relies on is checked here.
 func (m *Model) Verify() error {
 	switch {
 	case m.Version != ModelVersion:
 		return fmt.Errorf("surrogate: model version %q, want %q", m.Version, ModelVersion)
-	case len(m.FeatureNames) == 0,
+	case len(m.FeatureNames) != NumFeatures,
 		len(m.Mean) != len(m.FeatureNames),
 		len(m.Scale) != len(m.FeatureNames),
 		len(m.Hull.Min) != len(m.FeatureNames),
@@ -117,10 +125,22 @@ func (m *Model) Verify() error {
 		return fmt.Errorf("surrogate: %d coefficients for %d terms", len(m.Coef), len(m.Terms))
 	case !(m.CertifiedRelErr > 0) || math.IsInf(m.CertifiedRelErr, 0):
 		return fmt.Errorf("surrogate: certified error bound %v must be a positive finite number", m.CertifiedRelErr)
+	case m.Degree > MaxDegree:
+		return fmt.Errorf("surrogate: degree %d above the ceiling %d", m.Degree, MaxDegree)
 	}
 	for _, t := range m.Terms {
 		if len(t) != len(m.FeatureNames) {
 			return fmt.Errorf("surrogate: term arity %d, want %d", len(t), len(m.FeatureNames))
+		}
+		sum := 0
+		for _, e := range t {
+			if e < 0 || e > m.Degree {
+				return fmt.Errorf("surrogate: term exponent %d outside [0, degree %d]", e, m.Degree)
+			}
+			sum += e
+		}
+		if sum > m.Degree {
+			return fmt.Errorf("surrogate: term of total degree %d above the model degree %d", sum, m.Degree)
 		}
 	}
 	for i := range m.Hull.Min {

@@ -1,6 +1,7 @@
 package surrogate
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -31,7 +32,7 @@ var (
 )
 
 // trainedModel trains one shared model for the whole test package.
-func trainedModel(t *testing.T) (*Model, *Dataset) {
+func trainedModel(t testing.TB) (*Model, *Dataset) {
 	t.Helper()
 	modelOnce.Do(func() {
 		modelData, modelErr = EvaluateGrid(testGrid())
@@ -328,6 +329,13 @@ func TestTrainRejectsTinyDataset(t *testing.T) {
 	}
 }
 
+func TestTrainRejectsDegreeAboveCeiling(t *testing.T) {
+	_, ds := trainedModel(t)
+	if _, err := Train(ds, TrainConfig{Degree: MaxDegree + 1}); err == nil {
+		t.Error("Train accepted a degree above MaxDegree")
+	}
+}
+
 // FuzzFeatureVector drives arbitrary design inputs and bias factors
 // through the serving gate: building features never panics, non-finite
 // features are never inside the hull, and anything the hull accepts
@@ -366,6 +374,65 @@ func FuzzFeatureVector(f *testing.F) {
 			if !(sigma > 0) || math.IsInf(sigma, 0) || math.IsNaN(sigma) {
 				t.Fatalf("in-hull prediction %v is not a finite positive cross section (features %v)", sigma, fv)
 			}
+		}
+	})
+}
+
+// FuzzLoad feeds arbitrary model bytes to Load. Tampered, truncated or
+// re-sealed models never panic, and a model Load accepts keeps its
+// polynomial within its degree and MaxDegree, so an in-hull Predict
+// stays in the serving budget.
+func FuzzLoad(f *testing.F) {
+	m, _ := trainedModel(f)
+	good, err := json.Marshal(m)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The content hash is a checksum, not a signature: a model with one
+	// term raised to the power 2^31 re-seals into a valid hash.
+	var huge Model
+	if err := json.Unmarshal(good, &huge); err != nil {
+		f.Fatal(err)
+	}
+	huge.Terms[len(huge.Terms)-1][FeatLogQcrit] = 1 << 31
+	huge.seal()
+	resealed, err := json.Marshal(&huge)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add(resealed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "model.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Load(path)
+		if err != nil {
+			return
+		}
+		if got.Degree > MaxDegree {
+			t.Fatalf("accepted degree %d above MaxDegree", got.Degree)
+		}
+		for _, term := range got.Terms {
+			sum := 0
+			for _, e := range term {
+				if e < 0 {
+					t.Fatalf("accepted negative exponent in %v", term)
+				}
+				sum += e
+			}
+			if sum > got.Degree {
+				t.Fatalf("accepted term %v above degree %d", term, got.Degree)
+			}
+		}
+		center := make([]float64, len(got.Hull.Min))
+		for i := range center {
+			center[i] = got.Hull.Min[i]/2 + got.Hull.Max[i]/2
+		}
+		if got.Hull.Contains(center) {
+			_ = got.Predict(center)
 		}
 	})
 }

@@ -123,10 +123,11 @@ func LoadDataset(path string) (*Dataset, error) {
 // defaults from withDefaults; every field is part of the model's
 // content hash via the fields copied onto the Model.
 type TrainConfig struct {
-	// Degree is the polynomial total degree (default 4 — enough for the
-	// spectrum-switch × log-Qcrit-curvature interactions the physics
-	// has; on the default grid it halves the held-out error of a cubic
-	// while keeping fewer terms than training rows).
+	// Degree is the polynomial total degree, at most MaxDegree (default
+	// 4 — enough for the spectrum-switch × log-Qcrit-curvature
+	// interactions the physics has; on the default grid it halves the
+	// held-out error of a cubic while keeping fewer terms than training
+	// rows).
 	Degree int
 	// Lambda is the ridge strength relative to the training row count
 	// (default 1e-6).
@@ -171,6 +172,9 @@ const minCertifiedRelErr = 0.01
 // byte-identical models with identical content hashes.
 func Train(ds *Dataset, cfg TrainConfig) (*Model, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Degree > MaxDegree {
+		return nil, fmt.Errorf("surrogate: degree %d above the ceiling %d", cfg.Degree, MaxDegree)
+	}
 	if ds == nil || len(ds.Rows) == 0 {
 		return nil, fmt.Errorf("surrogate: empty dataset")
 	}

@@ -65,9 +65,6 @@ func (s *Span) End() {
 	s.reg.recordSpan(s.path, time.Since(s.start))
 }
 
-// Path returns the span's hierarchical identifier.
-func (s *Span) Path() string { return s.path }
-
 // SetStage tags the span's trace copy as a well-known pipeline stage
 // ("queue", "compile", "run", "merge") for per-job timing breakdowns.
 // No-op when no trace is active.

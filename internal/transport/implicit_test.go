@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -32,11 +33,11 @@ func fastWattSource(s *rng.Stream) units.Energy {
 // sampling error (binomial on the analog side, ΣW² on the weighted side).
 func TestImplicitCaptureEquivalence(t *testing.T) {
 	const n = 40000
-	analog, err := SimulateWithOptions(implicitSlabs(), n, fastWattSource, rng.New(23), Options{})
+	analog, err := SimulateContext(context.Background(), implicitSlabs(), n, fastWattSource, rng.New(23), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	weighted, err := SimulateWithOptions(implicitSlabs(), n, fastWattSource, rng.New(29), Options{ImplicitCapture: true})
+	weighted, err := SimulateContext(context.Background(), implicitSlabs(), n, fastWattSource, rng.New(29), Options{ImplicitCapture: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestImplicitCaptureEquivalence(t *testing.T) {
 // martingale increment. The books must balance to well within a percent.
 func TestImplicitCaptureConservation(t *testing.T) {
 	const n = 30000
-	tally, err := SimulateWithOptions(implicitSlabs(), n, fastWattSource, rng.New(31), Options{ImplicitCapture: true})
+	tally, err := SimulateContext(context.Background(), implicitSlabs(), n, fastWattSource, rng.New(31), Options{ImplicitCapture: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestImplicitCaptureConservation(t *testing.T) {
 func TestImplicitCaptureShardCountInvariance(t *testing.T) {
 	const n = 20000
 	run := func(workers int) *Tally {
-		tally, err := SimulateWithOptions(implicitSlabs(), n, fastWattSource, rng.New(17),
+		tally, err := SimulateContext(context.Background(), implicitSlabs(), n, fastWattSource, rng.New(17),
 			Options{ImplicitCapture: true, Shards: workers, ShardGrain: 2048})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -134,11 +135,11 @@ func TestImplicitCaptureShardCountInvariance(t *testing.T) {
 // analog sampler ever picks.
 func TestImplicitCaptureVarianceReduction(t *testing.T) {
 	const n = 20000
-	analog, err := SimulateWithOptions(implicitSlabs(), n, fastWattSource, rng.New(41), Options{})
+	analog, err := SimulateContext(context.Background(), implicitSlabs(), n, fastWattSource, rng.New(41), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	weighted, err := SimulateWithOptions(implicitSlabs(), n, fastWattSource, rng.New(43), Options{ImplicitCapture: true})
+	weighted, err := SimulateContext(context.Background(), implicitSlabs(), n, fastWattSource, rng.New(43), Options{ImplicitCapture: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -199,21 +199,11 @@ const rouletteThreshold = 1e-3
 // defaultShardGrain is the number of source neutrons per engine shard.
 const defaultShardGrain = 16384
 
-// Simulate fires n source neutrons at normal incidence into the slab stack
-// and returns the tally. source supplies the incident energy distribution.
-func Simulate(slabs []Slab, n int, source func(*rng.Stream) units.Energy, s *rng.Stream) (*Tally, error) {
-	return SimulateWithOptions(slabs, n, source, s, Options{})
-}
-
-// SimulateWithOptions is Simulate with explicit model options.
-func SimulateWithOptions(slabs []Slab, n int, source func(*rng.Stream) units.Energy, s *rng.Stream, opts Options) (*Tally, error) {
-	return SimulateContext(context.Background(), slabs, n, source, s, opts)
-}
-
-// SimulateContext is SimulateWithOptions with a caller context: spans nest
-// under the caller's, progress posts reach any observer attached with
-// telemetry.ContextWithProgress, and cancellation stops the walk at the
-// next shard boundary.
+// SimulateContext fires n source neutrons at normal incidence into the
+// slab stack and returns the tally. source supplies the incident energy
+// distribution. Spans nest under the caller's, progress posts reach any
+// observer attached with telemetry.ContextWithProgress, and cancellation
+// stops the walk at the next shard boundary.
 func SimulateContext(ctx context.Context, slabs []Slab, n int, source func(*rng.Stream) units.Energy, s *rng.Stream, opts Options) (*Tally, error) {
 	if len(slabs) == 0 {
 		return nil, errors.New("transport: empty geometry")
@@ -600,8 +590,8 @@ func sampleAbsorber(m *materials.Material, e units.Energy, s *rng.Stream) string
 // still in the original band and the total. It is the engine behind the
 // paper's Cd / borated-plastic shielding discussion (§VI).
 func ShieldTransmission(m *materials.Material, thicknessCm float64, e units.Energy, n int, s *rng.Stream) (sameBand, total float64, err error) {
-	tally, err := Simulate([]Slab{{Material: m, Thickness: thicknessCm}}, n,
-		func(*rng.Stream) units.Energy { return e }, s)
+	tally, err := SimulateContext(context.Background(), []Slab{{Material: m, Thickness: thicknessCm}}, n,
+		func(*rng.Stream) units.Energy { return e }, s, Options{})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -609,15 +599,10 @@ func ShieldTransmission(m *materials.Material, thicknessCm float64, e units.Ener
 	return float64(tally.Transmitted[band]) / float64(n), tally.TransmissionFraction(), nil
 }
 
-// ThermalAlbedo fires n fast neutrons (from source) into a moderator slab
-// and returns the fraction that comes back out of the front face as
-// thermal neutrons. This is the mechanism by which a concrete floor or a
-// water tank raises the thermal flux seen by nearby devices.
-func ThermalAlbedo(m *materials.Material, thicknessCm float64, n int, source func(*rng.Stream) units.Energy, s *rng.Stream) (float64, error) {
-	return ThermalAlbedoContext(context.Background(), m, thicknessCm, n, source, s)
-}
-
-// ThermalAlbedoContext is ThermalAlbedo with a caller context.
+// ThermalAlbedoContext fires n fast neutrons (from source) into a
+// moderator slab and returns the fraction that comes back out of the front
+// face as thermal neutrons. This is the mechanism by which a concrete floor
+// or a water tank raises the thermal flux seen by nearby devices.
 func ThermalAlbedoContext(ctx context.Context, m *materials.Material, thicknessCm float64, n int, source func(*rng.Stream) units.Energy, s *rng.Stream) (float64, error) {
 	tally, err := SimulateContext(ctx, []Slab{{Material: m, Thickness: thicknessCm}}, n, source, s, Options{})
 	if err != nil {
@@ -641,13 +626,9 @@ type EnhancementConfig struct {
 	Neutrons int
 }
 
-// ThermalEnhancement estimates the relative increase of the local thermal
-// flux caused by the moderator: albedo × coupling × (Φfast/Φthermal).
-func ThermalEnhancement(cfg EnhancementConfig, source func(*rng.Stream) units.Energy, s *rng.Stream) (float64, error) {
-	return ThermalEnhancementContext(context.Background(), cfg, source, s)
-}
-
-// ThermalEnhancementContext is ThermalEnhancement with a caller context.
+// ThermalEnhancementContext estimates the relative increase of the local
+// thermal flux caused by the moderator: albedo × coupling ×
+// (Φfast/Φthermal).
 func ThermalEnhancementContext(ctx context.Context, cfg EnhancementConfig, source func(*rng.Stream) units.Energy, s *rng.Stream) (float64, error) {
 	if cfg.FastToThermalFluxRatio <= 0 {
 		return 0, errors.New("transport: flux ratio must be positive")

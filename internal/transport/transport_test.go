@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -19,27 +20,27 @@ func thermalSource(*rng.Stream) units.Energy { return 0.0253 }
 
 func TestSimulateValidation(t *testing.T) {
 	s := rng.New(1)
-	if _, err := Simulate(nil, 10, thermalSource, s); err == nil {
+	if _, err := SimulateContext(context.Background(), nil, 10, thermalSource, s, Options{}); err == nil {
 		t.Error("empty geometry accepted")
 	}
 	slabs := []Slab{{Material: materials.Water(), Thickness: 1}}
-	if _, err := Simulate(slabs, 0, thermalSource, s); err == nil {
+	if _, err := SimulateContext(context.Background(), slabs, 0, thermalSource, s, Options{}); err == nil {
 		t.Error("zero neutrons accepted")
 	}
-	if _, err := Simulate(slabs, 10, nil, s); err == nil {
+	if _, err := SimulateContext(context.Background(), slabs, 10, nil, s, Options{}); err == nil {
 		t.Error("nil source accepted")
 	}
-	if _, err := Simulate([]Slab{{Material: materials.Water(), Thickness: 0}}, 10, thermalSource, s); err == nil {
+	if _, err := SimulateContext(context.Background(), []Slab{{Material: materials.Water(), Thickness: 0}}, 10, thermalSource, s, Options{}); err == nil {
 		t.Error("zero thickness accepted")
 	}
-	if _, err := Simulate([]Slab{{Thickness: 1}}, 10, thermalSource, s); err == nil {
+	if _, err := SimulateContext(context.Background(), []Slab{{Thickness: 1}}, 10, thermalSource, s, Options{}); err == nil {
 		t.Error("nil material accepted")
 	}
 }
 
 func TestConservation(t *testing.T) {
 	s := rng.New(2)
-	tally, err := Simulate([]Slab{{Material: materials.Water(), Thickness: 5}}, 5000, fastSource, s)
+	tally, err := SimulateContext(context.Background(), []Slab{{Material: materials.Water(), Thickness: 5}}, 5000, fastSource, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestConservation(t *testing.T) {
 
 func TestThinAirTransparent(t *testing.T) {
 	s := rng.New(3)
-	tally, err := Simulate([]Slab{{Material: materials.Air(), Thickness: 100}}, 2000, fastSource, s)
+	tally, err := SimulateContext(context.Background(), []Slab{{Material: materials.Air(), Thickness: 100}}, 2000, fastSource, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestThinAirTransparent(t *testing.T) {
 
 func TestWaterModeratesFastToThermal(t *testing.T) {
 	s := rng.New(4)
-	tally, err := Simulate([]Slab{{Material: materials.Water(), Thickness: 5.08}}, 20000, fastSource, s)
+	tally, err := SimulateContext(context.Background(), []Slab{{Material: materials.Water(), Thickness: 5.08}}, 20000, fastSource, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,15 +79,15 @@ func TestWaterModeratesFastToThermal(t *testing.T) {
 
 func TestAlbedoSaturatesWithThickness(t *testing.T) {
 	s := rng.New(5)
-	thin, err := ThermalAlbedo(materials.Water(), 1, 15000, fastSource, s)
+	thin, err := ThermalAlbedoContext(context.Background(), materials.Water(), 1, 15000, fastSource, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	thick, err := ThermalAlbedo(materials.Water(), 10, 15000, fastSource, s)
+	thick, err := ThermalAlbedoContext(context.Background(), materials.Water(), 10, 15000, fastSource, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	veryThick, err := ThermalAlbedo(materials.Water(), 40, 15000, fastSource, s)
+	veryThick, err := ThermalAlbedoContext(context.Background(), materials.Water(), 40, 15000, fastSource, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +101,8 @@ func TestAlbedoSaturatesWithThickness(t *testing.T) {
 
 func TestConcreteModeratesLessThanWater(t *testing.T) {
 	s := rng.New(6)
-	water, _ := ThermalAlbedo(materials.Water(), 30, 15000, fastSource, s)
-	concrete, _ := ThermalAlbedo(materials.Concrete(), 30, 15000, fastSource, s)
+	water, _ := ThermalAlbedoContext(context.Background(), materials.Water(), 30, 15000, fastSource, s)
+	concrete, _ := ThermalAlbedoContext(context.Background(), materials.Concrete(), 30, 15000, fastSource, s)
 	if concrete >= water {
 		t.Errorf("concrete albedo %v should be below water %v", concrete, water)
 	}
@@ -139,13 +140,13 @@ func TestBoratedPlasticShielding(t *testing.T) {
 		t.Errorf("2in borated PE transmitted %v of thermals", trans)
 	}
 	// Plain PE mostly scatters them around instead of absorbing.
-	absorbing, err := Simulate([]Slab{{Material: materials.BoratedPolyethylene(0.05), Thickness: 5.08}},
-		10000, thermalSource, s)
+	absorbing, err := SimulateContext(context.Background(), []Slab{{Material: materials.BoratedPolyethylene(0.05), Thickness: 5.08}},
+		10000, thermalSource, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Simulate([]Slab{{Material: materials.Polyethylene(), Thickness: 5.08}},
-		10000, thermalSource, s)
+	plain, err := SimulateContext(context.Background(), []Slab{{Material: materials.Polyethylene(), Thickness: 5.08}},
+		10000, thermalSource, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +158,10 @@ func TestBoratedPlasticShielding(t *testing.T) {
 func TestMultiSlabGeometry(t *testing.T) {
 	s := rng.New(9)
 	// Cd in front of water: thermal source dies in the Cd, never reaches water.
-	tally, err := Simulate([]Slab{
+	tally, err := SimulateContext(context.Background(), []Slab{
 		{Material: materials.CadmiumSheet(), Thickness: 0.1},
 		{Material: materials.Water(), Thickness: 5},
-	}, 5000, thermalSource, s)
+	}, 5000, thermalSource, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +175,8 @@ func TestMultiSlabGeometry(t *testing.T) {
 
 func TestAbsorbedByElementHelium3(t *testing.T) {
 	s := rng.New(10)
-	tally, err := Simulate([]Slab{{Material: materials.Helium3Gas(4), Thickness: 2.5}},
-		5000, thermalSource, s)
+	tally, err := SimulateContext(context.Background(), []Slab{{Material: materials.Helium3Gas(4), Thickness: 2.5}},
+		5000, thermalSource, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestThermalEnhancementCalibration(t *testing.T) {
 	s := rng.New(11)
 	// With coupling 0.5 and fast:thermal ratio 3.2 (NYC-like), 2 inches of
 	// water should produce roughly the paper's +24%.
-	enh, err := ThermalEnhancement(EnhancementConfig{
+	enh, err := ThermalEnhancementContext(context.Background(), EnhancementConfig{
 		Moderator:              materials.Water(),
 		Thickness:              5.08,
 		FastToThermalFluxRatio: 3.2,
@@ -205,7 +206,7 @@ func TestThermalEnhancementCalibration(t *testing.T) {
 		t.Errorf("water enhancement = %v, want ~0.24", enh)
 	}
 	// Concrete slab floor: the paper reports ~+20%.
-	enhC, err := ThermalEnhancement(EnhancementConfig{
+	enhC, err := ThermalEnhancementContext(context.Background(), EnhancementConfig{
 		Moderator:              materials.Concrete(),
 		Thickness:              30,
 		FastToThermalFluxRatio: 3.2,
@@ -223,18 +224,18 @@ func TestThermalEnhancementCalibration(t *testing.T) {
 func TestThermalEnhancementValidation(t *testing.T) {
 	s := rng.New(12)
 	cfg := EnhancementConfig{Moderator: materials.Water(), Thickness: 5}
-	if _, err := ThermalEnhancement(cfg, fastSource, s); err == nil {
+	if _, err := ThermalEnhancementContext(context.Background(), cfg, fastSource, s); err == nil {
 		t.Error("zero flux ratio accepted")
 	}
 	cfg.FastToThermalFluxRatio = 3
-	if _, err := ThermalEnhancement(cfg, fastSource, s); err == nil {
+	if _, err := ThermalEnhancementContext(context.Background(), cfg, fastSource, s); err == nil {
 		t.Error("zero coupling accepted")
 	}
 }
 
 func TestThermalEnhancementDefaultNeutrons(t *testing.T) {
 	s := rng.New(13)
-	enh, err := ThermalEnhancement(EnhancementConfig{
+	enh, err := ThermalEnhancementContext(context.Background(), EnhancementConfig{
 		Moderator:              materials.Water(),
 		Thickness:              5.08,
 		FastToThermalFluxRatio: 3.2,
@@ -264,7 +265,7 @@ func TestFateString(t *testing.T) {
 func TestEnergyNeverLost(t *testing.T) {
 	// Reflected/transmitted neutrons must carry classifiable energies.
 	s := rng.New(14)
-	tally, err := Simulate([]Slab{{Material: materials.Polyethylene(), Thickness: 3}}, 5000, fastSource, s)
+	tally, err := SimulateContext(context.Background(), []Slab{{Material: materials.Polyethylene(), Thickness: 3}}, 5000, fastSource, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +281,7 @@ func BenchmarkWaterTransport(b *testing.B) {
 	slabs := []Slab{{Material: materials.Water(), Thickness: 5.08}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(slabs, 100, fastSource, s); err != nil {
+		if _, err := SimulateContext(context.Background(), slabs, 100, fastSource, s, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -297,8 +298,8 @@ func TestConservationProperty(t *testing.T) {
 		m := mats[int(matIdx)%len(mats)]
 		thickness := 0.1 + math.Abs(math.Mod(rawThick, 20))
 		e := units.Energy(0.001 + math.Abs(math.Mod(rawE, 1e8)))
-		tally, err := Simulate([]Slab{{Material: m, Thickness: thickness}}, 200,
-			func(*rng.Stream) units.Energy { return e }, s)
+		tally, err := SimulateContext(context.Background(), []Slab{{Material: m, Thickness: thickness}}, 200,
+			func(*rng.Stream) units.Energy { return e }, s, Options{})
 		if err != nil {
 			return false
 		}
@@ -312,10 +313,10 @@ func TestConservationProperty(t *testing.T) {
 func TestForwardBiasValidation(t *testing.T) {
 	s := rng.New(100)
 	slabs := []Slab{{Material: materials.Water(), Thickness: 1}}
-	if _, err := SimulateWithOptions(slabs, 10, thermalSource, s, Options{ForwardBias: -0.1}); err == nil {
+	if _, err := SimulateContext(context.Background(), slabs, 10, thermalSource, s, Options{ForwardBias: -0.1}); err == nil {
 		t.Error("negative bias accepted")
 	}
-	if _, err := SimulateWithOptions(slabs, 10, thermalSource, s, Options{ForwardBias: 1}); err == nil {
+	if _, err := SimulateContext(context.Background(), slabs, 10, thermalSource, s, Options{ForwardBias: 1}); err == nil {
 		t.Error("bias of 1 accepted")
 	}
 }
@@ -323,11 +324,11 @@ func TestForwardBiasValidation(t *testing.T) {
 func TestForwardBiasRaisesTransmission(t *testing.T) {
 	s := rng.New(101)
 	slabs := []Slab{{Material: materials.Polyethylene(), Thickness: 5}}
-	iso, err := SimulateWithOptions(slabs, 8000, fastSource, s, Options{})
+	iso, err := SimulateContext(context.Background(), slabs, 8000, fastSource, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fwd, err := SimulateWithOptions(slabs, 8000, fastSource, s, Options{ForwardBias: 0.5})
+	fwd, err := SimulateContext(context.Background(), slabs, 8000, fastSource, s, Options{ForwardBias: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

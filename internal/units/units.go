@@ -40,28 +40,8 @@ const (
 	CadmiumCutoff Energy = 0.4
 )
 
-// EV returns the energy in electron-volts as a bare float64.
-func (e Energy) EV() float64 { return float64(e) }
-
 // MeV returns the energy in mega-electron-volts.
 func (e Energy) MeV() float64 { return float64(e) / 1e6 }
-
-// Lethargy returns u = ln(Eref/E), the standard slowing-down variable,
-// with the conventional reference energy of 10 GeV (above any neutron we
-// track, so lethargy is always positive).
-func (e Energy) Lethargy() float64 {
-	const refEV = 10e9
-	if e <= 0 {
-		return math.Inf(1)
-	}
-	return math.Log(refEV / float64(e))
-}
-
-// EnergyFromLethargy inverts Lethargy.
-func EnergyFromLethargy(u float64) Energy {
-	const refEV = 10e9
-	return Energy(refEV * math.Exp(-u))
-}
 
 // IsThermal reports whether the energy falls in the paper's thermal band.
 func (e Energy) IsThermal() bool { return e < ThermalCutoff }
@@ -103,10 +83,6 @@ func (f Flux) String() string { return fmt.Sprintf("%.3g n/cm²/s", float64(f)) 
 
 // Fluence is a time-integrated flux in neutrons per cm².
 type Fluence float64
-
-// Accumulate returns the fluence collected by exposure to flux f for the
-// given number of seconds.
-func Accumulate(f Flux, seconds float64) Fluence { return Fluence(float64(f) * seconds) }
 
 // String formats the fluence in n/cm².
 func (fl Fluence) String() string { return fmt.Sprintf("%.3g n/cm²", float64(fl)) }

@@ -39,16 +39,11 @@ func (c Class) String() string {
 	}
 }
 
-// Execution errors: a workload returning one of these from Step is what
+// ErrCorruptState marks detectably corrupted control state, the analogue
+// of a crash or illegal access. A workload returning it from Step is what
 // the beam harness classifies as a DUE (the application "dies or gets
-// stuck", §III-C).
-var (
-	// ErrHang marks a step that exceeded its iteration watchdog.
-	ErrHang = errors.New("workload: hang detected")
-	// ErrCorruptState marks detectably corrupted control state (the
-	// analogue of a crash / illegal access).
-	ErrCorruptState = errors.New("workload: corrupt control state")
-)
+// stuck", §III-C); faults in control logic are the other source of DUEs.
+var ErrCorruptState = errors.New("workload: corrupt control state")
 
 // Workload is a deterministic, stepwise, fault-injectable kernel.
 type Workload interface {
@@ -60,8 +55,9 @@ type Workload interface {
 	Reset(seed uint64)
 	// Steps is the number of execution steps after Reset.
 	Steps() int
-	// Step runs step i (0-based). It may return ErrHang or
-	// ErrCorruptState when injected faults break control flow.
+	// Step runs step i (0-based). It returns ErrCorruptState when
+	// injected faults break control flow, and an error for an i outside
+	// [0, Steps()).
 	Step(i int) error
 	// AppendOutput appends the result signature used for golden
 	// comparison to dst and returns the extended slice, so a replay loop

@@ -102,8 +102,11 @@ func AssessContext(ctx context.Context, d *Device, workloads []string, b Budget,
 	return core.AssessContext(ctx, d, workloads, b, seed)
 }
 
-// DefaultBudget gives production-quality campaign statistics.
-func DefaultBudget() Budget { return core.DefaultBudget() }
+// DefaultBudget gives production-quality campaign statistics (hundreds of
+// errors per campaign).
+func DefaultBudget() Budget {
+	return Budget{FastSeconds: 2 * 3600, ThermalSeconds: 40 * 3600, Boost: 1}
+}
 
 // QuickBudget trades precision for speed while preserving all ratios.
 func QuickBudget() Budget { return core.QuickBudget() }
@@ -141,7 +144,7 @@ func DDR4Module() ModuleSpec { return memsim.DDR4Module() }
 // RunMemoryCampaign runs a thermal-beam correct-loop campaign on a module
 // for the given number of hours.
 func RunMemoryCampaign(spec ModuleSpec, hours float64, ecc bool, seed uint64) (*MemoryResult, error) {
-	return memsim.Run(memsim.Config{
+	return memsim.RunContext(context.Background(), memsim.Config{
 		Spec:            spec,
 		Band:            memsim.ThermalBeam,
 		Flux:            spectrum.ROTAXTotalFlux,
@@ -194,7 +197,9 @@ type (
 
 // SimulateFleet runs a fleet error-log simulation (the field-study
 // pipeline of §II).
-func SimulateFleet(cfg FleetConfig) (*FleetLog, error) { return fleet.Simulate(cfg) }
+func SimulateFleet(cfg FleetConfig) (*FleetLog, error) {
+	return fleet.SimulateContext(context.Background(), cfg)
+}
 
 // SimulateFleetContext is SimulateFleet with a caller context; cancellation
 // stops the simulation at the next day boundary.
