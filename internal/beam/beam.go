@@ -518,8 +518,8 @@ func (r *Result) estimateCrossSections() error {
 type shardRunner struct {
 	cfg    Config
 	lambda float64
-	// expNegLambda caches exp(-lambda) for the Knuth Poisson draw, which
-	// otherwise recomputes it on every run.
+	// expNegLambda caches exp(-lambda) for the one-run-at-a-time Poisson
+	// draw of runs that carry persistent faults.
 	expNegLambda float64
 	// biased selects the weighted estimator: draws come from the biased
 	// table with their likelihood weights, and every tally is fed the
@@ -527,9 +527,9 @@ type shardRunner struct {
 	// shard's lifetime, so its branches predict perfectly.
 	biased bool
 	// sample (exact) or wsample (biased) is the plan's hoisted alias-table
-	// view, whichever the mode draws from: the batched classify pass reads
-	// the fused 32-byte slots through a runner-local slice header instead
-	// of chasing the plan pointer per draw.
+	// view, whichever the mode draws from: materialize reads the fused
+	// 32-byte slots through a runner-local slice header instead of chasing
+	// the plan pointer per draw.
 	sample     plan.Sampler
 	wsample    plan.WeightedSampler
 	inj        *faultinject.Injector
@@ -551,14 +551,6 @@ type shardRunner struct {
 }
 
 func newShardRunner(cfg Config, sh engine.Shard, pl *plan.CampaignPlan, inj *faultinject.Injector, lambda float64, events *atomic.Int64) *shardRunner {
-	// The shard stream runs the whole campaign in buffered read-ahead
-	// mode: uniforms are pre-generated a batch at a time and served in
-	// order, so every data-dependent consumer below (Poisson loop, alias
-	// draw, device physics, fault injector) sees the exact sequence an
-	// unbuffered stream would produce (DESIGN.md §16). The buffer is
-	// allocated here, once per shard, keeping the run loop itself at zero
-	// allocations.
-	sh.Stream.ReadAhead(runLoopReadAhead)
 	r := &shardRunner{
 		cfg:          cfg,
 		lambda:       lambda,
@@ -579,54 +571,40 @@ func newShardRunner(cfg Config, sh engine.Shard, pl *plan.CampaignPlan, inj *fau
 	return r
 }
 
-// Batched run-loop parameters (DESIGN.md §16).
-const (
-	// runLoopReadAhead is the shard stream's uniform read-ahead buffer in
-	// draws: the batch of uniforms pre-generated in one tight pass and
-	// then consumed — in the exact unbuffered order — by the Poisson,
-	// alias, physics and injector draws of the following runs. 8 KiB of
-	// buffer, refilled roughly once per few hundred auto-tuned runs.
-	runLoopReadAhead = 1024
-	// runBatchSize is the number of runs per classify batch: integer
-	// tallies accumulate in batch-local variables and flush to the shard
-	// tally — and the cross-shard atomic events counter — once per batch,
-	// so the hot loop stops rattling a shared cache line on every event.
-	// Only associative integer counts are batched; weighted (Kahan) tally
-	// adds keep their exact per-run order.
-	runBatchSize = 512
-)
-
-// runBlock executes n runs as one batch. A run is a Poisson number of
-// conditioned interaction draws, device physics per interaction, then
-// workload replay under the collected faults. The classify pass separates
-// the no-interaction common path (a Poisson draw and a local masked
-// increment) from the rare materialization path, and the batch's integer
-// deltas flush to the shard tally and the shared events counter once at
-// the end. Every stream draw happens in exactly the per-run order, so the
-// batch is bit-identical to n scalar runs. It must stay free of per-run
-// allocations (asserted by TestRunLoopZeroAllocs for both estimators).
+// runBlock executes n runs. A run is a Poisson number of conditioned
+// interaction draws, device physics per interaction, then workload replay
+// under the collected faults. While no persistent fault is carried, one
+// PoissonRun call scans the empty runs ahead — one generator output and
+// one integer compare each — and counts them masked; the run that ends
+// the scan, and every run that carries persistent faults, goes through
+// materialize. Every stream draw happens in exactly the per-run order, so
+// the block is bit-identical to n scalar runs (DESIGN.md §16). The shared
+// events counter is flushed once, at the end. It must stay free of
+// per-run allocations (asserted by TestRunLoopZeroAllocs for both
+// estimators).
 func (r *shardRunner) runBlock(n int) {
 	before := r.tc.SDC + r.tc.DUE
-	lambda, expNeg := r.lambda, r.expNegLambda
-	s, biased := r.s, r.biased
-	var masked int64
-	for i := 0; i < n; i++ {
-		nInt := s.PoissonExp(lambda, expNeg)
-		if nInt == 0 && len(r.persistent) == 0 {
-			masked++
-			if biased {
-				// No draws and no carried faults: masked with outcome
-				// weight wCarried·1.0, and the empty persistent set resets
-				// the carried product exactly like advanceCarried would.
-				// Kahan adds are order-dependent, so they are fed per run.
-				r.tc.Weighted.Masked.Add(r.wCarried)
-				r.wCarried = 1
-			}
+	for n > 0 {
+		if len(r.persistent) > 0 {
+			r.materialize(r.s.PoissonExp(r.lambda, r.expNegLambda))
+			n--
 			continue
 		}
-		r.materialize(nInt)
+		zeros, nInt := r.s.PoissonRun(r.lambda, n)
+		r.tc.Masked += int64(zeros)
+		if r.biased {
+			// An empty run is masked with outcome weight wCarried·1, and
+			// wCarried is exactly 1 while nothing is carried. Kahan adds
+			// are order-dependent, so each run still gets its own.
+			for range zeros {
+				r.tc.Weighted.Masked.Add(1)
+			}
+		}
+		if n -= zeros; n > 0 {
+			r.materialize(nInt)
+			n--
+		}
 	}
-	r.tc.Masked += masked
 	if d := r.tc.SDC + r.tc.DUE - before; d != 0 {
 		r.events.Add(d)
 	}
@@ -634,8 +612,8 @@ func (r *shardRunner) runBlock(n int) {
 
 // materialize is the rare path of a run: nInt > 0 interactions to draw
 // and classify, or carried persistent faults to replay (or both).
-// Deliberately outlined from the batch loop — at auto-tuned λ ≈ 0.05 over
-// 95% of runs never come here. On the biased path every interaction
+// Deliberately outlined from the scan in runBlock — at auto-tuned λ ≈ 0.05
+// over 95% of runs never come here. On the biased path every interaction
 // comes from the biased table with its likelihood weight: per-draw
 // tallies (draws, upsets by band) use the draw's own weight, run outcomes
 // (SDC/DUE/Masked) the product of the weights of every draw that
@@ -725,15 +703,7 @@ func (r *shardRunner) advanceCarried(wRun float64) {
 
 func runShard(cfg Config, sh engine.Shard, pl *plan.CampaignPlan, inj *faultinject.Injector, lambda float64, events *atomic.Int64) shardTally {
 	r := newShardRunner(cfg, sh, pl, inj, lambda, events)
-	// The shard executes in batches of runBatchSize runs: uniforms are
-	// pre-filled by the stream's read-ahead buffer, integer tallies
-	// accumulate batch-locally, and the shared events counter sees one
-	// atomic add per batch instead of one per event.
-	for n := sh.Count; n > 0; {
-		b := min(n, runBatchSize)
-		r.runBlock(b)
-		n -= b
-	}
+	r.runBlock(sh.Count)
 	return r.tc
 }
 

@@ -120,11 +120,17 @@ func RecordGolden(w workload.Workload, seed uint64) (*GoldenRun, error) {
 			before[i] = checksum(r)
 		}
 	}
-	prev := make([]snapshot, len(state))
+	// Every checkpoint's snapshots and block lists are allocated together.
+	nf, nu := 0, 0
+	for _, r := range state {
+		nf, nu = nf+numBlocks(len(r.F64)), nu+numBlocks(len(r.U32))
+	}
+	lists := blockLists{f64: make([][]float64, 0, steps*nf), u32: make([][]uint32, 0, steps*nu)}
+	snaps, prev := make([]snapshot, steps*len(state)), make([]snapshot, len(state))
 	for k := range steps {
-		cp := make([]snapshot, len(state))
+		cp := snaps[k*len(state) : (k+1)*len(state) : (k+1)*len(state)]
 		for j, r := range state {
-			cp[j] = takeSnapshot(r, prev[j])
+			cp[j] = takeSnapshot(r, prev[j], &lists)
 		}
 		g.checkpoints[k], prev = cp, cp
 		if err := w.Step(k); err != nil {
@@ -385,11 +391,21 @@ func locate(regions []workload.Region, idx int) (int, int) {
 }
 
 // readOnly classifies injectable regions: a region is read-only when it
-// is not one of the State buffers.
+// is not one of the State buffers. State lists the injectable buffers it
+// holds in Regions order, so one forward pass over regions finds them.
 func readOnly(regions, state []workload.Region) []bool {
 	ro := make([]bool, len(regions))
-	for i, r := range regions {
-		ro[i] = !slices.ContainsFunc(state, func(s workload.Region) bool { return sameBuffer(r, s) })
+	for i := range ro {
+		ro[i] = true
+	}
+	next := 0
+	for _, s := range state {
+		for i := next; i < len(regions); i++ {
+			if sameBuffer(regions[i], s) {
+				ro[i], next = false, i+1
+				break
+			}
+		}
 	}
 	return ro
 }

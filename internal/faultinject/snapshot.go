@@ -26,32 +26,48 @@ type snapshot struct {
 	u32 [][]uint32
 }
 
-// takeSnapshot records r's content, sharing blocks with prev (the same
-// buffer's previous snapshot) where they match.
-func takeSnapshot(r workload.Region, prev snapshot) snapshot {
-	return snapshot{
-		f64: blocks(r.F64, prev.f64, zeroF64[:], equalF64),
-		u32: blocks(r.U32, prev.u32, zeroU32[:], slices.Equal[[]uint32]),
-	}
+// blockLists holds the block lists of a recording's snapshots, one list
+// per word type. A snapshot's list is a window of it, so a recording that
+// sizes them up front allocates every list together.
+type blockLists struct {
+	f64 [][]float64
+	u32 [][]uint32
 }
 
-func blocks[T float64 | uint32](cur []T, prev [][]T, zero []T, equal func(a, b []T) bool) [][]T {
-	if cur == nil {
-		return nil
+// takeSnapshot records r's content, sharing blocks with prev (the same
+// buffer's previous snapshot) where they match, and appends its block
+// list to lists.
+func takeSnapshot(r workload.Region, prev snapshot, lists *blockLists) snapshot {
+	var s snapshot
+	if r.F64 != nil {
+		n := len(lists.f64)
+		lists.f64 = appendBlocks(lists.f64, r.F64, prev.f64, zeroF64[:], equalF64)
+		s.f64 = lists.f64[n:len(lists.f64):len(lists.f64)]
 	}
-	out := make([][]T, 0, (len(cur)+blockWords-1)/blockWords)
-	for lo := 0; lo < len(cur); lo += blockWords {
-		blk, b := cur[lo:min(lo+blockWords, len(cur))], len(out)
+	if r.U32 != nil {
+		n := len(lists.u32)
+		lists.u32 = appendBlocks(lists.u32, r.U32, prev.u32, zeroU32[:], slices.Equal[[]uint32])
+		s.u32 = lists.u32[n:len(lists.u32):len(lists.u32)]
+	}
+	return s
+}
+
+// numBlocks is the number of blocks of a buffer of n words.
+func numBlocks(n int) int { return (n + blockWords - 1) / blockWords }
+
+func appendBlocks[T float64 | uint32](dst [][]T, cur []T, prev [][]T, zero []T, equal func(a, b []T) bool) [][]T {
+	for b := range numBlocks(len(cur)) {
+		blk := cur[b*blockWords : min((b+1)*blockWords, len(cur))]
 		switch {
 		case b < len(prev) && equal(blk, prev[b]):
-			out = append(out, prev[b])
+			dst = append(dst, prev[b])
 		case equal(blk, zero[:len(blk)]):
-			out = append(out, zero[:len(blk)])
+			dst = append(dst, zero[:len(blk)])
 		default:
-			out = append(out, slices.Clone(blk))
+			dst = append(dst, slices.Clone(blk))
 		}
 	}
-	return out
+	return dst
 }
 
 // restore copies the snapshot into r, which has its shape.

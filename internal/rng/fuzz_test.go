@@ -1,6 +1,9 @@
 package rng
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // drawPrefix captures the first k outputs of a stream.
 func drawPrefix(s *Stream, k int) []uint64 {
@@ -103,52 +106,16 @@ func FuzzSplit(f *testing.F) {
 	})
 }
 
-// FuzzReadAhead drives a buffered and an unbuffered stream through an
-// identical, input-chosen op sequence — including mid-sequence buffer
-// resizes and disables — and demands bit-identical outputs. ops bytes map
-// to draw methods with data-dependent consumption, so the fuzzer explores
-// refill boundaries landing inside every kind of multi-draw primitive.
-func FuzzReadAhead(f *testing.F) {
-	f.Add(uint64(1), uint16(1), []byte{0, 1, 2, 3, 4, 5, 6, 7})
-	f.Add(uint64(42), uint16(7), []byte{2, 2, 2, 9, 1, 1, 9, 3})
-	f.Add(^uint64(0), uint16(4096), []byte{6, 5, 4, 3, 2, 1, 0})
-	f.Fuzz(func(t *testing.T, seed uint64, size uint16, ops []byte) {
-		buffered := New(seed)
-		buffered.ReadAhead(int(size%4097) + 1)
-		ref := New(seed)
-		for i, op := range ops {
-			if len(ops) > 256 {
-				break
-			}
-			var got, want float64
-			switch op % 10 {
-			case 0:
-				got, want = float64(buffered.Uint64()), float64(ref.Uint64())
-			case 1:
-				got, want = buffered.Float64(), ref.Float64()
-			case 2:
-				got, want = float64(buffered.Intn(13)), float64(ref.Intn(13))
-			case 3:
-				got, want = float64(buffered.Poisson(3)), float64(ref.Poisson(3))
-			case 4:
-				got, want = buffered.Normal(), ref.Normal()
-			case 5:
-				got, want = buffered.Exponential(2), ref.Exponential(2)
-			case 6:
-				got, want = buffered.WattEnergy(0.988, 2.249), ref.WattEnergy(0.988, 2.249)
-			case 7:
-				got, want = float64(buffered.Split().Uint64()), float64(ref.Split().Uint64())
-			case 8:
-				// Resize mid-sequence; the reference stream is untouched.
-				buffered.ReadAhead(int(op)%97 + 1)
-				continue
-			default:
-				buffered.ReadAhead(0) // disable; pending values must still serve
-				continue
-			}
-			if got != want {
-				t.Fatalf("op %d (%d): buffered=%v unbuffered=%v", i, op%10, got, want)
-			}
-		}
+// FuzzPoissonRun checks PoissonRun against a loop of single Poisson
+// draws for any seed, any mean (NaN, infinities, subnormals and means
+// either side of the λ=30 handoff included) and any run limit.
+func FuzzPoissonRun(f *testing.F) {
+	f.Add(uint64(1), math.Float64bits(0.0032), 100_000)
+	f.Add(uint64(42), math.Float64bits(1e-17), 7)
+	f.Add(uint64(3), math.Float64bits(29.999), 1)
+	f.Add(^uint64(0), math.Float64bits(400), 0)
+	f.Add(uint64(9), math.Float64bits(math.NaN()), -3)
+	f.Fuzz(func(t *testing.T, seed, meanBits uint64, limit int) {
+		checkPoissonRun(t, seed, math.Float64frombits(meanBits), limit%(1<<17), 4)
 	})
 }

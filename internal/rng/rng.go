@@ -22,13 +22,6 @@ type Stream struct {
 	// cached spare normal variate for Normal().
 	hasSpare bool
 	spare    float64
-
-	// Read-ahead buffer (see ReadAhead): outputs pre-generated in batch,
-	// served in generation order. ahead is the refill size; zero means the
-	// buffer is drained and never refilled (unbuffered operation).
-	buf   []uint64
-	pos   int
-	ahead int
 }
 
 // PCG 128-bit multiplier (Melissa O'Neill's reference constant).
@@ -85,20 +78,6 @@ func (s *Stream) step() {
 
 // Uint64 returns the next 64 uniformly distributed bits.
 func (s *Stream) Uint64() uint64 {
-	if s.pos < len(s.buf) {
-		// Buffered read-ahead mode: serve the pre-generated outputs in
-		// order. This is the single branch buffering adds to the direct
-		// path, and it is perfectly predicted for unbuffered streams
-		// (len(buf) == 0 forever).
-		v := s.buf[s.pos]
-		s.pos++
-		return v
-	}
-	if s.ahead > 0 {
-		s.refill()
-		s.pos = 1
-		return s.buf[0]
-	}
 	s.step()
 	// XSL-RR output function: xor-fold the state, then rotate by the top bits.
 	xored := s.stateHi ^ s.stateLo
@@ -106,63 +85,13 @@ func (s *Stream) Uint64() uint64 {
 	return bits.RotateLeft64(xored, -int(rot))
 }
 
-// ReadAhead switches the stream into buffered mode: outputs are
-// pre-generated n at a time into a fixed buffer by a tight batch loop
-// (state kept in registers across the whole refill instead of loaded and
-// stored per draw) and every draw method serves from that buffer in
-// generation order. The served sequence is bit-identical to the
-// unbuffered stream's — buffering moves only WHEN the generator advances,
-// never what it produces — so data-dependent consumers (Poisson loops,
-// rejection sampling, device physics) observe exactly the draws they
-// would have observed unbuffered, across any number of refill
-// boundaries. This is the sequence-preserving buffered uniform source the
-// batched beam run loop fills once per batch (DESIGN.md §16).
-//
-// n <= 0 returns the stream to unbuffered operation: draws already
-// generated into the buffer are still served first (dropping them would
-// skip sequence values), then the stream steps directly again.
-//
-// The buffer is (re)allocated here, never during refills, so a run loop
-// that enables read-ahead at setup stays allocation-free in steady state.
-// The one draw-time cost is a single extra predictable branch in Uint64.
-func (s *Stream) ReadAhead(n int) {
-	if n <= 0 {
-		s.ahead = 0
-		return
-	}
-	s.ahead = n
-	if cap(s.buf) < n {
-		pending := s.buf[s.pos:]
-		grown := make([]uint64, len(pending), n)
-		copy(grown, pending)
-		s.buf, s.pos = grown, 0
-	}
-}
-
-// refill regenerates the read-ahead buffer. Only called with every
-// buffered value served, so it never overwrites pending outputs.
-func (s *Stream) refill() {
-	s.buf = s.buf[:s.ahead]
-	s.fillRaw(s.buf)
-	s.pos = 0
-}
-
 // Fill overwrites buf with the stream's next len(buf) Uint64 outputs —
-// the batch equivalent of len(buf) successive Uint64 calls, bit for bit.
-// Any outputs already pre-generated by ReadAhead are served first; the
-// rest come from the tight batch generator.
+// the batch equivalent of len(buf) successive Uint64 calls, bit for bit,
+// for samplers that consume a batch of outputs in one pass
+// (spectrum.Mixture.SampleN). The 128-bit state and increment live in
+// locals for the whole loop: one state load/store pair per batch instead
+// of per draw.
 func (s *Stream) Fill(buf []uint64) {
-	n := copy(buf, s.buf[s.pos:])
-	s.pos += n
-	s.fillRaw(buf[n:])
-}
-
-// fillRaw batch-generates len(buf) outputs directly from the generator,
-// bypassing the read-ahead buffer. The 128-bit state and increment live
-// in locals for the whole loop, which is where batch filling beats
-// per-call stepping: one state load/store pair per batch instead of per
-// draw.
-func (s *Stream) fillRaw(buf []uint64) {
 	hi, lo := s.stateHi, s.stateLo
 	incHi, incLo := s.incHi, s.incLo
 	for i := range buf {
@@ -288,7 +217,7 @@ func (s *Stream) Poisson(mean float64) int64 {
 	case mean <= 0:
 		return 0
 	case mean < 30:
-		return s.knuthPoisson(math.Exp(-mean))
+		return s.knuthPoisson(1, 0, math.Exp(-mean))
 	default:
 		v := math.Round(s.NormalMeanStd(mean, math.Sqrt(mean)))
 		if v < 0 {
@@ -299,29 +228,57 @@ func (s *Stream) Poisson(mean float64) int64 {
 }
 
 // PoissonExp is Poisson with a caller-cached exp(-mean). Run loops that
-// draw from a fixed-rate Poisson on every iteration (the beam campaign's
-// per-run interaction count) pay math.Exp once at setup instead of per
-// draw. It consumes the stream draw-for-draw exactly like Poisson(mean)
-// whenever expNegMean == math.Exp(-mean), which the beam run-loop test
-// pins.
+// draw from a fixed-rate Poisson on every iteration pay math.Exp once at
+// setup instead of per draw. It consumes the stream draw-for-draw exactly
+// like Poisson(mean) whenever expNegMean == math.Exp(-mean), which the
+// beam run-loop test pins.
 func (s *Stream) PoissonExp(mean, expNegMean float64) int64 {
 	switch {
 	case mean <= 0:
 		return 0
 	case mean < 30:
-		return s.knuthPoisson(expNegMean)
+		return s.knuthPoisson(1, 0, expNegMean)
 	default:
 		return s.Poisson(mean)
 	}
 }
 
-// knuthPoisson is Knuth's product method: multiply uniforms until the
-// product drops below exp(-mean); the number of factors minus one is the
-// draw. Shared by Poisson and PoissonExp so the two are draw-for-draw
+// PoissonRun makes up to limit successive Poisson(mean) draws, consuming
+// the stream exactly as that many Poisson calls would, and stops after
+// the first nonzero one. It returns the number of leading zero draws and
+// the nonzero draw, which is 0 when no draw was nonzero. A run loop
+// whose runs are mostly empty finds them with one Uint64 and one integer
+// compare each: below mean 30 a draw is zero exactly when Knuth's first
+// uniform (x>>11)/2⁵³ is at most e^-mean, that is when x>>11 is at most
+// ⌊e^-mean·2⁵³⌋, and both sides scale by 2⁵³ without rounding.
+func (s *Stream) PoissonRun(mean float64, limit int) (zeros int, n int64) {
+	switch {
+	case mean <= 0:
+		return max(limit, 0), 0
+	case mean < 30:
+		expNeg := math.Exp(-mean)
+		cut := uint64(expNeg * (1 << 53))
+		for ; zeros < limit; zeros++ {
+			if x := s.Uint64(); x>>11 > cut {
+				return zeros, s.knuthPoisson(Float64From(x), 1, expNeg)
+			}
+		}
+	default:
+		for ; zeros < limit; zeros++ {
+			if n = s.Poisson(mean); n != 0 {
+				return zeros, n
+			}
+		}
+	}
+	return zeros, 0
+}
+
+// knuthPoisson is Knuth's product method, resumed from the running
+// product p after k factors: multiply uniforms until the product drops
+// to exp(-mean) or below; the number of factors minus one is the draw.
+// Poisson, PoissonExp and PoissonRun share it, so they are draw-for-draw
 // identical by construction.
-func (s *Stream) knuthPoisson(expNegMean float64) int64 {
-	var k int64
-	p := 1.0
+func (s *Stream) knuthPoisson(p float64, k int64, expNegMean float64) int64 {
 	for {
 		p *= s.Float64()
 		if p <= expNegMean {

@@ -12,6 +12,11 @@ import (
 type MxM struct {
 	n       int
 	a, b, c []float64
+	// regions is A's n rows, then B, then C's n rows: the word order of
+	// A‖B‖C, split by row so that a flip's region tells which step reads
+	// it. Built once at its exact capacity, so appending to Regions()
+	// copies it.
+	regions []Region
 }
 
 // NewMxM builds an n×n matrix multiplication workload.
@@ -19,12 +24,19 @@ func NewMxM(n int) *MxM {
 	if n < 2 {
 		n = 2
 	}
-	return &MxM{
-		n: n,
-		a: make([]float64, n*n),
-		b: make([]float64, n*n),
-		c: make([]float64, n*n),
+	m := &MxM{
+		n:       n,
+		a:       make([]float64, n*n),
+		b:       make([]float64, n*n),
+		c:       make([]float64, n*n),
+		regions: make([]Region, 2*n+1),
 	}
+	m.regions[n] = Region{Name: "B", F64: m.b}
+	for i := range n {
+		m.regions[i] = Region{Name: "A", F64: m.a[i*n : (i+1)*n]}
+		m.regions[n+1+i] = Region{Name: "C", F64: m.c[i*n : (i+1)*n]}
+	}
+	return m
 }
 
 // Name implements Workload.
@@ -65,24 +77,25 @@ func (m *MxM) Step(i int) error {
 // AppendOutput implements Workload.
 func (m *MxM) AppendOutput(dst []float64) []float64 { return append(dst, m.c...) }
 
-// Regions implements Workload.
-func (m *MxM) Regions() []Region {
-	return []Region{
-		{Name: "A", F64: m.a},
-		{Name: "B", F64: m.b},
-		{Name: "C", F64: m.c},
-	}
-}
+// Regions implements Workload: A's rows, B, then C's rows.
+func (m *MxM) Regions() []Region { return m.regions }
 
-// State implements Workload: steps write only C.
-func (m *MxM) State() []Region { return []Region{{Name: "C", F64: m.c}} }
+// State implements Workload: steps write only C's rows.
+func (m *MxM) State() []Region { return m.regions[m.n+1:] }
 
-// Uses implements Workload: a step reads A and B and writes one row of C.
+// Uses implements Workload: step i reads row i of A and all of B and
+// overwrites row i of C without reading C; the output reads only C.
 func (m *MxM) Uses(i int) []Use {
-	if i == m.n {
-		return []Use{Unused, Unused, Reads}
+	n := m.n
+	u := make([]Use, 2*n+1)
+	if i == n {
+		for r := n + 1; r < len(u); r++ {
+			u[r] = Reads
+		}
+		return u
 	}
-	return []Use{Reads, Reads, Reads}
+	u[i], u[n], u[n+1+i] = Reads, Reads, Overwrites
+	return u
 }
 
 // LUD ------------------------------------------------------------------------

@@ -75,14 +75,26 @@ type Workload interface {
 	// run from a checkpoint, so it restores only State and undoes its own
 	// bit flips everywhere else.
 	//
-	// Regions and State return the same buffers, in the same order, for
-	// the workload's whole lifetime.
+	// State lists the injectable buffers it holds in the order Regions
+	// lists them. Regions and State return the same buffers, in the same
+	// order, for the workload's whole lifetime; callers must not modify
+	// the returned slices.
 	State() []Region
 	// Uses reports how step i uses each of Regions(), in order; i ==
 	// Steps() stands for AppendOutput, which never overwrites. The injector
 	// defers a bit flip to the first step that uses its region and drops
 	// it when that use overwrites it, so a declaration may overstate
 	// Reads but must never understate it.
+	//
+	// A region may be declared Unused or Overwrites at a step only if no
+	// injectable word steers which words that step touches. Otherwise a
+	// flipped index could make the step read a region its declaration
+	// says it ignores, and a flip deferred past that step would land too
+	// late. Multi-fault schedules can hit this; a test that flips one
+	// region at a time cannot. MxM, LUD, HotSpot, CED, YOLO and MNIST
+	// index statically. SC's cursor, BFS's offsets and edges and LavaMD's
+	// neighbor lists are injectable and steer reads, so those workloads
+	// declare Reads at every step.
 	Uses(i int) []Use
 }
 

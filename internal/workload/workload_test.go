@@ -3,6 +3,7 @@ package workload
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -115,6 +116,43 @@ func TestRegionsNonEmpty(t *testing.T) {
 				t.Errorf("%s region %q must have exactly one backing slice", name, r.Name)
 			}
 		}
+	}
+}
+
+// TestMxMRegionLayout pins MxM's region split: the rows of A, then B,
+// then the rows of C, whose words concatenated are A‖B‖C in order. The
+// injector picks a flip's word by its flat index over Regions(), as does
+// the frozen reset-and-replay reference, so a reordered split would move
+// every result while the two kept agreeing.
+func TestMxMRegionLayout(t *testing.T) {
+	const n = 24
+	m := NewMxM(n)
+	m.Reset(3)
+	regions := m.Regions()
+	if len(regions) != 2*n+1 {
+		t.Fatalf("MxM exposes %d regions, want %d", len(regions), 2*n+1)
+	}
+	var flat []float64
+	for _, r := range regions {
+		flat = append(flat, r.F64...)
+	}
+	if !slices.Equal(flat, slices.Concat(m.a, m.b, m.c)) {
+		t.Fatal("the words of Regions(), concatenated, are not A‖B‖C")
+	}
+	for i, r := range regions {
+		row := &m.b[0]
+		switch {
+		case i < n:
+			row = &m.a[i*n]
+		case i > n:
+			row = &m.c[(i-n-1)*n]
+		}
+		if &r.F64[0] != row {
+			t.Errorf("region %d does not view its row", i)
+		}
+	}
+	if state := m.State(); len(state) != n || &state[0].F64[0] != &m.c[0] {
+		t.Error("State() is not the rows of C")
 	}
 }
 
