@@ -255,9 +255,9 @@ func prepare(ctx context.Context, cfg Config) (*campaignSetup, error) {
 		return nil, err
 	}
 	// Campaign setup compiles through the shared plan cache: the first
-	// campaign for a (device physics, spectrum, CalSamples, seed) key pays
-	// the calibration, every later one reuses the compiled plan
-	// bit-identically (DESIGN.md §12).
+	// campaign for a (device physics, spectrum, CalSamples, bias) key pays
+	// the calibration, and every later one, whatever its seed, reuses the
+	// compiled plan (DESIGN.md §12).
 	calCtx, cal := telemetry.StartSpan(ctx, "beam.calibrate")
 	cal.SetStage("compile")
 	pl := plan.Shared.ForBiasedContext(calCtx, cfg.Device, cfg.Beam, cfg.CalSamples, cfg.Seed, cfg.Bias)

@@ -173,6 +173,45 @@ func TestDistributedConformanceBiased(t *testing.T) {
 	}
 }
 
+// TestDistributedConformanceWarmPlans pins that a plan belongs to its
+// physics, not its seed: after one warm-up campaign, a fanned-out campaign
+// on a fresh seed compiles on no node. The nodes here share one process
+// and so one plan cache, whose miss counter must stay flat while the
+// coordinator and both workers execute; the result still DeepEquals the
+// single-node one.
+func TestDistributedConformanceWarmPlans(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	warm := clusterReq(t, "TitanV", "ChipIR", 611)
+	warm.Beam.CalSamples = 2100 // a budget no other test uses: this test's own plan
+	if _, err := server.Execute(ctx, warm, 2); err != nil {
+		t.Fatal(err)
+	}
+	misses := plan.Shared.Stats().Misses
+	req := clusterReq(t, "TitanV", "ChipIR", 612)
+	req.Beam.CalSamples = warm.Beam.CalSamples
+	want, err := server.Execute(ctx, req, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := startWorkers(t, 2)
+	reg := telemetry.NewRegistry()
+	coord := testCoordinator(ctx, t, urlsOf(ws), reg)
+	got, err := coord.Execute(ctx, req, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("warm-plan distributed result diverged\n got: %+v\nwant: %+v", got.Beam, want.Beam)
+	}
+	if reg.Counter("cluster.ranges_dispatched").Value() == 0 {
+		t.Error("no shard ranges were dispatched to peers")
+	}
+	if now := plan.Shared.Stats().Misses; now != misses {
+		t.Errorf("a fresh-seed campaign with warm plans compiled %d plans, want 0", now-misses)
+	}
+}
+
 // TestWorkerKillMidCampaign: a worker dying mid-fan-out must cost
 // nothing but time — its ranges re-dispatch (to the surviving peer or
 // locally) and the final result is still bit-identical. Worker 0 is a

@@ -13,19 +13,21 @@ import (
 // cost a real campaign pays.
 const benchPlanSamples = 20000
 
-// BenchmarkPlanCompileCold is the uncached campaign setup: derive the
-// calibration substream and compile the full plan, every iteration. Its
-// table is the four plans the beam-campaigns workload compiles: exact and
+// BenchmarkPlanCompileCold is the uncached campaign setup: compile the
+// full plan every iteration, from each point source — the calibration
+// stream (Compile and CompileBiased, with the substream derived each
+// time) and the stratified set a cache miss compiles from. Its table is
+// the four plans the beam-campaigns workload compiles: exact and
 // thermally biased, on both beamlines.
 func BenchmarkPlanCompileCold(b *testing.B) {
 	d := device.K20()
-	for _, sp := range []spectrum.Spectrum{spectrum.ChipIR(), spectrum.ROTAX()} {
+	for _, sp := range []*spectrum.Mixture{spectrum.ChipIR(), spectrum.ROTAX()} {
 		for _, bias := range []*Bias{nil, {Thermal: 10}} {
 			name := sp.Name() + "/exact"
 			if bias != nil {
 				name = sp.Name() + "/biased"
 			}
-			b.Run(name, func(b *testing.B) {
+			b.Run(name+"/stream", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if bias == nil {
@@ -33,6 +35,12 @@ func BenchmarkPlanCompileCold(b *testing.B) {
 					} else if _, err := CompileBiased(d, sp, benchPlanSamples, CalibrationStream(1), *bias); err != nil {
 						b.Fatal(err)
 					}
+				}
+			})
+			b.Run(name+"/stratified", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					_ = CompileStratified(d, sp, benchPlanSamples, bias)
 				}
 			})
 		}

@@ -83,8 +83,8 @@ func (b Bias) IsIdentity() bool {
 // to distinct keys, so they can never collide in the cache; a factor
 // spelled 0 and the same factor spelled 1.0 hash identically because both
 // resolve to the same sampler.
-func KeyForBiased(d *device.Device, sp spectrum.Spectrum, calSamples int, seed uint64, bias Bias) (string, bool) {
-	h, ok := keyHash(d, sp, calSamples, seed)
+func KeyForBiased(d *device.Device, sp spectrum.Spectrum, calSamples int, bias Bias) (string, bool) {
+	h, ok := keyHash(d, sp, calSamples)
 	if !ok {
 		return "", false
 	}
@@ -115,11 +115,7 @@ func KeyForBiased(d *device.Device, sp spectrum.Spectrum, calSamples int, seed u
 // interacts, before or after biasing) falls back to the uniform table
 // with unit weights, so the weighted path stays exactly the exact path.
 func CompileBiased(d *device.Device, sp spectrum.Spectrum, n int, cal *rng.Stream, bias Bias) (*CampaignPlan, error) {
-	if err := bias.Validate(); err != nil {
-		return nil, err
-	}
-	factors := bias.factors()
-	return compile(d, sp, n, cal, &factors), nil
+	return compile(d, sp, n, cal, nil, &bias)
 }
 
 // IsBiased reports whether the plan's table is the biased one (it was

@@ -20,13 +20,13 @@ import (
 func TestBiasedKeySensitivity(t *testing.T) {
 	d := device.K20()
 	key := func(bias Bias) string {
-		k, ok := KeyForBiased(d, spectrum.ChipIR(), 20000, 1, bias)
+		k, ok := KeyForBiased(d, spectrum.ChipIR(), 20000, bias)
 		if !ok {
 			t.Fatal("KeyForBiased not keyable on a fingerprinted spectrum")
 		}
 		return k
 	}
-	exact, _ := KeyFor(d, spectrum.ChipIR(), 20000, 1)
+	exact, _ := KeyFor(d, spectrum.ChipIR(), 20000)
 	identity := key(Bias{})
 	if identity == exact {
 		t.Error("identity-bias key collides with the exact key; biased and exact plans would share a cache entry")
@@ -54,8 +54,8 @@ func TestBiasedKeySensitivity(t *testing.T) {
 	renamed.Name = "renamed"
 	renamed.DieAreaCm2 *= 3
 	renamed.QcritFC *= 2
-	ka, _ := KeyForBiased(d, spectrum.ChipIR(), 20000, 1, Bias{Thermal: 8})
-	kb, _ := KeyForBiased(renamed, spectrum.ChipIR(), 20000, 1, Bias{Thermal: 8})
+	ka, _ := KeyForBiased(d, spectrum.ChipIR(), 20000, Bias{Thermal: 8})
+	kb, _ := KeyForBiased(renamed, spectrum.ChipIR(), 20000, Bias{Thermal: 8})
 	if ka != kb {
 		t.Error("run-only device fields changed the biased plan key")
 	}
@@ -93,6 +93,36 @@ func TestCompileBiasedIdentity(t *testing.T) {
 		we, w := unit.SampleInteractionWeighted(sw)
 		if e := exact.SampleInteraction(se); we != e || w != 1 {
 			t.Fatalf("draw %d: weighted (%v, %v) != exact (%v, 1)", i, we, w, e)
+		}
+	}
+}
+
+// TestCompileBiasedIdentityStratified is the zero-bias identity for the
+// plans the cache compiles from the stratified point set: the Bias{} plan
+// must carry the exact plan's meanP and every slot bit for bit (so every
+// draw matches), with every band weight exactly 1, whatever seed each
+// lookup passes.
+func TestCompileBiasedIdentityStratified(t *testing.T) {
+	d := device.K20()
+	c := NewCache(4, telemetry.NewRegistry())
+	for _, sp := range []spectrum.Spectrum{spectrum.ChipIR(), spectrum.ROTAX()} {
+		exact := c.For(d, sp, 4000, 1)
+		unit := c.ForBiasedContext(context.Background(), d, sp, 4000, 2, &Bias{})
+		if !unit.IsBiased() {
+			t.Fatalf("%s: identity-bias plan must still carry the biased table", sp.Name())
+		}
+		if unit.MeanP() != exact.MeanP() {
+			t.Errorf("%s: meanP %v != exact %v", sp.Name(), unit.MeanP(), exact.MeanP())
+		}
+		for b, w := range unit.bandW {
+			if w != 1 {
+				t.Errorf("%s: band %d weight %v, want exactly 1", sp.Name(), b, w)
+			}
+		}
+		for i := range exact.slots {
+			if unit.slots[i] != exact.slots[i] {
+				t.Fatalf("%s: slot %d: identity-bias %+v != exact %+v", sp.Name(), i, unit.slots[i], exact.slots[i])
+			}
 		}
 	}
 }

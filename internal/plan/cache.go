@@ -88,17 +88,19 @@ func NewCache(capacity int, reg *telemetry.Registry) *Cache {
 // the key matches. The first request for a key compiles (counted as a
 // miss); concurrent requests for the same key wait for that compilation
 // instead of repeating it (counted as coalesced); later requests are hits.
-// Spectra without a Fingerprint cannot be keyed and are compiled directly
-// on every call (counted as bypass). The returned plan is immutable and
-// shared — callers must treat it as read-only, which the CampaignPlan API
-// enforces by construction.
+// A cached plan calibrates on the spectrum's stratified point set, so the
+// seed does not reach it: every campaign with the same physics gets the
+// same plan. Spectra that are not Fingerprinted cannot be keyed and are
+// compiled on every call from CalibrationStream(seed) (counted as bypass).
+// The returned plan is immutable and shared — callers must treat it as
+// read-only, which the CampaignPlan API enforces by construction.
 func (c *Cache) For(d *device.Device, sp spectrum.Spectrum, calSamples int, seed uint64) *CampaignPlan {
 	return c.ForBiasedContext(context.Background(), d, sp, calSamples, seed, nil)
 }
 
 // ForBiasedContext is For with an optional importance-sampling bias and a
 // caller context. A nil bias is the exact path; a non-nil bias —
-// including the identity Bias{} — compiles through CompileBiased under a
+// including the identity Bias{} — compiles a biased plan under a
 // bias-extended key (KeyForBiased), so biased and exact plans never
 // collide and two different bias knobs never share an entry. The bias
 // must be valid (Bias.Validate); callers validate at the API boundary, so
@@ -113,9 +115,9 @@ func (c *Cache) ForBiasedContext(ctx context.Context, d *device.Device, sp spect
 	var key string
 	var ok bool
 	if bias == nil {
-		key, ok = KeyFor(d, sp, calSamples, seed)
+		key, ok = KeyFor(d, sp, calSamples)
 	} else {
-		key, ok = KeyForBiased(d, sp, calSamples, seed, *bias)
+		key, ok = KeyForBiased(d, sp, calSamples, *bias)
 	}
 	return c.lookup(ctx, key, ok, func(ctx context.Context, key string) *CampaignPlan {
 		return c.timedCompile(ctx, d, sp, calSamples, seed, bias, key)
@@ -185,24 +187,25 @@ func (c *Cache) compileFlight(ctx context.Context, fl *flight, key string, compi
 	return pl
 }
 
-// timedCompile compiles the plan — Compile, or CompileBiased for a
-// non-nil bias — from the canonical calibration substream for the seed,
-// recording the duration into plan.compile_seconds and a "plan.compile"
-// span. The bias was validated at the API boundary (beam.Config.validate,
-// the neutrond request normalizer), so a compile error here is a
-// programming error and panics — same contract as the alias-table build in
-// Compile.
+// timedCompile compiles the plan, exact or biased, recording the duration
+// into plan.compile_seconds and a "plan.compile" span. A keyed plan
+// calibrates on the spectrum's stratified point set; a bypass (empty key)
+// on the calibration stream for the seed, as Compile and CompileBiased do.
+// The bias was validated at the API boundary (beam.Config.validate, the
+// neutrond request normalizer), so an invalid one here is a programming
+// error and panics — same contract as the weight check in compile.
 func (c *Cache) timedCompile(ctx context.Context, d *device.Device, sp spectrum.Spectrum, calSamples int, seed uint64, bias *Bias, key string) *CampaignPlan {
 	_, span := c.reg.StartSpan(ctx, "plan.compile")
 	t := telemetry.StartTimer(c.compile)
 	var pl *CampaignPlan
-	if bias == nil {
-		pl = Compile(d, sp, calSamples, CalibrationStream(seed))
+	var err error
+	if key != "" {
+		pl, err = compile(d, sp, calSamples, nil, sp.(Fingerprinted).Points(calSamples), bias)
 	} else {
-		var err error
-		if pl, err = CompileBiased(d, sp, calSamples, CalibrationStream(seed), *bias); err != nil {
-			panic(fmt.Sprintf("plan: compile biased plan: %v", err))
-		}
+		pl, err = compile(d, sp, calSamples, CalibrationStream(seed), nil, bias)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("plan: compile biased plan: %v", err))
 	}
 	pl.key = key
 	t.ObserveDuration()

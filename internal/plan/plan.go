@@ -1,14 +1,15 @@
-// Package plan compiles beam-campaign setup — the Monte Carlo calibration
-// that turns (device, spectrum, calibration budget, calibration stream)
-// into an interaction-alias sampler — into an immutable CampaignPlan, and
-// memoizes compiled plans in a process-wide deterministic cache.
+// Package plan compiles beam-campaign setup — the calibration that turns
+// (device, spectrum, calibration budget, calibration points) into an
+// interaction-alias sampler — into an immutable CampaignPlan, and memoizes
+// compiled plans in a process-wide deterministic cache.
 //
-// PR 4 made the per-neutron draw O(1); after that, the dominant fixed cost
-// of a campaign is setup: every beam.Run used to re-run a 20k-sample
-// calibration even when sweeping the same device×spectrum pair hundreds of
-// times. Because the calibration is a pure function of its inputs, a plan
-// compiled once can serve every campaign with the same inputs, and a cache
-// hit is provably bit-identical to an uncached run (DESIGN.md §12).
+// With O(1) draws (DESIGN.md §11), setup is a campaign's dominant fixed
+// cost: a 20k-point calibration, which sweeps and fresh-seed traffic
+// would repeat for the same device×spectrum pair hundreds of times. A
+// cached plan calibrates on the spectrum's deterministic stratified point
+// set, so it is a function of the campaign's physics alone: a hit is the
+// one plan for its device physics, spectrum, budget and bias, whatever
+// the campaign seed (DESIGN.md §12).
 package plan
 
 import (
@@ -61,46 +62,46 @@ type slot struct {
 }
 
 // Fingerprinted is implemented by spectra whose sampling behavior can be
-// content-hashed (the catalog Mixture and Mono types). Spectra without a
-// fingerprint cannot be cache-keyed and bypass the plan cache.
+// content-hashed and that offer a deterministic stratified calibration
+// point set (the catalog Mixture and Mono types). The cache keys and
+// calibrates a plan on these alone; spectra without them bypass the cache
+// and calibrate on the campaign's stream.
 type Fingerprinted interface {
 	Fingerprint() string
+	Points(n int) []spectrum.Point
 }
 
-// CalibrationStream derives the calibration substream for a campaign seed.
-// It reproduces exactly the stream beam.RunContext historically fed the
-// inline calibration — rng.New(seed).Split() — which is why a plan cached
-// under (…, seed) is bit-identical to the sampler an uncached run builds.
+// CalibrationStream derives the calibration substream for a campaign seed,
+// rng.New(seed).Split(): the stream a cache bypass calibrates on.
 func CalibrationStream(seed uint64) *rng.Stream {
 	return rng.New(seed).Split()
 }
 
 // keyVersion invalidates every cache key when the compile algorithm or the
 // set of inputs it reads changes.
-const keyVersion = "plan/v1\x00"
+const keyVersion = "plan/v2\x00"
 
 // KeyFor returns the canonical cache key for a campaign compilation, or
-// ok=false when the spectrum carries no fingerprint. The key hashes every
-// input Compile reads and nothing else: the spectrum's sampling identity,
-// the exact device fields device.InteractionProbability consults
-// (Boron10PerCm2, SensitiveDepthUm, SensitiveFraction), the calibration
-// budget, and the campaign seed (the calibration stream is derived from
-// it; see CalibrationStream). Fields that only shape the run — die area,
-// Qcrit, workload, duration, derating — are deliberately absent, so
-// near-duplicate campaigns share one plan.
-func KeyFor(d *device.Device, sp spectrum.Spectrum, calSamples int, seed uint64) (string, bool) {
-	h, ok := keyHash(d, sp, calSamples, seed)
+// ok=false when the spectrum is not Fingerprinted. The key hashes every
+// input a cached compile reads and nothing else: the spectrum's sampling
+// identity (which fixes its point set), the exact device fields
+// device.InteractionProbability consults (Boron10PerCm2, SensitiveDepthUm,
+// SensitiveFraction) and the calibration budget. Fields that only shape
+// the run — die area, Qcrit, workload, duration, derating, and the
+// campaign seed — are deliberately absent, so campaigns with the same
+// physics share one plan.
+func KeyFor(d *device.Device, sp spectrum.Spectrum, calSamples int) (string, bool) {
+	h, ok := keyHash(d, sp, calSamples)
 	if !ok {
 		return "", false
 	}
 	return hex.EncodeToString(h.Sum(nil)), true
 }
 
-// keyHash hashes the shared (device physics, spectrum, cal budget, seed)
-// key material. KeyFor finalizes it directly; KeyForBiased appends the
-// bias factors first, so an exact plan and any biased plan can never
-// collide and pre-bias cache keys are unchanged.
-func keyHash(d *device.Device, sp spectrum.Spectrum, calSamples int, seed uint64) (hash.Hash, bool) {
+// keyHash hashes the shared (device physics, spectrum, cal budget) key
+// material. KeyFor finalizes it directly; KeyForBiased appends the bias
+// factors first, so an exact plan and any biased plan can never collide.
+func keyHash(d *device.Device, sp spectrum.Spectrum, calSamples int) (hash.Hash, bool) {
 	fp, ok := sp.(Fingerprinted)
 	if !ok {
 		return nil, false
@@ -117,7 +118,6 @@ func keyHash(d *device.Device, sp spectrum.Spectrum, calSamples int, seed uint64
 	writeU64(math.Float64bits(d.SensitiveDepthUm))
 	writeU64(math.Float64bits(d.SensitiveFraction))
 	writeU64(uint64(calSamples))
-	writeU64(seed)
 	return h, true
 }
 
@@ -130,32 +130,53 @@ func keyHash(d *device.Device, sp spectrum.Spectrum, calSamples int, seed uint64
 // both meanP and the table. The caller owns cal only during the call; the
 // returned plan holds no reference to it.
 func Compile(d *device.Device, sp spectrum.Spectrum, n int, cal *rng.Stream) *CampaignPlan {
-	return compile(d, sp, n, cal, nil)
+	p, _ := compile(d, sp, n, cal, nil, nil) // only a bias can fail
+	return p
 }
 
-// compile is the one calibration pass behind Compile and CompileBiased.
-// Each of the n draws writes its energy and its table weight straight
-// into its slot: the interaction probability for an exact plan (factors
-// nil), times its band's factor for a biased one. The exact mass (meanP)
-// and the table's mass are Kahan-summed in draw order, and the alias
-// table is built in place over the slots, so a compile allocates only the
-// table the plan keeps. Both entry points consume the stream identically,
-// which is what makes an identity-bias table bit-identical to the exact.
-func compile(d *device.Device, sp spectrum.Spectrum, n int, cal *rng.Stream, factors *[physics.NumBands + 1]float64) *CampaignPlan {
+// compile is the one calibration pass behind every plan. Its n points are
+// pts when that is non-nil (a cached plan's stratified set), and otherwise
+// n energies sp draws from cal, each with mass 1. Each point writes its
+// energy and its table weight straight into its slot: the interaction
+// probability times the point's mass for an exact plan (bias nil), times
+// its band's factor as well for a biased one, whose bias must pass
+// Validate. The exact mass Σ p·mass (n·meanP) and the table's mass are
+// Kahan-summed in point order, and the alias table is built in place over
+// the slots, so a compile allocates only the table the plan keeps. Exact
+// and biased compiles read the same points, which is what makes an
+// identity-bias table bit-identical to the exact one.
+func compile(d *device.Device, sp spectrum.Spectrum, n int, cal *rng.Stream, pts []spectrum.Point, bias *Bias) (*CampaignPlan, error) {
+	var factors *[physics.NumBands + 1]float64
+	if bias != nil {
+		if err := bias.Validate(); err != nil {
+			return nil, err
+		}
+		f := bias.factors()
+		factors = &f
+	}
 	p := &CampaignPlan{slots: make([]slot, n), biased: factors != nil}
 	var sum, comp, mass, mcomp float64
 	var buf [256]units.Energy
+	m, isMixture := sp.(*spectrum.Mixture)
 	for base := 0; base < n; base += len(buf) {
 		energies := buf[:min(len(buf), n-base)]
-		if m, ok := sp.(*spectrum.Mixture); ok {
+		switch {
+		case pts != nil:
+			for i := range energies {
+				energies[i] = pts[base+i].Energy
+			}
+		case isMixture:
 			m.SampleN(energies, cal) // the energies successive Samples draw
-		} else {
+		default:
 			for i := range energies {
 				energies[i] = sp.Sample(cal)
 			}
 		}
 		for i, e := range energies {
 			pr := d.InteractionProbability(e)
+			if pts != nil {
+				pr *= pts[base+i].Mass
+			}
 			w := pr
 			if factors != nil {
 				w *= factors[physics.Classify(e)]
@@ -176,7 +197,7 @@ func compile(d *device.Device, sp spectrum.Spectrum, n int, cal *rng.Stream, fac
 			p.bandW[b] = (mass / sum) / factors[b] // exactly 1.0 for identity factors
 		}
 	}
-	return p
+	return p, nil
 }
 
 // kahanAdd adds x to the compensated sum (sum, comp).

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -9,38 +10,39 @@ import (
 	"neutronsim/internal/telemetry"
 )
 
-// TestKeySensitivity proves the cache key covers every input Compile reads:
-// changing any one of them moves the key, and identical inputs reproduce
-// it. A collision between two different compilations would silently serve
-// the wrong physics, so this is the cache's core safety property.
+// TestKeySensitivity proves the cache key covers every input a cached
+// compile reads: changing any one of them moves the key, and identical
+// inputs reproduce it. A collision between two different compilations
+// would silently serve the wrong physics, so this is the cache's core
+// safety property. The converse holds for the seed, which a cached compile
+// does not read: campaigns on two seeds share one plan.
 func TestKeySensitivity(t *testing.T) {
 	base := device.K20()
-	key := func(d *device.Device, sp spectrum.Spectrum, n int, seed uint64) string {
-		k, ok := KeyFor(d, sp, n, seed)
+	key := func(d *device.Device, sp spectrum.Spectrum, n int) string {
+		k, ok := KeyFor(d, sp, n)
 		if !ok {
 			t.Fatalf("KeyFor(%s, %s) not keyable", d.Name, sp.Name())
 		}
 		return k
 	}
-	ref := key(base, spectrum.ChipIR(), 20000, 1)
-	if again := key(device.K20(), spectrum.ChipIR(), 20000, 1); again != ref {
+	ref := key(base, spectrum.ChipIR(), 20000)
+	if again := key(device.K20(), spectrum.ChipIR(), 20000); again != ref {
 		t.Errorf("identical inputs produced different keys:\n%s\n%s", ref, again)
 	}
 
 	perturbed := map[string]string{
-		"spectrum":   key(base, spectrum.ROTAX(), 20000, 1),
-		"calSamples": key(base, spectrum.ChipIR(), 20001, 1),
-		"seed":       key(base, spectrum.ChipIR(), 20000, 2),
+		"spectrum":   key(base, spectrum.ROTAX(), 20000),
+		"calSamples": key(base, spectrum.ChipIR(), 20001),
 	}
 	boron := device.K20()
 	boron.Boron10PerCm2 *= 2
-	perturbed["boron"] = key(boron, spectrum.ChipIR(), 20000, 1)
+	perturbed["boron"] = key(boron, spectrum.ChipIR(), 20000)
 	depth := device.K20()
 	depth.SensitiveDepthUm *= 2
-	perturbed["depth"] = key(depth, spectrum.ChipIR(), 20000, 1)
+	perturbed["depth"] = key(depth, spectrum.ChipIR(), 20000)
 	frac := device.K20()
 	frac.SensitiveFraction /= 2
-	perturbed["fraction"] = key(frac, spectrum.ChipIR(), 20000, 1)
+	perturbed["fraction"] = key(frac, spectrum.ChipIR(), 20000)
 
 	seen := map[string]string{ref: "reference"}
 	for name, k := range perturbed {
@@ -48,6 +50,14 @@ func TestKeySensitivity(t *testing.T) {
 			t.Errorf("perturbing %s collided with %s", name, prev)
 		}
 		seen[k] = name
+	}
+
+	c := NewCache(4, telemetry.NewRegistry())
+	if c.For(base, spectrum.ChipIR(), 256, 1) != c.For(base, spectrum.ChipIR(), 256, 2) {
+		t.Error("two seeds got two plans for one physics")
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
+		t.Errorf("two seeds of one physics: %+v, want 1 miss, 1 hit, 1 entry", st)
 	}
 }
 
@@ -60,8 +70,8 @@ func TestKeyIgnoresRunOnlyFields(t *testing.T) {
 	b.DieAreaCm2 *= 3
 	b.QcritFC *= 2
 	b.QcritSigmaFC *= 2
-	ka, _ := KeyFor(a, spectrum.ChipIR(), 20000, 1)
-	kb, _ := KeyFor(b, spectrum.ChipIR(), 20000, 1)
+	ka, _ := KeyFor(a, spectrum.ChipIR(), 20000)
+	kb, _ := KeyFor(b, spectrum.ChipIR(), 20000)
 	if ka != kb {
 		t.Errorf("run-only device fields changed the plan key:\n%s\n%s", ka, kb)
 	}
@@ -82,6 +92,9 @@ func TestCacheHitMissEvict(t *testing.T) {
 	if p1.key == "" {
 		t.Error("cached plan lost its key")
 	}
+	if p1.Checksum() != CompileStratified(d, spectrum.ChipIR(), n, nil).Checksum() {
+		t.Error("cached plan differs from a direct stratified compile")
+	}
 	p1again := c.For(d, spectrum.ChipIR(), n, 1)
 	if p1again != p1 {
 		t.Error("hit returned a different plan instance")
@@ -91,9 +104,10 @@ func TestCacheHitMissEvict(t *testing.T) {
 	}
 
 	c.For(d, spectrum.ROTAX(), n, 1) // fills capacity
-	c.For(d, spectrum.ChipIR(), n, 2)
-	// Capacity 2 with three distinct keys: the LRU victim is ChipIR/seed 1
-	// (ROTAX/seed 1 and ChipIR/seed 2 were touched after its last hit).
+	c.For(d, spectrum.ChipIR(), n+1, 1)
+	// Capacity 2 with three distinct keys: the LRU victim is ChipIR at
+	// budget n (ROTAX and ChipIR at budget n+1 were touched after its last
+	// hit).
 	st := c.Stats()
 	if st.Evictions != 1 || st.Entries != 2 {
 		t.Fatalf("after overflow: %+v", st)
@@ -138,8 +152,8 @@ func TestSetCapacityEvicts(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := NewCache(8, reg)
 	d := device.K20()
-	for seed := uint64(1); seed <= 4; seed++ {
-		c.For(d, spectrum.ChipIR(), 64, seed)
+	for n := 64; n < 68; n++ {
+		c.For(d, spectrum.ChipIR(), n, 1)
 	}
 	if c.Stats().Entries != 4 {
 		t.Fatalf("cache holds %d plans, want 4", c.Stats().Entries)
@@ -149,10 +163,10 @@ func TestSetCapacityEvicts(t *testing.T) {
 	if st.Entries != 2 || st.Capacity != 2 || st.Evictions != 2 {
 		t.Fatalf("after shrink: %+v", st)
 	}
-	// The most recent seeds survive.
+	// The most recent budgets survive.
 	before := st.Misses
-	c.For(d, spectrum.ChipIR(), 64, 3)
-	c.For(d, spectrum.ChipIR(), 64, 4)
+	c.For(d, spectrum.ChipIR(), 66, 1)
+	c.For(d, spectrum.ChipIR(), 67, 1)
 	if got := c.Stats(); got.Misses != before {
 		t.Errorf("recently used plans were evicted: %+v", got)
 	}
@@ -195,19 +209,21 @@ func TestCoalescing(t *testing.T) {
 }
 
 // TestSharedCompileMatchesDirect is the memoization identity at the plan
-// level: the shared-path plan must checksum-match a direct Compile fed the
-// canonical calibration stream.
+// level: the shared-path plan must checksum-match a direct compile fed the
+// spectrum's stratified point set, exact and biased, whatever the seed.
 func TestSharedCompileMatchesDirect(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := NewCache(4, reg)
 	d := device.TitanV()
-	const n, seed = 2000, 42
-	cached := c.For(d, spectrum.ROTAX(), n, seed)
-	direct := Compile(d, spectrum.ROTAX(), n, CalibrationStream(seed))
-	if cached.Checksum() != direct.Checksum() {
-		t.Fatal("cached plan differs from a direct Compile with the canonical calibration stream")
-	}
-	if cached.MeanP() != direct.MeanP() {
-		t.Fatalf("meanP mismatch: %v vs %v", cached.MeanP(), direct.MeanP())
+	const n = 2000
+	for _, bias := range []*Bias{nil, {Thermal: 10}} {
+		cached := c.ForBiasedContext(context.Background(), d, spectrum.ROTAX(), n, 42, bias)
+		direct := CompileStratified(d, spectrum.ROTAX(), n, bias)
+		if cached.Checksum() != direct.Checksum() {
+			t.Fatalf("bias %v: cached plan differs from a direct stratified compile", bias)
+		}
+		if cached.MeanP() != direct.MeanP() {
+			t.Fatalf("bias %v: meanP mismatch: %v vs %v", bias, cached.MeanP(), direct.MeanP())
+		}
 	}
 }

@@ -21,7 +21,7 @@ func TestCacheStress(t *testing.T) {
 	d := device.K20()
 	spectra := []spectrum.Spectrum{spectrum.ChipIR(), spectrum.ROTAX()}
 	const (
-		seeds      = 3
+		budgets    = 3
 		calSamples = 400
 		goroutines = 16
 		iterations = 200
@@ -29,12 +29,12 @@ func TestCacheStress(t *testing.T) {
 	// Reference checksums, compiled outside the cache.
 	want := map[string]string{}
 	for _, sp := range spectra {
-		for seed := uint64(0); seed < seeds; seed++ {
-			key, ok := KeyFor(d, sp, calSamples, seed)
+		for b := 0; b < budgets; b++ {
+			key, ok := KeyFor(d, sp, calSamples+b)
 			if !ok {
 				t.Fatal("catalog spectrum not keyable")
 			}
-			want[key] = Compile(d, sp, calSamples, CalibrationStream(seed)).Checksum()
+			want[key] = CompileStratified(d, sp, calSamples+b, nil).Checksum()
 		}
 	}
 
@@ -46,13 +46,13 @@ func TestCacheStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iterations; i++ {
 				sp := spectra[(g+i)%len(spectra)]
-				seed := uint64((g * 7) % seeds)
+				n := calSamples + (g*7)%budgets
 				if i%50 == 49 {
 					// Shrink and regrow the cache mid-flight.
 					c.SetCapacity(1 + (g+i)%3)
 				}
-				pl := c.For(d, sp, calSamples, seed)
-				key, _ := KeyFor(d, sp, calSamples, seed)
+				pl := c.For(d, sp, n, uint64(g)) // the seed must not matter
+				key, _ := KeyFor(d, sp, n)
 				if pl.Checksum() != want[key] {
 					select {
 					case errs <- sp.Name():

@@ -144,6 +144,62 @@ func (m *Mixture) energy(u, v float64) units.Energy {
 	return m.tables[m.pick.Pick(u)].at(v)
 }
 
+// Point is one point of a stratified calibration set: an energy and the
+// mass it carries. A set of n points carries mass n in total, so an
+// average over the set weights each point's value by its mass and divides
+// by n.
+type Point struct {
+	Energy units.Energy
+	Mass   float64
+}
+
+// Points returns the mixture's n-point stratified calibration set, a pure
+// function of the mixture and n (plan compilation). Each component gets
+// n_c points, apportioned by its flux share with every component given at
+// least one: point j sits at the midpoint quantile (j+½)/n_c of the
+// component's energy table and carries mass n·share/n_c. A budget below
+// the component count gives one point each to the n largest components
+// (ties to the earlier one) and renormalizes their shares to sum to 1, so
+// the set still carries mass n. Every point interpolates between knots of
+// its own component, so it stays inside that component's band.
+func (m *Mixture) Points(n int) []Point {
+	if n <= 0 {
+		return nil
+	}
+	chosen := make([]int, len(m.comps))
+	for i := range chosen {
+		chosen[i] = i
+	}
+	if n < len(chosen) {
+		sort.SliceStable(chosen, func(a, b int) bool { return m.comps[chosen[a]].Flux > m.comps[chosen[b]].Flux })
+		chosen = chosen[:n]
+		sort.Ints(chosen)
+	}
+	var flux units.Flux
+	for _, c := range chosen {
+		flux += m.comps[c].Flux
+	}
+	// Cumulative rounding hands out the points beyond the first of each
+	// component: the running flux reaches flux itself, bit for bit, at the
+	// last component, so the counts sum to n exactly, and rounding is
+	// monotone, so no count falls below 1.
+	extra := float64(n - len(chosen))
+	pts := make([]Point, 0, n)
+	var cum units.Flux
+	prev := 0
+	for _, c := range chosen {
+		cum += m.comps[c].Flux
+		next := int(math.Round(extra * float64(cum/flux)))
+		nc := 1 + next - prev
+		prev = next
+		mass := float64(n) * float64(m.comps[c].Flux/flux) / float64(nc)
+		for j := 0; j < nc; j++ {
+			pts = append(pts, Point{Energy: m.tables[c].at((float64(j) + 0.5) / float64(nc)), Mass: mass})
+		}
+	}
+	return pts
+}
+
 // Components returns a copy of the component list.
 func (m *Mixture) Components() []Component {
 	return append([]Component(nil), m.comps...)
@@ -490,6 +546,15 @@ func (m *Mono) FluxInBand(b physics.EnergyBand) units.Flux {
 		return m.flux
 	}
 	return 0
+}
+
+// Points returns n points at the beam energy, each with mass 1.
+func (m *Mono) Points(n int) []Point {
+	pts := make([]Point, max(n, 0))
+	for i := range pts {
+		pts[i] = Point{Energy: m.energy, Mass: 1}
+	}
+	return pts
 }
 
 // Fingerprint returns a stable content hash of the beam's sampling

@@ -2,6 +2,7 @@ package spectrum
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"neutronsim/internal/physics"
@@ -301,4 +302,77 @@ func TestSampleNMatchesSample(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPoints pins the stratified calibration set at budgets below, at and
+// above the component count: n points carrying mass n, each inside the
+// band and energy range of a component, with each band holding the mass
+// its flux share gives it among the components that get points (every
+// component from n = K on, the n largest below it).
+func TestPoints(t *testing.T) {
+	for _, m := range []*Mixture{ChipIR(), ROTAX()} {
+		k := len(m.comps)
+		for _, n := range []int{1, k - 1, k, 20000} {
+			pts := m.Points(n)
+			if len(pts) != n {
+				t.Fatalf("%s n=%d: %d points", m.Name(), n, len(pts))
+			}
+			chosen := m.Components()
+			if n < k {
+				sort.SliceStable(chosen, func(a, b int) bool { return chosen[a].Flux > chosen[b].Flux })
+				chosen = chosen[:n]
+			}
+			var flux units.Flux
+			for _, c := range chosen {
+				flux += c.Flux
+			}
+			var total float64
+			var got, want [physics.NumBands + 1]float64
+			for _, c := range chosen {
+				want[c.Band] += float64(n) * float64(c.Flux/flux)
+			}
+			for _, p := range pts {
+				if !inComponent(m, p.Energy) {
+					t.Fatalf("%s n=%d: point %v eV lies in no component's band and range", m.Name(), n, p.Energy)
+				}
+				total += p.Mass
+				got[physics.Classify(p.Energy)] += p.Mass
+			}
+			if math.Abs(total-float64(n)) > 1e-9*float64(n) {
+				t.Errorf("%s n=%d: mass %v, want %d", m.Name(), n, total, n)
+			}
+			for b := range got {
+				if math.Abs(got[b]-want[b]) > 1e-9*float64(n) {
+					t.Errorf("%s n=%d: band %d mass %v, want %v", m.Name(), n, b, got[b], want[b])
+				}
+			}
+		}
+	}
+	mono, err := NewMono("mono", 2*units.MeV, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 20000} {
+		pts := mono.Points(n)
+		if len(pts) != n {
+			t.Fatalf("mono n=%d: %d points", n, len(pts))
+		}
+		for _, p := range pts {
+			if p.Energy != 2*units.MeV || p.Mass != 1 {
+				t.Fatalf("mono n=%d: point %+v, want the beam energy with mass 1", n, p)
+			}
+		}
+	}
+}
+
+// inComponent reports whether e lies in the band and the energy-table
+// range of one of m's components.
+func inComponent(m *Mixture, e units.Energy) bool {
+	for i, c := range m.comps {
+		knots := m.tables[i].knots
+		if physics.Classify(e) == c.Band && float64(e) >= knots[0] && float64(e) <= knots[len(knots)-1] {
+			return true
+		}
+	}
+	return false
 }
