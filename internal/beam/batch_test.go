@@ -12,15 +12,18 @@ import (
 	"neutronsim/internal/plan"
 	"neutronsim/internal/rng"
 	"neutronsim/internal/spectrum"
+	"neutronsim/internal/stats"
 	"neutronsim/internal/workload"
 )
 
-// scalarRunShard is a frozen copy of the pre-batch run loop: one neutron
-// per iteration, one uniform at a time, drawn straight off an unbuffered
-// stream, with every tally written directly. The batched loop in beam.go
-// must reproduce its shard tallies bit for bit — this reference is the
-// "pre-batch golden" the batching acceptance criterion compares against,
-// kept in the test so it can never drift along with the production code.
+// scalarRunShard is a frozen copy of the pre-batch run loop: one Poisson
+// draw per run, one uniform at a time, drawn straight off an unbuffered
+// stream, with every tally written directly. It is the statistical oracle
+// of the run loop in beam.go, which draws the empty runs as geometric
+// gaps: where a run can be empty the two must agree in distribution, and
+// where none can be (λ = 0, or λ ≥ 30, where both make one Poisson draw
+// per run) bit for bit. It is kept in the test so it can never drift
+// along with the production code.
 func scalarRunShard(t *testing.T, cfg Config, sh engine.Shard, pl *plan.CampaignPlan, lambda float64) shardTally {
 	t.Helper()
 	w, err := workload.New(cfg.WorkloadName)
@@ -135,13 +138,16 @@ func scalarRunShard(t *testing.T, cfg Config, sh engine.Shard, pl *plan.Campaign
 	return tc
 }
 
-// TestBatchedRunLoopMatchesScalarReference is the draw-sequence-identity
-// gate for the batched run loop: over devices with and without persistent
+// TestBatchedRunLoopMatchesScalarReference gates the run loop against the
+// frozen scalar reference over devices with and without persistent
 // configuration faults, both spectra, exact and biased plans, and λ
-// regimes from event-starved to interaction-rich, the batched shard
-// runner must produce shard tallies reflect.DeepEqual to the frozen
-// scalar reference — including the unexported Kahan compensation state of
-// every weighted tally.
+// regimes from event-starved to interaction-rich. Where the loop draws
+// the same stream as the reference (λ = 0, λ ≥ 30) its shard tally must
+// be reflect.DeepEqual to the reference's, including the Kahan
+// compensation state of every weighted tally. Elsewhere it draws gaps
+// instead of per-run counts, so both sides run refShards shards from
+// independent streams, and every tally field's shard mean must agree
+// within 4 standard errors.
 func TestBatchedRunLoopMatchesScalarReference(t *testing.T) {
 	type tcase struct {
 		name   string
@@ -171,6 +177,7 @@ func TestBatchedRunLoopMatchesScalarReference(t *testing.T) {
 		{"FPGA/ChipIR/biased-persistent", fpga, spectrum.ChipIR(), &plan.Bias{Thermal: 6, Fast: 0.5}, 0.8, 1200},
 		{"K20/ChipIR/huge-lambda", k20, spectrum.ChipIR(), nil, 40, 50},
 	}
+	const refShards = 200
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -193,23 +200,89 @@ func TestBatchedRunLoopMatchesScalarReference(t *testing.T) {
 			} else {
 				pl = plan.Compile(d, c.spec, 4000, rng.New(2))
 			}
-			// Identical shard decompositions with independently derived
-			// streams: the batched runner buffers its stream, the scalar
-			// reference draws unbuffered.
-			var events atomic.Int64
-			got := runShard(cfg, engine.Shard{Index: 3, Count: c.runs, Stream: engine.StreamForShard(cfg.Seed, 3)}, pl, injectorFor(t, cfg), c.lambda, &events)
-			want := scalarRunShard(t, cfg, engine.Shard{Index: 3, Count: c.runs, Stream: engine.StreamForShard(cfg.Seed, 3)}, pl, c.lambda)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("batched shard tally diverged from scalar reference:\n got %+v\nwant %+v", got, want)
+			shard := func(i int) engine.Shard {
+				return engine.Shard{Index: i, Count: c.runs, Stream: engine.StreamForShard(cfg.Seed, i)}
 			}
-			if want.Interactions == 0 && c.lambda > 0 {
+			var events atomic.Int64
+			inj := injectorFor(t, cfg)
+			if c.lambda <= 0 || c.lambda >= 30 {
+				got := runShard(cfg, shard(3), pl, inj, c.lambda, &events)
+				want := scalarRunShard(t, cfg, shard(3), pl, c.lambda)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("shard tally diverged from scalar reference:\n got %+v\nwant %+v", got, want)
+				}
+				if want.Interactions == 0 && c.lambda > 0 {
+					t.Error("reference drew no interactions; comparison is vacuous")
+				}
+				if events.Load() != got.SDC+got.DUE {
+					t.Errorf("events counter = %d, want sdc+due = %d", events.Load(), got.SDC+got.DUE)
+				}
+				return
+			}
+			var got, want [][]float64
+			var sdcDUE int64
+			for i := range refShards {
+				tc := runShard(cfg, shard(i), pl, inj, c.lambda, &events)
+				sdcDUE += tc.SDC + tc.DUE
+				got = append(got, tallyFields(tc))
+				want = append(want, tallyFields(scalarRunShard(t, cfg, shard(refShards+i), pl, c.lambda)))
+			}
+			worst := 0.0
+			for f := range got[0] {
+				mg, sg := meanSE(got, f)
+				mw, sw := meanSE(want, f)
+				if sg == 0 && sw == 0 {
+					if mg != mw {
+						t.Errorf("tally field %d: constant %v, reference constant %v", f, mg, mw)
+					}
+					continue
+				}
+				z := (mg - mw) / math.Hypot(sg, sw)
+				worst = max(worst, math.Abs(z))
+				if math.Abs(z) > 4 {
+					t.Errorf("tally field %d: shard mean %.6g against the reference's %.6g (z = %.2f)", f, mg, mw, z)
+				}
+			}
+			t.Logf("worst |z| over %d tally fields: %.2f", len(got[0]), worst)
+			if mean, _ := meanSE(want, 5); mean == 0 {
 				t.Error("reference drew no interactions; comparison is vacuous")
 			}
-			// The events counter is flushed in batches but must still total
-			// exactly the shard's SDC+DUE count by shard completion.
-			if events.Load() != got.SDC+got.DUE {
-				t.Errorf("events counter = %d, want sdc+due = %d", events.Load(), got.SDC+got.DUE)
+			// The events counter is flushed per block but must still total
+			// exactly the shards' SDC+DUE count by shard completion.
+			if events.Load() != sdcDUE {
+				t.Errorf("events counter = %d, want sdc+due = %d", events.Load(), sdcDUE)
 			}
 		})
 	}
+}
+
+// tallyFields flattens a shard tally into the fields the statistical
+// reference compares: the integer tallies in declaration order
+// (Interactions is index 5), the upsets by band, and the N, weighted sum
+// and sum of squared weights of every weighted tally.
+func tallyFields(tc shardTally) []float64 {
+	out := []float64{float64(tc.SDC), float64(tc.DUE), float64(tc.Masked), float64(tc.Upsets), float64(tc.Reprograms), float64(tc.Interactions)}
+	for _, n := range tc.ByBand {
+		out = append(out, float64(n))
+	}
+	if w := tc.Weighted; w != nil {
+		sums := append([]stats.Weighted{w.Draws, w.SDC, w.DUE, w.Masked}, w.UpsetsByBand[:]...)
+		for _, t := range append(sums, w.DUEByBand[:]...) {
+			out = append(out, float64(t.N), t.Sum(), t.SumSquares())
+		}
+	}
+	return out
+}
+
+// meanSE returns the mean of field f over the rows and its standard error.
+func meanSE(rows [][]float64, f int) (mean, se float64) {
+	for _, r := range rows {
+		mean += r[f]
+	}
+	mean /= float64(len(rows))
+	var ss float64
+	for _, r := range rows {
+		ss += (r[f] - mean) * (r[f] - mean)
+	}
+	return mean, math.Sqrt(ss / float64(len(rows)-1) / float64(len(rows)))
 }

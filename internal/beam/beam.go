@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,7 +38,9 @@ type Config struct {
 	// RunSeconds is the beam time covered by one workload execution. When
 	// zero, it is auto-tuned so a run rarely sees more than one fault —
 	// the same error-pile-up control a beam operator applies — capped at
-	// 1 s.
+	// 1 s. The tuning splits the campaign into at most MaxAutoRuns runs,
+	// so a long auto-tuned campaign at a high rate runs at λ above 0.05,
+	// and a run with several faults counts as one event.
 	RunSeconds float64
 	// Derating scales the flux for boards placed off the beam axis when
 	// several boards share the ChipIR beam (default 1; §III-C).
@@ -170,6 +173,12 @@ const defaultShardGrain = 8192
 // its beam time into.
 const MaxAutoRuns = 2e6
 
+// maxRunLambda caps λ, the mean interactions per run. A run draws and
+// replays each of its interactions, so a campaign far above it would not
+// finish; the experiments, tests and benchmarks use λ ≤ 64. It also keeps
+// the float-to-int64 conversion of a Poisson draw in range.
+const maxRunLambda = 1e4
+
 // shardTally accumulates one shard's private counts. Everything here is
 // shard-local; the campaign Result is assembled only after every shard has
 // finished, by summing tallies in shard order. ByBand is a fixed array
@@ -241,6 +250,12 @@ type campaignSetup struct {
 	goldenOnce sync.Once
 	golden     *faultinject.GoldenRun
 	goldenErr  error
+	// injectors is the free list of replay injectors: a shard takes one
+	// or builds one, and returns it when done, so a campaign builds only
+	// as many as run at once. Reuse moves no bit: Injector.Run restores
+	// every buffer it replays from a golden checkpoint first.
+	mu        sync.Mutex
+	injectors []*faultinject.Injector
 }
 
 // prepare validates the config, compiles (or cache-hits) the campaign
@@ -251,8 +266,8 @@ func prepare(ctx context.Context, cfg Config) (*campaignSetup, error) {
 		return nil, err
 	}
 	// Validate the workload name before committing to the campaign.
-	if _, err := workload.New(cfg.WorkloadName); err != nil {
-		return nil, err
+	if !slices.Contains(workload.Names(), cfg.WorkloadName) {
+		return nil, fmt.Errorf("workload: unknown benchmark %q", cfg.WorkloadName)
 	}
 	// Campaign setup compiles through the shared plan cache: the first
 	// campaign for a (device physics, spectrum, CalSamples, bias) key pays
@@ -282,6 +297,11 @@ func prepare(ctx context.Context, cfg Config) (*campaignSetup, error) {
 	if runs < 1 {
 		runs = 1
 	}
+	lambda := ratePerSecond * runSeconds
+	if !(lambda <= maxRunLambda) {
+		return nil, fmt.Errorf("beam: λ = %g interactions per run exceeds the ceiling of %g; use a shorter run_seconds (an auto-tuned campaign splits its duration into at most %g runs)",
+			lambda, float64(maxRunLambda), float64(MaxAutoRuns))
+	}
 	grain := cfg.ShardGrain
 	if grain <= 0 {
 		grain = defaultShardGrain
@@ -291,28 +311,46 @@ func prepare(ctx context.Context, cfg Config) (*campaignSetup, error) {
 		pl:         pl,
 		flux:       flux,
 		runSeconds: runSeconds,
-		lambda:     ratePerSecond * runSeconds,
+		lambda:     lambda,
 		runs:       runs,
 		grain:      grain,
 	}, nil
 }
 
-// runShard executes one shard of the campaign on a fresh workload
-// instance, replaying it against the campaign's golden run.
+// runShard executes one shard of the campaign on an injector from the
+// free list, replaying it against the campaign's golden run.
 func (s *campaignSetup) runShard(sh engine.Shard, events *atomic.Int64) (shardTally, error) {
-	w, err := workload.New(s.cfg.WorkloadName)
+	inj, err := s.injector()
 	if err != nil {
 		return shardTally{}, err
+	}
+	tc := runShard(s.cfg, sh, s.pl, inj, s.lambda, events)
+	s.mu.Lock()
+	s.injectors = append(s.injectors, inj)
+	s.mu.Unlock()
+	return tc, nil
+}
+
+// injector takes an injector off the free list, or builds one on a fresh
+// workload instance, recording the golden run on it if no shard has yet.
+func (s *campaignSetup) injector() (*faultinject.Injector, error) {
+	s.mu.Lock()
+	if n := len(s.injectors); n > 0 {
+		inj := s.injectors[n-1]
+		s.injectors = s.injectors[:n-1]
+		s.mu.Unlock()
+		return inj, nil
+	}
+	s.mu.Unlock()
+	w, err := workload.New(s.cfg.WorkloadName)
+	if err != nil {
+		return nil, err
 	}
 	s.goldenOnce.Do(func() { s.golden, s.goldenErr = faultinject.RecordGolden(w, s.cfg.Seed) })
 	if s.goldenErr != nil {
-		return shardTally{}, s.goldenErr
+		return nil, s.goldenErr
 	}
-	inj, err := s.golden.NewInjector(w, s.cfg.Inject)
-	if err != nil {
-		return shardTally{}, err
-	}
-	return runShard(s.cfg, sh, s.pl, inj, s.lambda, events), nil
+	return s.golden.NewInjector(w, s.cfg.Inject)
 }
 
 // RunContext executes the campaign and reports counts and cross sections.
@@ -321,11 +359,12 @@ func (s *campaignSetup) runShard(sh engine.Shard, events *atomic.Int64) (shardTa
 //
 // The runs loop executes on the sharded engine: each shard of ShardGrain
 // runs draws from its own stream (engine.StreamForShard(Seed, shard)) and
-// keeps its own injector and persistent-FPGA-corruption state, so the
-// result is identical for any Shards worker count — including 1, the
-// serial executor. Persistent configuration faults are carried run-to-run
-// within a shard and cleared at shard boundaries, operationally a periodic
-// blind bitstream reload every ShardGrain runs (DESIGN.md §9).
+// keeps its own persistent-FPGA-corruption state, and replays on an
+// injector no other shard holds meanwhile, so the result is identical for
+// any Shards worker count — including 1, the serial executor. Persistent
+// configuration faults are carried run-to-run within a shard and cleared
+// at shard boundaries, operationally a periodic blind bitstream reload
+// every ShardGrain runs (DESIGN.md §9).
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	ctx, campaign := telemetry.StartSpan(ctx, "beam.campaign")
 	defer campaign.End()
@@ -506,10 +545,11 @@ func (r *Result) estimateCrossSections() error {
 	return err
 }
 
-// shardRunner executes one shard's slice of beam runs. Each shard owns a
-// fresh workload instance and injector (injectors replay mutable workload
-// state and are not safe to share; the golden run they replay against is
-// recorded once per campaign), plus the shard-local list of
+// shardRunner executes one shard's slice of beam runs. Each shard holds
+// an injector for its lifetime (injectors replay mutable workload state
+// and are not safe to share between running shards; the campaign's free
+// list hands them from shard to shard, and the golden run they replay
+// against is recorded once per campaign), plus the shard-local list of
 // persistent FPGA configuration faults (§V): corruption survives from run
 // to run until an observed error triggers a bitstream reload, and is
 // dropped at the shard boundary. The fault and persistent buffers are
@@ -518,9 +558,6 @@ func (r *Result) estimateCrossSections() error {
 type shardRunner struct {
 	cfg    Config
 	lambda float64
-	// expNegLambda caches exp(-lambda) for the one-run-at-a-time Poisson
-	// draw of runs that carry persistent faults.
-	expNegLambda float64
 	// biased selects the weighted estimator: draws come from the biased
 	// table with their likelihood weights, and every tally is fed the
 	// weight alongside its integer count. It is fixed by the plan for the
@@ -552,15 +589,14 @@ type shardRunner struct {
 
 func newShardRunner(cfg Config, sh engine.Shard, pl *plan.CampaignPlan, inj *faultinject.Injector, lambda float64, events *atomic.Int64) *shardRunner {
 	r := &shardRunner{
-		cfg:          cfg,
-		lambda:       lambda,
-		expNegLambda: math.Exp(-lambda),
-		biased:       pl.IsBiased(),
-		inj:          inj,
-		steps:        inj.Steps(),
-		s:            sh.Stream,
-		events:       events,
-		wCarried:     1,
+		cfg:      cfg,
+		lambda:   lambda,
+		biased:   pl.IsBiased(),
+		inj:      inj,
+		steps:    inj.Steps(),
+		s:        sh.Stream,
+		events:   events,
+		wCarried: 1,
 	}
 	if r.biased {
 		r.wsample = pl.WeightedSampler()
@@ -573,34 +609,30 @@ func newShardRunner(cfg Config, sh engine.Shard, pl *plan.CampaignPlan, inj *fau
 
 // runBlock executes n runs. A run is a Poisson number of conditioned
 // interaction draws, device physics per interaction, then workload replay
-// under the collected faults. While no persistent fault is carried, one
-// PoissonRun call scans the empty runs ahead — one generator output and
-// one integer compare each — and counts them masked; the run that ends
-// the scan, and every run that carries persistent faults, goes through
-// materialize. Every stream draw happens in exactly the per-run order, so
-// the block is bit-identical to n scalar runs (DESIGN.md §16). The shared
-// events counter is flushed once, at the end. It must stay free of
-// per-run allocations (asserted by TestRunLoopZeroAllocs for both
-// estimators).
+// under the collected faults. One PoissonRun call draws the gap of empty
+// runs before the next interacting run, at O(1) cost whatever its length
+// (DESIGN.md §16). A gap run that carries a persistent FPGA fault still
+// replays on its own, until an observed error reprograms the FPGA; the
+// rest of the gap counts as masked in one add, and on the biased path in
+// one unit-weight add, since an empty run's outcome weight is wCarried·1
+// = 1 while nothing is carried. The shared events counter is flushed
+// once, at the end. It must stay free of per-run allocations (asserted by
+// TestRunLoopZeroAllocs for both estimators).
 func (r *shardRunner) runBlock(n int) {
 	before := r.tc.SDC + r.tc.DUE
 	for n > 0 {
-		if len(r.persistent) > 0 {
-			r.materialize(r.s.PoissonExp(r.lambda, r.expNegLambda))
-			n--
-			continue
-		}
 		zeros, nInt := r.s.PoissonRun(r.lambda, n)
-		r.tc.Masked += int64(zeros)
-		if r.biased {
-			// An empty run is masked with outcome weight wCarried·1, and
-			// wCarried is exactly 1 while nothing is carried. Kahan adds
-			// are order-dependent, so each run still gets its own.
-			for range zeros {
-				r.tc.Weighted.Masked.Add(1)
+		n -= zeros
+		for ; zeros > 0 && len(r.persistent) > 0; zeros-- {
+			r.materialize(0)
+		}
+		if zeros > 0 {
+			r.tc.Masked += int64(zeros)
+			if r.biased {
+				r.tc.Weighted.Masked.AddUnits(int64(zeros))
 			}
 		}
-		if n -= zeros; n > 0 {
+		if n > 0 {
 			r.materialize(nInt)
 			n--
 		}
@@ -611,9 +643,8 @@ func (r *shardRunner) runBlock(n int) {
 }
 
 // materialize is the rare path of a run: nInt > 0 interactions to draw
-// and classify, or carried persistent faults to replay (or both).
-// Deliberately outlined from the scan in runBlock — at auto-tuned λ ≈ 0.05
-// over 95% of runs never come here. On the biased path every interaction
+// and classify, or carried persistent faults to replay (or both). At
+// auto-tuned λ ≈ 0.05 over 95% of runs never come here. On the biased path every interaction
 // comes from the biased table with its likelihood weight: per-draw
 // tallies (draws, upsets by band) use the draw's own weight, run outcomes
 // (SDC/DUE/Masked) the product of the weights of every draw that

@@ -29,9 +29,9 @@ const (
 	benchCacheEntries = 16
 	benchConcurrency  = 8 // the loadgen's closed-loop in-flight requests
 	// benchCampaignSeconds sizes each key's compute so a recompute visibly
-	// outweighs a forwarded cache hit: about 200k runs, tens of
-	// milliseconds of CPU per miss.
-	benchCampaignSeconds = 2000
+	// outweighs a forwarded cache hit: 2M runs, at least 10 ms of CPU per
+	// miss on one core.
+	benchCampaignSeconds = 20000
 )
 
 // BenchReport is the outcome of one single-node vs cluster comparison.
@@ -49,9 +49,9 @@ type BenchReport struct {
 
 // BenchCampaign maps key → request for the storm: campaigns whose cache
 // keys differ by seed while their compute cost does not. The coarse
-// ShardGrain keeps the plan under the coordinator's fan-out threshold,
-// so storms exercise HRW whole-job routing — the cache-sharding path the
-// bench is about.
+// ShardGrain (2¹⁹ runs, 4 shards at benchCampaignSeconds) keeps the plan
+// under the coordinator's fan-out threshold, so storms exercise HRW
+// whole-job routing — the cache-sharding path the bench is about.
 func BenchCampaign(seconds float64) func(int) *server.CampaignRequest {
 	return func(key int) *server.CampaignRequest {
 		return &server.CampaignRequest{
@@ -64,7 +64,7 @@ func BenchCampaign(seconds float64) func(int) *server.CampaignRequest {
 				DurationSeconds: seconds,
 				RunSeconds:      0.01,
 				CalSamples:      2000,
-				ShardGrain:      65536,
+				ShardGrain:      1 << 19,
 			},
 		}
 	}

@@ -171,36 +171,56 @@ func A3ECCFIT(scale Scale, seed uint64) (Table, error) {
 	return t, nil
 }
 
-// A4Derating verifies the multi-board ChipIR setup: a board at half flux
-// (derating 0.5) must measure the same cross section as a board on the
-// axis, which is what justifies testing several boards in parallel.
-func A4Derating(scale Scale, seed uint64) (Table, error) {
+// a4Accelerator scales K20's sensitive fraction for A4's statistics. σ
+// does not depend on it while λ ≪ 1: it is small enough that every A4
+// campaign auto-tunes to λ ≈ 0.05 below beam.MaxAutoRuns at both scales
+// (TestBoostedAblationsStayUnderAutoRunCap). Above the cap runs stretch,
+// several faults pile into one run and count as one event, and σ reads
+// low, the more so the higher the flux.
+const a4Accelerator = 4
+
+// a4Configs returns A4's campaigns, one per derating, each with the same
+// statistics budget.
+func a4Configs(scale Scale, seed uint64) []beam.Config {
 	duration := 1.0
 	if scale == Full {
 		duration = 20
 	}
 	d := device.K20()
-	d.SensitiveFraction *= 200 // statistics accelerator; cancels in σ
-	t := Table{
-		ID:     "A4",
-		Title:  "Cross section vs beam derating (multi-board ChipIR setup)",
-		Header: []string{"derating", "fluence [n/cm²]", "SDC", "σ_SDC [cm²]"},
-	}
+	d.SensitiveFraction *= a4Accelerator
+	var cfgs []beam.Config
 	for _, derating := range []float64{1.0, 0.5, 0.25} {
-		res, err := beam.RunContext(context.Background(), beam.Config{
+		cfgs = append(cfgs, beam.Config{
 			Device:          d,
 			WorkloadName:    "MxM",
 			Beam:            spectrum.ChipIR(),
-			DurationSeconds: duration * 3600 * derating, // equal statistics budget
+			DurationSeconds: duration * 3600 * derating,
 			Derating:        derating,
 			Seed:            seed,
 		})
+	}
+	return cfgs
+}
+
+// A4Derating verifies the multi-board ChipIR setup: a board at half flux
+// (derating 0.5) must measure the same cross section as a board on the
+// axis, which is what justifies testing several boards in parallel. The
+// upsets-per-run column shows the pile-up control: it must stay ≪ 1.
+func A4Derating(scale Scale, seed uint64) (Table, error) {
+	t := Table{
+		ID:     "A4",
+		Title:  "Cross section vs beam derating (multi-board ChipIR setup)",
+		Header: []string{"derating", "fluence [n/cm²]", "SDC", "σ_SDC [cm²]", "upsets/run"},
+	}
+	for _, cfg := range a4Configs(scale, seed) {
+		res, err := beam.RunContext(context.Background(), cfg)
 		if err != nil {
 			return Table{}, err
 		}
 		t.Rows = append(t.Rows, []string{
-			f3(derating), f3(float64(res.Fluence)),
+			f3(cfg.Derating), f3(float64(res.Fluence)),
 			fmt.Sprintf("%d", res.SDC), f3(res.SDCCrossSection.Rate),
+			f3(float64(res.Upsets) / float64(res.Runs)),
 		})
 	}
 	t.Notes = append(t.Notes,
@@ -291,11 +311,14 @@ func A6ProblemSize(scale Scale, seed uint64) (Table, error) {
 	return t, nil
 }
 
-// A7SampleVariation reproduces the companion-study remark that the
-// high-energy error-rate variation among samples of the same device is
-// about 10%: several manufacturing samples of the K20 are put through the
-// same ChipIR campaign and the spread of their cross sections is reported.
-func A7SampleVariation(scale Scale, seed uint64) (Table, error) {
+// a7Accelerator scales K20's sensitive fraction for A7's statistics,
+// identically for every sample. Like a4Accelerator it keeps every sample's
+// campaign below beam.MaxAutoRuns at both scales, with room for the
+// samples' spread, so each runs at λ ≈ 0.05 and its σ does not depend on it.
+const a7Accelerator = 20
+
+// a7Configs returns A7's campaigns, one per manufacturing sample of K20.
+func a7Configs(scale Scale, seed uint64) []beam.Config {
 	samples := 6
 	duration := 1200.0
 	if scale == Full {
@@ -303,23 +326,34 @@ func A7SampleVariation(scale Scale, seed uint64) (Table, error) {
 		duration = 7200
 	}
 	s := rng.New(seed)
-	t := Table{
-		ID:     "A7",
-		Title:  "Cross-section variation across device samples",
-		Header: []string{"sample", "σ_SDC ChipIR [cm²]", "vs sample mean"},
-	}
 	base := device.K20()
-	base.SensitiveFraction *= 200 // statistics accelerator, identical for all samples
-	var sigmas []float64
+	base.SensitiveFraction *= a7Accelerator
+	var cfgs []beam.Config
 	for i := 0; i < samples; i++ {
-		dut := device.Sample(base, s)
-		res, err := beam.RunContext(context.Background(), beam.Config{
-			Device:          dut,
+		cfgs = append(cfgs, beam.Config{
+			Device:          device.Sample(base, s),
 			WorkloadName:    "MxM",
 			Beam:            spectrum.ChipIR(),
 			DurationSeconds: duration,
 			Seed:            seed + uint64(i),
 		})
+	}
+	return cfgs
+}
+
+// A7SampleVariation reproduces the companion-study remark that the
+// high-energy error-rate variation among samples of the same device is
+// about 10%: several manufacturing samples of the K20 are put through the
+// same ChipIR campaign and the spread of their cross sections is reported.
+func A7SampleVariation(scale Scale, seed uint64) (Table, error) {
+	t := Table{
+		ID:     "A7",
+		Title:  "Cross-section variation across device samples",
+		Header: []string{"sample", "σ_SDC ChipIR [cm²]", "vs sample mean"},
+	}
+	var sigmas []float64
+	for _, cfg := range a7Configs(scale, seed) {
+		res, err := beam.RunContext(context.Background(), cfg)
 		if err != nil {
 			return Table{}, err
 		}

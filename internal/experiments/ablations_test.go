@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
+
+	"neutronsim/internal/beam"
 )
 
 func TestAllAblationsRegistered(t *testing.T) {
@@ -135,5 +138,26 @@ func TestA7SampleVariationNearTenPercent(t *testing.T) {
 	// Process sigma 0.10 plus Poisson noise: accept a broad band.
 	if spread < 2 || spread > 30 {
 		t.Errorf("sample spread = %v%%, want near 10%%", spread)
+	}
+}
+
+// TestBoostedAblationsStayUnderAutoRunCap checks, from the campaigns'
+// decompositions, that no auto-tuned campaign of A4 or A7 reaches
+// beam.MaxAutoRuns at either scale: a capped campaign stretches its runs
+// past λ ≈ 0.05, and a run with several faults counts as one event.
+func TestBoostedAblationsStayUnderAutoRunCap(t *testing.T) {
+	for _, scale := range []Scale{Quick, Full} {
+		for id, cfgs := range map[string][]beam.Config{"A4": a4Configs(scale, 7), "A7": a7Configs(scale, 7)} {
+			for i, cfg := range cfgs {
+				info, err := beam.PlanInfo(context.Background(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// A capped campaign's run count may round one below the cap.
+				if info.Runs >= beam.MaxAutoRuns-1 {
+					t.Errorf("%s campaign %d at %s scale reaches the cap: %d runs of %.3g s", id, i, scale, info.Runs, info.RunSeconds)
+				}
+			}
+		}
 	}
 }

@@ -32,7 +32,7 @@ func E13FPGAPrecision(scale Scale, seed uint64) (Table, error) {
 	var sigmaF, sigmaT [2]float64
 	for i, double := range []bool{false, true} {
 		d := device.FPGAPrecision(double)
-		d.SensitiveFraction *= 50 // statistics accelerator; cancels in ratios
+		d.SensitiveFraction *= 50 // statistics accelerator; cancels in ratios while λ ≪ 1
 		fres, err := beam.RunContext(context.Background(), beam.Config{
 			Device: d, WorkloadName: "MNIST", Beam: spectrum.ChipIR(),
 			DurationSeconds: fast, Seed: seed + uint64(i),

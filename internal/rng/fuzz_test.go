@@ -106,9 +106,11 @@ func FuzzSplit(f *testing.F) {
 	})
 }
 
-// FuzzPoissonRun checks PoissonRun against a loop of single Poisson
-// draws for any seed, any mean (NaN, infinities, subnormals and means
-// either side of the λ=30 handoff included) and any run limit.
+// FuzzPoissonRun checks PoissonRun's invariants for any seed, any mean
+// (NaN, infinities, subnormals and means either side of the λ=30 handoff
+// included) and any run limit: it never panics, it returns between none
+// and limit leading empty runs, a mean ≤ 0 makes every run empty, and
+// below 30 a call that stops short of limit stops at an interacting run.
 func FuzzPoissonRun(f *testing.F) {
 	f.Add(uint64(1), math.Float64bits(0.0032), 100_000)
 	f.Add(uint64(42), math.Float64bits(1e-17), 7)
@@ -116,6 +118,18 @@ func FuzzPoissonRun(f *testing.F) {
 	f.Add(^uint64(0), math.Float64bits(400), 0)
 	f.Add(uint64(9), math.Float64bits(math.NaN()), -3)
 	f.Fuzz(func(t *testing.T, seed, meanBits uint64, limit int) {
-		checkPoissonRun(t, seed, math.Float64frombits(meanBits), limit%(1<<17), 4)
+		mean, limit := math.Float64frombits(meanBits), limit%(1<<17)
+		s := New(seed)
+		for range 4 {
+			zeros, n := s.PoissonRun(mean, limit)
+			switch {
+			case zeros < 0 || zeros > max(limit, 0):
+				t.Fatalf("mean=%v limit=%d: %d leading empty runs", mean, limit, zeros)
+			case mean <= 0 && (zeros != max(limit, 0) || n != 0):
+				t.Fatalf("mean=%v limit=%d: PoissonRun = (%d, %d), want every run empty", mean, limit, zeros, n)
+			case mean > 0 && mean < 30 && zeros < limit && n < 1:
+				t.Fatalf("mean=%v limit=%d: stopped after %d empty runs at a count of %d", mean, limit, zeros, n)
+			}
+		}
 	})
 }

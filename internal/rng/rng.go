@@ -227,47 +227,32 @@ func (s *Stream) Poisson(mean float64) int64 {
 	}
 }
 
-// PoissonExp is Poisson with a caller-cached exp(-mean). Run loops that
-// draw from a fixed-rate Poisson on every iteration pay math.Exp once at
-// setup instead of per draw. It consumes the stream draw-for-draw exactly
-// like Poisson(mean) whenever expNegMean == math.Exp(-mean), which the
-// beam run-loop test pins.
-func (s *Stream) PoissonExp(mean, expNegMean float64) int64 {
-	switch {
-	case mean <= 0:
-		return 0
-	case mean < 30:
-		return s.knuthPoisson(1, 0, expNegMean)
-	default:
-		return s.Poisson(mean)
-	}
-}
-
-// PoissonRun makes up to limit successive Poisson(mean) draws, consuming
-// the stream exactly as that many Poisson calls would, and stops after
-// the first nonzero one. It returns the number of leading zero draws and
-// the nonzero draw, which is 0 when no draw was nonzero. A run loop
-// whose runs are mostly empty finds them with one Uint64 and one integer
-// compare each: below mean 30 a draw is zero exactly when Knuth's first
-// uniform (x>>11)/2⁵³ is at most e^-mean, that is when x>>11 is at most
-// ⌊e^-mean·2⁵³⌋, and both sides scale by 2⁵³ without rounding.
+// PoissonRun draws successive Poisson(mean) run counts up to limit runs
+// and stops at the first nonzero one. It returns the number of leading
+// empty runs and the nonzero count, which is 0 when all limit runs are
+// empty. Below mean 30 it costs O(1) per call whatever the number of empty
+// runs: the empty runs before an interacting one are geometric,
+// P(zeros ≥ g) = e^(−mean·g), so zeros = ⌊−ln U / mean⌋, cut at limit
+// exactly because the geometric distribution is memoryless; the count of
+// the interacting run is zero-truncated Poisson, Knuth's product method
+// started from a first uniform conditioned to lie above e^-mean. Every
+// count is still an independent Poisson(mean). From mean 30 up it makes
+// one Poisson draw per run.
 func (s *Stream) PoissonRun(mean float64, limit int) (zeros int, n int64) {
 	switch {
-	case mean <= 0:
+	case mean <= 0 || limit <= 0:
 		return max(limit, 0), 0
 	case mean < 30:
-		expNeg := math.Exp(-mean)
-		cut := uint64(expNeg * (1 << 53))
-		for ; zeros < limit; zeros++ {
-			if x := s.Uint64(); x>>11 > cut {
-				return zeros, s.knuthPoisson(Float64From(x), 1, expNeg)
-			}
+		g := -math.Log(s.Float64Open()) / mean
+		if g >= float64(limit) {
+			return limit, 0
 		}
-	default:
-		for ; zeros < limit; zeros++ {
-			if n = s.Poisson(mean); n != 0 {
-				return zeros, n
-			}
+		expNeg := math.Exp(-mean)
+		return int(g), s.knuthPoisson(expNeg-math.Expm1(-mean)*s.Float64(), 1, expNeg)
+	}
+	for ; zeros < limit; zeros++ {
+		if n = s.Poisson(mean); n != 0 {
+			return zeros, n
 		}
 	}
 	return zeros, 0
@@ -276,8 +261,7 @@ func (s *Stream) PoissonRun(mean float64, limit int) (zeros int, n int64) {
 // knuthPoisson is Knuth's product method, resumed from the running
 // product p after k factors: multiply uniforms until the product drops
 // to exp(-mean) or below; the number of factors minus one is the draw.
-// Poisson, PoissonExp and PoissonRun share it, so they are draw-for-draw
-// identical by construction.
+// Poisson and PoissonRun share it.
 func (s *Stream) knuthPoisson(p float64, k int64, expNegMean float64) int64 {
 	for {
 		p *= s.Float64()

@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"neutronsim/internal/beam"
@@ -264,7 +265,7 @@ func (n *CampaignRequest) normalizeBeam(p *BeamParams) error {
 	if _, err := DeviceByName(b.Device); err != nil {
 		return err
 	}
-	if _, err := workload.New(b.Workload); err != nil {
+	if !slices.Contains(workload.Names(), b.Workload) {
 		return fmt.Errorf("unknown workload %q", b.Workload)
 	}
 	sp, err := SpectrumByName(b.Spectrum)
@@ -332,7 +333,7 @@ func (n *CampaignRequest) normalizeAssess(p *AssessParams) error {
 	cleaned := make([]string, 0, len(a.Workloads))
 	for _, w := range a.Workloads {
 		w = strings.TrimSpace(w)
-		if _, err := workload.New(w); err != nil {
+		if !slices.Contains(workload.Names(), w) {
 			return fmt.Errorf("unknown workload %q", w)
 		}
 		cleaned = append(cleaned, w)

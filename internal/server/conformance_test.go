@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -441,6 +442,40 @@ func TestSubmitValidation(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		}
+	}
+}
+
+// TestAbsurdRunLambdaRejected checks that a beam campaign whose runs would
+// each hold an absurd number of interactions passes Normalize, which
+// cannot see λ, but then fails at once, both as a job (Execute) and as a
+// coordinator's partition (beam.PlanInfo), instead of drawing without end.
+func TestAbsurdRunLambdaRejected(t *testing.T) {
+	for _, body := range []string{
+		`{"kind":"beam","seed":1,"beam":{"device":"K20","workload":"MxM","spectrum":"ChipIR","duration_seconds":1e25}}`,
+		`{"kind":"beam","seed":1,"beam":{"device":"K20","workload":"MxM","spectrum":"ChipIR","duration_seconds":1e15,"run_seconds":1e15}}`,
+	} {
+		var req CampaignRequest
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		n, err := req.Normalize()
+		if err != nil {
+			t.Fatalf("%s: Normalize: %v", body, err)
+		}
+		start := time.Now()
+		if _, err := Execute(context.Background(), n, 1); err == nil || !strings.Contains(err.Error(), "λ") {
+			t.Errorf("%s: Execute error %v, want one naming λ", body, err)
+		}
+		cfg, err := BeamConfig(n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := beam.PlanInfo(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "run_seconds") {
+			t.Errorf("%s: PlanInfo error %v, want one suggesting a shorter run_seconds", body, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: rejected after %v", body, d)
 		}
 	}
 }

@@ -45,6 +45,14 @@ func (t *Weighted) Add(w float64) {
 	t.addW2(w * w)
 }
 
+// AddUnits records k events of weight 1 in one step: the same N, and the
+// same sums up to rounding, as k calls of Add(1).
+func (t *Weighted) AddUnits(k int64) {
+	t.N += k
+	t.addW(float64(k))
+	t.addW2(float64(k))
+}
+
 func (t *Weighted) addW(v float64) {
 	y := v - t.CW
 	s := t.SumW + y

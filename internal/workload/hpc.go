@@ -58,18 +58,34 @@ func (m *MxM) Reset(seed uint64) {
 // Steps implements Workload: one step per output row.
 func (m *MxM) Steps() int { return m.n }
 
-// Step computes row i of C.
+// Step computes row i of C, four columns at a time. Each element is still
+// one sum over k = 0..n-1 from 0.0, in k order, so C is bit for bit the
+// one-column loop's; the four independent sums only interleave, which
+// breaks each element's chain of n dependent adds.
 func (m *MxM) Step(i int) error {
 	if i < 0 || i >= m.n {
 		return fmt.Errorf("MxM: step %d out of range", i)
 	}
 	n := m.n
-	for j := 0; j < n; j++ {
-		sum := 0.0
-		for k := 0; k < n; k++ {
-			sum += m.a[i*n+k] * m.b[k*n+j]
+	a, c := m.a[i*n:(i+1)*n], m.c[i*n:(i+1)*n]
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		var s0, s1, s2, s3 float64
+		for k, x := range a {
+			b := m.b[k*n+j : k*n+j+4]
+			s0 += x * b[0]
+			s1 += x * b[1]
+			s2 += x * b[2]
+			s3 += x * b[3]
 		}
-		m.c[i*n+j] = sum
+		c[j], c[j+1], c[j+2], c[j+3] = s0, s1, s2, s3
+	}
+	for ; j < n; j++ {
+		sum := 0.0
+		for k, x := range a {
+			sum += x * m.b[k*n+j]
+		}
+		c[j] = sum
 	}
 	return nil
 }

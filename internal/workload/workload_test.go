@@ -537,6 +537,49 @@ func TestMNISTOutputStable(t *testing.T) {
 	}
 }
 
+// TestMxMStepMatchesOneColumnLoop pins the four-column kernel to the
+// one-column loop it replaced, bit for bit, for every remainder of n mod 4
+// and on inputs carrying NaN, ±Inf and a flipped exponent bit.
+func TestMxMStepMatchesOneColumnLoop(t *testing.T) {
+	oneColumn := func(m *MxM, i int) []float64 {
+		n := m.n
+		row := make([]float64, n)
+		for j := 0; j < n; j++ {
+			sum := 0.0
+			for k := 0; k < n; k++ {
+				sum += m.a[i*n+k] * m.b[k*n+j]
+			}
+			row[j] = sum
+		}
+		return row
+	}
+	for _, n := range []int{2, 3, 4, 5, 6, 7, 8, 9, 24, 48} {
+		for _, poison := range []string{"seeded", "nan", "inf", "exponent"} {
+			m := NewMxM(n)
+			m.Reset(uint64(n))
+			switch poison {
+			case "nan":
+				m.a[n+1] = math.NaN()
+			case "inf":
+				m.b[n-1], m.b[len(m.b)-1] = math.Inf(1), math.Inf(-1)
+			case "exponent":
+				m.b[n+1] = math.Float64frombits(math.Float64bits(m.b[n+1]) ^ 1<<61)
+			}
+			for i := 0; i < n; i++ {
+				want := oneColumn(m, i)
+				if err := m.Step(i); err != nil {
+					t.Fatal(err)
+				}
+				for j, v := range m.c[i*n : (i+1)*n] {
+					if math.Float64bits(v) != math.Float64bits(want[j]) {
+						t.Fatalf("n=%d %s: C[%d][%d] = %v, one-column loop gives %v", n, poison, i, j, v, want[j])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSoftmaxHandlesNaN(t *testing.T) {
 	scores := []float64{math.NaN(), 1, 2}
 	softmax(scores) // must not panic; leaves raw values
