@@ -25,7 +25,7 @@
 //
 // On SIGINT/SIGTERM the server drains: intake answers 503, in-flight jobs
 // get -drain-timeout to finish before being canceled, and the final
-// telemetry snapshot (-metrics-out) is written on exit.
+// Prometheus exposition of /metrics (-metrics-out) is written on exit.
 package main
 
 import (

@@ -9,7 +9,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -79,9 +78,7 @@ func run(args []string) error {
 	allStart := time.Now()
 	for i, d := range todo {
 		start := time.Now()
-		_, span := telemetry.StartSpan(context.Background(), "paperfigs."+d.ID)
 		tbl, err := d.Run(scale, *seed)
-		span.End()
 		if err != nil {
 			return fmt.Errorf("%s: %w", d.ID, err)
 		}

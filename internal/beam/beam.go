@@ -24,6 +24,7 @@ import (
 	"neutronsim/internal/spectrum"
 	"neutronsim/internal/stats"
 	"neutronsim/internal/telemetry"
+	"neutronsim/internal/telemetry/trace"
 	"neutronsim/internal/units"
 	"neutronsim/internal/workload"
 )
@@ -273,7 +274,7 @@ func prepare(ctx context.Context, cfg Config) (*campaignSetup, error) {
 	// campaign for a (device physics, spectrum, CalSamples, bias) key pays
 	// the calibration, and every later one, whatever its seed, reuses the
 	// compiled plan (DESIGN.md §12).
-	calCtx, cal := telemetry.StartSpan(ctx, "beam.calibrate")
+	calCtx, cal := trace.StartChild(ctx, "beam.calibrate")
 	cal.SetStage("compile")
 	pl := plan.Shared.ForBiasedContext(calCtx, cfg.Device, cfg.Beam, cfg.CalSamples, cfg.Seed, cfg.Bias)
 	cal.End()
@@ -354,7 +355,7 @@ func (s *campaignSetup) injector() (*faultinject.Injector, error) {
 }
 
 // RunContext executes the campaign and reports counts and cross sections.
-// Its telemetry spans nest under any span the caller has open (e.g.
+// Its trace spans nest under any span the caller has open (e.g.
 // core.assess), and cancellation stops it at the next shard boundary.
 //
 // The runs loop executes on the sharded engine: each shard of ShardGrain
@@ -366,7 +367,7 @@ func (s *campaignSetup) injector() (*faultinject.Injector, error) {
 // at shard boundaries, operationally a periodic blind bitstream reload
 // every ShardGrain runs (DESIGN.md §9).
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	ctx, campaign := telemetry.StartSpan(ctx, "beam.campaign")
+	ctx, campaign := trace.StartChild(ctx, "beam.campaign")
 	defer campaign.End()
 	s, err := prepare(ctx, cfg)
 	if err != nil {
@@ -378,7 +379,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	// cache misses.
 	telemetry.Count("beam.neutrons_sampled", int64(s.cfg.CalSamples))
 
-	_, runSpan := telemetry.StartSpan(ctx, "beam.runs")
+	_, runSpan := trace.StartChild(ctx, "beam.runs")
 	runStart := time.Now()
 	// events is the only state shared across shards: an atomic SDC+DUE
 	// count feeding progress lines (Result fields are written only after
@@ -420,7 +421,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 // is the wall time of the run phase; non-positive skips the throughput
 // gauge (a coordinator assembling remote tallies ran nothing itself).
 func (s *campaignSetup) assemble(ctx context.Context, tallies []shardTally, elapsed time.Duration) (*Result, error) {
-	_, mergeSpan := telemetry.StartSpan(ctx, "beam.merge")
+	_, mergeSpan := trace.StartChild(ctx, "beam.merge")
 	mergeSpan.SetStage("merge")
 	defer mergeSpan.End()
 	res := &Result{

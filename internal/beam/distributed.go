@@ -22,6 +22,7 @@ import (
 	"neutronsim/internal/engine"
 	"neutronsim/internal/stats"
 	"neutronsim/internal/telemetry"
+	"neutronsim/internal/telemetry/trace"
 )
 
 // ShardRange is a half-open range [Lo, Hi) of campaign shard indices.
@@ -154,10 +155,10 @@ func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // executed differs, so a shard's wire tally is identical no matter which
 // node produced it.
 func RunRange(ctx context.Context, cfg Config, lo, hi int) (*Partial, error) {
-	ctx, span := telemetry.StartSpan(ctx, "beam.range")
+	ctx, span := trace.StartChild(ctx, "beam.range")
 	span.SetStage("run")
-	span.AnnotateInt("range_lo", lo)
-	span.AnnotateInt("range_hi", hi)
+	span.SetInt("range_lo", lo)
+	span.SetInt("range_hi", hi)
 	defer span.End()
 	s, err := prepare(ctx, cfg)
 	if err != nil {
@@ -186,7 +187,7 @@ func RunRange(ctx context.Context, cfg Config, lo, hi int) (*Partial, error) {
 // the returned Result is bit-identical to a single-node run of the same
 // Config.
 func AssemblePartials(ctx context.Context, cfg Config, partials []*Partial) (*Result, error) {
-	ctx, campaign := telemetry.StartSpan(ctx, "beam.campaign")
+	ctx, campaign := trace.StartChild(ctx, "beam.campaign")
 	defer campaign.End()
 	s, err := prepare(ctx, cfg)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"neutronsim/internal/beam"
 	"neutronsim/internal/server"
 	"neutronsim/internal/telemetry"
+	"neutronsim/internal/telemetry/trace"
 )
 
 // LocalNode is the rendezvous name the coordinator enters itself under,
@@ -148,10 +149,10 @@ type rangeJob struct{ lo, hi int }
 // shard plan makes the re-dispatch idempotent, and AssemblePartials would
 // reject any double-delivery a bug let through.
 func (c *Coordinator) fanout(ctx context.Context, req *server.CampaignRequest, cfg beam.Config, nShards int, healthy []string) (*beam.Result, error) {
-	ctx, span := telemetry.StartSpan(ctx, "cluster.fanout")
+	ctx, span := trace.StartChild(ctx, "cluster.fanout")
 	span.SetStage("run")
-	span.AnnotateInt("shards", nShards)
-	span.AnnotateInt("peers", len(healthy))
+	span.SetInt("shards", nShards)
+	span.SetInt("peers", len(healthy))
 	defer span.End()
 
 	targetRanges := c.cfg.RangesPerPeer * (len(healthy) + 1)

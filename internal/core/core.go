@@ -17,6 +17,7 @@ import (
 	"neutronsim/internal/plan"
 	"neutronsim/internal/spectrum"
 	"neutronsim/internal/telemetry"
+	"neutronsim/internal/telemetry/trace"
 	"neutronsim/internal/units"
 	"neutronsim/internal/workload"
 )
@@ -78,25 +79,17 @@ type Assessment struct {
 	Sigmas fit.Sigmas
 }
 
-// Assess runs the full matched-campaign protocol on a device. When
+// AssessContext runs the full matched-campaign protocol on a device. When
 // workloads is nil, the paper's assignment for the device class is used.
-func Assess(d *device.Device, workloads []string, b Budget, seed uint64) (*Assessment, error) {
-	return assess(context.Background(), d, workloads, b, seed)
-}
-
-// AssessContext is Assess with a caller context: the assessment's telemetry
-// spans nest under the caller's, per-campaign progress posts reach any
-// observer attached with telemetry.ContextWithProgress, and cancellation
-// aborts the protocol at the next shard boundary.
+// The assessment's trace spans nest under the caller's, per-campaign
+// progress posts reach any observer attached with
+// telemetry.ContextWithProgress, and cancellation aborts the protocol at
+// the next shard boundary.
 func AssessContext(ctx context.Context, d *device.Device, workloads []string, b Budget, seed uint64) (*Assessment, error) {
-	return assess(ctx, d, workloads, b, seed)
-}
-
-func assess(ctx context.Context, d *device.Device, workloads []string, b Budget, seed uint64) (*Assessment, error) {
 	if d == nil {
 		return nil, errors.New("core: nil device")
 	}
-	ctx, span := telemetry.StartSpan(ctx, "core.assess")
+	ctx, span := trace.StartChild(ctx, "core.assess")
 	defer span.End()
 	defer telemetry.StartTimer(telemetry.Default.Histogram("core.assess_seconds")).ObserveDuration()
 	b = b.withDefaults()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 
 func quickAssess(t *testing.T, d *device.Device, seed uint64) *Assessment {
 	t.Helper()
-	a, err := Assess(d, []string{"MxM"}, QuickBudget(), seed)
+	a, err := AssessContext(context.Background(), d, []string{"MxM"}, QuickBudget(), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,23 +19,23 @@ func quickAssess(t *testing.T, d *device.Device, seed uint64) *Assessment {
 }
 
 func TestAssessValidation(t *testing.T) {
-	if _, err := Assess(nil, nil, Budget{}, 1); err == nil {
+	if _, err := AssessContext(context.Background(), nil, nil, Budget{}, 1); err == nil {
 		t.Error("nil device accepted")
 	}
 	d := device.K20()
-	if _, err := Assess(d, []string{}, Budget{}, 1); err == nil {
+	if _, err := AssessContext(context.Background(), d, []string{}, Budget{}, 1); err == nil {
 		t.Error("empty workload list accepted")
 	}
-	if _, err := Assess(d, []string{"nope"}, QuickBudget(), 1); err == nil {
+	if _, err := AssessContext(context.Background(), d, []string{"nope"}, QuickBudget(), 1); err == nil {
 		t.Error("unknown workload accepted")
 	}
-	if _, err := Assess(d, nil, Budget{Boost: 1e9}, 1); err == nil {
+	if _, err := AssessContext(context.Background(), d, nil, Budget{Boost: 1e9}, 1); err == nil {
 		t.Error("overflowing boost accepted")
 	}
 }
 
 func TestAssessDefaultsWorkloadsFromKind(t *testing.T) {
-	a, err := Assess(device.APU(APUConfigDefault()), nil, QuickBudget(), 2)
+	a, err := AssessContext(context.Background(), device.APU(APUConfigDefault()), nil, QuickBudget(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +63,11 @@ func TestAssessmentStatistics(t *testing.T) {
 
 func TestBoostCorrection(t *testing.T) {
 	// Different boosts should yield compatible corrected cross sections.
-	a1, err := Assess(device.K20(), []string{"MxM"}, Budget{FastSeconds: 600, ThermalSeconds: 3600, Boost: 30}, 5)
+	a1, err := AssessContext(context.Background(), device.K20(), []string{"MxM"}, Budget{FastSeconds: 600, ThermalSeconds: 3600, Boost: 30}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := Assess(device.K20(), []string{"MxM"}, Budget{FastSeconds: 600, ThermalSeconds: 3600, Boost: 90}, 6)
+	a2, err := AssessContext(context.Background(), device.K20(), []string{"MxM"}, Budget{FastSeconds: 600, ThermalSeconds: 3600, Boost: 90}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestK20RatioNearPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	a, err := Assess(device.K20(), []string{"MxM"},
+	a, err := AssessContext(context.Background(), device.K20(), []string{"MxM"},
 		Budget{FastSeconds: 1200, ThermalSeconds: 7200, Boost: 100}, 7)
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 	"neutronsim/internal/telemetry"
 )
 
-// AssessMany runs Assess for several devices concurrently with a bounded
+// AssessMany runs AssessContext for several devices concurrently with a bounded
 // worker pool. Each device gets its own deterministic seed derived from
 // the base seed and its index, so the results are identical to running the
 // assessments sequentially — parallelism only changes wall-clock time.
@@ -30,8 +30,6 @@ func AssessMany(devices []*device.Device, b Budget, seed uint64, parallelism int
 	if parallelism > len(devices) {
 		parallelism = len(devices)
 	}
-	ctx, span := telemetry.StartSpan(context.Background(), "core.assess_many")
-	defer span.End()
 	busy := telemetry.Default.Gauge("core.workers_busy")
 	assessed := telemetry.Default.Counter("core.devices_assessed")
 	results := make([]*Assessment, len(devices))
@@ -44,7 +42,7 @@ func AssessMany(devices []*device.Device, b Budget, seed uint64, parallelism int
 			defer wg.Done()
 			for i := range indices {
 				busy.Add(1)
-				a, err := assess(ctx, devices[i], nil, b, DeviceSeed(seed, i))
+				a, err := AssessContext(context.Background(), devices[i], nil, b, DeviceSeed(seed, i))
 				busy.Add(-1)
 				if err != nil {
 					errs[i] = fmt.Errorf("core: %s: %w", devices[i].Name, err)

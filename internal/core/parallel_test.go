@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"neutronsim/internal/device"
@@ -14,7 +15,7 @@ func TestAssessManyMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, d := range devices {
-		seq, err := Assess(d, nil, b, DeviceSeed(7, i))
+		seq, err := AssessContext(context.Background(), d, nil, b, DeviceSeed(7, i))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -282,15 +282,10 @@ func (c WaterExperimentConfig) withDefaults() WaterExperimentConfig {
 	return c
 }
 
-// RunWaterExperiment executes the full pipeline: transport → schedule →
-// counting → change detection.
-func RunWaterExperiment(cfg WaterExperimentConfig, s *rng.Stream) (*WaterExperimentResult, error) {
-	return RunWaterExperimentContext(context.Background(), cfg, s)
-}
-
-// RunWaterExperimentContext is RunWaterExperiment with a caller context;
-// cancellation aborts the transport stage at the next shard boundary and
-// skips the pipeline stages that have not started yet.
+// RunWaterExperimentContext executes the full pipeline: transport →
+// schedule → counting → change detection. Cancellation aborts the
+// transport stage at the next shard boundary and skips the pipeline stages
+// that have not started yet.
 func RunWaterExperimentContext(ctx context.Context, cfg WaterExperimentConfig, s *rng.Stream) (*WaterExperimentResult, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Detector == nil {

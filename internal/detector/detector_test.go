@@ -1,6 +1,7 @@
 package detector
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -111,7 +112,7 @@ func TestStepSchedule(t *testing.T) {
 
 func TestWaterExperimentReproducesPaper(t *testing.T) {
 	d := newDetector(t, 9)
-	res, err := RunWaterExperiment(WaterExperimentConfig{Detector: d}, rng.New(10))
+	res, err := RunWaterExperimentContext(context.Background(), WaterExperimentConfig{Detector: d}, rng.New(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +134,11 @@ func TestWaterExperimentReproducesPaper(t *testing.T) {
 }
 
 func TestWaterExperimentValidation(t *testing.T) {
-	if _, err := RunWaterExperiment(WaterExperimentConfig{}, rng.New(1)); err == nil {
+	if _, err := RunWaterExperimentContext(context.Background(), WaterExperimentConfig{}, rng.New(1)); err == nil {
 		t.Error("nil detector accepted")
 	}
 	d := newDetector(t, 11)
-	if _, err := RunWaterExperiment(WaterExperimentConfig{Detector: d}, nil); err == nil {
+	if _, err := RunWaterExperimentContext(context.Background(), WaterExperimentConfig{Detector: d}, nil); err == nil {
 		t.Error("nil stream accepted")
 	}
 }

@@ -25,6 +25,7 @@ import (
 
 	"neutronsim/internal/rng"
 	"neutronsim/internal/telemetry"
+	"neutronsim/internal/telemetry/trace"
 )
 
 // shardSeqBase offsets shard indices into the rng sequence space so that
@@ -58,7 +59,7 @@ type Config struct {
 	// Seed is the campaign seed. Shard i draws from
 	// rng.NewSequence(Seed, shardSeqBase+i) unless StreamFor overrides.
 	Seed uint64
-	// Name labels telemetry spans ("beam", "transport", ...).
+	// Name labels trace spans ("beam", "transport", ...).
 	Name string
 	// StreamFor optionally overrides per-shard stream derivation (the
 	// transport engine pre-splits the caller's stream instead of seeding
@@ -161,13 +162,13 @@ func MapRange[T any](ctx context.Context, cfg Config, total, defaultGrain, lo, h
 	if name == "" {
 		name = "map"
 	}
-	ctx, span := telemetry.StartSpan(ctx, "engine."+name)
+	ctx, span := trace.StartChild(ctx, "engine."+name)
 	// The engine owns the "run" stage of a traced campaign pipeline: its
 	// wall time is the sharded execution, with per-shard child spans below.
 	span.SetStage("run")
-	span.AnnotateInt("shards", len(shards))
-	span.AnnotateInt("items", total)
-	span.AnnotateInt("range_lo", lo)
+	span.SetInt("shards", len(shards))
+	span.SetInt("items", total)
+	span.SetInt("range_lo", lo)
 	defer span.End()
 	streamFor := cfg.StreamFor
 	if streamFor == nil {
@@ -189,9 +190,9 @@ func MapRange[T any](ctx context.Context, cfg Config, total, defaultGrain, lo, h
 		sh := shards[i]
 		sh.Stream = streamFor(sh.Index)
 		busy.Add(1)
-		_, shardSpan := telemetry.StartSpan(ctx, "engine.shard")
-		shardSpan.AnnotateInt("shard", sh.Index)
-		shardSpan.AnnotateInt("items", sh.Count)
+		_, shardSpan := trace.StartChild(ctx, "engine.shard")
+		shardSpan.SetInt("shard", sh.Index)
+		shardSpan.SetInt("items", sh.Count)
 		r, err := fn(ctx, sh)
 		shardSpan.End()
 		busy.Add(-1)

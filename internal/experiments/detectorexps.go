@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"neutronsim/internal/detector"
@@ -26,7 +27,7 @@ func E5Detector(scale Scale, seed uint64) (Table, error) {
 	if scale == Quick {
 		expCfg.TransportSamples = 8000
 	}
-	res, err := detector.RunWaterExperiment(expCfg, s)
+	res, err := detector.RunWaterExperimentContext(context.Background(), expCfg, s)
 	if err != nil {
 		return Table{}, err
 	}

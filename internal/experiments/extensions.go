@@ -128,7 +128,7 @@ func E15Checkpointing(scale Scale, seed uint64) (Table, error) {
 	}
 	// Per-node DUE rate from the most thermally DUE-sensitive part of the
 	// catalog (the APU, whose CPU-GPU sync logic the paper flags).
-	a, err := core.Assess(device.APU(device.APUCPUGPU), []string{"BFS"}, budget, seed)
+	a, err := core.AssessContext(context.Background(), device.APU(device.APUCPUGPU), []string{"BFS"}, budget, seed)
 	if err != nil {
 		return Table{}, err
 	}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"neutronsim/internal/core"
 	"neutronsim/internal/device"
 	"neutronsim/internal/fit"
@@ -51,7 +53,7 @@ func E8Rain(scale Scale, seed uint64) (Table, error) {
 	if scale == Full {
 		budget = core.Budget{FastSeconds: 2 * 3600, ThermalSeconds: 20 * 3600, Boost: 10}
 	}
-	a, err := core.Assess(device.TitanX(), []string{"YOLO"}, budget, seed)
+	a, err := core.AssessContext(context.Background(), device.TitanX(), []string{"YOLO"}, budget, seed)
 	if err != nil {
 		return Table{}, err
 	}

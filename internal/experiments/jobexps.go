@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"neutronsim/internal/checkpoint"
@@ -26,7 +27,7 @@ func E16Productivity(scale Scale, seed uint64) (Table, error) {
 		budget = core.Budget{FastSeconds: 2 * 3600, ThermalSeconds: 20 * 3600, Boost: 10}
 		horizonDays = 3650
 	}
-	a, err := core.Assess(device.APU(device.APUCPUGPU), []string{"BFS"}, budget, seed)
+	a, err := core.AssessContext(context.Background(), device.APU(device.APUCPUGPU), []string{"BFS"}, budget, seed)
 	if err != nil {
 		return Table{}, err
 	}

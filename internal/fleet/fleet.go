@@ -20,6 +20,7 @@ import (
 	"neutronsim/internal/rng"
 	"neutronsim/internal/stats"
 	"neutronsim/internal/telemetry"
+	"neutronsim/internal/telemetry/trace"
 	"neutronsim/internal/units"
 )
 
@@ -115,7 +116,7 @@ func SimulateContext(ctx context.Context, cfg Config) (*Log, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	ctx, span := telemetry.StartSpan(ctx, "fleet.simulate")
+	ctx, span := trace.StartChild(ctx, "fleet.simulate")
 	defer span.End()
 	simStart := time.Now()
 	s := rng.New(cfg.Seed)
@@ -236,8 +237,6 @@ func Analyze(log *Log) (*Report, error) {
 	if log == nil || len(log.NodeHours) == 0 {
 		return nil, errors.New("fleet: empty log")
 	}
-	_, span := telemetry.StartSpan(context.Background(), "fleet.analyze")
-	defer span.End()
 	telemetry.Count("fleet.entries_analyzed", int64(len(log.Entries)))
 	counts := map[string]*ClassReport{}
 	names := make([]string, 0, len(log.NodeHours))

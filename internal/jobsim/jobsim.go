@@ -7,7 +7,6 @@
 package jobsim
 
 import (
-	"context"
 	"errors"
 	"math"
 
@@ -74,8 +73,6 @@ func Simulate(p Params, s *rng.Stream) (Result, error) {
 	if s == nil {
 		return Result{}, errors.New("jobsim: nil rng stream")
 	}
-	_, span := telemetry.StartSpan(context.Background(), "jobsim.simulate")
-	defer span.End()
 	var res Result
 	now := 0.0
 	rate := 1 / p.MTBFSeconds

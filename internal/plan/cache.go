@@ -9,6 +9,7 @@ import (
 	"neutronsim/internal/device"
 	"neutronsim/internal/spectrum"
 	"neutronsim/internal/telemetry"
+	"neutronsim/internal/telemetry/trace"
 )
 
 // DefaultCapacity bounds the Shared cache. A plan for the default 20k
@@ -23,7 +24,6 @@ const DefaultCapacity = 64
 // a plan is a pure function of its key, so it can only become wrong if
 // the physics changes, which is a new binary, not a new request.
 type Cache struct {
-	reg       *telemetry.Registry
 	hits      *telemetry.Counter
 	misses    *telemetry.Counter
 	evicts    *telemetry.Counter
@@ -54,9 +54,9 @@ type flight struct {
 }
 
 // Shared is the process-wide plan cache. beam.RunContext compiles through
-// it, so every consumer of the beam package — cmd binaries, core.Assess,
-// the neutrond worker pool — shares one set of compiled plans and its
-// telemetry lands in the Default registry.
+// it, so every consumer of the beam package — cmd binaries,
+// core.AssessContext, the neutrond worker pool — shares one set of
+// compiled plans and its telemetry lands in the Default registry.
 var Shared = NewCache(DefaultCapacity, telemetry.Default)
 
 // NewCache builds a plan cache bounded to capacity entries (non-positive
@@ -69,7 +69,6 @@ func NewCache(capacity int, reg *telemetry.Registry) *Cache {
 		reg = telemetry.Default
 	}
 	return &Cache{
-		reg:       reg,
 		hits:      reg.Counter("plan.cache_hit"),
 		misses:    reg.Counter("plan.cache_miss"),
 		evicts:    reg.Counter("plan.cache_evict"),
@@ -107,7 +106,7 @@ func (c *Cache) For(d *device.Device, sp spectrum.Spectrum, calSamples int, seed
 // an invalid bias reaching the cache panics like any other impossible
 // compile input.
 //
-// The lookup opens a "plan.lookup" telemetry span (annotated with the
+// The lookup opens a "plan.lookup" trace span (annotated with the
 // outcome — hit, miss, coalesced or bypass) and a cache miss nests the
 // "plan.compile" span under it, so traced jobs see exactly where campaign
 // setup time went.
@@ -127,12 +126,12 @@ func (c *Cache) ForBiasedContext(ctx context.Context, d *device.Device, sp spect
 // lookup runs the hit/coalesce/miss/bypass protocol for one key, calling
 // compile on a miss (and on bypass, with an empty key).
 func (c *Cache) lookup(ctx context.Context, key string, ok bool, compile func(context.Context, string) *CampaignPlan) *CampaignPlan {
-	ctx, span := c.reg.StartSpan(ctx, "plan.lookup")
+	ctx, span := trace.StartChild(ctx, "plan.lookup")
 	span.SetStage("compile")
 	defer span.End()
 	if !ok {
 		c.bypass.Add(1)
-		span.Annotate("outcome", "bypass")
+		span.SetAttr("outcome", "bypass")
 		return compile(ctx, "")
 	}
 	c.mu.Lock()
@@ -140,13 +139,13 @@ func (c *Cache) lookup(ctx context.Context, key string, ok bool, compile func(co
 		c.ll.MoveToFront(el)
 		c.mu.Unlock()
 		c.hits.Add(1)
-		span.Annotate("outcome", "hit")
+		span.SetAttr("outcome", "hit")
 		return el.Value.(*cacheEntry).plan
 	}
 	if fl, flying := c.inflight[key]; flying {
 		c.mu.Unlock()
 		c.coalesced.Add(1)
-		span.Annotate("outcome", "coalesced")
+		span.SetAttr("outcome", "coalesced")
 		<-fl.done
 		if fl.panicked != nil {
 			panic(fl.panicked)
@@ -157,7 +156,7 @@ func (c *Cache) lookup(ctx context.Context, key string, ok bool, compile func(co
 	c.inflight[key] = fl
 	c.mu.Unlock()
 	c.misses.Add(1)
-	span.Annotate("outcome", "miss")
+	span.SetAttr("outcome", "miss")
 	return c.compileFlight(ctx, fl, key, compile)
 }
 
@@ -195,7 +194,7 @@ func (c *Cache) compileFlight(ctx context.Context, fl *flight, key string, compi
 // neutrond request normalizer), so an invalid one here is a programming
 // error and panics — same contract as the weight check in compile.
 func (c *Cache) timedCompile(ctx context.Context, d *device.Device, sp spectrum.Spectrum, calSamples int, seed uint64, bias *Bias, key string) *CampaignPlan {
-	_, span := c.reg.StartSpan(ctx, "plan.compile")
+	_, span := trace.StartChild(ctx, "plan.compile")
 	t := telemetry.StartTimer(c.compile)
 	var pl *CampaignPlan
 	var err error

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 
 func testAssessment(t *testing.T, d *device.Device) *core.Assessment {
 	t.Helper()
-	a, err := core.Assess(d, []string{"MxM"}, core.QuickBudget(), 3)
+	a, err := core.AssessContext(context.Background(), d, []string{"MxM"}, core.QuickBudget(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestMarkdownBoronFree(t *testing.T) {
 	free := device.BoronFree(device.K20())
 	// A boron-free device still works end to end (thermal campaigns find
 	// nothing).
-	a, err := core.Assess(free, []string{"MxM"}, core.QuickBudget(), 4)
+	a, err := core.AssessContext(context.Background(), free, []string{"MxM"}, core.QuickBudget(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

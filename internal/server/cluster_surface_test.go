@@ -170,6 +170,7 @@ func TestShardsEndpoint(t *testing.T) {
 		{"inverted range", ShardRequest{Campaign: req, Lo: 3, Hi: 1}, "invalid shard range"},
 		{"outside plan", ShardRequest{Campaign: req, Lo: 0, Hi: info.Shards + 5}, "outside plan"},
 		{"non-beam", ShardRequest{Campaign: &CampaignRequest{Kind: KindMemory, Memory: &MemoryParams{Generation: "DDR3", Band: "thermal", Flux: 1e5, DurationSeconds: 10}}, Lo: 0, Hi: 1}, "beam campaigns"},
+		{"repeated member", json.RawMessage(`{"campaign":{"kind":"beam","seed":512,"beam":{"device":"TitanV","workload":"MxM","spectrum":"ROTAX","duration_seconds":5,"run_seconds":0.01,"cal_samples":2000,"shard_grain":32}},"lo":0,"hi":1,"Hi":2}`), "repeats member"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			status, body := shardsPost(t, ts, tc.body)

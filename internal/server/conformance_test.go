@@ -415,6 +415,9 @@ var invalidSubmits = []struct {
 	{"unknown material", `{"kind":"transport","transport":{"slabs":[{"material":"unobtainium","thickness_cm":1}],"neutrons":100}}`},
 	{"two sections", `{"kind":"beam","beam":{"device":"K20","workload":"MxM","spectrum":"ChipIR","duration_seconds":1},"memory":{"generation":"DDR3","duration_seconds":1}}`},
 	{"zero duration", `{"kind":"beam","beam":{"device":"K20","workload":"MxM","spectrum":"ChipIR"}}`},
+	// encoding/json matches member names case-insensitively and keeps the
+	// last match, so member order would pick this campaign's seed.
+	{"member repeated under case folding", `{"kind":"beam","seed":2,"Seed":1,"beam":{"device":"K20","workload":"MxM","spectrum":"ChipIR","duration_seconds":1}}`},
 	// Request-size ceilings: each of these used to be accepted and then
 	// kill the node with a fatal out-of-memory error.
 	{"huge cal_samples", `{"kind":"beam","beam":{"device":"K20","workload":"MxM","spectrum":"ChipIR","duration_seconds":2,"cal_samples":400000000}}`},

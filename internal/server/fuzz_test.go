@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,7 +12,9 @@ import (
 // steps of handleSubmit. The body is untrusted input, and the canonical
 // form is what the result cache keys on, so any request Normalize accepts
 // must be a fixed point: normalizing it again gives a DeepEqual request
-// with the same CacheKey.
+// with the same CacheKey. The key must not depend on how the body is
+// spelled either: the same members sorted and re-indented normalize to
+// the same CacheKey.
 func FuzzNormalize(f *testing.F) {
 	for _, tc := range invalidSubmits {
 		f.Add(tc.body)
@@ -29,8 +33,8 @@ func FuzzNormalize(f *testing.F) {
 		f.Add(body)
 	}
 	f.Fuzz(func(t *testing.T, body string) {
-		raw, err := decodeCampaign(strings.NewReader(body))
-		if err != nil {
+		var raw CampaignRequest
+		if err := decodeStrict(strings.NewReader(body), &raw); err != nil {
 			return
 		}
 		req, err := raw.Normalize()
@@ -46,6 +50,65 @@ func FuzzNormalize(f *testing.F) {
 		}
 		if req.CacheKey() != again.CacheKey() {
 			t.Fatalf("body %q: renormalizing changed the cache key", body)
+		}
+		// Re-encode the body's own tree: MarshalIndent sorts every
+		// object's members and re-indents, and UseNumber keeps 64-bit
+		// seeds exact.
+		var tree any
+		dec := json.NewDecoder(strings.NewReader(body))
+		dec.UseNumber()
+		if err := dec.Decode(&tree); err != nil {
+			t.Fatalf("body %q decodes as a request but not as JSON: %v", body, err)
+		}
+		respelled, err := json.MarshalIndent(tree, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var raw2 CampaignRequest
+		if err := decodeStrict(bytes.NewReader(respelled), &raw2); err != nil {
+			t.Fatalf("body %q is accepted, but reordered as %s it is rejected: %v", body, respelled, err)
+		}
+		req2, err := raw2.Normalize()
+		if err != nil {
+			t.Fatalf("body %q normalizes, but reordered as %s it does not: %v", body, respelled, err)
+		}
+		if req2.CacheKey() != req.CacheKey() {
+			t.Fatalf("body %q: reordering its members as %s changed the cache key", body, respelled)
+		}
+	})
+}
+
+// BenchmarkRepeatedMemberCheck measures what decodeStrict's
+// repeated-member check adds to each submit body: the decode alone,
+// decodeStrict, and the check alone.
+func BenchmarkRepeatedMemberCheck(b *testing.B) {
+	body := []byte(`{"kind":"beam","seed":4242,"beam":{"device":"K20","workload":"MxM","spectrum":"ChipIR","duration_seconds":60,"run_seconds":0.03,"cal_samples":2000,"bias":{"thermal":60}}}`)
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			var raw CampaignRequest
+			dec := json.NewDecoder(bytes.NewReader(body))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&raw); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decodeStrict", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			var raw CampaignRequest
+			if err := decodeStrict(bytes.NewReader(body), &raw); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("check", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			if err := checkRepeatedMembers(body); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -49,16 +50,82 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// decodeCampaign reads a submit body strictly: unknown fields are an
-// error, so a misspelled knob is rejected instead of silently defaulted.
-func decodeCampaign(body io.Reader) (*CampaignRequest, error) {
-	var raw CampaignRequest
-	dec := json.NewDecoder(body)
+// decodeStrict reads the JSON request body of POST /v1/campaigns or POST
+// /v1/shards into v. Unknown fields are an error, so a misspelled knob is
+// rejected instead of silently defaulted. So is an object that repeats a
+// member name under case folding: encoding/json matches names
+// case-insensitively and keeps the last match, so in {"seed":2,"Seed":1}
+// the member order would pick the seed, and a reordered copy of the same
+// body would get another cache key.
+func decodeStrict(body io.Reader, v any) error {
+	var read bytes.Buffer // what the decoder consumed: the whole value, perhaps more
+	dec := json.NewDecoder(io.TeeReader(body, &read))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&raw); err != nil {
-		return nil, err
+	if err := dec.Decode(v); err != nil {
+		return err
 	}
-	return &raw, nil
+	return checkRepeatedMembers(read.Bytes())
+}
+
+// checkRepeatedMembers fails on the first member of an object in the JSON
+// value at the start of data whose name matches an earlier member's under
+// bytes.EqualFold, the folding encoding/json matches names with. The value
+// must have decoded into a request, so a byte scan of strings and nesting
+// suffices: the value is well-formed, and each member names a struct field
+// (the request types hold no maps), so the scan meets a repeat before it
+// compares a name with more earlier names than its struct has fields.
+func checkRepeatedMembers(data []byte) error {
+	data = bytes.TrimLeft(data, " \t\r\n")
+	if len(data) == 0 || data[0] != '{' {
+		return nil // null: no members
+	}
+	names := make([][]byte, 0, 32) // member names of the open objects, outermost first
+	open := make([]int, 0, 8)      // per open object, its first index in names; -1 for an array
+	inKey := false                 // the next string is a member name
+	for i := 0; i < len(data); i++ {
+		switch data[i] {
+		case '{':
+			open = append(open, len(names))
+			inKey = true
+		case '[':
+			open = append(open, -1)
+			inKey = false
+		case ',':
+			inKey = open[len(open)-1] >= 0
+		case '}', ']':
+			if first := open[len(open)-1]; first >= 0 {
+				names = names[:first]
+			}
+			if open = open[:len(open)-1]; len(open) == 0 {
+				return nil
+			}
+		case '"':
+			end := i + 1
+			for data[end] != '"' {
+				if data[end] == '\\' {
+					end++
+				}
+				end++
+			}
+			if inKey {
+				name := data[i+1 : end]
+				if bytes.IndexByte(name, '\\') >= 0 {
+					var s string
+					_ = json.Unmarshal(data[i:end+1], &s) // Decode already read it as a string
+					name = []byte(s)
+				}
+				for _, prev := range names[open[len(open)-1]:] {
+					if bytes.EqualFold(prev, name) {
+						return fmt.Errorf("json: object repeats member %q (names match case-insensitively)", name)
+					}
+				}
+				names = append(names, name)
+				inKey = false
+			}
+			i = end
+		}
+	}
+	return nil
 }
 
 // handleSubmit is POST /v1/campaigns: cache-first, then enqueue.
@@ -73,8 +140,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.unavailable(w)
 		return
 	}
-	raw, err := decodeCampaign(r.Body)
-	if err != nil {
+	var raw CampaignRequest
+	if err := decodeStrict(r.Body, &raw); err != nil {
 		writeError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}

@@ -55,7 +55,7 @@ type Job struct {
 
 	// tr is the job's trace; root spans the job end to end and qspan covers
 	// the time spent waiting in the queue. The worker parents the campaign's
-	// telemetry spans under root, so /v1/jobs/{id}/trace shows queue wait,
+	// trace spans under root, so /v1/jobs/{id}/trace shows queue wait,
 	// plan compile, every engine shard and the merge as one tree.
 	tr    *trace.Trace
 	root  *trace.Span

@@ -298,7 +298,7 @@ func (s *Server) runJob(j *Job) {
 	defer s.jobsRunning.Add(-1)
 	start := time.Now()
 	ctx = telemetry.ContextWithProgress(ctx, j.observe)
-	// Parent the campaign's telemetry spans under the job's root span so
+	// Parent the campaign's trace spans under the job's root span so
 	// the whole pipeline — plan lookup, engine shards, merge — lands in the
 	// job's trace tree.
 	ctx = trace.NewContext(ctx, j.root)

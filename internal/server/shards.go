@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"time"
@@ -47,9 +46,7 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var raw ShardRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&raw); err != nil {
+	if err := decodeStrict(r.Body, &raw); err != nil {
 		writeError(w, http.StatusBadRequest, "decode shard request: %v", err)
 		return
 	}

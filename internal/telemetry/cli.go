@@ -16,8 +16,8 @@ import (
 // binary binds the same flags so campaigns are observable the same way
 // everywhere:
 //
-//	-obs-addr host:port   serve /metrics, expvar JSON and pprof while running
-//	-metrics-out FILE     write a telemetry snapshot JSON at exit
+//	-obs-addr host:port   serve /metrics, expvar, traces and pprof while running
+//	-metrics-out FILE     write the /metrics exposition to FILE at exit
 //	-progress             print periodic campaign status to stderr
 //	-log-json             emit structured JSON logs instead of key=value text
 //	-cpuprofile FILE      write a CPU profile covering Start..Close
@@ -36,18 +36,17 @@ type CLI struct {
 	CPUProfile string
 	MemProfile string
 
-	program string
-	server  *http.Server
-	cpuTmp  *os.File
-	closed  bool
+	server *http.Server
+	cpuTmp *os.File
+	closed bool
 }
 
 // BindFlags registers the observability flags on fs and returns the
 // handle the command uses to start and stop the facilities.
 func BindFlags(fs *flag.FlagSet) *CLI {
 	c := &CLI{}
-	fs.StringVar(&c.ObsAddr, "obs-addr", "", "serve /metrics, expvar JSON and pprof on this address (e.g. localhost:6060)")
-	fs.StringVar(&c.MetricsOut, "metrics-out", "", "write a telemetry snapshot JSON file at exit (atomic rename)")
+	fs.StringVar(&c.ObsAddr, "obs-addr", "", "serve /metrics, /debug/vars, /debug/traces and pprof on this address (e.g. localhost:6060)")
+	fs.StringVar(&c.MetricsOut, "metrics-out", "", "write the Prometheus text exposition of /metrics to this file at exit (atomic rename)")
 	fs.BoolVar(&c.Progress, "progress", false, "print periodic campaign progress lines to stderr")
 	fs.BoolVar(&c.LogJSON, "log-json", false, "structured JSON logs on stderr instead of key=value text")
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a CPU profile to this file (atomic rename at exit)")
@@ -58,8 +57,6 @@ func BindFlags(fs *flag.FlagSet) *CLI {
 // Start activates the facilities selected by the parsed flags. Call it
 // once after flag parsing; pair it with a deferred Close.
 func (c *CLI) Start(program string) error {
-	c.program = program
-	Default.SetProgram(program)
 	log := ConfigureLogger(program, c.LogJSON, nil)
 	if c.Progress {
 		EnableProgress(os.Stderr, 2*time.Second)
@@ -124,9 +121,9 @@ func (c *CLI) writeMemProfile() error {
 	return WriteFileAtomic(c.MemProfile, buf.Bytes(), 0o644)
 }
 
-// Close writes the snapshot (if requested), stops the progress reporter
-// and shuts down the observability server. It is idempotent so commands
-// can both defer it and return its error on the success path.
+// Close writes the metrics exposition (if requested), stops the progress
+// reporter and shuts down the observability server. It is idempotent so
+// commands can both defer it and return its error on the success path.
 func (c *CLI) Close() error {
 	if c.closed {
 		return nil
@@ -143,8 +140,10 @@ func (c *CLI) Close() error {
 		}
 	}
 	if c.MetricsOut != "" {
-		if serr := Default.WriteSnapshot(c.MetricsOut); err == nil {
-			err = serr
+		var buf bytes.Buffer
+		_ = Default.WritePrometheus(&buf) // writes to a bytes.Buffer cannot fail
+		if merr := WriteFileAtomic(c.MetricsOut, buf.Bytes(), 0o644); err == nil {
+			err = merr
 		}
 	}
 	if c.server != nil {

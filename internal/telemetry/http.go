@@ -7,26 +7,14 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"neutronsim/internal/telemetry/trace"
-)
-
-// servedRegistry backs the process-wide "telemetry" expvar; expvar.Publish
-// panics on re-registration, so the var is published once and indirects
-// through this pointer (Serve may be called again after a server closes).
-var (
-	servedRegistry atomic.Pointer[Registry]
-	publishOnce    sync.Once
 )
 
 // Serve starts an observability HTTP server on addr exposing
 //
 //   - /metrics — Prometheus text exposition of this registry,
-//   - /debug/vars — expvar-compatible JSON including a "telemetry" var
-//     with this registry's full snapshot,
-//   - /debug/telemetry — the bare snapshot JSON,
+//   - /debug/vars — the standard expvar JSON (memstats, cmdline),
 //   - /debug/traces — recent completed traces from trace.Default
 //     (?n=N bounds the count), and
 //   - /debug/pprof/ — the standard net/http/pprof profiles.
@@ -34,15 +22,6 @@ var (
 // It returns the running server and the bound address (useful with ":0").
 // The caller owns shutdown via (*http.Server).Close.
 func Serve(addr string, r *Registry) (*http.Server, string, error) {
-	servedRegistry.Store(r)
-	publishOnce.Do(func() {
-		expvar.Publish("telemetry", expvar.Func(func() any {
-			if reg := servedRegistry.Load(); reg != nil {
-				return reg.Snapshot()
-			}
-			return nil
-		}))
-	})
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", PrometheusHandler(r))
 	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, req *http.Request) {
@@ -64,15 +43,6 @@ func Serve(addr string, r *Registry) (*http.Server, string, error) {
 		w.Write(enc)
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/telemetry", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc, err := json.MarshalIndent(r.Snapshot(), "", "  ")
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Write(enc)
-	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

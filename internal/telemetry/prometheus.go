@@ -11,19 +11,18 @@ import (
 
 // Prometheus text exposition (format version 0.0.4), implemented without
 // the client library: the registry's metric model is already atomic and
-// race-safe, so exposition is a read-only walk. Metric names are
-// sanitized to the Prometheus grammar ([a-zA-Z_:][a-zA-Z0-9_:]*): the
-// registry's dotted names ("beam.sdc_events") become underscore names
-// ("beam_sdc_events"), counters gain the conventional _total suffix, and
-// span rollups are exported as summary pairs labeled by span path.
+// race-safe, so exposition is a read-only walk. It is the registry's only
+// serialization: /metrics serves it and -metrics-out writes it. Metric
+// names are sanitized to the Prometheus grammar ([a-zA-Z_:][a-zA-Z0-9_:]*):
+// the registry's dotted names ("beam.sdc_events") become underscore names
+// ("beam_sdc_events"), and counters gain the conventional _total suffix.
 //
 // The format rules this writer (and the strict validator in
 // internal/telemetry/promcheck) pins down:
 //
 //   - one "# TYPE <name> <type>" line per metric family, before samples;
-//   - histogram buckets are CUMULATIVE and end with le="+Inf" equal to
-//     _count;
-//   - label values escape backslash, double-quote and newline;
+//   - histogram buckets are CUMULATIVE, their le bounds inclusive, and
+//     they end with le="+Inf" equal to _count;
 //   - floats use Go 'g' formatting; +Inf/-Inf/NaN spelled exactly so.
 
 // ContentType is the exposition content type served at /metrics.
@@ -45,10 +44,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	hists := make(map[string]*Histogram, len(r.hists))
 	for name, h := range r.hists {
 		hists[name] = h
-	}
-	spans := make(map[string]*spanStats, len(r.spans))
-	for path, st := range r.spans {
-		spans[path] = st
 	}
 	r.mu.RUnlock()
 
@@ -79,18 +74,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		bw.WriteString(prom + `_bucket{le="+Inf"} ` + strconv.FormatInt(count, 10) + "\n")
 		bw.WriteString(prom + "_sum " + promFloat(h.Sum()) + "\n")
 		bw.WriteString(prom + "_count " + strconv.FormatInt(count, 10) + "\n")
-	}
-	if len(spans) > 0 {
-		const prom = "neutronsim_span_seconds"
-		bw.WriteString("# TYPE " + prom + " summary\n")
-		for _, path := range sortedKeys(spans) {
-			st := spans[path]
-			label := `{path="` + promLabelValue(path) + `"}`
-			bw.WriteString(prom + "_sum" + label + " " +
-				promFloat(float64(st.totalNs.Load())/1e9) + "\n")
-			bw.WriteString(prom + "_count" + label + " " +
-				strconv.FormatInt(st.count.Load(), 10) + "\n")
-		}
 	}
 	return bw.Flush()
 }
@@ -138,23 +121,4 @@ func promFloat(v float64) string {
 		return "NaN"
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// promLabelValue escapes a label value per the exposition format.
-func promLabelValue(v string) string {
-	var b strings.Builder
-	b.Grow(len(v))
-	for i := 0; i < len(v); i++ {
-		switch c := v[i]; c {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteByte(c)
-		}
-	}
-	return b.String()
 }

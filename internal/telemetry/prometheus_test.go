@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"context"
 	"math"
 	"strconv"
 	"strings"
@@ -11,8 +10,8 @@ import (
 	"neutronsim/internal/telemetry/promcheck"
 )
 
-// populate fills a registry with one metric of each kind plus a span
-// rollup, so exposition tests exercise every family type.
+// populatedRegistry fills a registry with one metric of each kind, so
+// exposition tests exercise every family type.
 func populatedRegistry(t *testing.T) *Registry {
 	t.Helper()
 	r := NewRegistry()
@@ -22,10 +21,6 @@ func populatedRegistry(t *testing.T) *Registry {
 	for _, v := range []float64{0.001, 0.25, 0.25, 4} {
 		h.Observe(v)
 	}
-	ctx, outer := r.StartSpan(context.Background(), "core.assess")
-	_, inner := r.StartSpan(ctx, "beam.campaign")
-	inner.End()
-	outer.End()
 	return r
 }
 
@@ -55,10 +50,9 @@ func TestWritePrometheusShape(t *testing.T) {
 		"engine_shard_busy 3.5\n",
 		"# TYPE plan_compile_seconds histogram\n",
 		`plan_compile_seconds_bucket{le="+Inf"} 4` + "\n",
+		`plan_compile_seconds_bucket{le="0.25"} 3` + "\n",
+		`plan_compile_seconds_bucket{le="4"} 4` + "\n",
 		"plan_compile_seconds_count 4\n",
-		"# TYPE neutronsim_span_seconds summary\n",
-		`neutronsim_span_seconds_count{path="core.assess"} 1` + "\n",
-		`neutronsim_span_seconds_count{path="core.assess/beam.campaign"} 1` + "\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n%s", want, out)
@@ -102,6 +96,12 @@ func TestWritePrometheusBucketsAreCumulative(t *testing.T) {
 	if last != 2 {
 		t.Fatalf("final cumulative bucket = %v, want 2", last)
 	}
+	// le is inclusive: an observation equal to a bound counts in its bucket.
+	for _, want := range []string{`x_bucket{le="0.25"} 0`, `x_bucket{le="0.5"} 1`, `x_bucket{le="1"} 1`, `x_bucket{le="2"} 2`} {
+		if !strings.Contains(b.String(), want+"\n") {
+			t.Errorf("exposition missing %q\n%s", want, b.String())
+		}
+	}
 }
 
 func TestCounterNamedTotalDoesNotDoubleSuffix(t *testing.T) {
@@ -131,10 +131,6 @@ func TestPromHelpers(t *testing.T) {
 	}
 	if got := promFloat(math.NaN()); got != "NaN" {
 		t.Errorf("promFloat(NaN) = %q", got)
-	}
-	in := "a\\b\"c\nd"
-	if got := promLabelValue(in); got != `a\\b\"c\nd` {
-		t.Errorf("promLabelValue = %q", got)
 	}
 }
 

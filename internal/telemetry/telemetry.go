@@ -1,8 +1,9 @@
 // Package telemetry is the observability substrate for the simulators: a
-// zero-dependency, race-safe metrics registry (counters, gauges, histograms
-// with atomic fast paths), a lightweight hierarchical span API for wall-time
-// accounting, a structured JSON snapshot written at process exit, an
-// expvar/pprof HTTP endpoint, and a throttled campaign progress reporter.
+// zero-dependency, race-safe metrics registry (counters, gauges and
+// histograms with atomic fast paths), its Prometheus text exposition, an
+// HTTP server for /metrics, expvar, traces and pprof, and a throttled
+// campaign progress reporter. Wall-time accounting per phase is the job of
+// the trace spans in internal/telemetry/trace.
 //
 // The long beam campaigns of the paper (40+ simulated hours at ROTAX per
 // device) are counting experiments: their credibility rests on knowing how
@@ -19,16 +20,14 @@ import (
 	"sync/atomic"
 )
 
-// Registry holds named counters, gauges, histograms and span statistics.
-// All methods are safe for concurrent use; metric updates after the first
-// lookup are lock-free.
+// Registry holds named counters, gauges and histograms. All methods are
+// safe for concurrent use; metric updates after the first lookup are
+// lock-free.
 type Registry struct {
 	mu       sync.RWMutex
-	program  string
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	spans    map[string]*spanStats
 }
 
 // NewRegistry returns an empty registry.
@@ -37,20 +36,12 @@ func NewRegistry() *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
-		spans:    map[string]*spanStats{},
 	}
 }
 
 // Default is the process-wide registry used by the instrumented packages
 // and the cmd/* observability flags.
 var Default = NewRegistry()
-
-// SetProgram records the producing binary's name for snapshots.
-func (r *Registry) SetProgram(name string) {
-	r.mu.Lock()
-	r.program = name
-	r.mu.Unlock()
-}
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
@@ -97,7 +88,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h = r.hists[name]; h == nil {
-		h = newHistogram()
+		h = &Histogram{}
 		r.hists[name] = h
 	}
 	return h
@@ -135,38 +126,29 @@ func (g *Gauge) Add(delta float64) { addFloat(&g.bits, delta) }
 // Value reads the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram buckets — base-2 exponential. Bucket 0 holds values ≤ 2^-32
-// (including zero and negatives); bucket i in [1, 62] holds
-// [2^(i-33), 2^(i-32)); the last bucket holds everything ≥ 2^30.
+// Histogram buckets — base-2 exponential with inclusive upper bounds, as
+// the Prometheus le label reads them. Bucket 0 holds values ≤ 2^-32
+// (including zero, negatives and NaN); bucket i in [1, 62] holds
+// (2^(i-33), 2^(i-32)], so an exact power of two lands in the bucket its
+// value bounds; the last bucket holds everything > 2^30.
 const (
 	histBuckets = 64
 	histMinExp  = -32
 )
 
 // Histogram records a distribution of float64 observations with a
-// lock-free fast path: exponential buckets plus exact count, sum, min and
-// max maintained with atomic CAS loops.
+// lock-free fast path: an exact count and sum plus the exponential
+// buckets, which is all the exposition reads.
 type Histogram struct {
 	count   atomic.Int64
 	sumBits atomic.Uint64
-	minBits atomic.Uint64
-	maxBits atomic.Uint64
 	buckets [histBuckets]atomic.Int64
-}
-
-func newHistogram() *Histogram {
-	h := &Histogram{}
-	h.minBits.Store(math.Float64bits(math.Inf(1)))
-	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
-	return h
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	h.count.Add(1)
 	addFloat(&h.sumBits, v)
-	casFloat(&h.minBits, v, func(cur, v float64) bool { return v < cur })
-	casFloat(&h.maxBits, v, func(cur, v float64) bool { return v > cur })
 	h.buckets[bucketIndex(v)].Add(1)
 }
 
@@ -174,8 +156,10 @@ func bucketIndex(v float64) int {
 	if v <= 0 || math.IsNaN(v) {
 		return 0
 	}
-	e := math.Ilogb(v)
-	idx := e - histMinExp + 1
+	idx := math.Ilogb(v) - histMinExp + 1
+	if math.Float64bits(v)&(1<<52-1) == 0 {
+		idx-- // an exact power of two closes its bucket: 2 lands in (1, 2]
+	}
 	if idx < 0 {
 		return 0
 	}
@@ -185,7 +169,7 @@ func bucketIndex(v float64) int {
 	return idx
 }
 
-// bucketUpper is the exclusive upper bound of bucket i.
+// bucketUpper is the inclusive upper bound of bucket i.
 func bucketUpper(i int) float64 {
 	return math.Ldexp(1, i+histMinExp)
 }
@@ -195,42 +179,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Quantile returns an approximate q-quantile (q in [0, 1]) from the
-// exponential buckets, clamped to the exact observed min and max.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	min := math.Float64frombits(h.minBits.Load())
-	max := math.Float64frombits(h.maxBits.Load())
-	if q <= 0 {
-		return min
-	}
-	if q >= 1 {
-		return max
-	}
-	target := int64(math.Ceil(q * float64(total)))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i := 0; i < histBuckets; i++ {
-		cum += h.buckets[i].Load()
-		if cum >= target {
-			v := bucketUpper(i)
-			if v > max {
-				v = max
-			}
-			if v < min {
-				v = min
-			}
-			return v
-		}
-	}
-	return max
-}
 
 // addFloat atomically adds v to a float64 stored as bits.
 func addFloat(bits *atomic.Uint64, v float64) {
@@ -243,21 +191,8 @@ func addFloat(bits *atomic.Uint64, v float64) {
 	}
 }
 
-// casFloat atomically replaces the stored float when better(current, v).
-func casFloat(bits *atomic.Uint64, v float64, better func(cur, v float64) bool) {
-	for {
-		old := bits.Load()
-		if !better(math.Float64frombits(old), v) {
-			return
-		}
-		if bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
 // sortedKeys returns the map's keys in lexical order, for deterministic
-// snapshot output.
+// exposition output.
 func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {

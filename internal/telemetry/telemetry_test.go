@@ -2,8 +2,8 @@ package telemetry
 
 import (
 	"bytes"
-	"context"
 	"flag"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"neutronsim/internal/telemetry/promcheck"
 )
 
 func TestCounterGaugeConcurrent(t *testing.T) {
@@ -64,11 +66,12 @@ func TestHistogramConcurrent(t *testing.T) {
 	if math.Abs(h.Sum()-wantSum) > 1e-6 {
 		t.Errorf("sum = %g, want %g", h.Sum(), wantSum)
 	}
-	if min, max := h.Quantile(0), h.Quantile(1); min != 1 || max != 8 {
-		t.Errorf("min/max = %g/%g, want 1/8", min, max)
-	}
-	if p50 := h.Quantile(0.5); p50 < 1 || p50 > 8 {
-		t.Errorf("p50 = %g out of observed range", p50)
+	// Buckets are upper-inclusive: 1 in (1/2, 1], 2 in (1, 2], 3 and 4 in
+	// (2, 4], 5 to 8 in (4, 8].
+	for idx, want := range map[int]int64{32: 1, 33: 1, 34: 2, 35: 4} {
+		if got := h.buckets[idx].Load(); got != want*perWorker {
+			t.Errorf("bucket %d = %d, want %d", idx, got, want*perWorker)
+		}
 	}
 }
 
@@ -77,106 +80,14 @@ func TestHistogramBuckets(t *testing.T) {
 		v    float64
 		want int
 	}{
-		{-1, 0}, {0, 0}, {math.NaN(), 0}, {1, 33}, {1.5, 33}, {2, 34}, {0.5, 32},
-		{math.MaxFloat64, histBuckets - 1},
+		{-1, 0}, {0, 0}, {math.NaN(), 0}, {1, 32}, {1.5, 33}, {2, 33}, {0.5, 31},
+		{math.Ldexp(1, histMinExp), 0}, {math.Ldexp(1, 30), histBuckets - 2},
+		{math.Nextafter(math.Ldexp(1, 30), math.Inf(1)), histBuckets - 1},
+		{math.MaxFloat64, histBuckets - 1}, {math.Inf(1), histBuckets - 1},
 	} {
 		if got := bucketIndex(tc.v); got != tc.want {
 			t.Errorf("bucketIndex(%g) = %d, want %d", tc.v, got, tc.want)
 		}
-	}
-}
-
-func TestSpanNesting(t *testing.T) {
-	r := NewRegistry()
-	ctx, outer := r.StartSpan(context.Background(), "outer")
-	for i := 0; i < 3; i++ {
-		_, inner := r.StartSpan(ctx, "inner")
-		time.Sleep(time.Millisecond)
-		inner.End()
-	}
-	outer.End()
-	outer.End() // idempotent
-	s := r.Snapshot()
-	in, ok := s.Spans["outer/inner"]
-	if !ok {
-		t.Fatalf("missing hierarchical span path, have %v", sortedKeys(s.Spans))
-	}
-	if in.Count != 3 {
-		t.Errorf("inner count = %d, want 3", in.Count)
-	}
-	out, ok := s.Spans["outer"]
-	if !ok || out.Count != 1 {
-		t.Fatalf("outer span = %+v, want count 1", out)
-	}
-	if out.TotalSec < in.TotalSec {
-		t.Errorf("outer total %g < sum of inner %g", out.TotalSec, in.TotalSec)
-	}
-	if in.MinSec <= 0 || in.MaxSec < in.MinSec || in.MeanSec*float64(in.Count) > in.TotalSec*1.0001 {
-		t.Errorf("inconsistent rollup %+v", in)
-	}
-}
-
-func TestSpanConcurrent(t *testing.T) {
-	r := NewRegistry()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				_, sp := r.StartSpan(context.Background(), "work")
-				sp.End()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := r.Snapshot().Spans["work"].Count; got != 8*200 {
-		t.Errorf("span count = %d, want %d", got, 8*200)
-	}
-}
-
-func TestSnapshotRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	r.SetProgram("test")
-	r.Counter("beam.interactions").Add(42)
-	r.Gauge("beam.samples_per_sec").Set(1234.5)
-	r.Histogram("core.assess_seconds").Observe(0.25)
-	_, sp := r.StartSpan(context.Background(), "beam.campaign")
-	sp.End()
-
-	path := filepath.Join(t.TempDir(), "snap.json")
-	if err := r.WriteSnapshot(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Schema != SchemaVersion || got.Program != "test" {
-		t.Errorf("schema/program = %q/%q", got.Schema, got.Program)
-	}
-	if got.Counters["beam.interactions"] != 42 {
-		t.Errorf("counter = %d, want 42", got.Counters["beam.interactions"])
-	}
-	if got.Gauges["beam.samples_per_sec"] != 1234.5 {
-		t.Errorf("gauge = %g", got.Gauges["beam.samples_per_sec"])
-	}
-	h := got.Hists["core.assess_seconds"]
-	if h.Count != 1 || h.Sum != 0.25 || h.Min != 0.25 || h.Max != 0.25 {
-		t.Errorf("histogram snapshot = %+v", h)
-	}
-	if got.Spans["beam.campaign"].Count != 1 {
-		t.Errorf("span snapshot = %+v", got.Spans["beam.campaign"])
-	}
-}
-
-func TestReadSnapshotRejectsUnknownSchema(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(path, []byte(`{"schema":"other/v9"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadSnapshot(path); err == nil {
-		t.Error("unknown schema accepted")
 	}
 }
 
@@ -226,8 +137,9 @@ func TestServeEndpoints(t *testing.T) {
 	for _, tc := range []struct {
 		path, want string
 	}{
-		{"/debug/vars", `"telemetry"`},
-		{"/debug/telemetry", `"hits": 3`},
+		{"/metrics", "hits_total 3\n"},
+		{"/debug/vars", `"memstats"`},
+		{"/debug/traces", `"traces"`},
 		{"/debug/pprof/cmdline", "telemetry.test"},
 	} {
 		resp, err := http.Get("http://" + addr + tc.path)
@@ -251,7 +163,7 @@ func TestServeEndpoints(t *testing.T) {
 func TestCLILifecycle(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	cli := BindFlags(fs)
-	out := filepath.Join(t.TempDir(), "m.json")
+	out := filepath.Join(t.TempDir(), "m.prom")
 	if err := fs.Parse([]string{"-metrics-out", out, "-progress"}); err != nil {
 		t.Fatal(err)
 	}
@@ -271,14 +183,20 @@ func TestCLILifecycle(t *testing.T) {
 	if progressSink.Load() != nil {
 		t.Error("Close left the progress reporter enabled")
 	}
-	s, err := ReadSnapshot(out)
+	data, err := os.ReadFile(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Counters["cli.test_counter"] < 5 {
-		t.Errorf("snapshot counter = %d, want >= 5", s.Counters["cli.test_counter"])
+	if err := promcheck.Validate(bytes.NewReader(data)); err != nil {
+		t.Fatalf("-metrics-out failed validation: %v\n%s", err, data)
 	}
-	if s.Program != "telemetry-test" {
-		t.Errorf("snapshot program = %q", s.Program)
+	const sample = "\ncli_test_counter_total "
+	i := bytes.Index(data, []byte(sample))
+	if i < 0 {
+		t.Fatalf("-metrics-out lacks the counter:\n%s", data)
+	}
+	var n int64
+	if _, err := fmt.Sscan(string(data[i+len(sample):]), &n); err != nil || n < 5 {
+		t.Errorf("-metrics-out counter = %d (%v), want >= 5", n, err)
 	}
 }

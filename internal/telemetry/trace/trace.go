@@ -3,11 +3,13 @@
 // attributes, propagated through context.Context and correlated across
 // processes via the W3C traceparent header (traceparent.go).
 //
-// It complements the aggregate rollups of internal/telemetry: the registry
-// answers "how much time does beam.runs take across all campaigns", a trace
-// answers "where did THIS job's 4.2 seconds go" — queue wait, plan compile,
-// each engine shard, merge. Completed traces land in a bounded ring buffer
-// (Recorder) so a process keeps recent history without unbounded growth.
+// It is the repository's one span system. Every instrumented phase opens
+// its span with StartChild and tags it with SetStage, SetAttr and SetInt;
+// a trace answers "where did THIS job's 4.2 seconds go" — queue wait, plan
+// compile, each engine shard, merge — and the internal/telemetry registry
+// keeps only counters, gauges and histograms. Completed traces land in a
+// bounded ring buffer (Recorder) so a process keeps recent history without
+// unbounded growth.
 //
 // The package is dependency-free and nil-tolerant by design: every
 // operation on a nil *Span is a no-op, and StartChild on a context without
@@ -21,6 +23,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math/rand"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -236,6 +239,14 @@ func (s *Span) SetAttr(key, value string) {
 	}
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 	s.mu.Unlock()
+}
+
+// SetInt attaches an integer annotation. The value is formatted only on a
+// live span, so untraced hot paths pay nothing.
+func (s *Span) SetInt(key string, value int) {
+	if s != nil {
+		s.SetAttr(key, strconv.Itoa(value))
+	}
 }
 
 // StartChild opens a child span under s. It is the non-context span API

@@ -78,6 +78,7 @@ func TestNilSpanOperationsAreNoOps(t *testing.T) {
 	sp.End()
 	sp.SetStage("run")
 	sp.SetAttr("k", "v")
+	sp.SetInt("n", 1)
 	if sp.StartChild("x") != nil {
 		t.Error("StartChild on nil span must return nil")
 	}
@@ -105,6 +106,28 @@ func TestContextPropagation(t *testing.T) {
 	}
 	if child.parent != root.ID() {
 		t.Fatal("context child must be parented to the context span")
+	}
+}
+
+// TestUntracedSpanAllocatesNothing pins what an instrumented hot path
+// (one engine.shard span per shard) pays when no trace is active: a
+// context lookup and no allocation. A traced span formats SetInt values.
+func TestUntracedSpanAllocatesNothing(t *testing.T) {
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(1000, func() {
+		_, sp := StartChild(ctx, "engine.shard")
+		sp.SetInt("shard", 7)
+		sp.SetStage("run")
+		sp.End()
+	})
+	if allocs != 0 {
+		t.Errorf("untraced span costs %v allocations, want 0", allocs)
+	}
+	_, root := New("job", nil)
+	_, sp := StartChild(NewContext(ctx, root), "engine.shard")
+	sp.SetInt("shard", 7)
+	if len(sp.attrs) != 1 || sp.attrs[0] != (Attr{Key: "shard", Value: "7"}) {
+		t.Errorf("traced SetInt recorded %+v", sp.attrs)
 	}
 }
 

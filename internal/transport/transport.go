@@ -22,6 +22,7 @@ import (
 	"neutronsim/internal/rng"
 	"neutronsim/internal/stats"
 	"neutronsim/internal/telemetry"
+	"neutronsim/internal/telemetry/trace"
 	"neutronsim/internal/units"
 )
 
@@ -227,7 +228,7 @@ func SimulateContext(ctx context.Context, slabs []Slab, n int, source func(*rng.
 	for i, sl := range slabs {
 		bounds[i+1] = bounds[i] + sl.Thickness
 	}
-	ctx, span := telemetry.StartSpan(ctx, "transport.simulate")
+	ctx, span := trace.StartChild(ctx, "transport.simulate")
 	defer span.End()
 	kT := float64(units.RoomTemperature.KT())
 	// Pre-split one stream per shard off the caller's stream, in shard

@@ -93,7 +93,7 @@ func Workloads() []string { return workload.Names() }
 // ChipIR/ROTAX campaigns. Pass nil workloads for the paper's default
 // assignment and DefaultBudget or QuickBudget for the beam time.
 func Assess(d *Device, workloads []string, b Budget, seed uint64) (*Assessment, error) {
-	return core.Assess(d, workloads, b, seed)
+	return core.AssessContext(context.Background(), d, workloads, b, seed)
 }
 
 // AssessContext is Assess with a caller context, so long assessments can be
@@ -167,7 +167,7 @@ func RunWaterExperiment(seed uint64) (*WaterExperimentResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return detector.RunWaterExperiment(detector.WaterExperimentConfig{Detector: d}, rng.New(seed+1))
+	return detector.RunWaterExperimentContext(context.Background(), detector.WaterExperimentConfig{Detector: d}, rng.New(seed+1))
 }
 
 // Top10 returns the June-2019 Top-10 supercomputers.

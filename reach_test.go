@@ -41,7 +41,6 @@ var keep = map[string]string{
 	"neutronsim/internal/cluster.(*Coordinator).Peers":                   "the peer set the cluster conformance test and CompareBench read",
 	"internal/cluster/bench.go":                                          "CompareBench, the cluster gate row; it sets the client's unexported poll interval, so it lives in package cluster",
 	"neutronsim/internal/surrogate.LoadDataset":                          "reads back the training set sweep -train-out writes",
-	"neutronsim/internal/telemetry.ReadSnapshot":                         "reads back the snapshot every -metrics-out writes",
 }
 
 // excused reports whether an unlinked function stays, and the keep key
