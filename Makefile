@@ -8,7 +8,7 @@ GO ?= go
 # The workloads declared in BENCHMARK.json.
 LEDGER_WORKLOADS = design-sweep beam-campaigns beam-cluster assess
 
-.PHONY: check vet build test race bench bench-gates neutrond loadgen clean
+.PHONY: check vet build test race bench bench-gates neutrond clean
 
 check: vet build race
 
@@ -46,8 +46,5 @@ bench: bench-gates
 neutrond:
 	$(GO) build -o neutrond ./cmd/neutrond
 
-loadgen:
-	$(GO) build -o loadgen ./cmd/loadgen
-
 clean:
-	rm -f neutrond loadgen
+	rm -f neutrond

@@ -136,13 +136,7 @@ func gateSurrogateSpeedup(b *testing.B) float64 {
 	defer srv.Drain()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	storm, err := cluster.RunLoad(context.Background(), cluster.LoadConfig{
-		Target: ts.URL, Concurrency: 4, Duration: 1500 * time.Millisecond, Keys: 40, Seed: 3,
-		Campaign: cluster.XsectionCampaign(0.1), Client: ts.Client(),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	storm := cluster.Storm(context.Background(), ts.URL, 4, 1500*time.Millisecond, 40, 3, cluster.XsectionCampaign(0.1))
 	if storm.Errors != 0 {
 		b.Fatalf("tier storm saw %d errors, want 0", storm.Errors)
 	}

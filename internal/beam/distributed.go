@@ -62,6 +62,12 @@ func PlanInfo(ctx context.Context, cfg Config) (Info, error) {
 	}, nil
 }
 
+// MaxTallyJSON bounds the JSON encoding of one shard tally in a Partial,
+// its separating comma included. The longest tally is a biased one with
+// every int64 at 20 bytes and every float64 at 25: 2,266 bytes
+// (TestMaxTallyJSON).
+const MaxTallyJSON = 2560
+
 // Partial is the result of executing one shard range: the per-shard
 // tallies in shard order (Tallies[i] is shard Range.Lo+i), shipped
 // un-merged so the coordinator folds them exactly as a single node would.

@@ -12,6 +12,7 @@ import (
 	"neutronsim/internal/device"
 	"neutronsim/internal/plan"
 	"neutronsim/internal/spectrum"
+	"neutronsim/internal/stats"
 )
 
 // rangeCfg is a small multi-shard campaign: 2000 runs over grain 64 gives
@@ -104,6 +105,31 @@ func TestAssemblePartialsBitIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMaxTallyJSON encodes a biased shard tally with every number at its
+// longest: int64 counts at math.MinInt64, and weighted sums at a float64
+// encoding/json writes with 17 significant digits in fixed notation.
+func TestMaxTallyJSON(t *testing.T) {
+	const n, f = math.MinInt64, -1.2345678901234567e-6
+	w := stats.Weighted{N: n, SumW: f, SumW2: f, CW: f, CW2: f}
+	tally := shardTally{SDC: n, DUE: n, Masked: n, Upsets: n, Reprograms: n, Interactions: n,
+		Weighted: &weightedShardTally{Draws: w, SDC: w, DUE: w, Masked: w}}
+	for b := range tally.ByBand {
+		tally.ByBand[b] = n
+		tally.Weighted.UpsetsByBand[b] = w
+		tally.Weighted.DUEByBand[b] = w
+	}
+	blob, err := json.Marshal(tally)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(blob), `"sum_w":-0.0000012345678901234567,`) {
+		t.Fatalf("the weighted sums are not at their longest encoding: %s", blob)
+	}
+	if len(blob)+1 > MaxTallyJSON {
+		t.Errorf("a tally and its comma encode to %d bytes, above MaxTallyJSON = %d", len(blob)+1, MaxTallyJSON)
 	}
 }
 

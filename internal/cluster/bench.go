@@ -3,8 +3,10 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"time"
 
 	"neutronsim/internal/server"
@@ -27,7 +29,7 @@ const (
 	// benchCacheEntries bounds every node's result cache: one node holds
 	// 16/45 of the keys, the 3-worker fleet all of them.
 	benchCacheEntries = 16
-	benchConcurrency  = 8 // the loadgen's closed-loop in-flight requests
+	benchConcurrency  = 8 // the storm's closed-loop in-flight requests
 	// benchCampaignSeconds sizes each key's compute so a recompute visibly
 	// outweighs a forwarded cache hit: 2M runs, at least 10 ms of CPU per
 	// miss on one core.
@@ -40,8 +42,8 @@ type BenchReport struct {
 	// whole-routed campaign both DeepEqual the direct library result.
 	IdentityBitExact bool
 
-	SingleNode *Report
-	Cluster    *Report
+	SingleNode StormResult
+	Cluster    StormResult
 
 	// SaturationSpeedup is Cluster.Throughput / SingleNode.Throughput.
 	SaturationSpeedup float64
@@ -68,6 +70,100 @@ func BenchCampaign(seconds float64) func(int) *server.CampaignRequest {
 			},
 		}
 	}
+}
+
+// XsectionCampaign returns a Campaign generator for design-space
+// cross-section storms: keys walk a small boron × Qcrit × spectrum
+// lattice inside the given surrogate training grid bounds. Every third
+// key carries tolerance zero (exact, cacheable); the rest opt into the
+// surrogate tier with the given tolerance, so one storm exercises all
+// three serving tiers.
+func XsectionCampaign(tolerance float64) func(key int) *server.CampaignRequest {
+	return func(key int) *server.CampaignRequest {
+		boron := []float64{3e12, 1e13, 5e13, 1e14, 5e14}[key%5]
+		qcrit := []float64{1.5, 2.5, 4, 6}[(key/5)%4]
+		spec := []string{"ROTAX", "ChipIR"}[(key/20)%2]
+		tol := tolerance
+		if key%3 == 0 {
+			tol = 0
+		}
+		return &server.CampaignRequest{
+			Kind:      server.KindXsection,
+			Seed:      uint64(2000 + key),
+			Tolerance: tol,
+			Xsection: &server.XsectionParams{
+				BoronPerCm2: boron,
+				QcritFC:     qcrit,
+				Spectrum:    spec,
+				Samples:     20000,
+			},
+		}
+	}
+}
+
+// StormResult is one Storm's outcome.
+type StormResult struct {
+	// Requests counts the answers and errors received before the
+	// deadline.
+	Requests int64
+	Errors   int64
+	// Tiers counts the successful answers by the serving tier that gave
+	// them (TierCache, TierSurrogate or TierExact).
+	Tiers map[string]int64
+	// Throughput is successful answers per second of the storm.
+	Throughput float64
+}
+
+// stormClient polls a forwarded job every 2 ms, so a storm measures the
+// server's throughput rather than the poll interval.
+func stormClient() *Client {
+	c := NewClient(nil)
+	c.pollEvery = 2 * time.Millisecond
+	return c
+}
+
+// Storm runs a closed-loop job storm against target for duration d:
+// concurrency workers each submit campaign(key), wait for the answer and
+// repeat, so concurrency is the offered load and Throughput the
+// saturation rate at that load. Worker w draws keys uniformly from
+// [0, keys) with its own source, seeded from seed and w. A request the
+// deadline cuts short is not counted.
+func Storm(ctx context.Context, target string, concurrency int, d time.Duration, keys int, seed int64, campaign func(key int) *server.CampaignRequest) StormResult {
+	client := stormClient()
+	ctx, cancel := context.WithTimeout(ctx, d)
+	defer cancel()
+	var (
+		mu  sync.Mutex
+		res = StormResult{Tiers: map[string]int64{}}
+		wg  sync.WaitGroup
+	)
+	start := time.Now()
+	for w := 0; w < concurrency; w++ {
+		wg.Add(1)
+		go func(worker int) {
+			defer wg.Done()
+			src := rand.New(rand.NewSource(seed + int64(worker)*7919))
+			for ctx.Err() == nil {
+				fwd, err := client.Forward(ctx, target, campaign(src.Intn(keys)))
+				if ctx.Err() != nil && err != nil {
+					return
+				}
+				mu.Lock()
+				res.Requests++
+				if err != nil {
+					res.Errors++
+				} else {
+					res.Tiers[fwd.Tier]++
+				}
+				mu.Unlock()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if elapsed := time.Since(start).Seconds(); elapsed > 0 {
+		res.Throughput = float64(res.Requests-res.Errors) / elapsed
+	}
+	return res
 }
 
 // benchServer builds one node with the bench's deliberately small result
@@ -120,8 +216,7 @@ func checkIdentity(ctx context.Context, coord *Coordinator) (bool, error) {
 // states: compiled plans are shared process-wide either way, and each
 // topology's result caches hold whatever their capacity can.
 func warm(ctx context.Context, target string, keys int, campaign func(int) *server.CampaignRequest) error {
-	client := NewClient(nil)
-	client.pollEvery = 2 * time.Millisecond
+	client := stormClient()
 	for k := 0; k < keys; k++ {
 		if _, err := client.Forward(ctx, target, campaign(k)); err != nil {
 			return fmt.Errorf("warm key %d: %w", k, err)
@@ -179,26 +274,8 @@ func CompareBench(ctx context.Context, storm time.Duration) (*BenchReport, error
 		return nil, err
 	}
 
-	load := func(target string) (*Report, error) {
-		return RunLoad(ctx, LoadConfig{
-			Target:       target,
-			Concurrency:  benchConcurrency,
-			Duration:     storm,
-			Keys:         benchKeys,
-			Distribution: "uniform",
-			Seed:         12345,
-			Campaign:     campaign,
-		})
-	}
-	single, err := load(singleTS.URL)
-	if err != nil {
-		return nil, fmt.Errorf("single-node storm: %w", err)
-	}
-	clustered, err := load(coordTS.URL)
-	if err != nil {
-		return nil, fmt.Errorf("cluster storm: %w", err)
-	}
-
+	single := Storm(ctx, singleTS.URL, benchConcurrency, storm, benchKeys, 12345, campaign)
+	clustered := Storm(ctx, coordTS.URL, benchConcurrency, storm, benchKeys, 12345, campaign)
 	rep := &BenchReport{
 		IdentityBitExact: identity,
 		SingleNode:       single,

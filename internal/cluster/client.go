@@ -49,6 +49,50 @@ func NewClient(httpClient *http.Client) *Client {
 	}
 }
 
+// Reply ceilings: the client reads at most this much of a peer's reply.
+const (
+	// maxJobReply bounds the reply to a forwarded campaign and to a job
+	// poll. Either is one result envelope or a JobInfo holding one; the
+	// largest result, an assessment of all nine workloads, encodes to
+	// about 8 KB, and a JobInfo's ids, stages and progress add under
+	// 2 KB. 1 MiB is a hundredfold margin.
+	maxJobReply = 1 << 20
+	// maxReadyzReply bounds a /readyz body: a status word, two counts and
+	// a flag, under 128 bytes.
+	maxReadyzReply = 1 << 10
+	// maxQuotedReply is how much of a peer's reply an error quotes.
+	maxQuotedReply = 256
+)
+
+// maxShardReply bounds the reply to a range of n shards: n tallies of at
+// most beam.MaxTallyJSON bytes, and 1 KiB for the envelope. A campaign
+// has at most the server's ceiling of 65,536 shards, so the largest cap
+// is 160 MiB and 1 KiB.
+func maxShardReply(n int) int64 { return int64(n)*beam.MaxTallyJSON + 1<<10 }
+
+// readReply reads a peer's reply body up to limit bytes. A longer body is
+// a peer fault, like a dropped connection: transient, so a retry, a
+// re-dispatch of the range or the next-ranked node takes over.
+func readReply(url string, body io.Reader, limit int64) ([]byte, error) {
+	payload, err := io.ReadAll(io.LimitReader(body, limit+1))
+	if err != nil {
+		return nil, &transientError{err: err}
+	}
+	if int64(len(payload)) > limit {
+		return nil, &transientError{err: fmt.Errorf("%s: reply exceeds %d bytes", url, limit)}
+	}
+	return payload, nil
+}
+
+// quoteReply is the start of a peer's reply, for an error message.
+func quoteReply(payload []byte) string {
+	payload = bytes.TrimSpace(payload)
+	if len(payload) > maxQuotedReply {
+		return string(payload[:maxQuotedReply]) + "…"
+	}
+	return string(payload)
+}
+
 // transientError marks failures worth retrying against the same peer.
 type transientError struct {
 	err        error
@@ -81,11 +125,12 @@ func (c *Client) sleepBeforeRetry(ctx context.Context, attempt int, hint time.Du
 	}
 }
 
-// post sends one JSON POST with traceparent propagation. A 429/503
-// answer or transport error returns *transientError; other non-2xx
-// statuses are permanent (the request itself is bad — retrying cannot
-// help, and the coordinator should fail fast, not mask a protocol bug).
-func (c *Client) post(ctx context.Context, url string, body any) (int, http.Header, []byte, error) {
+// post sends one JSON POST with traceparent propagation and reads at most
+// limit bytes of the reply. A 429/503 answer, a transport error or a
+// longer reply returns *transientError; other non-2xx statuses are
+// permanent (the request itself is bad — retrying cannot help, and the
+// coordinator should fail fast, not mask a protocol bug).
+func (c *Client) post(ctx context.Context, url string, body any, limit int64) (int, http.Header, []byte, error) {
 	blob, err := json.Marshal(body)
 	if err != nil {
 		return 0, nil, nil, err
@@ -105,9 +150,9 @@ func (c *Client) post(ctx context.Context, url string, body any) (int, http.Head
 		return 0, nil, nil, &transientError{err: err}
 	}
 	defer resp.Body.Close()
-	payload, err := io.ReadAll(resp.Body)
+	payload, err := readReply(url, resp.Body, limit)
 	if err != nil {
-		return 0, nil, nil, &transientError{err: err}
+		return 0, nil, nil, err
 	}
 	if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
 		hint := time.Duration(0)
@@ -117,7 +162,7 @@ func (c *Client) post(ctx context.Context, url string, body any) (int, http.Head
 			}
 		}
 		return resp.StatusCode, resp.Header, payload, &transientError{
-			err:        fmt.Errorf("%s: status %d: %s", url, resp.StatusCode, bytes.TrimSpace(payload)),
+			err:        fmt.Errorf("%s: status %d: %s", url, resp.StatusCode, quoteReply(payload)),
 			retryAfter: hint,
 		}
 	}
@@ -125,10 +170,10 @@ func (c *Client) post(ctx context.Context, url string, body any) (int, http.Head
 }
 
 // postRetry runs post with the retry policy.
-func (c *Client) postRetry(ctx context.Context, url string, body any) (int, http.Header, []byte, error) {
+func (c *Client) postRetry(ctx context.Context, url string, body any, limit int64) (int, http.Header, []byte, error) {
 	var lastErr error
 	for attempt := 0; attempt < c.retries; attempt++ {
-		status, hdr, payload, err := c.post(ctx, url, body)
+		status, hdr, payload, err := c.post(ctx, url, body, limit)
 		if err == nil {
 			return status, hdr, payload, nil
 		}
@@ -151,12 +196,12 @@ func (c *Client) postRetry(ctx context.Context, url string, body any) (int, http
 func (c *Client) RunShardRange(ctx context.Context, peer string, campaign *server.CampaignRequest, lo, hi int) (*beam.Partial, error) {
 	status, _, payload, err := c.postRetry(ctx, peer+"/v1/shards", server.ShardRequest{
 		Campaign: campaign, Lo: lo, Hi: hi,
-	})
+	}, maxShardReply(hi-lo))
 	if err != nil {
 		return nil, err
 	}
 	if status != http.StatusOK {
-		return nil, fmt.Errorf("cluster: %s/v1/shards [%d,%d): status %d: %s", peer, lo, hi, status, bytes.TrimSpace(payload))
+		return nil, fmt.Errorf("cluster: %s/v1/shards [%d,%d): status %d: %s", peer, lo, hi, status, quoteReply(payload))
 	}
 	var out server.ShardResponse
 	if err := json.Unmarshal(payload, &out); err != nil {
@@ -179,12 +224,8 @@ const (
 // ForwardResult is a whole-campaign forward's outcome.
 type ForwardResult struct {
 	Envelope *server.ResultEnvelope
-	// CacheHit reports the peer answered from its result cache — the
-	// signal loadgen aggregates to show HRW routing concentrating keys.
-	CacheHit bool
 	// Tier is the serving tier that answered (TierCache, TierSurrogate
-	// or TierExact), straight from the peer's X-Cache header; loadgen
-	// breaks its latency quantiles down by it.
+	// or TierExact), straight from the peer's X-Cache header.
 	Tier string
 }
 
@@ -192,7 +233,7 @@ type ForwardResult struct {
 // job until terminal. A cached or surrogate-served answer returns
 // immediately with its tier marked.
 func (c *Client) Forward(ctx context.Context, peer string, campaign *server.CampaignRequest) (*ForwardResult, error) {
-	status, hdr, payload, err := c.postRetry(ctx, peer+"/v1/campaigns", campaign)
+	status, hdr, payload, err := c.postRetry(ctx, peer+"/v1/campaigns", campaign, maxJobReply)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +246,6 @@ func (c *Client) Forward(ctx context.Context, peer string, campaign *server.Camp
 		res := &ForwardResult{Envelope: &env, Tier: TierExact}
 		switch hdr.Get("X-Cache") {
 		case "hit":
-			res.CacheHit = true
 			res.Tier = TierCache
 		case "surrogate":
 			res.Tier = TierSurrogate
@@ -218,7 +258,7 @@ func (c *Client) Forward(ctx context.Context, peer string, campaign *server.Camp
 		}
 		return c.pollJob(ctx, peer, info.ID)
 	default:
-		return nil, fmt.Errorf("cluster: %s/v1/campaigns: status %d: %s", peer, status, bytes.TrimSpace(payload))
+		return nil, fmt.Errorf("cluster: %s/v1/campaigns: status %d: %s", peer, status, quoteReply(payload))
 	}
 }
 
@@ -233,13 +273,13 @@ func (c *Client) pollJob(ctx context.Context, peer, id string) (*ForwardResult, 
 		if err != nil {
 			return nil, &transientError{err: err}
 		}
-		payload, rerr := io.ReadAll(resp.Body)
+		payload, rerr := readReply(url, resp.Body, maxJobReply)
 		resp.Body.Close()
 		if rerr != nil {
-			return nil, &transientError{err: rerr}
+			return nil, rerr
 		}
 		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("cluster: poll %s: status %d: %s", url, resp.StatusCode, bytes.TrimSpace(payload))
+			return nil, fmt.Errorf("cluster: poll %s: status %d: %s", url, resp.StatusCode, quoteReply(payload))
 		}
 		var info server.JobInfo
 		if err := json.Unmarshal(payload, &info); err != nil {

@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -267,6 +269,73 @@ func TestWorkerKillMidCampaign(t *testing.T) {
 	}
 	if reg.Counter("cluster.ranges_redispatched").Value() == 0 {
 		t.Error("no range was re-dispatched")
+	}
+}
+
+// TestEndlessPeerReply: a peer that answers every shard range with a 200
+// whose body never ends fails only its own range. The coordinator reads
+// at most the range's reply ceiling, counts the overflow as a peer fault
+// and re-dispatches the range, so the result still DeepEquals a single
+// node's. Without a ceiling the coordinator reads until the range times
+// out.
+func TestEndlessPeerReply(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := clusterReq(t, "K20", "ROTAX", 902)
+	want, err := server.Execute(ctx, req, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	healthy := startWorkers(t, 1)[0]
+	tally := strings.Repeat(`{"sdc":0,"due":0,"masked":1,"upsets":0,"reprograms":0,"interactions":0,"by_band":[0,0,0,0]},`, 45)
+	var shardCalls, written atomic.Int64
+	endless := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/shards" {
+			healthy.srv.Handler().ServeHTTP(w, r)
+			return
+		}
+		shardCalls.Add(1)
+		// A valid start, then 4 KiB of tallies a millisecond until the
+		// coordinator hangs up.
+		n, err := io.WriteString(w, `{"partial":{"range":{"lo":0,"hi":1},"tallies":[`)
+		for err == nil && r.Context().Err() == nil {
+			written.Add(int64(n))
+			n, err = io.WriteString(w, tally)
+			w.(http.Flusher).Flush()
+			time.Sleep(time.Millisecond)
+		}
+	}))
+	t.Cleanup(endless.Close)
+
+	reg := telemetry.NewRegistry()
+	coord := New(Config{
+		Peers:          []string{endless.URL, healthy.ts.URL},
+		Shards:         2,
+		RangesPerPeer:  4,
+		RangeTimeout:   5 * time.Second,
+		HealthInterval: 50 * time.Millisecond,
+		DownCooldown:   time.Minute,
+		Registry:       reg,
+	})
+	coord.Start(ctx)
+
+	got, err := coord.Execute(ctx, req, 2)
+	if err != nil {
+		t.Fatalf("execute with an endless peer: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("result with an endless peer diverged\n got: %+v\nwant: %+v", got.Beam, want.Beam)
+	}
+	if shardCalls.Load() == 0 {
+		t.Fatal("the endless peer was never dispatched to")
+	}
+	if n := reg.Counter("cluster.ranges_redispatched").Value(); n != 1 {
+		t.Errorf("%d ranges re-dispatched, want the endless peer's one", n)
+	}
+	endless.Close() // waits for the handlers, so written is final
+	if n := written.Load(); n > 1<<20 {
+		t.Errorf("the endless peer wrote %d bytes in %d replies before the coordinator hung up", n, shardCalls.Load())
 	}
 }
 

@@ -300,7 +300,7 @@ func (c *Coordinator) route(ctx context.Context, req *server.CampaignRequest, sh
 		res, err := c.client.Forward(ctx, node, req)
 		if err == nil {
 			c.cfg.Registry.Counter("cluster.jobs_forwarded").Add(1)
-			if res.CacheHit {
+			if res.Tier == TierCache {
 				c.cfg.Registry.Counter("cluster.forward_cache_hits").Add(1)
 			}
 			return res.Envelope, nil

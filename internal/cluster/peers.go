@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -90,7 +91,7 @@ func (ps *PeerSet) probe(ctx context.Context, peer string) (server.ReadyzInfo, e
 	}
 	defer resp.Body.Close()
 	var info server.ReadyzInfo
-	if derr := json.NewDecoder(resp.Body).Decode(&info); derr != nil {
+	if derr := json.NewDecoder(io.LimitReader(resp.Body, maxReadyzReply)).Decode(&info); derr != nil {
 		return server.ReadyzInfo{}, fmt.Errorf("decode readyz: %w", derr)
 	}
 	if resp.StatusCode != http.StatusOK {

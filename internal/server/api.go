@@ -154,7 +154,7 @@ func SpectrumByName(name string) (spectrum.Spectrum, error) {
 	case "rotax":
 		return spectrum.ROTAX(), nil
 	}
-	return nil, fmt.Errorf("unknown spectrum %q (want ChipIR or ROTAX)", name)
+	return nil, fmt.Errorf("unknown spectrum %q (want ChipIR or ROTAX)", clip(name))
 }
 
 // DeviceByName resolves a catalog device by exact name.
@@ -164,7 +164,7 @@ func DeviceByName(name string) (*device.Device, error) {
 			return d, nil
 		}
 	}
-	return nil, fmt.Errorf("unknown device %q", name)
+	return nil, fmt.Errorf("unknown device %q", clip(name))
 }
 
 // Engine defaults mirrored into normalized requests so that a request with
@@ -176,11 +176,11 @@ const (
 	defaultTransportGrain = 16384
 )
 
-// Request-size ceilings, enforced by Normalize (400) because running out
-// of memory is fatal: one oversized POST would kill the node, or in a
-// cluster the coordinator, whose PlanInfo compiles every campaign's plan.
-// Every request in the repo's tests, loadgen and neutronbench sits well
-// below them.
+// Request-size ceilings, enforced by Normalize (400) and, for the body,
+// by the handlers (413), because running out of memory is fatal: one
+// oversized POST would kill the node, or in a cluster the coordinator,
+// whose PlanInfo compiles every campaign's plan. Every request in the
+// repo's tests and neutronbench sits well below them.
 const (
 	// maxSamples bounds the two sizes a compiled plan takes, beam
 	// cal_samples and biased xsection samples (an exact xsection query
@@ -196,7 +196,31 @@ const (
 	// allocates every shard's descriptor, and transport its stream, up
 	// front.
 	maxShards = 1 << 16
+	// maxSlabs bounds a transport geometry's layers. A shield stack is a
+	// few layers; 256 also covers one slab cut into a depth profile.
+	// Each layer is a material built per request, and each neutron walks
+	// every boundary it crosses.
+	maxSlabs = 256
+	// maxBodyBytes caps the body of POST /v1/campaigns and POST
+	// /v1/shards. The largest valid request is a transport campaign of
+	// maxSlabs slabs. In compact JSON one slab takes at most 76 bytes:
+	// the member names, the 20-byte "borated polyethylene" and a 24-byte
+	// float64. That is 19,456 bytes for the slabs, and every other member
+	// of any request fits in 1 KiB. 64 KiB is three times the sum, which
+	// leaves room for an indented body.
+	maxBodyBytes = 64 << 10
+	// maxQuoted is how many bytes of a rejected value an error quotes.
+	maxQuoted = 40
 )
+
+// clip shortens a rejected value to maxQuoted bytes for an error message,
+// so a 400 never echoes a large body back.
+func clip(s string) string {
+	if len(s) <= maxQuoted {
+		return s
+	}
+	return s[:maxQuoted] + "…"
+}
 
 // checkShards rejects a campaign whose items split into more than
 // maxShards shards of grain items.
@@ -257,7 +281,7 @@ func (r *CampaignRequest) Normalize() (*CampaignRequest, error) {
 		}
 		return n, n.normalizeXsection(r.Xsection)
 	}
-	return nil, fmt.Errorf("unknown kind %q (want beam, assess, memory, transport or xsection)", r.Kind)
+	return nil, fmt.Errorf("unknown kind %q (want beam, assess, memory, transport or xsection)", clip(r.Kind))
 }
 
 func (n *CampaignRequest) normalizeBeam(p *BeamParams) error {
@@ -266,7 +290,7 @@ func (n *CampaignRequest) normalizeBeam(p *BeamParams) error {
 		return err
 	}
 	if !slices.Contains(workload.Names(), b.Workload) {
-		return fmt.Errorf("unknown workload %q", b.Workload)
+		return fmt.Errorf("unknown workload %q", clip(b.Workload))
 	}
 	sp, err := SpectrumByName(b.Spectrum)
 	if err != nil {
@@ -330,11 +354,16 @@ func (n *CampaignRequest) normalizeAssess(p *AssessParams) error {
 	if len(a.Workloads) == 0 {
 		return fmt.Errorf("no workloads for device %s", d.Name)
 	}
+	// A repeat would run the workload's campaigns twice and weigh it
+	// twice in the device average.
 	cleaned := make([]string, 0, len(a.Workloads))
 	for _, w := range a.Workloads {
 		w = strings.TrimSpace(w)
 		if !slices.Contains(workload.Names(), w) {
-			return fmt.Errorf("unknown workload %q", w)
+			return fmt.Errorf("unknown workload %q", clip(w))
+		}
+		if slices.Contains(cleaned, w) {
+			return fmt.Errorf("workload %q named twice", w)
 		}
 		cleaned = append(cleaned, w)
 	}
@@ -363,7 +392,7 @@ func (n *CampaignRequest) normalizeMemory(p *MemoryParams) error {
 	case "DDR4":
 		m.Generation = "DDR4"
 	default:
-		return fmt.Errorf("unknown memory generation %q (want DDR3 or DDR4)", m.Generation)
+		return fmt.Errorf("unknown memory generation %q (want DDR3 or DDR4)", clip(m.Generation))
 	}
 	switch strings.ToLower(m.Band) {
 	case "", "thermal":
@@ -377,7 +406,7 @@ func (n *CampaignRequest) normalizeMemory(p *MemoryParams) error {
 			m.Flux = float64(spectrum.ChipIRFastFluxAbove10MeV)
 		}
 	default:
-		return fmt.Errorf("unknown memory band %q (want thermal or fast)", m.Band)
+		return fmt.Errorf("unknown memory band %q (want thermal or fast)", clip(m.Band))
 	}
 	if m.Flux <= 0 {
 		return fmt.Errorf("memory flux must be positive")
@@ -407,8 +436,8 @@ func (n *CampaignRequest) normalizeMemory(p *MemoryParams) error {
 
 func (n *CampaignRequest) normalizeTransport(p *TransportParams) error {
 	t := *p
-	if len(t.Slabs) == 0 {
-		return fmt.Errorf("transport needs at least one slab")
+	if len(t.Slabs) == 0 || len(t.Slabs) > maxSlabs {
+		return fmt.Errorf("transport needs 1 to %d slabs, got %d", maxSlabs, len(t.Slabs))
 	}
 	t.Slabs = append([]SlabParam(nil), t.Slabs...)
 	for i, sl := range t.Slabs {

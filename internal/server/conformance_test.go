@@ -427,9 +427,18 @@ var invalidSubmits = []struct {
 	{"huge auto-tuned shard count", `{"kind":"beam","beam":{"device":"K20","workload":"MxM","spectrum":"ChipIR","duration_seconds":2,"shard_grain":1}}`},
 	{"huge memory shard count", `{"kind":"memory","memory":{"generation":"DDR3","duration_seconds":1e12,"pass_seconds":1e-3,"shard_grain":1}}`},
 	{"huge transport shard count", `{"kind":"transport","transport":{"slabs":[{"material":"Water","thickness_cm":1}],"neutrons":4000000000,"shard_grain":1}}`},
+	// Request lists: a repeated workload would run twice and weigh twice
+	// in the device average, and a geometry has a layer ceiling.
+	{"workload named twice", `{"kind":"assess","assess":{"device":"K20","workloads":["MxM"," MxM"]}}`},
+	{"one slab over the ceiling", `{"kind":"transport","transport":{"slabs":[` + strings.Repeat(`{"material":"Water","thickness_cm":1},`, maxSlabs) + `{"material":"Water","thickness_cm":1}],"neutrons":100}}`},
+	// Long rejected values, which a 400 must not echo whole.
+	{"long unknown device", `{"kind":"beam","beam":{"device":"` + strings.Repeat("a", 4096) + `","workload":"MxM","spectrum":"ChipIR","duration_seconds":1}}`},
+	{"long unknown member", `{"kind":"beam","` + strings.Repeat("b", 4096) + `":1}`},
+	{"long number", `{"kind":"beam","seed":1` + strings.Repeat("0", 4096) + `}`},
 }
 
-// TestSubmitValidation exercises the 400 paths.
+// TestSubmitValidation exercises the 400 paths. No reply quotes more than
+// a clipped piece of the body.
 func TestSubmitValidation(t *testing.T) {
 	srv := New(Config{Workers: 1, Registry: telemetry.NewRegistry()})
 	defer srv.Drain()
@@ -441,10 +450,56 @@ func TestSubmitValidation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		io.Copy(io.Discard, resp.Body)
+		reply, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		}
+		if len(reply) > 256 {
+			t.Errorf("%s: the 400 reply is %d bytes: %.300s", tc.name, len(reply), reply)
+		}
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestRequestBodyCap: both POST surfaces decode a body of maxBodyBytes,
+// and answer 413 to a longer one after reading at most the cap plus one
+// read buffer. Each body is whitespace followed by a valid request, so
+// only its length is wrong.
+func TestRequestBodyCap(t *testing.T) {
+	srv := New(Config{Workers: 1, Registry: telemetry.NewRegistry()})
+	defer srv.Drain()
+	campaign := `{"kind":"beam","seed":1,"beam":{"device":"K20","workload":"MxM","spectrum":"ChipIR","duration_seconds":2,"cal_samples":2000}}`
+	shards := `{"campaign":` + campaign + `,"lo":0,"hi":1}`
+	for _, tc := range []struct {
+		path, body string
+		size, want int
+	}{
+		{"/v1/campaigns", campaign, maxBodyBytes, http.StatusAccepted},
+		{"/v1/shards", shards, maxBodyBytes, http.StatusOK},
+		{"/v1/campaigns", campaign, maxBodyBytes + 1, http.StatusRequestEntityTooLarge},
+		{"/v1/shards", shards, maxBodyBytes + 1, http.StatusRequestEntityTooLarge},
+		{"/v1/campaigns", campaign, 1 << 20, http.StatusRequestEntityTooLarge},
+	} {
+		body := &countingReader{r: strings.NewReader(strings.Repeat(" ", tc.size-len(tc.body)) + tc.body)}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, body))
+		if rec.Code != tc.want {
+			t.Errorf("%s with a %d-byte body: status %d, want %d: %.200s", tc.path, tc.size, rec.Code, tc.want, rec.Body.Bytes())
+		}
+		if body.n > maxBodyBytes+4096 {
+			t.Errorf("%s with a %d-byte body: the server read %d bytes, cap %d", tc.path, tc.size, body.n, maxBodyBytes)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"strconv"
+	"strings"
 
 	"neutronsim/internal/device"
 	"neutronsim/internal/physics"
@@ -50,21 +51,51 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// decodeStrict reads the JSON request body of POST /v1/campaigns or POST
-// /v1/shards into v. Unknown fields are an error, so a misspelled knob is
-// rejected instead of silently defaulted. So is an object that repeats a
-// member name under case folding: encoding/json matches names
-// case-insensitively and keeps the last match, so in {"seed":2,"Seed":1}
-// the member order would pick the seed, and a reordered copy of the same
-// body would get another cache key.
+// decodeBody decodes the body of POST /v1/campaigns or POST /v1/shards
+// into v with decodeStrict, reading at most maxBodyBytes of it. When it
+// fails it has answered 413 (the body is over the cap) or 400, and it
+// returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBodyBytes)
+	} else {
+		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+	}
+	return false
+}
+
+// decodeStrict reads a JSON request body into v. Unknown fields are an
+// error, so a misspelled knob is rejected instead of silently defaulted.
+// So is an object that repeats a member name under case folding:
+// encoding/json matches names case-insensitively and keeps the last
+// match, so in {"seed":2,"Seed":1} the member order would pick the seed,
+// and a reordered copy of the same body would get another cache key.
 func decodeStrict(body io.Reader, v any) error {
 	var read bytes.Buffer // what the decoder consumed: the whole value, perhaps more
 	dec := json.NewDecoder(io.TeeReader(body, &read))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return err
+		return clipDecodeError(err)
 	}
 	return checkRepeatedMembers(read.Bytes())
+}
+
+// clipDecodeError clips the body text that encoding/json quotes in its
+// errors: an unknown member's name, and a number that does not fit its
+// field.
+func clipDecodeError(err error) error {
+	var typeErr *json.UnmarshalTypeError
+	if errors.As(err, &typeErr) {
+		typeErr.Value = clip(typeErr.Value)
+	} else if name, ok := strings.CutPrefix(err.Error(), "json: unknown field "); ok {
+		return fmt.Errorf("json: unknown field %s", clip(name))
+	}
+	return err
 }
 
 // checkRepeatedMembers fails on the first member of an object in the JSON
@@ -133,6 +164,7 @@ func checkRepeatedMembers(data []byte) error {
 //	200  cached result (X-Cache: hit), or 304 on a matching If-None-Match
 //	202  job accepted (body JobInfo, Location /v1/jobs/{id})
 //	400  malformed or invalid request
+//	413  body over maxBodyBytes
 //	429  queue full (Retry-After set)
 //	503  draining (Retry-After set)
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -141,8 +173,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var raw CampaignRequest
-	if err := decodeStrict(r.Body, &raw); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+	if !decodeBody(w, r, &raw) {
 		return
 	}
 	req, err := raw.Normalize()

@@ -30,7 +30,7 @@ func MaterialByName(name string) (*materials.Material, error) {
 	key := strings.ToLower(strings.TrimSpace(name))
 	ctor, ok := materialCatalog[key]
 	if !ok {
-		return nil, fmt.Errorf("unknown material %q (have %s)", name, strings.Join(MaterialNames(), ", "))
+		return nil, fmt.Errorf("unknown material %q (have %s)", clip(name), strings.Join(MaterialNames(), ", "))
 	}
 	return ctor(), nil
 }

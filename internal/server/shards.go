@@ -31,6 +31,7 @@ type ShardResponse struct {
 //
 //	200  partial result (body ShardResponse)
 //	400  malformed request, non-beam campaign, or range outside the plan
+//	413  body over maxBodyBytes
 //	503  draining (Retry-After set)
 //
 // Concurrency is bounded by Config.ShardSlots; excess requests wait in
@@ -46,8 +47,7 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var raw ShardRequest
-	if err := decodeStrict(r.Body, &raw); err != nil {
-		writeError(w, http.StatusBadRequest, "decode shard request: %v", err)
+	if !decodeBody(w, r, &raw) {
 		return
 	}
 	if raw.Campaign == nil {

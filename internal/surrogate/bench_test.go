@@ -85,9 +85,9 @@ func BenchmarkSurrogateExactXsection(b *testing.B) {
 
 // runTierStorm drives a mixed-tolerance xsection storm through a
 // surrogate-enabled server: every third key demands an exact answer
-// (cacheable), the rest are surrogate-servable. The report's tier
+// (cacheable), the rest are surrogate-servable. The result's tier
 // breakdown is the serving pyramid under load.
-func runTierStorm(m *surrogate.Model) (*cluster.Report, error) {
+func runTierStorm(m *surrogate.Model) cluster.StormResult {
 	srv := server.New(server.Config{
 		Workers:   4,
 		Registry:  telemetry.NewRegistry(),
@@ -96,15 +96,7 @@ func runTierStorm(m *surrogate.Model) (*cluster.Report, error) {
 	defer srv.Drain()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	return cluster.RunLoad(context.Background(), cluster.LoadConfig{
-		Target:      ts.URL,
-		Concurrency: 4,
-		Duration:    1500 * time.Millisecond,
-		Keys:        40,
-		Seed:        3,
-		Campaign:    cluster.XsectionCampaign(0.1),
-		Client:      ts.Client(),
-	})
+	return cluster.Storm(context.Background(), ts.URL, 4, 1500*time.Millisecond, 40, 3, cluster.XsectionCampaign(0.1))
 }
 
 // TestSurrogateTierStorm is the -race-friendly storm check CI runs even
@@ -117,17 +109,14 @@ func TestSurrogateTierStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := runTierStorm(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runTierStorm(m)
 	if rep.Errors != 0 {
 		t.Fatalf("storm errors = %d, want 0", rep.Errors)
 	}
-	if rep.Tiers[cluster.TierSurrogate].Requests == 0 {
+	if rep.Tiers[cluster.TierSurrogate] == 0 {
 		t.Fatalf("no surrogate-tier answers in storm: %+v", rep.Tiers)
 	}
-	if rep.Tiers[cluster.TierExact].Requests == 0 {
+	if rep.Tiers[cluster.TierExact] == 0 {
 		t.Fatalf("no exact-tier answers in storm: %+v", rep.Tiers)
 	}
 }

@@ -10,8 +10,8 @@ import (
 // directory renamed over the target, so a reader polling the file — or a
 // run interrupted mid-write — never observes a torn or truncated
 // document. Files written whole at the end go through here: -metrics-out
-// expositions, heap profiles, sweep grids, surrogate models and datasets,
-// and loadgen reports. The CPU profile is the one exception: it streams
+// expositions, heap profiles, sweep grids, and surrogate models and
+// datasets. The CPU profile is the one exception: it streams
 // into its own temp file while the program runs (CLI.Start).
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	dir, base := filepath.Split(path)

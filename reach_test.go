@@ -39,7 +39,7 @@ var keep = map[string]string{
 	"neutronsim/internal/plan.Bias.IsIdentity":                           "the engine's biased conformance test checks identity-factor campaigns against exact ones through it",
 	"neutronsim/internal/server.(*Server).Handler":                       "the httptest seam every server and cluster test mounts",
 	"neutronsim/internal/cluster.(*Coordinator).Peers":                   "the peer set the cluster conformance test and CompareBench read",
-	"internal/cluster/bench.go":                                          "CompareBench, the cluster gate row; it sets the client's unexported poll interval, so it lives in package cluster",
+	"internal/cluster/bench.go":                                          "CompareBench, the cluster gate row, and Storm, the closed-loop storm of the gate rows and TestSurrogateTierStorm; they set the client's unexported poll interval, so they live in package cluster",
 	"neutronsim/internal/surrogate.LoadDataset":                          "reads back the training set sweep -train-out writes",
 }
 
