@@ -42,19 +42,40 @@ func TestGridValidation(t *testing.T) {
 	}
 }
 
+// gridSigmas runs surrogate.EvaluateGrid, the evaluator sweep prints, and
+// splits its rows into each point's boron, Qcrit and two cross sections.
+func gridSigmas(t *testing.T, cfg surrogate.GridConfig) (boron, qcrit, thermal, fast []float64) {
+	t.Helper()
+	ds, err := surrogate.EvaluateGrid(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(ds.Rows); i += 2 {
+		boron = append(boron, ds.Rows[i].BoronPerCm2)
+		qcrit = append(qcrit, ds.Rows[i].QcritFC)
+		thermal = append(thermal, ds.Rows[i].SigmaCm2)
+		fast = append(fast, ds.Rows[i+1].SigmaCm2)
+	}
+	return boron, qcrit, thermal, fast
+}
+
 func TestBuildGrid(t *testing.T) {
-	pts := buildGrid(1, 100, 3, 2, 2, 1)
-	if len(pts) != 3 {
-		t.Fatalf("%d points", len(pts))
+	boron, qcrit, _, _ := gridSigmas(t, surrogate.GridConfig{
+		BoronMin: 1, BoronMax: 100, BoronSteps: 3,
+		QcritMin: 2, QcritMax: 2, QcritSteps: 1,
+		Samples: 1000, Seed: 1,
+	})
+	if len(boron) != 3 {
+		t.Fatalf("%d points", len(boron))
 	}
 	for i, want := range []float64{1, 10, 100} {
-		if got := pts[i].boron; got < want*0.999 || got > want*1.001 {
+		if got := boron[i]; got < want*0.999 || got > want*1.001 {
 			t.Errorf("point %d boron = %v, want ~%v", i, got, want)
 		}
 	}
-	for _, p := range pts {
-		if p.qcrit != 2 {
-			t.Errorf("qcrit = %v", p.qcrit)
+	for _, q := range qcrit {
+		if q != 2 {
+			t.Errorf("qcrit = %v", q)
 		}
 	}
 }
@@ -86,16 +107,16 @@ func TestSweepOutput(t *testing.T) {
 }
 
 func TestSweepMonotoneInBoron(t *testing.T) {
-	pts := buildGrid(1e13, 1e15, 3, 6, 6, 1)
-	if err := evaluate(pts, 30000, 2, 9, nil); err != nil {
-		t.Fatal(err)
-	}
+	_, _, thermal, fast := gridSigmas(t, surrogate.GridConfig{
+		BoronMin: 1e13, BoronMax: 1e15, BoronSteps: 3,
+		QcritMin: 6, QcritMax: 6, QcritSteps: 1,
+		Samples: 30000, Seed: 9, Workers: 2,
+	})
 	// Thermal sigma rises with boron; fast sigma stays flat.
-	if !(pts[0].sigmaThermal < pts[1].sigmaThermal && pts[1].sigmaThermal < pts[2].sigmaThermal) {
-		t.Errorf("thermal sigma not monotone: %v %v %v",
-			pts[0].sigmaThermal, pts[1].sigmaThermal, pts[2].sigmaThermal)
+	if !(thermal[0] < thermal[1] && thermal[1] < thermal[2]) {
+		t.Errorf("thermal sigma not monotone: %v %v %v", thermal[0], thermal[1], thermal[2])
 	}
-	fastSpread := pts[2].sigmaFast / pts[0].sigmaFast
+	fastSpread := fast[2] / fast[0]
 	if fastSpread < 0.5 || fastSpread > 2 {
 		t.Errorf("fast sigma should not depend on boron: spread %v", fastSpread)
 	}
@@ -105,21 +126,21 @@ func TestSweepMonotoneInBoron(t *testing.T) {
 // with thermal oversampling the design-point sigmas must agree with the
 // analog estimator within Monte Carlo noise, on both beamlines.
 func TestSweepBiasedAgreesWithExact(t *testing.T) {
-	exact := buildGrid(1e14, 1e15, 2, 6, 6, 1)
-	if err := evaluate(exact, 30000, 2, 9, nil); err != nil {
-		t.Fatal(err)
+	grid := surrogate.GridConfig{
+		BoronMin: 1e14, BoronMax: 1e15, BoronSteps: 2,
+		QcritMin: 6, QcritMax: 6, QcritSteps: 1,
+		Samples: 30000, Seed: 9, Workers: 2,
 	}
-	biased := buildGrid(1e14, 1e15, 2, 6, 6, 1)
-	if err := evaluate(biased, 30000, 2, 9, &plan.Bias{Thermal: 10}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range exact {
+	_, _, exThermal, exFast := gridSigmas(t, grid)
+	grid.Bias = &plan.Bias{Thermal: 10}
+	_, _, biThermal, biFast := gridSigmas(t, grid)
+	for i := range exThermal {
 		for _, c := range []struct {
 			name   string
 			ex, bi float64
 		}{
-			{"thermal", exact[i].sigmaThermal, biased[i].sigmaThermal},
-			{"fast", exact[i].sigmaFast, biased[i].sigmaFast},
+			{"thermal", exThermal[i], biThermal[i]},
+			{"fast", exFast[i], biFast[i]},
 		} {
 			if c.ex <= 0 || c.bi <= 0 {
 				t.Errorf("point %d %s: nonpositive sigma (exact %v, biased %v)", i, c.name, c.ex, c.bi)

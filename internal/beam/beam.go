@@ -49,10 +49,8 @@ type Config struct {
 	// Seed makes the campaign reproducible.
 	Seed uint64
 	// CalSamples sets the Monte Carlo budget for the interaction-rate
-	// estimate (default 20000).
+	// estimate (default DefaultCalSamples).
 	CalSamples int
-	// Injector tuning.
-	Inject faultinject.Config
 	// Shards caps how many campaign shards execute concurrently (default
 	// GOMAXPROCS). It never affects results — the shard decomposition and
 	// per-shard streams depend only on (Seed, ShardGrain); see
@@ -79,7 +77,7 @@ func (c Config) withDefaults() Config {
 		c.Derating = 1
 	}
 	if c.CalSamples <= 0 {
-		c.CalSamples = 20000
+		c.CalSamples = DefaultCalSamples
 	}
 	return c
 }
@@ -164,11 +162,15 @@ type WeightedResult struct {
 	DUEByBand    map[physics.EnergyBand]stats.Weighted `json:"due_by_band"`
 }
 
-// defaultShardGrain is the number of beam runs per engine shard. Large
+// DefaultShardGrain is the number of beam runs per engine shard. Large
 // enough that a shard amortizes its golden-workload replay setup, small
 // enough that auto-tuned campaigns (up to MaxAutoRuns) decompose into
 // hundreds of shards.
-const defaultShardGrain = 8192
+const DefaultShardGrain = 8192
+
+// DefaultCalSamples is the Monte Carlo budget of the interaction-rate
+// estimate when Config.CalSamples is zero.
+const DefaultCalSamples = 20000
 
 // MaxAutoRuns caps the runs an auto-tuned campaign (RunSeconds 0) splits
 // its beam time into.
@@ -305,7 +307,7 @@ func prepare(ctx context.Context, cfg Config) (*campaignSetup, error) {
 	}
 	grain := cfg.ShardGrain
 	if grain <= 0 {
-		grain = defaultShardGrain
+		grain = DefaultShardGrain
 	}
 	return &campaignSetup{
 		cfg:        cfg,
@@ -351,7 +353,7 @@ func (s *campaignSetup) injector() (*faultinject.Injector, error) {
 	if s.goldenErr != nil {
 		return nil, s.goldenErr
 	}
-	return s.golden.NewInjector(w, s.cfg.Inject)
+	return s.golden.NewInjector(w)
 }
 
 // RunContext executes the campaign and reports counts and cross sections.
@@ -402,7 +404,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				Elapsed:   time.Since(runStart),
 			})
 		},
-	}, s.runs, defaultShardGrain, func(_ context.Context, sh engine.Shard) (shardTally, error) {
+	}, s.runs, DefaultShardGrain, func(_ context.Context, sh engine.Shard) (shardTally, error) {
 		return s.runShard(sh, &events)
 	})
 	runSpan.End()

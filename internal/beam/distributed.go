@@ -176,7 +176,7 @@ func RunRange(ctx context.Context, cfg Config, lo, hi int) (*Partial, error) {
 		Grain:   s.grain,
 		Seed:    s.cfg.Seed,
 		Name:    "beam",
-	}, s.runs, defaultShardGrain, lo, hi, func(_ context.Context, sh engine.Shard) (shardTally, error) {
+	}, s.runs, DefaultShardGrain, lo, hi, func(_ context.Context, sh engine.Shard) (shardTally, error) {
 		return s.runShard(sh, &events)
 	})
 	if err != nil {

@@ -18,6 +18,11 @@ import (
 // instead of always paying a network hop.
 const LocalNode = "local"
 
+// fanoutMinShards is the smallest beam plan worth fanning out: below it,
+// dispatch overhead beats the parallelism and the campaign routes whole,
+// by HRW, like non-beam kinds.
+const fanoutMinShards = 8
+
 // Config shapes a Coordinator.
 type Config struct {
 	// Peers are worker base URLs ("http://127.0.0.1:8441").
@@ -25,10 +30,6 @@ type Config struct {
 	// Shards caps local engine concurrency for ranges and campaigns the
 	// coordinator runs itself (0 = GOMAXPROCS).
 	Shards int
-	// FanoutMinShards is the smallest beam plan worth fanning out
-	// (default 8): below it, dispatch overhead beats the parallelism and
-	// the campaign routes whole, by HRW, like non-beam kinds.
-	FanoutMinShards int
 	// RangesPerPeer controls work-pull granularity: the plan splits into
 	// about RangesPerPeer ranges per executor (peers + local; default 2),
 	// so a slow or dying peer strands at most one small range, not a
@@ -49,9 +50,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.FanoutMinShards <= 0 {
-		c.FanoutMinShards = 8
-	}
 	if c.RangesPerPeer <= 0 {
 		c.RangesPerPeer = 2
 	}
@@ -125,7 +123,7 @@ func (c *Coordinator) Execute(ctx context.Context, req *server.CampaignRequest, 
 		if err != nil {
 			return nil, err
 		}
-		if info.Shards >= c.cfg.FanoutMinShards {
+		if info.Shards >= fanoutMinShards {
 			res, err := c.fanout(ctx, req, cfg, info.Shards, healthy)
 			if err != nil {
 				return nil, err

@@ -2,17 +2,15 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"neutronsim/internal/device"
-	"neutronsim/internal/telemetry"
+	"neutronsim/internal/engine"
 )
 
-// AssessMany runs AssessContext for several devices concurrently with a bounded
-// worker pool. Each device gets its own deterministic seed derived from
+// AssessMany runs AssessContext for several devices concurrently, one
+// device per engine shard on up to parallelism workers (<= 0 means
+// GOMAXPROCS). Each device gets its own deterministic seed derived from
 // the base seed and its index, so the results are identical to running the
 // assessments sequentially — parallelism only changes wall-clock time.
 //
@@ -24,41 +22,15 @@ func AssessMany(devices []*device.Device, b Budget, seed uint64, parallelism int
 	if len(devices) == 0 {
 		return nil, fmt.Errorf("core: no devices")
 	}
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > len(devices) {
-		parallelism = len(devices)
-	}
-	busy := telemetry.Default.Gauge("core.workers_busy")
-	assessed := telemetry.Default.Counter("core.devices_assessed")
-	results := make([]*Assessment, len(devices))
-	errs := make([]error, len(devices))
-	indices := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range indices {
-				busy.Add(1)
-				a, err := AssessContext(context.Background(), devices[i], nil, b, DeviceSeed(seed, i))
-				busy.Add(-1)
-				if err != nil {
-					errs[i] = fmt.Errorf("core: %s: %w", devices[i].Name, err)
-					continue
-				}
-				results[i] = a
-				assessed.Inc()
+	return engine.Map(context.Background(), engine.Config{Workers: parallelism, Grain: 1, Name: "assess"}, len(devices), 1,
+		func(ctx context.Context, sh engine.Shard) (*Assessment, error) {
+			d := devices[sh.Index]
+			a, err := AssessContext(ctx, d, nil, b, DeviceSeed(seed, sh.Index))
+			if err != nil {
+				return nil, fmt.Errorf("core: %s: %w", d.Name, err)
 			}
-		}()
-	}
-	for i := range devices {
-		indices <- i
-	}
-	close(indices)
-	wg.Wait()
-	return results, errors.Join(errs...)
+			return a, nil
+		})
 }
 
 // DeviceSeed derives the per-device campaign seed used by AssessMany, so

@@ -1,10 +1,11 @@
 // Package engine is the deterministic sharded Monte Carlo execution layer
-// shared by the campaign simulators (beam, transport, memsim) and the
-// design-space sweep. A campaign's work — beam runs, source neutrons,
-// correct-loop passes — is decomposed into fixed contiguous shards, each
-// drawing from an independent rng.Stream derived deterministically from
-// (seed, shard index) via rng.NewSequence. A bounded worker pool executes
-// the shards and the caller merges the per-shard tallies in shard order.
+// shared by the campaign simulators (beam, transport, memsim), the
+// design-space grid (surrogate.EvaluateGrid) and core.AssessMany. A
+// campaign's work — beam runs, source neutrons, correct-loop passes — is
+// decomposed into fixed contiguous shards, each drawing from an
+// independent rng.Stream derived deterministically from (seed, shard
+// index) via rng.NewSequence. A bounded worker pool executes the shards
+// and the caller merges the per-shard tallies in shard order.
 //
 // The invariant the conformance suite enforces: the worker count NEVER
 // affects results, only wall-clock time. This holds by construction

@@ -45,21 +45,11 @@ type Timed struct {
 	Fault device.Fault
 }
 
-// Config tunes the injector.
-type Config struct {
-	// ControlDUEProb is the probability that a control-logic fault
-	// actually brings the run down (the rest are architecturally masked).
-	// It applies identically to both neutron bands, preserving the
-	// calibrated band ratios. Default 0.6.
-	ControlDUEProb float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.ControlDUEProb <= 0 {
-		c.ControlDUEProb = 0.6
-	}
-	return c
-}
+// controlDUEProb is the probability that a control-logic fault actually
+// brings the run down (the rest are architecturally masked). It applies
+// identically to both neutron bands, preserving the calibrated band
+// ratios.
+const controlDUEProb = 0.6
 
 // Result is the classified outcome of one injected run.
 type Result struct {
@@ -178,7 +168,7 @@ func observe(w workload.Workload, steps, regions int) ([][]int, error) {
 // NewInjector resets w from the golden run's seed and returns an injector
 // that replays w against g. w must be a fresh instance of the recorded
 // workload: same name and same buffer shapes.
-func (g *GoldenRun) NewInjector(w workload.Workload, cfg Config) (*Injector, error) {
+func (g *GoldenRun) NewInjector(w workload.Workload) (*Injector, error) {
 	if w == nil {
 		return nil, errors.New("faultinject: nil workload")
 	}
@@ -189,11 +179,11 @@ func (g *GoldenRun) NewInjector(w workload.Workload, cfg Config) (*Injector, err
 		return nil, fmt.Errorf("faultinject: %s workload does not match the golden %s run", w.Name(), g.name)
 	}
 	w.Reset(g.seed)
-	return g.injector(w, regions, state, cfg), nil
+	return g.injector(w, regions, state), nil
 }
 
-func (g *GoldenRun) injector(w workload.Workload, regions, state []workload.Region, cfg Config) *Injector {
-	return &Injector{w: w, golden: g, cfg: cfg.withDefaults(), regions: regions, words: workload.TotalWords(regions), state: state}
+func (g *GoldenRun) injector(w workload.Workload, regions, state []workload.Region) *Injector {
+	return &Injector{w: w, golden: g, regions: regions, words: workload.TotalWords(regions), state: state}
 }
 
 // Injector replays one live workload instance under injected faults. A
@@ -204,7 +194,6 @@ func (g *GoldenRun) injector(w workload.Workload, regions, state []workload.Regi
 type Injector struct {
 	w      workload.Workload
 	golden *GoldenRun
-	cfg    Config
 	// regions (words in total) and state are w's buffers, fetched once:
 	// they stay put for the workload's lifetime.
 	regions []workload.Region
@@ -227,12 +216,12 @@ type flip struct{ region, word, bit, at int }
 
 // NewInjector records w's golden run from seed (RecordGolden) and returns
 // an injector replaying w itself against it.
-func NewInjector(w workload.Workload, seed uint64, cfg Config) (*Injector, error) {
+func NewInjector(w workload.Workload, seed uint64) (*Injector, error) {
 	g, err := RecordGolden(w, seed)
 	if err != nil {
 		return nil, err
 	}
-	return g.injector(w, w.Regions(), w.State(), cfg), nil
+	return g.injector(w, w.Regions(), w.State()), nil
 }
 
 // Steps is the replayed workload's step count.
@@ -242,11 +231,11 @@ func (inj *Injector) Steps() int { return len(inj.golden.checkpoints) }
 // and classifies the outcome.
 func (inj *Injector) Run(faults []Timed, s *rng.Stream) Result {
 	// Control-logic faults act at the architecture level, independent of
-	// the program state: each takes the run down with ControlDUEProb.
+	// the program state: each takes the run down with controlDUEProb.
 	dataFaults := inj.scratch[:0]
 	for _, f := range faults {
 		if f.Fault.Target == device.TargetControl {
-			if s.Bernoulli(inj.cfg.ControlDUEProb) {
+			if s.Bernoulli(controlDUEProb) {
 				return Result{Outcome: OutcomeDUE}
 			}
 			continue // masked control fault

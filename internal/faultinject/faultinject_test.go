@@ -14,7 +14,7 @@ func newInjector(t *testing.T, name string) *Injector {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj, err := NewInjector(w, 42, Config{})
+	inj, err := NewInjector(w, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func dataFault(bits int) device.Fault {
 }
 
 func TestNewInjectorNilWorkload(t *testing.T) {
-	if _, err := NewInjector(nil, 1, Config{}); err == nil {
+	if _, err := NewInjector(nil, 1); err == nil {
 		t.Error("nil workload accepted")
 	}
 }
@@ -60,21 +60,6 @@ func TestControlFaultsBecomeDUEs(t *testing.T) {
 	}
 	if masked == 0 {
 		t.Error("some control faults should be masked")
-	}
-}
-
-func TestControlDUEProbConfigurable(t *testing.T) {
-	w, _ := workload.New("MxM")
-	inj, err := NewInjector(w, 42, Config{ControlDUEProb: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := rng.New(3)
-	for i := 0; i < 100; i++ {
-		res := inj.Run([]Timed{{Fault: device.Fault{Target: device.TargetControl, Bits: 1}}}, s)
-		if res.Outcome != OutcomeDUE {
-			t.Fatalf("with prob 1, control fault produced %v", res.Outcome)
-		}
 	}
 }
 
@@ -206,7 +191,7 @@ func TestRunRepeatable(t *testing.T) {
 	// Two injectors with identical seeds and fault schedules must agree.
 	mk := func() Result {
 		w, _ := workload.New("LUD")
-		inj, err := NewInjector(w, 77, Config{})
+		inj, err := NewInjector(w, 77)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,13 +20,12 @@ import (
 type resetReplay struct {
 	w      workload.Workload
 	seed   uint64
-	cfg    Config
 	golden []float64
 }
 
 func newResetReplay(t *testing.T, w workload.Workload, seed uint64) *resetReplay {
 	t.Helper()
-	r := &resetReplay{w: w, seed: seed, cfg: Config{}.withDefaults()}
+	r := &resetReplay{w: w, seed: seed}
 	w.Reset(seed)
 	for i := 0; i < w.Steps(); i++ {
 		if err := w.Step(i); err != nil {
@@ -41,7 +40,7 @@ func (r *resetReplay) run(faults []Timed, s *rng.Stream) Result {
 	var dataFaults []Timed
 	for _, f := range faults {
 		if f.Fault.Target == device.TargetControl {
-			if s.Bernoulli(r.cfg.ControlDUEProb) {
+			if s.Bernoulli(controlDUEProb) {
 				return Result{Outcome: OutcomeDUE}
 			}
 			continue
@@ -154,7 +153,7 @@ func TestCheckpointedRunMatchesResetReplay(t *testing.T) {
 			t.Parallel()
 			refW := mk()
 			ref := newResetReplay(t, refW, 42)
-			inj, err := NewInjector(mk(), 42, Config{})
+			inj, err := NewInjector(mk(), 42)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +200,7 @@ func (c *stepCounter) Step(i int) error {
 func TestMxMReplaysFromTheRowItReads(t *testing.T) {
 	const faults = 100_000
 	w := &stepCounter{Workload: workload.NewMxM(24)}
-	inj, err := NewInjector(w, 42, Config{})
+	inj, err := NewInjector(w, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +223,7 @@ func BenchmarkInjectorRun(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			inj, err := NewInjector(w, 42, Config{})
+			inj, err := NewInjector(w, 42)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -267,7 +266,7 @@ func TestSharedGoldenRunMatchesPrivateInjector(t *testing.T) {
 			done := make(chan struct{})
 			for i := range results {
 				live, _ := workload.New(name)
-				inj, err := g.NewInjector(live, Config{})
+				inj, err := g.NewInjector(live)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -354,11 +353,11 @@ func TestGoldenRunRejectsMismatchedWorkload(t *testing.T) {
 		"other size":   workload.NewMxM(7),
 		"nil":          nil,
 	} {
-		if _, err := g.NewInjector(w, Config{}); err == nil {
+		if _, err := g.NewInjector(w); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if _, err := g.NewInjector(workload.NewMxM(6), Config{}); err != nil {
+	if _, err := g.NewInjector(workload.NewMxM(6)); err != nil {
 		t.Errorf("fresh instance of the recorded workload rejected: %v", err)
 	}
 }

@@ -69,9 +69,9 @@ type Config struct {
 	ShardGrain int
 }
 
-// defaultShardGrain is the number of correct-loop passes per engine shard.
+// DefaultShardGrain is the number of correct-loop passes per engine shard.
 // An hour-long session stays a single shard; multi-hour campaigns split.
-const defaultShardGrain = 8192
+const DefaultShardGrain = 8192
 
 func (c Config) validate() error {
 	if err := c.Spec.Validate(); err != nil {
@@ -223,7 +223,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				Elapsed:   time.Since(start),
 			})
 		},
-	}, passes, defaultShardGrain, func(_ context.Context, sh engine.Shard) (*Result, error) {
+	}, passes, DefaultShardGrain, func(_ context.Context, sh engine.Shard) (*Result, error) {
 		return runShard(cfg, sh, rate), nil
 	})
 	if err != nil {

@@ -21,10 +21,13 @@ import (
 	"strings"
 
 	"neutronsim/internal/beam"
+	"neutronsim/internal/core"
 	"neutronsim/internal/device"
 	"neutronsim/internal/memsim"
 	"neutronsim/internal/plan"
 	"neutronsim/internal/spectrum"
+	"neutronsim/internal/surrogate"
+	"neutronsim/internal/transport"
 	"neutronsim/internal/workload"
 )
 
@@ -81,7 +84,7 @@ type BeamParams struct {
 }
 
 // AssessParams describes a full device assessment (core.AssessContext).
-// Zero budget fields default to the quick budget (600 s fast, 3600 s
+// Zero budget fields default to core.QuickBudget's (600 s fast, 3600 s
 // thermal, boost 50) — the service is interactive, so the production
 // budget must be requested explicitly.
 type AssessParams struct {
@@ -135,9 +138,10 @@ type XsectionParams struct {
 	BoronPerCm2 float64 `json:"boron_per_cm2"`
 	QcritFC     float64 `json:"qcrit_fc"`
 	Spectrum    string  `json:"spectrum"` // ChipIR or ROTAX
-	// Samples is the exact estimator's Monte Carlo budget (default 60000,
-	// the cmd/sweep default). The surrogate path ignores it — the model's
-	// training budget is recorded in its content hash instead.
+	// Samples is the exact estimator's Monte Carlo budget (default
+	// surrogate.DefaultSamples, as in cmd/sweep). The surrogate path
+	// ignores it — the model's training budget is recorded in its content
+	// hash instead.
 	Samples int `json:"samples,omitempty"`
 	// Bias opts the exact path into importance-sampled estimation, like
 	// BeamParams.Bias. Biased queries are never surrogate-served: the
@@ -166,15 +170,6 @@ func DeviceByName(name string) (*device.Device, error) {
 	}
 	return nil, fmt.Errorf("unknown device %q", clip(name))
 }
-
-// Engine defaults mirrored into normalized requests so that a request with
-// a zero grain and one with the explicit default hash to the same key (the
-// grain is part of the deterministic seed schedule; see DESIGN.md §9).
-const (
-	defaultBeamGrain      = 8192
-	defaultMemoryGrain    = 8192
-	defaultTransportGrain = 16384
-)
 
 // Request-size ceilings, enforced by Normalize (400) and, for the body,
 // by the handlers (413), because running out of memory is fatal: one
@@ -313,13 +308,13 @@ func (n *CampaignRequest) normalizeBeam(p *BeamParams) error {
 		return fmt.Errorf("beam cal_samples must be in [0, %d]", maxSamples)
 	}
 	if b.CalSamples == 0 {
-		b.CalSamples = 20000
+		b.CalSamples = beam.DefaultCalSamples
 	}
 	if b.ShardGrain < 0 {
 		return fmt.Errorf("beam shard_grain cannot be negative")
 	}
 	if b.ShardGrain == 0 {
-		b.ShardGrain = defaultBeamGrain
+		b.ShardGrain = beam.DefaultShardGrain
 	}
 	runs := beam.MaxAutoRuns
 	if b.RunSeconds > 0 {
@@ -371,14 +366,15 @@ func (n *CampaignRequest) normalizeAssess(p *AssessParams) error {
 	if a.FastSeconds < 0 || a.ThermalSeconds < 0 || a.Boost < 0 {
 		return fmt.Errorf("assess budget fields cannot be negative")
 	}
+	quick := core.QuickBudget()
 	if a.FastSeconds == 0 {
-		a.FastSeconds = 600
+		a.FastSeconds = quick.FastSeconds
 	}
 	if a.ThermalSeconds == 0 {
-		a.ThermalSeconds = 3600
+		a.ThermalSeconds = quick.ThermalSeconds
 	}
 	if a.Boost == 0 {
-		a.Boost = 50
+		a.Boost = quick.Boost
 	}
 	n.Assess = &a
 	return nil
@@ -424,7 +420,7 @@ func (n *CampaignRequest) normalizeMemory(p *MemoryParams) error {
 		return fmt.Errorf("memory shard_grain cannot be negative")
 	}
 	if m.ShardGrain == 0 {
-		m.ShardGrain = defaultMemoryGrain
+		m.ShardGrain = memsim.DefaultShardGrain
 	}
 	passes := math.Max(1, math.Floor(m.DurationSeconds/m.PassSeconds)) // as memsim counts them
 	if err := checkShards("memory", passes, m.ShardGrain); err != nil {
@@ -472,7 +468,7 @@ func (n *CampaignRequest) normalizeTransport(p *TransportParams) error {
 		return fmt.Errorf("transport shard_grain cannot be negative")
 	}
 	if t.ShardGrain == 0 {
-		t.ShardGrain = defaultTransportGrain
+		t.ShardGrain = transport.DefaultShardGrain
 	}
 	if err := checkShards("transport", float64(t.Neutrons), t.ShardGrain); err != nil {
 		return err
@@ -499,7 +495,7 @@ func (n *CampaignRequest) normalizeXsection(p *XsectionParams) error {
 		return fmt.Errorf("xsection samples cannot be negative")
 	}
 	if x.Samples == 0 {
-		x.Samples = defaultXsectionSamples
+		x.Samples = surrogate.DefaultSamples
 	}
 	if x.Bias != nil {
 		if err := x.Bias.Validate(); err != nil {
@@ -514,10 +510,6 @@ func (n *CampaignRequest) normalizeXsection(p *XsectionParams) error {
 	n.Xsection = &x
 	return nil
 }
-
-// defaultXsectionSamples mirrors the cmd/sweep default Monte Carlo
-// budget per cross section.
-const defaultXsectionSamples = 60000
 
 func firstNonEmpty(a, b string) string {
 	if a != "" {

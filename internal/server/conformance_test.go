@@ -153,7 +153,7 @@ func TestConformanceBeamHTTP(t *testing.T) {
 				Derating:        1,
 				Seed:            seed,
 				CalSamples:      2000,
-				ShardGrain:      defaultBeamGrain,
+				ShardGrain:      beam.DefaultShardGrain,
 			})
 			if err != nil {
 				t.Fatalf("%s/%s: direct run: %v", devName, spName, err)
@@ -232,7 +232,7 @@ func TestConformanceBiasedBeamHTTP(t *testing.T) {
 		Derating:        1,
 		Seed:            77,
 		CalSamples:      2000,
-		ShardGrain:      defaultBeamGrain,
+		ShardGrain:      beam.DefaultShardGrain,
 		Bias:            &plan.Bias{Thermal: 50},
 	})
 	if err != nil {
@@ -351,7 +351,7 @@ func TestConformanceTransportHTTP(t *testing.T) {
 	direct, err := transport.SimulateContext(context.Background(),
 		[]transport.Slab{{Material: m, Thickness: 5}},
 		20000, spectrum.ChipIR().Sample, rng.New(17),
-		transport.Options{ShardGrain: defaultTransportGrain})
+		transport.Options{ShardGrain: transport.DefaultShardGrain})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestConformanceMemoryHTTP(t *testing.T) {
 		DurationSeconds: 600,
 		PassSeconds:     1,
 		Seed:            5,
-		ShardGrain:      defaultMemoryGrain,
+		ShardGrain:      memsim.DefaultShardGrain,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -435,6 +435,10 @@ var invalidSubmits = []struct {
 	{"long unknown device", `{"kind":"beam","beam":{"device":"` + strings.Repeat("a", 4096) + `","workload":"MxM","spectrum":"ChipIR","duration_seconds":1}}`},
 	{"long unknown member", `{"kind":"beam","` + strings.Repeat("b", 4096) + `":1}`},
 	{"long number", `{"kind":"beam","seed":1` + strings.Repeat("0", 4096) + `}`},
+	// Data after the value: the decoder stops at the end of the first
+	// value, so both of these used to be answered 202.
+	{"trailing garbage", `{"kind":"memory","memory":{"generation":"DDR3","duration_seconds":1}} trailing garbage {{{`},
+	{"two values", `{"kind":"memory","memory":{"generation":"DDR3","duration_seconds":1}}{"kind":"memory","memory":{"generation":"DDR3","duration_seconds":1}}`},
 }
 
 // TestSubmitValidation exercises the 400 paths. No reply quotes more than
@@ -457,6 +461,42 @@ func TestSubmitValidation(t *testing.T) {
 		}
 		if len(reply) > 256 {
 			t.Errorf("%s: the 400 reply is %d bytes: %.300s", tc.name, len(reply), reply)
+		}
+	}
+}
+
+// TestSubmitTrailingWhitespace: only whitespace may follow a request's
+// value, and it may: a body that ends in a newline is accepted.
+func TestSubmitTrailingWhitespace(t *testing.T) {
+	srv := New(Config{Workers: 1, Registry: telemetry.NewRegistry()})
+	defer srv.Drain()
+	body := `{"kind":"memory","seed":3,"memory":{"generation":"DDR3","duration_seconds":1}}` + "\n"
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/campaigns", strings.NewReader(body)))
+	if rec.Code != http.StatusAccepted {
+		t.Errorf("a body ending in a newline: status %d, want 202: %.200s", rec.Code, rec.Body.Bytes())
+	}
+}
+
+// TestUnknownJobReplyIsClipped: every /v1/jobs/{id} route answers an
+// unknown id with a 404 that quotes the id clipped, never whole.
+func TestUnknownJobReplyIsClipped(t *testing.T) {
+	srv := New(Config{Workers: 1, Registry: telemetry.NewRegistry()})
+	defer srv.Drain()
+	id := strings.Repeat("j", 3000)
+	for _, route := range []struct{ method, path string }{
+		{http.MethodGet, "/v1/jobs/" + id},
+		{http.MethodDelete, "/v1/jobs/" + id},
+		{http.MethodGet, "/v1/jobs/" + id + "/events"},
+		{http.MethodGet, "/v1/jobs/" + id + "/trace"},
+	} {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(route.method, route.path, nil))
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("%s %.30s…: status %d, want 404", route.method, route.path, rec.Code)
+		}
+		if rec.Body.Len() > 256 {
+			t.Errorf("%s %.30s…: the 404 reply is %d bytes", route.method, route.path, rec.Body.Len())
 		}
 	}
 }
@@ -590,7 +630,7 @@ func TestNormalizeIdempotentAndKeyed(t *testing.T) {
 	}}
 	explicit := &CampaignRequest{Kind: KindBeam, Seed: 9, Beam: &BeamParams{
 		Device: "K20", Workload: "MxM", Spectrum: "ChipIR", DurationSeconds: 3,
-		Derating: 1, CalSamples: 20000, ShardGrain: defaultBeamGrain,
+		Derating: 1, CalSamples: 20000, ShardGrain: beam.DefaultShardGrain,
 	}}
 	n1, err := implicit.Normalize()
 	if err != nil {

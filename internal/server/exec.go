@@ -8,7 +8,6 @@ import (
 	"neutronsim/internal/beam"
 	"neutronsim/internal/core"
 	"neutronsim/internal/memsim"
-	"neutronsim/internal/plan"
 	"neutronsim/internal/rng"
 	"neutronsim/internal/spectrum"
 	"neutronsim/internal/surrogate"
@@ -191,30 +190,16 @@ func execTransport(ctx context.Context, req *CampaignRequest, shards int) (*Resu
 }
 
 // execXsection is the exact Monte Carlo path for a design-space
-// cross-section query: the same device construction, estimator and RNG
-// discipline as one cmd/sweep grid point, so a surrogate trained on
-// sweep output predicts exactly this quantity — and the fallback path
-// behind the surrogate tier returns bit-identical results to a direct
-// library run.
+// cross-section query: surrogate.Sigma on the request's seed, the
+// estimator every cmd/sweep grid point runs, so a surrogate trained on
+// sweep output predicts exactly this quantity.
 func execXsection(req *CampaignRequest) (*ResultEnvelope, error) {
 	p := req.Xsection
 	sp, err := SpectrumByName(p.Spectrum)
 	if err != nil {
 		return nil, err
 	}
-	d := surrogate.DesignDevice(p.BoronPerCm2, p.QcritFC)
-	s := rng.New(req.Seed)
-	var sigma units.CrossSection
-	if p.Bias == nil {
-		sigma, err = d.UpsetCrossSection(sp.Sample, p.Samples, s)
-	} else {
-		var cp *plan.CampaignPlan
-		cp, err = plan.CompileBiased(d, sp, p.Samples, s, *p.Bias)
-		if err != nil {
-			return nil, err
-		}
-		sigma, _, err = cp.UpsetCrossSectionWeighted(d, p.Samples, s)
-	}
+	sigma, err := surrogate.Sigma(p.BoronPerCm2, p.QcritFC, sp, p.Samples, rng.New(req.Seed), p.Bias)
 	if err != nil {
 		return nil, err
 	}
@@ -223,6 +208,6 @@ func execXsection(req *CampaignRequest) (*ResultEnvelope, error) {
 		QcritFC:     p.QcritFC,
 		Spectrum:    p.Spectrum,
 		Samples:     p.Samples,
-		SigmaCm2:    float64(sigma),
+		SigmaCm2:    sigma,
 	}}, nil
 }

@@ -29,6 +29,7 @@ func FuzzNormalize(f *testing.F) {
 		`{"kind":"transport","seed":3,"transport":{"slabs":[{"material":"Water","thickness_cm":5.08}],"neutrons":5000,"source":"ChipIR","implicit_capture":true}}`,
 		`{"kind":"transport","transport":{"slabs":[{"material":"cadmium","thickness_cm":0.1}],"neutrons":100,"mono_ev":0.025}}`,
 		`{"kind":"xsection","seed":1,"tolerance":0.1,"xsection":{"boron_per_cm2":1e14,"qcrit_fc":3,"spectrum":"ROTAX"}}`,
+		`{"kind":"memory","memory":{"generation":"DDR3","duration_seconds":1}}` + "\n",
 	} {
 		f.Add(body)
 	}
@@ -76,6 +77,37 @@ func FuzzNormalize(f *testing.F) {
 			t.Fatalf("body %q: reordering its members as %s changed the cache key", body, respelled)
 		}
 	})
+}
+
+// TestCacheKeyPinned pins the key of one minimal body per kind, so every
+// default Normalize fills in is pinned too. The coordinator and each of
+// its peers hash keys on their own for HRW routing: a default that moves
+// re-homes keys, and must do so on purpose.
+func TestCacheKeyPinned(t *testing.T) {
+	for _, tc := range []struct{ body, key string }{
+		{`{"kind":"beam","beam":{"device":"K20","workload":"MxM","spectrum":"ChipIR","duration_seconds":1}}`,
+			"1c45342f87f86970074f0097387a143df8228c3b270d042e8e29fc2d553d3373"},
+		{`{"kind":"assess","assess":{"device":"K20"}}`,
+			"8c7b3241385af071e3669c6ddae6b03bfe3b809954faa7c6c24a248d59f051fa"},
+		{`{"kind":"memory","memory":{"generation":"DDR3","duration_seconds":1}}`,
+			"054e817d59e2105d64dc56016910c02dc8c3e22e115607192536f166a62a3f1f"},
+		{`{"kind":"transport","transport":{"slabs":[{"material":"Water","thickness_cm":1}],"neutrons":100}}`,
+			"dcb400140b77a35eb0742d15038e3e4f6a102cd05a51ce1588c98dad1078d09e"},
+		{`{"kind":"xsection","xsection":{"boron_per_cm2":1e14,"qcrit_fc":3,"spectrum":"ROTAX"}}`,
+			"5df806f171ac3d77c24e8a45ba08f2ed5dd7e0674533cea715b733d1c742fefc"},
+	} {
+		var raw CampaignRequest
+		if err := decodeStrict(strings.NewReader(tc.body), &raw); err != nil {
+			t.Fatal(err)
+		}
+		req, err := raw.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := req.CacheKey(); got != tc.key {
+			t.Errorf("%s: key %s, want %s", tc.body, got, tc.key)
+		}
+	}
 }
 
 // BenchmarkRepeatedMemberCheck measures what decodeStrict's

@@ -75,12 +75,20 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 // encoding/json matches names case-insensitively and keeps the last
 // match, so in {"seed":2,"Seed":1} the member order would pick the seed,
 // and a reordered copy of the same body would get another cache key.
+// Only whitespace may follow the value: a body with a second value or
+// trailing bytes is not one request.
 func decodeStrict(body io.Reader, v any) error {
 	var read bytes.Buffer // what the decoder consumed: the whole value, perhaps more
 	dec := json.NewDecoder(io.TeeReader(body, &read))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return clipDecodeError(err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("another value")
+		}
+		return fmt.Errorf("json: data after the request value: %w", err) // %w keeps a *http.MaxBytesError a 413
 	}
 	return checkRepeatedMembers(read.Bytes())
 }
@@ -248,9 +256,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // per-stage durations. Live jobs return a snapshot with in-flight spans
 // marked; the tree is final once the job is terminal.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobByID(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+	j := s.jobOr404(w, r)
+	if j == nil {
 		return
 	}
 	writeJSON(w, http.StatusOK, j.TraceSnapshot())
@@ -278,9 +285,8 @@ func retryAfterSeconds(cfg Config) string {
 // handleJob is GET /v1/jobs/{id}. Finished jobs carry the result body and
 // its strong ETag; If-None-Match short-circuits to 304.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobByID(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+	j := s.jobOr404(w, r)
+	if j == nil {
 		return
 	}
 	if etag := j.ETag(); etag != "" {
@@ -295,9 +301,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 
 // handleCancel is DELETE /v1/jobs/{id}.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobByID(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+	j := s.jobOr404(w, r)
+	if j == nil {
 		return
 	}
 	if j.Cancel() {

@@ -397,12 +397,17 @@ func (s *Server) evictOldRecordsLocked() {
 	}
 }
 
-// jobByID looks a job record up.
-func (s *Server) jobByID(id string) (*Job, bool) {
+// jobOr404 looks up the job a /v1/jobs/{id} route names. When there is
+// none, it answers 404, quoting the id clipped, and returns nil.
+func (s *Server) jobOr404(w http.ResponseWriter, r *http.Request) *Job {
+	id := r.PathValue("id")
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.byID[id]
-	return j, ok
+	j := s.byID[id]
+	s.mu.Unlock()
+	if j == nil {
+		writeError(w, http.StatusNotFound, "unknown job %q", clip(id))
+	}
+	return j
 }
 
 // clearInflight removes the job from the coalescing map once terminal.

@@ -14,9 +14,8 @@ import (
 // JobInfo (minus the result body — fetch that from /v1/jobs/{id} or
 // resubmit the request for a cache hit).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobByID(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+	j := s.jobOr404(w, r)
+	if j == nil {
 		return
 	}
 	flusher, ok := w.(http.Flusher)

@@ -359,8 +359,8 @@ func TestXsectionNormalizeDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Xsection.Samples != defaultXsectionSamples {
-		t.Errorf("samples defaulted to %d, want %d", n.Xsection.Samples, defaultXsectionSamples)
+	if n.Xsection.Samples != surrogate.DefaultSamples {
+		t.Errorf("samples defaulted to %d, want %d", n.Xsection.Samples, surrogate.DefaultSamples)
 	}
 	if n.Xsection.Spectrum != "ROTAX" {
 		t.Errorf("spectrum normalized to %q", n.Xsection.Spectrum)

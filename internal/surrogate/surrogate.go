@@ -1,11 +1,12 @@
-// Package surrogate fits and serves a small pure-Go regression model of
-// the design-space cross sections that cmd/sweep maps: σ_upset as a
+// Package surrogate owns the design-space cross section: σ_upset as a
 // function of ¹⁰B areal density, critical charge, and the beamline's
-// band composition. The paper's headline quantities vary smoothly over
-// this space, so a polynomial ridge fit on sweep-grid campaigns answers
-// interactive queries in O(µs) where the exact Monte Carlo estimator
-// takes milliseconds — the top of neutrond's cache → surrogate → exact
-// serving pyramid (DESIGN.md §17).
+// band composition. Sigma is its one estimator and EvaluateGrid its one
+// grid evaluator; cmd/sweep prints and exports EvaluateGrid's dataset,
+// and neutrond's exact xsection path calls Sigma. The paper's headline
+// quantities vary smoothly over this space, so a polynomial ridge fit on
+// that dataset answers interactive queries in O(µs) where the exact
+// Monte Carlo estimator takes milliseconds — the top of neutrond's
+// cache → surrogate → exact serving pyramid (DESIGN.md §17).
 //
 // A fitted Model is versioned by a plan-cache-style content hash
 // (SHA-256 over the model tag, the training-grid fingerprint, the
@@ -23,6 +24,7 @@ import (
 	"neutronsim/internal/device"
 	"neutronsim/internal/physics"
 	"neutronsim/internal/plan"
+	"neutronsim/internal/rng"
 	"neutronsim/internal/spectrum"
 )
 
@@ -101,9 +103,6 @@ func SpectrumFingerprint(sp spectrum.Spectrum) (string, bool) {
 // DesignDevice returns the sweep design-space device for one
 // (boron, Qcrit) point: the K20 planar template with the two design
 // knobs applied and the catalog's QcritSigma = Qcrit/4 spread.
-// cmd/sweep, the training grid, and neutrond's xsection executor all
-// build their device here, so a surrogate trained on sweep output
-// predicts exactly the quantity the exact path computes.
 func DesignDevice(boronPerCm2, qcritFC float64) *device.Device {
 	d := device.K20()
 	d.Name = "sweep"
@@ -111,4 +110,25 @@ func DesignDevice(boronPerCm2, qcritFC float64) *device.Device {
 	d.QcritFC = qcritFC
 	d.QcritSigmaFC = qcritFC / 4
 	return d
+}
+
+// Sigma estimates the upset cross section (cm²) of DesignDevice(boron,
+// Qcrit) under sp from samples energies drawn on s. A nil bias runs the
+// analog estimator. Otherwise Sigma compiles a biased campaign plan,
+// whose calibration set doubles as the estimator's energy sample, and
+// returns the likelihood-weighted estimate. EvaluateGrid and neutrond's
+// exact xsection path both call it, so a surrogate trained on the grid
+// predicts exactly the quantity the exact path computes.
+func Sigma(boronPerCm2, qcritFC float64, sp spectrum.Spectrum, samples int, s *rng.Stream, bias *plan.Bias) (float64, error) {
+	d := DesignDevice(boronPerCm2, qcritFC)
+	if bias == nil {
+		sigma, err := d.UpsetCrossSection(sp.Sample, samples, s)
+		return float64(sigma), err
+	}
+	cp, err := plan.CompileBiased(d, sp, samples, s, *bias)
+	if err != nil {
+		return 0, err
+	}
+	sigma, _, err := cp.UpsetCrossSectionWeighted(d, samples, s)
+	return float64(sigma), err
 }

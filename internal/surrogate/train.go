@@ -1,6 +1,7 @@
 package surrogate
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -9,7 +10,9 @@ import (
 	"math"
 	"os"
 	"sort"
+	"time"
 
+	"neutronsim/internal/engine"
 	"neutronsim/internal/plan"
 	"neutronsim/internal/rng"
 	"neutronsim/internal/spectrum"
@@ -20,10 +23,10 @@ import (
 // cmd/sweep -train-out exports).
 const DataVersion = "surrogate-data/v1"
 
-// Row is one training observation: a feature vector and the exact
-// Monte Carlo cross section measured at it. The provenance fields make
-// exported datasets self-describing; only Features, SigmaCm2 and the
-// spectrum fingerprint enter the training fingerprint.
+// Row is one training observation: a feature vector and the Monte Carlo
+// cross section measured at it. The provenance fields make exported
+// datasets self-describing; only Features, SigmaCm2 and the spectrum
+// fingerprint enter the training fingerprint.
 type Row struct {
 	Features            []float64 `json:"features"`
 	SigmaCm2            float64   `json:"sigma_cm2"`
@@ -441,9 +444,8 @@ func cholSolve(m [][]float64, b []float64) ([]float64, bool) {
 	return x, true
 }
 
-// GridConfig describes a training grid: the same log-spaced design
-// lattice cmd/sweep maps, evaluated with the exact estimator on both
-// beamlines.
+// GridConfig describes a design-space grid: the log-spaced boron × Qcrit
+// lattice cmd/sweep maps, evaluated on both beamlines.
 type GridConfig struct {
 	BoronMin, BoronMax float64
 	BoronSteps         int
@@ -452,7 +454,18 @@ type GridConfig struct {
 	// Samples is the Monte Carlo energy budget per cross section.
 	Samples int
 	Seed    uint64
+	// Bias selects the importance-sampled estimator (nil = exact; see
+	// Sigma). Its factors are features of every row.
+	Bias *plan.Bias
+	// Workers caps how many points evaluate at once (<= 0 = GOMAXPROCS).
+	// It never affects the dataset.
+	Workers int
 }
+
+// DefaultSamples is the Monte Carlo energy budget per cross section of
+// DefaultGrid, of cmd/sweep's -samples and of a neutrond xsection query
+// that names none.
+const DefaultSamples = 60000
 
 // DefaultGrid is the stock training grid for benches, CI retrains and
 // the neutrond quickstart: three decades of boron density by the 1–8 fC
@@ -462,16 +475,16 @@ func DefaultGrid() GridConfig {
 	return GridConfig{
 		BoronMin: 1e12, BoronMax: 1e15, BoronSteps: 12,
 		QcritMin: 1, QcritMax: 8, QcritSteps: 10,
-		Samples: 60000,
+		Samples: DefaultSamples,
 		Seed:    7,
 	}
 }
 
-// EvaluateGrid runs the exact design-space estimator over the grid and
-// returns the dataset: per point, σ_thermal against ROTAX then σ_fast
-// against ChipIR, from a per-point split stream exactly as cmd/sweep
-// evaluates them. The traversal order is fixed, so the dataset — and
-// every model trained from it — is a pure function of the config.
+// EvaluateGrid evaluates the grid, one point per engine shard, and
+// returns the dataset: per point in boron-major order, σ_thermal against
+// ROTAX then σ_fast against ChipIR. Each point draws from its own stream,
+// split off rng.New(Seed) in point order, so the dataset, and every model
+// trained on it, is a pure function of the config, whatever the workers.
 func EvaluateGrid(cfg GridConfig) (*Dataset, error) {
 	if cfg.BoronMin <= 0 || cfg.BoronMax < cfg.BoronMin || cfg.BoronSteps < 1 {
 		return nil, fmt.Errorf("surrogate: invalid boron grid")
@@ -482,6 +495,13 @@ func EvaluateGrid(cfg GridConfig) (*Dataset, error) {
 	if cfg.Samples <= 0 {
 		return nil, fmt.Errorf("surrogate: samples must be positive")
 	}
+	var bias plan.Bias
+	if cfg.Bias != nil {
+		if err := cfg.Bias.Validate(); err != nil {
+			return nil, err
+		}
+		bias = *cfg.Bias
+	}
 	logStep := func(lo, hi float64, steps, i int) float64 {
 		if steps == 1 {
 			return lo
@@ -489,23 +509,43 @@ func EvaluateGrid(cfg GridConfig) (*Dataset, error) {
 		return lo * math.Exp(math.Log(hi/lo)*float64(i)/float64(steps-1))
 	}
 	ds := NewDataset(cfg.Samples, cfg.Seed)
-	rotax := spectrum.ROTAX()
-	chip := spectrum.ChipIR()
+	beamlines := []spectrum.Spectrum{spectrum.ROTAX(), spectrum.ChipIR()}
 	root := rng.New(cfg.Seed)
+	var streams []*rng.Stream
 	for bi := 0; bi < cfg.BoronSteps; bi++ {
 		for qi := 0; qi < cfg.QcritSteps; qi++ {
 			boron := logStep(cfg.BoronMin, cfg.BoronMax, cfg.BoronSteps, bi)
 			qcrit := logStep(cfg.QcritMin, cfg.QcritMax, cfg.QcritSteps, qi)
-			d := DesignDevice(boron, qcrit)
-			s := root.Split()
-			for _, sp := range []spectrum.Spectrum{rotax, chip} {
-				sigma, err := d.UpsetCrossSection(sp.Sample, cfg.Samples, s)
-				if err != nil {
-					return nil, err
-				}
-				ds.Add(boron, qcrit, sp, plan.Bias{}, float64(sigma))
+			for _, sp := range beamlines {
+				ds.Add(boron, qcrit, sp, bias, 0)
 			}
+			streams = append(streams, root.Split())
 		}
+	}
+	evaluated := telemetry.Default.Counter("sweep.points_evaluated")
+	start := time.Now()
+	_, err := engine.Map(context.Background(), engine.Config{
+		Workers: cfg.Workers, Grain: 1, Name: "sweep",
+		StreamFor: func(i int) *rng.Stream { return streams[i] },
+		OnShardDone: func(_ engine.Shard, done, total int) {
+			telemetry.ReportProgress(telemetry.ProgressUpdate{Component: "sweep",
+				Done: float64(done), Total: float64(total), Elapsed: time.Since(start)})
+		},
+	}, len(streams), 1, func(_ context.Context, sh engine.Shard) (struct{}, error) {
+		// Shard i fills rows 2i and 2i+1 and no others.
+		for k, sp := range beamlines {
+			r := &ds.Rows[len(beamlines)*sh.Index+k]
+			sigma, err := Sigma(r.BoronPerCm2, r.QcritFC, sp, cfg.Samples, sh.Stream, cfg.Bias)
+			if err != nil {
+				return struct{}{}, err
+			}
+			r.SigmaCm2 = sigma
+		}
+		evaluated.Inc()
+		return struct{}{}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return ds, nil
 }

@@ -197,8 +197,8 @@ type Options struct {
 // probability ½, doubling the weight).
 const rouletteThreshold = 1e-3
 
-// defaultShardGrain is the number of source neutrons per engine shard.
-const defaultShardGrain = 16384
+// DefaultShardGrain is the number of source neutrons per engine shard.
+const DefaultShardGrain = 16384
 
 // SimulateContext fires n source neutrons at normal incidence into the
 // slab stack and returns the tally. source supplies the incident energy
@@ -238,7 +238,7 @@ func SimulateContext(ctx context.Context, slabs []Slab, n int, source func(*rng.
 	// monoenergetic closures are pure).
 	grain := opts.ShardGrain
 	if grain <= 0 {
-		grain = defaultShardGrain
+		grain = DefaultShardGrain
 	}
 	streams := make([]*rng.Stream, len(engine.Plan(n, grain)))
 	for i := range streams {
@@ -258,7 +258,7 @@ func SimulateContext(ctx context.Context, slabs []Slab, n int, source func(*rng.
 				Elapsed:   time.Since(start),
 			})
 		},
-	}, n, defaultShardGrain, func(_ context.Context, sh engine.Shard) (*Tally, error) {
+	}, n, DefaultShardGrain, func(_ context.Context, sh engine.Shard) (*Tally, error) {
 		t := newTally()
 		t.Incident = sh.Count
 		tt := &trackTally{absorbedBy: map[string]int{}}
