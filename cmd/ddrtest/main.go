@@ -16,7 +16,6 @@ import (
 	"runtime"
 
 	"neutronsim/internal/memsim"
-	"neutronsim/internal/spectrum"
 	"neutronsim/internal/telemetry"
 )
 
@@ -62,14 +61,13 @@ func run(args []string) error {
 	switch *band {
 	case "thermal":
 		cfg.Band = memsim.ThermalBeam
-		cfg.Flux = spectrum.ROTAXTotalFlux
 	case "fast":
 		cfg.Band = memsim.FastBeam
-		cfg.Flux = spectrum.ChipIR().TotalFlux()
 		cfg.PermanentAbortLimit = 100
 	default:
 		return fmt.Errorf("unknown band %q", *band)
 	}
+	cfg.Flux = cfg.Band.DefaultFlux()
 	res, err := memsim.RunContext(context.Background(), cfg)
 	if err != nil {
 		return err

@@ -62,4 +62,9 @@ func TestFastCampaignAborts(t *testing.T) {
 	if !strings.Contains(out, "ABORTED") {
 		t.Error("fast campaign should abort on permanent pile-up")
 	}
+	// The fast beam runs at ChipIR's flux above 10 MeV, as a fast memory
+	// campaign does in neutrond, not at ChipIR's total flux.
+	if !strings.Contains(out, "fast, 5.4e+06 n/cm²/s") {
+		t.Errorf("fast campaign flux is not ChipIR's 5.4e+06 above 10 MeV:\n%s", out)
+	}
 }

@@ -119,7 +119,7 @@ func run(args []string) error {
 		if len(peerList) == 0 {
 			return fmt.Errorf("role coordinator requires -peers")
 		}
-		coord := cluster.New(cluster.Config{Peers: peerList, Shards: *jobShards})
+		coord := cluster.New(cluster.Config{Peers: peerList})
 		coord.Start(ctx)
 		cfg.Execute = coord.Execute
 		telemetry.Log().Info("coordinating", "peers", peerList)

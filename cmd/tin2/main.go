@@ -52,7 +52,7 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 	fmt.Printf("Tin-II: efficiency %.2f, Cd shield leak %.2g, face %v cm²\n",
-		det.Efficiency, det.ShieldLeak, det.Config().FaceAreaCm2())
+		det.Efficiency, det.ShieldLeak, detector.FaceAreaCm2)
 	res, err := detector.RunWaterExperimentContext(ctx, detector.WaterExperimentConfig{
 		Detector:               det,
 		BaseThermalFluxPerHour: *flux,

@@ -37,11 +37,12 @@ type Config struct {
 	// DurationSeconds is the total beam time.
 	DurationSeconds float64
 	// RunSeconds is the beam time covered by one workload execution. When
-	// zero, it is auto-tuned so a run rarely sees more than one fault —
-	// the same error-pile-up control a beam operator applies — capped at
-	// 1 s. The tuning splits the campaign into at most MaxAutoRuns runs,
-	// so a long auto-tuned campaign at a high rate runs at λ above 0.05,
-	// and a run with several faults counts as one event.
+	// zero, it is auto-tuned so a run rarely sees more than one fault (λ
+	// of at most 0.05 interactions per run) — the same error-pile-up
+	// control a beam operator applies — capped at 1 s. The tuning splits
+	// the campaign into at most MaxAutoRuns runs; a campaign too long for
+	// that at its rate fails, because its runs would pile up faults and
+	// a run with several counts as one event.
 	RunSeconds float64
 	// Derating scales the flux for boards placed off the beam axis when
 	// several boards share the ChipIR beam (default 1; §III-C).
@@ -176,6 +177,10 @@ const DefaultCalSamples = 20000
 // its beam time into.
 const MaxAutoRuns = 2e6
 
+// autoLambda is the most interactions per run, on average, that an
+// auto-tuned campaign accepts.
+const autoLambda = 0.05
+
 // maxRunLambda caps λ, the mean interactions per run. A run draws and
 // replays each of its interactions, so a campaign far above it would not
 // finish; the experiments, tests and benchmarks use λ ≤ 64. It also keeps
@@ -287,13 +292,17 @@ func prepare(ctx context.Context, cfg Config) (*campaignSetup, error) {
 	runSeconds := cfg.RunSeconds
 	if runSeconds <= 0 {
 		// Auto-tune so that a run rarely collects more than one fault
-		// (λ ≈ 0.05), bounded to keep run counts tractable.
+		// (λ ≈ autoLambda), bounded to keep run counts tractable.
 		runSeconds = 1
-		if ratePerSecond > 0.05 {
-			runSeconds = 0.05 / ratePerSecond
+		if ratePerSecond > autoLambda {
+			runSeconds = autoLambda / ratePerSecond
 		}
 		if got := cfg.DurationSeconds / runSeconds; got > MaxAutoRuns {
 			runSeconds = cfg.DurationSeconds / MaxAutoRuns
+			if lambda := ratePerSecond * runSeconds; lambda > autoLambda {
+				return nil, fmt.Errorf("beam: auto-tuned runs would average λ = %.3g interactions, above %g: %g s needs more than %g runs, and a run with several faults counts as one event; set run_seconds or a shorter duration",
+					lambda, autoLambda, cfg.DurationSeconds, float64(MaxAutoRuns))
+			}
 		}
 	}
 	runs := int(cfg.DurationSeconds / runSeconds)
@@ -302,8 +311,8 @@ func prepare(ctx context.Context, cfg Config) (*campaignSetup, error) {
 	}
 	lambda := ratePerSecond * runSeconds
 	if !(lambda <= maxRunLambda) {
-		return nil, fmt.Errorf("beam: λ = %g interactions per run exceeds the ceiling of %g; use a shorter run_seconds (an auto-tuned campaign splits its duration into at most %g runs)",
-			lambda, float64(maxRunLambda), float64(MaxAutoRuns))
+		return nil, fmt.Errorf("beam: λ = %g interactions per run exceeds the ceiling of %g; use a shorter run_seconds",
+			lambda, float64(maxRunLambda))
 	}
 	grain := cfg.ShardGrain
 	if grain <= 0 {

@@ -244,11 +244,8 @@ func CompareBench(ctx context.Context, storm time.Duration) (*BenchReport, error
 	}
 	coordCtx, stopCoord := context.WithCancel(ctx)
 	defer stopCoord()
-	coord := New(Config{
-		Peers:          peerURLs,
-		HealthInterval: 250 * time.Millisecond,
-		Registry:       telemetry.NewRegistry(),
-	})
+	coord := New(Config{Peers: peerURLs, Registry: telemetry.NewRegistry()})
+	coord.healthInterval = 250 * time.Millisecond
 	coord.Start(coordCtx)
 	if len(coord.Peers().Healthy()) != benchWorkers {
 		return nil, fmt.Errorf("only %d/%d workers healthy", len(coord.Peers().Healthy()), benchWorkers)

@@ -48,15 +48,10 @@ func urlsOf(ws []*worker) []string {
 
 func testCoordinator(ctx context.Context, t *testing.T, peers []string, reg *telemetry.Registry) *Coordinator {
 	t.Helper()
-	c := New(Config{
-		Peers:          peers,
-		Shards:         2,
-		RangesPerPeer:  2,
-		RangeTimeout:   30 * time.Second,
-		HealthInterval: 50 * time.Millisecond,
-		DownCooldown:   100 * time.Millisecond,
-		Registry:       reg,
-	})
+	c := New(Config{Peers: peers, Registry: reg})
+	c.rangeTimeout = 30 * time.Second
+	c.healthInterval = 50 * time.Millisecond
+	c.downCooldown = 100 * time.Millisecond
 	c.Start(ctx)
 	if len(peers) > 0 && len(c.Peers().Healthy()) == 0 {
 		t.Fatal("no healthy peers after initial poll")
@@ -246,15 +241,11 @@ func TestWorkerKillMidCampaign(t *testing.T) {
 	t.Cleanup(victim.Close)
 
 	reg := telemetry.NewRegistry()
-	coord := New(Config{
-		Peers:          []string{victim.URL, healthy.ts.URL},
-		Shards:         2,
-		RangesPerPeer:  4,
-		RangeTimeout:   10 * time.Second,
-		HealthInterval: 50 * time.Millisecond,
-		DownCooldown:   time.Minute, // once lost, stay lost for this test
-		Registry:       reg,
-	})
+	coord := New(Config{Peers: []string{victim.URL, healthy.ts.URL}, Registry: reg})
+	coord.rangesPerPeer = 4
+	coord.rangeTimeout = 10 * time.Second
+	coord.healthInterval = 50 * time.Millisecond
+	coord.downCooldown = time.Minute // once lost, stay lost for this test
 	coord.Start(ctx)
 
 	got, err := coord.Execute(ctx, req, 2)
@@ -309,15 +300,11 @@ func TestEndlessPeerReply(t *testing.T) {
 	t.Cleanup(endless.Close)
 
 	reg := telemetry.NewRegistry()
-	coord := New(Config{
-		Peers:          []string{endless.URL, healthy.ts.URL},
-		Shards:         2,
-		RangesPerPeer:  4,
-		RangeTimeout:   5 * time.Second,
-		HealthInterval: 50 * time.Millisecond,
-		DownCooldown:   time.Minute,
-		Registry:       reg,
-	})
+	coord := New(Config{Peers: []string{endless.URL, healthy.ts.URL}, Registry: reg})
+	coord.rangesPerPeer = 4
+	coord.rangeTimeout = 5 * time.Second
+	coord.healthInterval = 50 * time.Millisecond
+	coord.downCooldown = time.Minute
 	coord.Start(ctx)
 
 	got, err := coord.Execute(ctx, req, 2)
@@ -350,7 +337,7 @@ func TestNoPeersFallsBackLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	coord := New(Config{Peers: nil, Shards: 2, Registry: reg})
+	coord := New(Config{Peers: nil, Registry: reg})
 	got, err := coord.Execute(ctx, req, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"sync"
 	"time"
 
@@ -27,45 +26,8 @@ const fanoutMinShards = 8
 type Config struct {
 	// Peers are worker base URLs ("http://127.0.0.1:8441").
 	Peers []string
-	// Shards caps local engine concurrency for ranges and campaigns the
-	// coordinator runs itself (0 = GOMAXPROCS).
-	Shards int
-	// RangesPerPeer controls work-pull granularity: the plan splits into
-	// about RangesPerPeer ranges per executor (peers + local; default 2),
-	// so a slow or dying peer strands at most one small range, not a
-	// static 1/N slice of the campaign.
-	RangesPerPeer int
-	// RangeTimeout bounds one shard-range dispatch before it is declared
-	// lost and re-dispatched (default 2m).
-	RangeTimeout time.Duration
-	// HealthInterval paces the background /readyz poller (default 1s).
-	HealthInterval time.Duration
-	// DownCooldown keeps a peer that failed a dispatch out of rotation
-	// until the poller can vouch for it again (default 2s).
-	DownCooldown time.Duration
-	// HTTPClient overrides the transport (tests use httptest clients).
-	HTTPClient *http.Client
 	// Registry receives cluster telemetry (default telemetry.Default).
 	Registry *telemetry.Registry
-}
-
-func (c Config) withDefaults() Config {
-	if c.RangesPerPeer <= 0 {
-		c.RangesPerPeer = 2
-	}
-	if c.RangeTimeout <= 0 {
-		c.RangeTimeout = 2 * time.Minute
-	}
-	if c.HealthInterval <= 0 {
-		c.HealthInterval = time.Second
-	}
-	if c.DownCooldown <= 0 {
-		c.DownCooldown = 2 * time.Second
-	}
-	if c.Registry == nil {
-		c.Registry = telemetry.Default
-	}
-	return c
 }
 
 // Coordinator executes campaigns across a fleet of neutrond workers. Its
@@ -76,17 +38,39 @@ type Coordinator struct {
 	cfg    Config
 	peers  *PeerSet
 	client *Client
+	// Dispatch settings: New sets the values every coordinator uses, and
+	// tests shorten the timings.
+	//
+	// rangesPerPeer sets work-pull granularity: the plan splits into about
+	// rangesPerPeer ranges per executor (peers + local), so a slow or
+	// dying peer strands at most one small range, not a static 1/N slice
+	// of the campaign.
+	rangesPerPeer int
+	// rangeTimeout bounds one shard-range dispatch before it is declared
+	// lost and re-dispatched.
+	rangeTimeout time.Duration
+	// healthInterval paces the background /readyz poller.
+	healthInterval time.Duration
+	// downCooldown keeps a peer that failed a dispatch out of rotation
+	// until the poller can vouch for it again.
+	downCooldown time.Duration
 }
 
 // New builds a Coordinator over cfg.Peers. Call Start to begin health
 // polling; until the first poll completes no peer is considered healthy
 // and everything runs locally.
 func New(cfg Config) *Coordinator {
-	cfg = cfg.withDefaults()
+	if cfg.Registry == nil {
+		cfg.Registry = telemetry.Default
+	}
 	return &Coordinator{
-		cfg:    cfg,
-		peers:  NewPeerSet(cfg.Peers, cfg.HTTPClient),
-		client: NewClient(cfg.HTTPClient),
+		cfg:            cfg,
+		peers:          NewPeerSet(cfg.Peers),
+		client:         NewClient(nil),
+		rangesPerPeer:  2,
+		rangeTimeout:   2 * time.Minute,
+		healthInterval: time.Second,
+		downCooldown:   2 * time.Second,
 	}
 }
 
@@ -97,7 +81,7 @@ func (c *Coordinator) Peers() *PeerSet { return c.peers }
 // background until ctx is canceled.
 func (c *Coordinator) Start(ctx context.Context) {
 	c.peers.Poll(ctx)
-	go c.peers.Run(ctx, c.cfg.HealthInterval)
+	go c.peers.Run(ctx, c.healthInterval)
 }
 
 // Execute runs one campaign across the cluster; it is the value wired
@@ -106,9 +90,6 @@ func (c *Coordinator) Start(ctx context.Context) {
 // HRW owner. Every path falls back to local execution, so a coordinator
 // with zero healthy peers behaves exactly like a single node.
 func (c *Coordinator) Execute(ctx context.Context, req *server.CampaignRequest, shards int) (*server.ResultEnvelope, error) {
-	if shards <= 0 {
-		shards = c.cfg.Shards
-	}
 	healthy := c.peers.Healthy()
 	if len(healthy) == 0 {
 		c.cfg.Registry.Counter("cluster.local_fallback").Add(1)
@@ -153,7 +134,7 @@ func (c *Coordinator) fanout(ctx context.Context, req *server.CampaignRequest, c
 	span.SetInt("peers", len(healthy))
 	defer span.End()
 
-	targetRanges := c.cfg.RangesPerPeer * (len(healthy) + 1)
+	targetRanges := c.rangesPerPeer * (len(healthy) + 1)
 	if targetRanges > nShards {
 		targetRanges = nShards
 	}
@@ -220,7 +201,7 @@ func (c *Coordinator) fanout(ctx context.Context, req *server.CampaignRequest, c
 				if !ok {
 					return
 				}
-				rctx, rcancel := context.WithTimeout(runCtx, c.cfg.RangeTimeout)
+				rctx, rcancel := context.WithTimeout(runCtx, c.rangeTimeout)
 				p, err := c.client.RunShardRange(rctx, peer, req, job.lo, job.hi)
 				rcancel()
 				if err != nil {
@@ -234,7 +215,7 @@ func (c *Coordinator) fanout(ctx context.Context, req *server.CampaignRequest, c
 					c.cfg.Registry.Counter("cluster.ranges_redispatched").Add(1)
 					telemetry.Log().Warn("shard range re-dispatched",
 						"peer", peer, "range", fmt.Sprintf("[%d,%d)", job.lo, job.hi), "error", err)
-					c.peers.MarkDown(peer, c.cfg.DownCooldown)
+					c.peers.MarkDown(peer, c.downCooldown)
 					todo <- job
 					return
 				}
@@ -307,7 +288,7 @@ func (c *Coordinator) route(ctx context.Context, req *server.CampaignRequest, sh
 			return nil, ctx.Err()
 		}
 		telemetry.Log().Warn("forward failed; trying next in rank", "peer", node, "error", err)
-		c.peers.MarkDown(node, c.cfg.DownCooldown)
+		c.peers.MarkDown(node, c.downCooldown)
 	}
 	c.cfg.Registry.Counter("cluster.local_fallback").Add(1)
 	return server.Execute(ctx, req, shards)

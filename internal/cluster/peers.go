@@ -21,13 +21,11 @@ type peerState struct {
 	// concurrent health poll says ready, so a flapping peer doesn't get
 	// every re-dispatched range.
 	downUntil time.Time
-	ready     server.ReadyzInfo
 }
 
 // PeerSet tracks the health of a fixed list of peer base URLs by polling
-// GET /readyz. A peer is healthy when its latest poll returned 200; the
-// JSON ReadyzInfo body (queue depth, drain state) is retained for
-// dispatch decisions and surfaced by Snapshot.
+// GET /readyz. A peer is healthy when its latest poll returned 200 with a
+// ReadyzInfo body.
 type PeerSet struct {
 	peers  []string
 	client *http.Client
@@ -39,11 +37,12 @@ type PeerSet struct {
 // NewPeerSet builds a set over base URLs like "http://127.0.0.1:8441".
 // Peers start unhealthy until the first Poll marks them up, so a
 // coordinator never dispatches to an address nobody has answered from.
-func NewPeerSet(peers []string, client *http.Client) *PeerSet {
-	if client == nil {
-		client = &http.Client{Timeout: 5 * time.Second}
+func NewPeerSet(peers []string) *PeerSet {
+	ps := &PeerSet{
+		peers:  append([]string(nil), peers...),
+		client: &http.Client{Timeout: 5 * time.Second},
+		st:     map[string]*peerState{},
 	}
-	ps := &PeerSet{peers: append([]string(nil), peers...), client: client, st: map[string]*peerState{}}
 	for _, p := range ps.peers {
 		ps.st[p] = &peerState{}
 	}
@@ -58,13 +57,9 @@ func (ps *PeerSet) Poll(ctx context.Context) int {
 		wg.Add(1)
 		go func(peer string) {
 			defer wg.Done()
-			info, err := ps.probe(ctx, peer)
+			err := ps.probe(ctx, peer)
 			ps.mu.Lock()
-			st := ps.st[peer]
-			st.healthy = err == nil
-			if err == nil {
-				st.ready = info
-			}
+			ps.st[peer].healthy = err == nil
 			ps.mu.Unlock()
 		}(p)
 	}
@@ -80,24 +75,24 @@ func (ps *PeerSet) Poll(ctx context.Context) int {
 	return n
 }
 
-func (ps *PeerSet) probe(ctx context.Context, peer string) (server.ReadyzInfo, error) {
+func (ps *PeerSet) probe(ctx context.Context, peer string) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/readyz", nil)
 	if err != nil {
-		return server.ReadyzInfo{}, err
+		return err
 	}
 	resp, err := ps.client.Do(req)
 	if err != nil {
-		return server.ReadyzInfo{}, err
+		return err
 	}
 	defer resp.Body.Close()
 	var info server.ReadyzInfo
 	if derr := json.NewDecoder(io.LimitReader(resp.Body, maxReadyzReply)).Decode(&info); derr != nil {
-		return server.ReadyzInfo{}, fmt.Errorf("decode readyz: %w", derr)
+		return fmt.Errorf("decode readyz: %w", derr)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return info, fmt.Errorf("readyz %s: status %d (%s)", peer, resp.StatusCode, info.Status)
+		return fmt.Errorf("readyz %s: status %d (%s)", peer, resp.StatusCode, info.Status)
 	}
-	return info, nil
+	return nil
 }
 
 // Run polls every interval until ctx is done — the coordinator's

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"time"
 
 	"neutronsim/internal/beam"
 	"neutronsim/internal/device"
@@ -91,7 +92,7 @@ func AssessContext(ctx context.Context, d *device.Device, workloads []string, b 
 	}
 	ctx, span := trace.StartChild(ctx, "core.assess")
 	defer span.End()
-	defer telemetry.StartTimer(telemetry.Default.Histogram("core.assess_seconds")).ObserveDuration()
+	defer telemetry.Default.Histogram("core.assess_seconds").ObserveSince(time.Now())
 	b = b.withDefaults()
 	if workloads == nil {
 		workloads = workload.ForDeviceKind(d.Kind.String())

@@ -21,61 +21,36 @@ import (
 	"neutronsim/internal/units"
 )
 
-// Config describes the detector hardware.
+// Tin-II's hardware: two identical ³He tubes, one wrapped in cadmium.
+const (
+	tubePressureAtm    = 4    // ³He fill pressure
+	tubeDiameterCm     = 2.54 // the sensitive cylinder is 2.54 cm × 30 cm
+	tubeLengthCm       = 30
+	cadmiumThicknessCm = 0.1 // the second tube's shield, 1 mm
+	// nonThermalRatePerHour is the per-tube rate from everything cadmium
+	// does not stop: gammas, betas, fast neutrons.
+	nonThermalRatePerHour = 120
+	// FaceAreaCm2 is a tube's projected sensitive area.
+	FaceAreaCm2 = tubeDiameterCm * tubeLengthCm
+)
+
+// Config sets the detector's calibration budget.
 type Config struct {
-	// TubePressureAtm is the ³He fill pressure (default 4 atm).
-	TubePressureAtm float64
-	// TubeDiameterCm and TubeLengthCm set the sensitive cylinder
-	// (defaults 2.54 cm × 30 cm).
-	TubeDiameterCm float64
-	TubeLengthCm   float64
-	// CadmiumThicknessCm is the shield thickness on the second tube
-	// (default 0.1 cm — 1 mm).
-	CadmiumThicknessCm float64
-	// NonThermalRatePerHour is the per-tube rate from everything cadmium
-	// does not stop: gammas, betas, fast neutrons (default 120/h).
-	NonThermalRatePerHour float64
-	// DeadTimeMicros is the non-paralyzable dead time per pulse of the
-	// counting chain in microseconds (0 = ideal counter). At Tin-II's
-	// natural-background rates the correction is negligible, but it
-	// matters when the same instrument is parked in a beam.
-	DeadTimeMicros float64
 	// EfficiencySamples sets the Monte Carlo budget for the capture
 	// efficiency estimate (default 20000).
 	EfficiencySamples int
 }
 
 func (c Config) withDefaults() Config {
-	if c.TubePressureAtm <= 0 {
-		c.TubePressureAtm = 4
-	}
-	if c.TubeDiameterCm <= 0 {
-		c.TubeDiameterCm = 2.54
-	}
-	if c.TubeLengthCm <= 0 {
-		c.TubeLengthCm = 30
-	}
-	if c.CadmiumThicknessCm <= 0 {
-		c.CadmiumThicknessCm = 0.1
-	}
-	if c.NonThermalRatePerHour <= 0 {
-		c.NonThermalRatePerHour = 120
-	}
 	if c.EfficiencySamples <= 0 {
 		c.EfficiencySamples = 20000
 	}
 	return c
 }
 
-// FaceAreaCm2 returns the tube's projected sensitive area.
-func (c Config) FaceAreaCm2() float64 {
-	return c.TubeDiameterCm * c.TubeLengthCm
-}
-
 // Detector is a ready-to-count Tin-II instance with a calibrated thermal
 // capture efficiency.
 type Detector struct {
-	cfg Config
 	// Efficiency is the probability that a thermal neutron crossing the
 	// bare tube is captured on ³He (Monte Carlo, from the transport
 	// engine).
@@ -93,27 +68,24 @@ func New(cfg Config, s *rng.Stream) (*Detector, error) {
 		return nil, errors.New("detector: nil rng stream")
 	}
 	thermal := func(st *rng.Stream) units.Energy { return units.Energy(st.MaxwellEnergy(0.0253)) }
-	gas := materials.Helium3Gas(cfg.TubePressureAtm)
+	gas := materials.Helium3Gas(tubePressureAtm)
 	tally, err := transport.SimulateContext(context.Background(), []transport.Slab{
-		{Material: gas, Thickness: cfg.TubeDiameterCm},
+		{Material: gas, Thickness: tubeDiameterCm},
 	}, cfg.EfficiencySamples, thermal, s, transport.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("detector: efficiency estimate: %w", err)
 	}
 	eff := float64(tally.AbsorbedByElement["He3"]) / float64(tally.Incident)
 	shielded, err := transport.SimulateContext(context.Background(), []transport.Slab{
-		{Material: materials.CadmiumSheet(), Thickness: cfg.CadmiumThicknessCm},
-		{Material: gas, Thickness: cfg.TubeDiameterCm},
+		{Material: materials.CadmiumSheet(), Thickness: cadmiumThicknessCm},
+		{Material: gas, Thickness: tubeDiameterCm},
 	}, cfg.EfficiencySamples, thermal, s, transport.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("detector: shield estimate: %w", err)
 	}
 	leak := float64(shielded.AbsorbedByElement["He3"]) / float64(shielded.Incident)
-	return &Detector{cfg: cfg, Efficiency: eff, ShieldLeak: leak}, nil
+	return &Detector{Efficiency: eff, ShieldLeak: leak}, nil
 }
-
-// Config returns the (defaulted) configuration.
-func (d *Detector) Config() Config { return d.cfg }
 
 // Gap is the flux-schedule sentinel for an hour with no data (detector
 // offline, DAQ restart). Gapped hours record NaN in the series.
@@ -180,7 +152,6 @@ func (d *Detector) Count(hours int, thermalFluxPerHour func(hour int) float64, s
 		Shielded:        make([]float64, hours),
 		ThermalEstimate: make([]float64, hours),
 	}
-	area := d.cfg.FaceAreaCm2()
 	for h := 0; h < hours; h++ {
 		flux := thermalFluxPerHour(h)
 		if flux == Gap {
@@ -192,27 +163,13 @@ func (d *Detector) Count(hours int, thermalFluxPerHour func(hour int) float64, s
 		if flux < 0 {
 			return Series{}, fmt.Errorf("detector: negative flux at hour %d", h)
 		}
-		thermalMean := flux * area * d.Efficiency
-		bareMean := d.observedMeanPerHour(thermalMean + d.cfg.NonThermalRatePerHour)
-		bare := float64(s.Poisson(bareMean))
-		shieldedMean := d.observedMeanPerHour(flux*area*d.ShieldLeak + d.cfg.NonThermalRatePerHour)
-		shielded := float64(s.Poisson(shieldedMean))
+		bare := float64(s.Poisson(flux*FaceAreaCm2*d.Efficiency + nonThermalRatePerHour))
+		shielded := float64(s.Poisson(flux*FaceAreaCm2*d.ShieldLeak + nonThermalRatePerHour))
 		out.Bare[h] = bare
 		out.Shielded[h] = shielded
 		out.ThermalEstimate[h] = bare - shielded
 	}
 	return out, nil
-}
-
-// observedMeanPerHour applies the non-paralyzable dead-time distortion to
-// an hourly true count rate: r_obs = r_true / (1 + r_true·τ).
-func (d *Detector) observedMeanPerHour(truePerHour float64) float64 {
-	tau := d.cfg.DeadTimeMicros * 1e-6
-	if tau <= 0 {
-		return truePerHour
-	}
-	perSecond := truePerHour / 3600
-	return 3600 * perSecond / (1 + perSecond*tau)
 }
 
 // StepSchedule returns a flux schedule that jumps from base to
@@ -229,7 +186,7 @@ func StepSchedule(base, enhancement float64, changeHour int) func(int) float64 {
 // WaterExperiment reproduces the paper's Fig. "turkeypan": several days of
 // background counting, then two inches of water placed over the detector.
 // The thermal-flux enhancement is computed by the transport engine from
-// the water slab's albedo (calibrated coupling; see fit package), and the
+// the water slab's albedo (times transport.ModeratorCoupling), and the
 // resulting count series is scanned for the step.
 type WaterExperimentResult struct {
 	Series      Series
@@ -239,42 +196,34 @@ type WaterExperimentResult struct {
 	WaterHour int
 }
 
+// The water experiment's slab is two inches of water, and its site's
+// fast:thermal flux ratio is NYC-like.
+const (
+	waterThicknessCm   = 5.08
+	fastToThermalRatio = 3.2
+)
+
 // WaterExperimentConfig parameterizes the experiment.
 type WaterExperimentConfig struct {
 	Detector *Detector
 	// BaseThermalFluxPerHour is the building's ambient thermal flux
 	// (default 5 n/cm²/h, a LANL-building-like value).
 	BaseThermalFluxPerHour float64
-	// FastToThermalRatio and Coupling feed the transport enhancement
-	// estimate (defaults 3.2 and 0.5 — see fit package calibration).
-	FastToThermalRatio float64
-	Coupling           float64
 	// DaysBefore and DaysAfter set the observation window (defaults 9, 5:
 	// water went on 2019-04-20 after several days of background).
 	DaysBefore, DaysAfter int
-	// WaterThicknessCm is the slab thickness (default 5.08 — two inches).
-	WaterThicknessCm float64
-	TransportSamples int
+	TransportSamples      int
 }
 
 func (c WaterExperimentConfig) withDefaults() WaterExperimentConfig {
 	if c.BaseThermalFluxPerHour <= 0 {
 		c.BaseThermalFluxPerHour = 5
 	}
-	if c.FastToThermalRatio <= 0 {
-		c.FastToThermalRatio = 3.2
-	}
-	if c.Coupling <= 0 {
-		c.Coupling = 0.5
-	}
 	if c.DaysBefore <= 0 {
 		c.DaysBefore = 9
 	}
 	if c.DaysAfter <= 0 {
 		c.DaysAfter = 5
-	}
-	if c.WaterThicknessCm <= 0 {
-		c.WaterThicknessCm = 5.08
 	}
 	if c.TransportSamples <= 0 {
 		c.TransportSamples = 20000
@@ -297,16 +246,11 @@ func RunWaterExperimentContext(ctx context.Context, cfg WaterExperimentConfig, s
 	fastSource := func(st *rng.Stream) units.Energy {
 		return units.Energy(st.WattEnergy(0.988, 2.249) * 1e6)
 	}
-	enh, err := transport.ThermalEnhancementContext(ctx, transport.EnhancementConfig{
-		Moderator:              materials.Water(),
-		Thickness:              cfg.WaterThicknessCm,
-		FastToThermalFluxRatio: cfg.FastToThermalRatio,
-		Coupling:               cfg.Coupling,
-		Neutrons:               cfg.TransportSamples,
-	}, fastSource, s)
+	albedo, err := transport.ThermalAlbedoContext(ctx, materials.Water(), waterThicknessCm, cfg.TransportSamples, fastSource, s)
 	if err != nil {
 		return nil, fmt.Errorf("detector: enhancement: %w", err)
 	}
+	enh := albedo * transport.ModeratorCoupling * fastToThermalRatio
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -35,14 +35,11 @@ func TestEfficiencyPlausible(t *testing.T) {
 }
 
 func TestDefaults(t *testing.T) {
-	d := newDetector(t, 2)
-	cfg := d.Config()
-	if cfg.TubePressureAtm != 4 || cfg.TubeDiameterCm != 2.54 ||
-		cfg.TubeLengthCm != 30 || cfg.NonThermalRatePerHour != 120 {
-		t.Errorf("defaults not applied: %+v", cfg)
+	if got := (Config{}).withDefaults().EfficiencySamples; got != 20000 {
+		t.Errorf("default efficiency budget = %d", got)
 	}
-	if got := cfg.FaceAreaCm2(); math.Abs(got-76.2) > 0.01 {
-		t.Errorf("face area = %v", got)
+	if math.Abs(FaceAreaCm2-76.2) > 0.01 {
+		t.Errorf("face area = %v", FaceAreaCm2)
 	}
 }
 
@@ -94,7 +91,7 @@ func TestThermalEstimateTracksFlux(t *testing.T) {
 		mean += v
 	}
 	mean /= float64(len(series.ThermalEstimate))
-	want := 5 * d.Config().FaceAreaCm2() * d.Efficiency
+	want := 5 * FaceAreaCm2 * d.Efficiency
 	if math.Abs(mean-want)/want > 0.1 {
 		t.Errorf("thermal estimate mean = %v, want ~%v", mean, want)
 	}
@@ -157,39 +154,6 @@ func TestCountDeterministic(t *testing.T) {
 		if a.Bare[h] != b.Bare[h] || a.Shielded[h] != b.Shielded[h] {
 			t.Fatal("non-deterministic counting")
 		}
-	}
-}
-
-func TestDeadTimeNegligibleAtBackgroundRates(t *testing.T) {
-	ideal, err := New(Config{}, rng.New(20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	realistic, err := New(Config{DeadTimeMicros: 5}, rng.New(20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ~370 counts/h: the correction should be invisible.
-	mIdeal := ideal.observedMeanPerHour(370)
-	mReal := realistic.observedMeanPerHour(370)
-	if math.Abs(mIdeal-mReal)/mIdeal > 1e-6 {
-		t.Errorf("dead time visible at background rates: %v vs %v", mIdeal, mReal)
-	}
-}
-
-func TestDeadTimeSaturatesInBeam(t *testing.T) {
-	d, err := New(Config{DeadTimeMicros: 5}, rng.New(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A beam-like true rate of 1e6 counts/s = 3.6e9 per hour.
-	obs := d.observedMeanPerHour(3.6e9)
-	maxPossible := 3600.0 / 5e-6
-	if obs > maxPossible {
-		t.Errorf("observed %v exceeds saturation %v", obs, maxPossible)
-	}
-	if obs < 0.1*maxPossible {
-		t.Errorf("observed %v implausibly low", obs)
 	}
 }
 

@@ -71,8 +71,7 @@ func E10Shielding(scale Scale, seed uint64) (Table, error) {
 func E12Moderation(scale Scale, seed uint64) (Table, error) {
 	n := transportBudget(scale)
 	s := rng.New(seed)
-	const coupling = 0.5 // calibrated once against the water measurement
-	ratio := 1 / 0.31    // NYC bare fast:thermal
+	ratio := 1 / 0.31 // NYC bare fast:thermal
 	t := Table{
 		ID:     "E12",
 		Title:  "Moderator-induced thermal flux enhancement (§VI)",
@@ -95,7 +94,7 @@ func E12Moderation(scale Scale, seed uint64) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		enh := albedo * coupling * ratio
+		enh := albedo * transport.ModeratorCoupling * ratio
 		if c.name != "polyethylene" {
 			sum += enh
 		}
@@ -103,7 +102,7 @@ func E12Moderation(scale Scale, seed uint64) (Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("water + concrete combined: %s (paper: +44%%)", pct(sum)),
-		"coupling factor 0.5 calibrated once on the water measurement; concrete is then a prediction",
+		fmt.Sprintf("coupling factor %g calibrated once on the water measurement; concrete is then a prediction", transport.ModeratorCoupling),
 	)
 	return t, nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"neutronsim/internal/engine"
 	"neutronsim/internal/rng"
+	"neutronsim/internal/spectrum"
 	"neutronsim/internal/stats"
 	"neutronsim/internal/telemetry"
 	"neutronsim/internal/units"
@@ -32,6 +33,20 @@ func (b Band) String() string {
 		return "fast"
 	default:
 		return "unknown"
+	}
+}
+
+// DefaultFlux is the band's beam flux in the paper's campaigns: ROTAX's
+// total flux for thermal runs and, for fast runs, ChipIR's flux above
+// 10 MeV, the paper's ChipIR normalization.
+func (b Band) DefaultFlux() units.Flux {
+	switch b {
+	case ThermalBeam:
+		return spectrum.ROTAXTotalFlux
+	case FastBeam:
+		return spectrum.ChipIRFastFluxAbove10MeV
+	default:
+		return 0
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"neutronsim/internal/device"
 	"neutronsim/internal/spectrum"
@@ -195,7 +196,7 @@ func (c *Cache) compileFlight(ctx context.Context, fl *flight, key string, compi
 // error and panics — same contract as the weight check in compile.
 func (c *Cache) timedCompile(ctx context.Context, d *device.Device, sp spectrum.Spectrum, calSamples int, seed uint64, bias *Bias, key string) *CampaignPlan {
 	_, span := trace.StartChild(ctx, "plan.compile")
-	t := telemetry.StartTimer(c.compile)
+	start := time.Now()
 	var pl *CampaignPlan
 	var err error
 	if key != "" {
@@ -207,7 +208,7 @@ func (c *Cache) timedCompile(ctx context.Context, d *device.Device, sp spectrum.
 		panic(fmt.Sprintf("plan: compile biased plan: %v", err))
 	}
 	pl.key = key
-	t.ObserveDuration()
+	c.compile.ObserveSince(start)
 	span.End()
 	return pl
 }

@@ -390,19 +390,17 @@ func (n *CampaignRequest) normalizeMemory(p *MemoryParams) error {
 	default:
 		return fmt.Errorf("unknown memory generation %q (want DDR3 or DDR4)", clip(m.Generation))
 	}
+	band := memsim.ThermalBeam
 	switch strings.ToLower(m.Band) {
 	case "", "thermal":
-		m.Band = memsim.ThermalBeam.String()
-		if m.Flux == 0 {
-			m.Flux = float64(spectrum.ROTAXTotalFlux)
-		}
 	case "fast":
-		m.Band = memsim.FastBeam.String()
-		if m.Flux == 0 {
-			m.Flux = float64(spectrum.ChipIRFastFluxAbove10MeV)
-		}
+		band = memsim.FastBeam
 	default:
 		return fmt.Errorf("unknown memory band %q (want thermal or fast)", clip(m.Band))
+	}
+	m.Band = band.String()
+	if m.Flux == 0 {
+		m.Flux = float64(band.DefaultFlux())
 	}
 	if m.Flux <= 0 {
 		return fmt.Errorf("memory flux must be positive")

@@ -578,6 +578,52 @@ func TestAbsurdRunLambdaRejected(t *testing.T) {
 	}
 }
 
+// TestAutoTunedPileUpRejected checks that an auto-tuned beam campaign too
+// long to split into beam.MaxAutoRuns runs of λ ≤ 0.05 fails, instead of
+// running at a higher λ where a run with several faults counts as one
+// event. On K20 at ChipIR, 1e6 s would average λ ≈ 0.16: neutrond accepts
+// it with 202 and the job fails naming λ, and beam.PlanInfo, where a
+// coordinator starts, fails before any fan-out. 1e5 s still plans.
+func TestAutoTunedPileUpRejected(t *testing.T) {
+	campaign := func(seconds float64) *CampaignRequest {
+		n, err := (&CampaignRequest{Kind: KindBeam, Seed: 1, Beam: &BeamParams{
+			Device: "K20", Workload: "MxM", Spectrum: "ChipIR", DurationSeconds: seconds,
+		}}).Normalize()
+		if err != nil {
+			t.Fatalf("%g s: Normalize: %v", seconds, err)
+		}
+		return n
+	}
+	srv := New(Config{Workers: 1, Registry: telemetry.NewRegistry()})
+	defer srv.Drain()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, body := postCampaign(t, ts, campaign(1e6), nil)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %s", resp.StatusCode, body)
+	}
+	var info JobInfo
+	if err := json.Unmarshal(body, &info); err != nil {
+		t.Fatal(err)
+	}
+	if job := awaitJob(t, ts, info.ID, 10*time.Second); job.State != StateFailed || !strings.Contains(job.Error, "λ") {
+		t.Errorf("1e6 s job ended %s (%q), want failed naming λ", job.State, job.Error)
+	}
+	for _, seconds := range []float64{1e6, 1e5} {
+		cfg, err := BeamConfig(campaign(seconds), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = beam.PlanInfo(context.Background(), cfg)
+		switch {
+		case seconds == 1e6 && (err == nil || !strings.Contains(err.Error(), "run_seconds")):
+			t.Errorf("1e6 s: PlanInfo error %v, want one suggesting run_seconds", err)
+		case seconds == 1e5 && err != nil:
+			t.Errorf("1e5 s: PlanInfo: %v", err)
+		}
+	}
+}
+
 // TestNormalizeExactXsectionUncapped checks that maxSamples bounds only a
 // biased xsection query, which compiles a plan of its samples; the exact
 // query streams them in constant memory.

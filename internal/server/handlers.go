@@ -6,10 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
-	"math/rand"
 	"net/http"
-	"strconv"
 	"strings"
 
 	"neutronsim/internal/device"
@@ -233,7 +230,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if j == nil {
 		s.cfg.Registry.Counter("server.queue_full").Add(1)
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg))
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusTooManyRequests, "queue full (depth %d); retry later", s.cfg.QueueDepth)
 		return
 	}
@@ -264,22 +261,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) unavailable(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", retryAfterSeconds(s.cfg))
+	w.Header().Set("Retry-After", retryAfter)
 	writeError(w, http.StatusServiceUnavailable, "server is draining")
-}
-
-// retryAfterSeconds renders the 429/503 Retry-After hint with ±20% jitter
-// so that a burst of rejected clients — or a coordinator fan-out hitting
-// a saturated worker fleet — does not come back as a synchronized retry
-// herd that saturates the queue all over again. The result is always at
-// least 1 second (the header is integer seconds).
-func retryAfterSeconds(cfg Config) string {
-	base := cfg.RetryAfter.Seconds()
-	secs := int(math.Round(base * (0.8 + 0.4*rand.Float64())))
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
 }
 
 // handleJob is GET /v1/jobs/{id}. Finished jobs carry the result body and
@@ -434,7 +417,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if s.draining.Load() {
 		info.Status = "draining"
 		info.Draining = true
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg))
+		w.Header().Set("Retry-After", retryAfter)
 		writeJSON(w, http.StatusServiceUnavailable, info)
 		return
 	}

@@ -39,15 +39,6 @@ type Config struct {
 	// DrainTimeout bounds how long Run waits for in-flight jobs after its
 	// context is canceled before canceling them (default 30s).
 	DrainTimeout time.Duration
-	// RetryAfter is the hint returned with 429/503 (default 2s).
-	RetryAfter time.Duration
-	// MaxJobs bounds retained job records; the oldest terminal jobs are
-	// forgotten beyond it (default 1024).
-	MaxJobs int
-	// SSEHeartbeat is the idle interval between comment frames on the
-	// /v1/jobs/{id}/events stream, keeping proxies from timing out a quiet
-	// connection (default 15s; negative disables).
-	SSEHeartbeat time.Duration
 	// ShardSlots bounds concurrent POST /v1/shards executions — the
 	// synchronous worker surface of cluster mode (default GOMAXPROCS).
 	// Like every worker knob it never affects results.
@@ -91,15 +82,6 @@ func (c Config) withDefaults() Config {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 2 * time.Second
-	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 1024
-	}
-	if c.SSEHeartbeat == 0 {
-		c.SSEHeartbeat = 15 * time.Second
-	}
 	if c.ShardSlots <= 0 {
 		c.ShardSlots = runtime.GOMAXPROCS(0)
 	}
@@ -108,6 +90,20 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+const (
+	// retryAfter is the Retry-After hint, in seconds, of every 429 and
+	// 503. cluster.Client's own backoff never exceeds it, so a peer waits
+	// exactly the hint before it retries.
+	retryAfter = "2"
+	// maxJobRecords bounds retained job records; the oldest terminal jobs
+	// are forgotten beyond it.
+	maxJobRecords = 1024
+	// sseHeartbeat is the idle interval between comment frames on the
+	// /v1/jobs/{id}/events stream, keeping proxies from timing out a quiet
+	// connection.
+	sseHeartbeat = 15 * time.Second
+)
 
 // Server is the neutrond campaign service.
 type Server struct {
@@ -143,6 +139,10 @@ type Server struct {
 
 	// execute runs one campaign; tests override it to control timing.
 	execute func(ctx context.Context, req *CampaignRequest, shards int) (*ResultEnvelope, error)
+	// maxJobs and heartbeat are maxJobRecords and sseHeartbeat; tests
+	// shrink them.
+	maxJobs   int
+	heartbeat time.Duration
 
 	jobsRunning *telemetry.Gauge
 	queueDepth  *telemetry.Gauge
@@ -163,6 +163,8 @@ func New(cfg Config) *Server {
 		byID:      map[string]*Job{},
 		inflight:  map[string]*Job{},
 		execute:   Execute,
+		maxJobs:   maxJobRecords,
+		heartbeat: sseHeartbeat,
 	}
 	if cfg.Execute != nil {
 		s.execute = cfg.Execute
@@ -372,9 +374,9 @@ func (s *Server) submit(req *CampaignRequest, key string, parent *trace.Tracepar
 }
 
 // evictOldRecordsLocked forgets the oldest terminal job records beyond
-// MaxJobs. Queued/running jobs are never evicted.
+// maxJobs. Queued/running jobs are never evicted.
 func (s *Server) evictOldRecordsLocked() {
-	for len(s.byID) > s.cfg.MaxJobs {
+	for len(s.byID) > s.maxJobs {
 		evicted := false
 		for i, id := range s.order {
 			j, ok := s.byID[id]

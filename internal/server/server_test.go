@@ -64,8 +64,8 @@ func TestQueueBackpressure(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("job 3: status %d, want 429: %s", resp.StatusCode, body)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 without Retry-After")
+	if got := resp.Header.Get("Retry-After"); got != "2" {
+		t.Errorf("429 Retry-After %q, want 2", got)
 	}
 	if got := reg.Counter("server.queue_full").Value(); got != 1 {
 		t.Errorf("queue_full = %d, want 1", got)
@@ -377,8 +377,9 @@ func TestCacheLRUBounds(t *testing.T) {
 }
 
 func TestJobRecordEviction(t *testing.T) {
-	srv := New(Config{Workers: 1, MaxJobs: 2, Registry: telemetry.NewRegistry()})
+	srv := New(Config{Workers: 1, Registry: telemetry.NewRegistry()})
 	defer srv.Drain()
+	srv.maxJobs = 2
 	release := make(chan struct{})
 	close(release)
 	srv.execute = blockingExec(nil, release)

@@ -34,17 +34,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// Idle streams emit SSE comment frames so proxies and clients with
 	// read timeouts keep the connection open while a long campaign runs
 	// between progress updates.
-	var heartbeat <-chan time.Time
-	if s.cfg.SSEHeartbeat > 0 {
-		t := time.NewTicker(s.cfg.SSEHeartbeat)
-		defer t.Stop()
-		heartbeat = t.C
-	}
+	heartbeat := time.NewTicker(s.heartbeat)
+	defer heartbeat.Stop()
 	for {
 		select {
 		case <-r.Context().Done():
 			return
-		case <-heartbeat:
+		case <-heartbeat.C:
 			fmt.Fprint(w, ": heartbeat\n\n")
 			flusher.Flush()
 		case p := <-sub:

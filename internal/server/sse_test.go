@@ -121,8 +121,9 @@ func TestSSEEventOrdering(t *testing.T) {
 // TestSSEHeartbeatOnIdleStream checks that a quiet job still produces
 // periodic comment frames so intermediaries keep the connection alive.
 func TestSSEHeartbeatOnIdleStream(t *testing.T) {
-	srv := New(Config{Workers: 1, SSEHeartbeat: 20 * time.Millisecond, Registry: telemetry.NewRegistry()})
+	srv := New(Config{Workers: 1, Registry: telemetry.NewRegistry()})
 	defer srv.Drain()
+	srv.heartbeat = 20 * time.Millisecond
 	release := make(chan struct{})
 	started := make(chan string, 1)
 	srv.execute = blockingExec(started, release)

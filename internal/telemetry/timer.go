@@ -8,24 +8,3 @@ import "time"
 func (h *Histogram) ObserveSince(start time.Time) {
 	h.Observe(time.Since(start).Seconds())
 }
-
-// Timer times one phase into a histogram. Zero-value Timers are invalid;
-// use StartTimer.
-type Timer struct {
-	h     *Histogram
-	start time.Time
-}
-
-// StartTimer starts timing into h.
-func StartTimer(h *Histogram) Timer {
-	return Timer{h: h, start: time.Now()}
-}
-
-// ObserveDuration records the elapsed time into the histogram (in
-// seconds) and returns it. It may be called multiple times; each call
-// records the total elapsed time since the timer started.
-func (t Timer) ObserveDuration() time.Duration {
-	d := time.Since(t.start)
-	t.h.Observe(d.Seconds())
-	return d
-}

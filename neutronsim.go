@@ -16,7 +16,6 @@ import (
 	"neutronsim/internal/plan"
 	"neutronsim/internal/report"
 	"neutronsim/internal/rng"
-	"neutronsim/internal/spectrum"
 	"neutronsim/internal/units"
 	"neutronsim/internal/workload"
 )
@@ -147,7 +146,7 @@ func RunMemoryCampaign(spec ModuleSpec, hours float64, ecc bool, seed uint64) (*
 	return memsim.RunContext(context.Background(), memsim.Config{
 		Spec:            spec,
 		Band:            memsim.ThermalBeam,
-		Flux:            spectrum.ROTAXTotalFlux,
+		Flux:            memsim.ThermalBeam.DefaultFlux(),
 		DurationSeconds: hours * 3600,
 		ECC:             ecc,
 		Seed:            seed,
