@@ -63,11 +63,11 @@ func run(args []string) error {
 		cfg.Band = memsim.ThermalBeam
 	case "fast":
 		cfg.Band = memsim.FastBeam
-		cfg.PermanentAbortLimit = 100
 	default:
 		return fmt.Errorf("unknown band %q", *band)
 	}
 	cfg.Flux = cfg.Band.DefaultFlux()
+	cfg.PermanentAbortLimit = cfg.Band.DefaultAbortLimit()
 	res, err := memsim.RunContext(context.Background(), cfg)
 	if err != nil {
 		return err

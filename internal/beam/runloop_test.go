@@ -81,6 +81,8 @@ func TestReplayRunsZeroAllocs(t *testing.T) {
 		dev      *device.Device
 		workload string
 	}{
+		{loud(device.K20()), "LavaMD"},
+		{loud(device.K20()), "HotSpot"},
 		{loud(device.K20()), "SC"},
 		{loud(device.K20()), "YOLO"},
 		{loud(device.FPGA()), "MNIST"}, // persistent configuration faults replay every run

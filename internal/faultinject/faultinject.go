@@ -71,8 +71,8 @@ type GoldenRun struct {
 	seed   uint64
 	output []float64
 	// checkpoints[k] holds the content of every State buffer before step
-	// k, sharing unchanged blocks with checkpoint k-1.
-	checkpoints [][]snapshot
+	// k, sharing unchanged snapshots and blocks with checkpoint k-1.
+	checkpoints [][]*snapshot
 	// readOnly[r] reports whether Regions()[r] lies outside State: no
 	// step writes it, so a replay restores it by undoing the bits it
 	// flipped there instead of copying it.
@@ -99,7 +99,7 @@ func RecordGolden(w workload.Workload, seed uint64) (*GoldenRun, error) {
 	}
 	w.Reset(seed)
 	regions, state := w.Regions(), w.State()
-	g := &GoldenRun{name: w.Name(), seed: seed, readOnly: readOnly(regions, state), checkpoints: make([][]snapshot, steps)}
+	g := &GoldenRun{name: w.Name(), seed: seed, readOnly: readOnly(regions, state), checkpoints: make([][]*snapshot, steps)}
 	var err error
 	if g.observe, err = observe(w, steps, len(regions)); err != nil {
 		return nil, err
@@ -110,17 +110,13 @@ func RecordGolden(w workload.Workload, seed uint64) (*GoldenRun, error) {
 			before[i] = checksum(r)
 		}
 	}
-	// Every checkpoint's snapshots and block lists are allocated together.
-	nf, nu := 0, 0
-	for _, r := range state {
-		nf, nu = nf+numBlocks(len(r.F64)), nu+numBlocks(len(r.U32))
-	}
-	lists := blockLists{f64: make([][]float64, 0, steps*nf), u32: make([][]uint32, 0, steps*nu)}
-	snaps, prev := make([]snapshot, steps*len(state)), make([]snapshot, len(state))
+	// Every checkpoint's snapshot pointers are allocated together.
+	snaps, prev := make([]*snapshot, steps*len(state)), make([]*snapshot, len(state))
+	var buf snapshot
 	for k := range steps {
 		cp := snaps[k*len(state) : (k+1)*len(state) : (k+1)*len(state)]
 		for j, r := range state {
-			cp[j] = takeSnapshot(r, prev[j], &lists)
+			cp[j] = takeSnapshot(r, prev[j], &buf)
 		}
 		g.checkpoints[k], prev = cp, cp
 		if err := w.Step(k); err != nil {
@@ -175,7 +171,7 @@ func (g *GoldenRun) NewInjector(w workload.Workload) (*Injector, error) {
 	regions, state := w.Regions(), w.State()
 	if w.Name() != g.name || w.Steps() != len(g.checkpoints) ||
 		!slices.Equal(readOnly(regions, state), g.readOnly) ||
-		!slices.EqualFunc(g.checkpoints[0], state, snapshot.fits) {
+		!slices.EqualFunc(g.checkpoints[0], state, (*snapshot).fits) {
 		return nil, fmt.Errorf("faultinject: %s workload does not match the golden %s run", w.Name(), g.name)
 	}
 	w.Reset(g.seed)

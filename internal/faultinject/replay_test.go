@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"neutronsim/internal/device"
@@ -214,6 +215,46 @@ func TestMxMReplaysFromTheRowItReads(t *testing.T) {
 	}
 }
 
+// TestLavaMDReplaysFromTheBoxItReads pins the saving of LavaMD's box
+// regions: a flip in box b's forces or neighbor list waits for step b,
+// one in a list already used is dropped, and one in forces already summed
+// replays only the last step. Over single-bit faults at uniform steps
+// that averages 7.3 replayed steps per fault; declaring the forces and
+// the lists whole, as one region each, averaged 12.7. Every replayed step
+// runs LavaMD's pair loop, so two injectors on one golden run share the
+// faults, each from its own stream.
+func TestLavaMDReplaysFromTheBoxItReads(t *testing.T) {
+	const faults = 100_000
+	g, err := RecordGolden(workload.NewLavaMD(3, 8), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters := []*stepCounter{{Workload: workload.NewLavaMD(3, 8)}, {Workload: workload.NewLavaMD(3, 8)}}
+	var wg sync.WaitGroup
+	for i, w := range counters {
+		inj, err := g.NewInjector(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := rng.New(17 + uint64(i))
+			for range faults / len(counters) {
+				inj.Run([]Timed{{Step: s.Intn(inj.Steps()), Fault: dataFault(1)}}, s)
+			}
+		}()
+	}
+	wg.Wait()
+	steps := 0
+	for _, w := range counters {
+		steps += w.steps
+	}
+	if perFault := float64(steps) / faults; perFault > 7.5 {
+		t.Errorf("LavaMD replays %.2f steps per single-bit fault, want at most 7.5", perFault)
+	}
+}
+
 // BenchmarkInjectorRun measures one single-bit data-fault replay per op at
 // a uniform step, the dominant cost of a device assessment.
 func BenchmarkInjectorRun(b *testing.B) {
@@ -363,9 +404,9 @@ func TestGoldenRunRejectsMismatchedWorkload(t *testing.T) {
 }
 
 // TestSnapshotComparesBits pins the comparison behind checkpoint block
-// sharing and the convergence early-out: values that compare equal but
-// differ in bits (signed zeros) would steer later steps differently, so
-// they must not match, and a NaN must match its own bits.
+// and snapshot sharing: values that compare equal but differ in bits
+// (signed zeros) would steer later steps differently, so they must not
+// match, and a NaN must match its own bits.
 func TestSnapshotComparesBits(t *testing.T) {
 	negZero, nan := math.Copysign(0, -1), math.NaN()
 	if equalF64([]float64{0}, []float64{negZero}) {
@@ -376,10 +417,13 @@ func TestSnapshotComparesBits(t *testing.T) {
 	}
 	// A -0 block must not be stored as the shared zero block.
 	r := workload.Region{F64: make([]float64, 3*blockWords+5)}
-	var lists blockLists
-	zero := takeSnapshot(r, snapshot{}, &lists)
+	var buf snapshot
+	zero := takeSnapshot(r, nil, &buf)
+	if takeSnapshot(r, zero, &buf) != zero {
+		t.Error("an unchanged buffer does not share its previous snapshot")
+	}
 	r.F64[blockWords+1] = negZero
-	next := takeSnapshot(r, zero, &lists)
+	next := takeSnapshot(r, zero, &buf)
 	if !holds(next, r) || holds(zero, r) {
 		t.Error("a signed zero was lost by block sharing")
 	}
@@ -512,7 +556,7 @@ func (o *outputOnly) Uses(i int) []workload.Use {
 }
 
 // holds reports whether r holds the snapshot's content bit for bit.
-func holds(s snapshot, r workload.Region) bool {
+func holds(s *snapshot, r workload.Region) bool {
 	if !s.fits(r) {
 		return false
 	}

@@ -10,8 +10,10 @@ import (
 // blockWords is the sharing granularity of checkpoints: a checkpointed
 // buffer is kept as blocks of this many words, and a block whose bits
 // match the same block of the previous checkpoint, or are all zero,
-// shares that storage. A checkpoint then costs only the blocks its step
-// changed — one row of MxM's C, one box of LavaMD's forces.
+// shares that storage; a buffer whose every block matches shares the
+// previous checkpoint's whole snapshot. A checkpoint then costs only the
+// blocks its step changed — one row of MxM's C, one box of LavaMD's
+// forces — and one pointer per State buffer.
 const blockWords = 64
 
 var (
@@ -20,36 +22,49 @@ var (
 )
 
 // snapshot is one State buffer's content at one checkpoint, as the blocks
-// of exactly one word type. Blocks are shared and never written.
+// of exactly one word type. Snapshots and their blocks are shared and
+// never written.
 type snapshot struct {
 	f64 [][]float64
 	u32 [][]uint32
 }
 
-// blockLists holds the block lists of a recording's snapshots, one list
-// per word type. A snapshot's list is a window of it, so a recording that
-// sizes them up front allocates every list together.
-type blockLists struct {
-	f64 [][]float64
-	u32 [][]uint32
-}
-
-// takeSnapshot records r's content, sharing blocks with prev (the same
-// buffer's previous snapshot) where they match, and appends its block
-// list to lists.
-func takeSnapshot(r workload.Region, prev snapshot, lists *blockLists) snapshot {
-	var s snapshot
+// takeSnapshot records r's content. prev is the same buffer's previous
+// snapshot, or nil; the new snapshot shares its blocks where they match,
+// and is prev itself when all of them do. buf holds the block lists while
+// they are built, so an unchanged buffer allocates nothing.
+func takeSnapshot(r workload.Region, prev, buf *snapshot) *snapshot {
+	var p snapshot
+	if prev != nil {
+		p = *prev
+	}
+	buf.f64 = appendBlocks(buf.f64[:0], r.F64, p.f64, zeroF64[:], equalF64)
+	buf.u32 = appendBlocks(buf.u32[:0], r.U32, p.u32, zeroU32[:], slices.Equal[[]uint32])
+	if prev != nil && sameBlocks(buf.f64, p.f64) && sameBlocks(buf.u32, p.u32) {
+		return prev
+	}
+	s := &snapshot{}
 	if r.F64 != nil {
-		n := len(lists.f64)
-		lists.f64 = appendBlocks(lists.f64, r.F64, prev.f64, zeroF64[:], equalF64)
-		s.f64 = lists.f64[n:len(lists.f64):len(lists.f64)]
+		s.f64 = append(make([][]float64, 0, len(buf.f64)), buf.f64...)
 	}
 	if r.U32 != nil {
-		n := len(lists.u32)
-		lists.u32 = appendBlocks(lists.u32, r.U32, prev.u32, zeroU32[:], slices.Equal[[]uint32])
-		s.u32 = lists.u32[n:len(lists.u32):len(lists.u32)]
+		s.u32 = append(make([][]uint32, 0, len(buf.u32)), buf.u32...)
 	}
 	return s
+}
+
+// sameBlocks reports whether a and b list the same blocks, storage and
+// all. Blocks are never empty.
+func sameBlocks[T float64 | uint32](a, b [][]T) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if &a[i][0] != &b[i][0] {
+			return false
+		}
+	}
+	return true
 }
 
 // numBlocks is the number of blocks of a buffer of n words.

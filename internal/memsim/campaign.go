@@ -50,6 +50,17 @@ func (b Band) DefaultFlux() units.Flux {
 	}
 }
 
+// DefaultAbortLimit is the band's permanent-fault abort limit in the
+// paper's campaigns: fast runs stop at 100 live permanent faults, as both
+// modules did "after few minutes of irradiation at ChipIR" (§IV), and
+// thermal runs never stop (0).
+func (b Band) DefaultAbortLimit() int {
+	if b == FastBeam {
+		return 100
+	}
+	return 0
+}
+
 // Config describes one correct-loop campaign (§IV): the module is filled
 // with a known pattern (0xFF or 0x00, alternating between passes),
 // continuously read, and rewritten after each observed error.

@@ -103,7 +103,7 @@ type MemoryParams struct {
 	DurationSeconds     float64 `json:"duration_seconds"`
 	PassSeconds         float64 `json:"pass_seconds,omitempty"`
 	ECC                 bool    `json:"ecc,omitempty"`
-	PermanentAbortLimit int     `json:"permanent_abort_limit,omitempty"`
+	PermanentAbortLimit int     `json:"permanent_abort_limit,omitempty"` // 0: the band's default (100 fast, none thermal)
 	ShardGrain          int     `json:"shard_grain,omitempty"`
 }
 
@@ -413,6 +413,9 @@ func (n *CampaignRequest) normalizeMemory(p *MemoryParams) error {
 	}
 	if m.PassSeconds == 0 {
 		m.PassSeconds = 1
+	}
+	if m.PermanentAbortLimit == 0 {
+		m.PermanentAbortLimit = band.DefaultAbortLimit()
 	}
 	if m.ShardGrain < 0 {
 		return fmt.Errorf("memory shard_grain cannot be negative")

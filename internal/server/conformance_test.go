@@ -401,6 +401,40 @@ func TestConformanceMemoryHTTP(t *testing.T) {
 	}
 }
 
+// TestFastMemoryCampaignAbortsAsInDdrtest checks that a fast-band memory
+// request left at the default abort limit runs ddrtest's campaign: it
+// stops on the permanent-fault pile-up, as both modules did at ChipIR.
+func TestFastMemoryCampaignAbortsAsInDdrtest(t *testing.T) {
+	req, err := (&CampaignRequest{Kind: KindMemory, Seed: 3, Memory: &MemoryParams{
+		Generation: "DDR4", Band: "fast", DurationSeconds: 7200,
+	}}).Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := Execute(context.Background(), req, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// cmd/ddrtest's configuration for -module ddr4 -band fast -hours 2 -seed 3.
+	direct, err := memsim.RunContext(context.Background(), memsim.Config{
+		Spec:                memsim.DDR4Module(),
+		Band:                memsim.FastBeam,
+		Flux:                memsim.FastBeam.DefaultFlux(),
+		DurationSeconds:     2 * 3600,
+		PermanentAbortLimit: memsim.FastBeam.DefaultAbortLimit(),
+		Seed:                3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !direct.Aborted || !env.Memory.Aborted {
+		t.Errorf("aborted: neutrond %v, ddrtest %v; a fast campaign must stop on its permanent faults", env.Memory.Aborted, direct.Aborted)
+	}
+	if !reflect.DeepEqual(env.Memory, direct) {
+		t.Errorf("neutrond's fast memory campaign differs from ddrtest's\nneutrond: %+v\nddrtest:  %+v", env.Memory, direct)
+	}
+}
+
 // invalidSubmits are submit bodies the service must answer with 400.
 var invalidSubmits = []struct {
 	name string

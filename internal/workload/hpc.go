@@ -200,6 +200,10 @@ func (l *LUD) Uses(int) []Use { return []Use{Reads} }
 
 // LavaMD ---------------------------------------------------------------------
 
+// lavaNeighbors is the length of a box's neighbor list: the 27 boxes
+// around it, itself included, with clamped coordinates.
+const lavaNeighbors = 27
+
 // LavaMD simulates short-range particle interactions across a 3-D grid of
 // boxes, the paper's N-body / finite-difference representative.
 type LavaMD struct {
@@ -208,8 +212,12 @@ type LavaMD struct {
 	pos       []float64
 	charge    []float64
 	force     []float64
-	neighbors []uint32 // per box: indices of neighbor boxes (27 each, self included)
-	perBox    int
+	neighbors []uint32 // per box: lavaNeighbors indices of neighbor boxes
+	// regions is the positions, the charges, then the forces and the
+	// neighbor lists one box each: the word order of
+	// positions‖charges‖forces‖neighbors, split by box so that a flip's
+	// region tells which step uses it. Built once at its exact capacity.
+	regions []Region
 }
 
 // NewLavaMD builds a dim³-box simulation with p particles per box.
@@ -221,15 +229,22 @@ func NewLavaMD(dim, p int) *LavaMD {
 		p = 1
 	}
 	boxes := dim * dim * dim
-	return &LavaMD{
+	l := &LavaMD{
 		dim:       dim,
 		particles: p,
 		pos:       make([]float64, 3*boxes*p),
 		charge:    make([]float64, boxes*p),
 		force:     make([]float64, 3*boxes*p),
-		neighbors: make([]uint32, boxes*27),
-		perBox:    27,
+		neighbors: make([]uint32, boxes*lavaNeighbors),
+		regions:   make([]Region, 2+2*boxes),
 	}
+	l.regions[0] = Region{Name: "positions", F64: l.pos}
+	l.regions[1] = Region{Name: "charges", F64: l.charge}
+	for b := range boxes {
+		l.regions[2+b] = Region{Name: "forces", F64: l.force[3*b*p : 3*(b+1)*p]}
+		l.regions[2+boxes+b] = Region{Name: "neighbors", U32: l.neighbors[b*lavaNeighbors : (b+1)*lavaNeighbors]}
+	}
+	return l
 }
 
 // Name implements Workload.
@@ -254,13 +269,13 @@ func (l *LavaMD) Reset(seed uint64) {
 			l.force[3*idx+1] = 0
 			l.force[3*idx+2] = 0
 		}
-		// Neighbor list: the 27 surrounding boxes with clamped coordinates.
+		// Neighbor list: the surrounding boxes with clamped coordinates.
 		ni := 0
 		for dz := -1; dz <= 1; dz++ {
 			for dy := -1; dy <= 1; dy++ {
 				for dx := -1; dx <= 1; dx++ {
 					nx, ny, nz := clamp(bx+dx, d), clamp(by+dy, d), clamp(bz+dz, d)
-					l.neighbors[b*27+ni] = uint32(nx + ny*d + nz*d*d)
+					l.neighbors[b*lavaNeighbors+ni] = uint32(nx + ny*d + nz*d*d)
 					ni++
 				}
 			}
@@ -293,8 +308,8 @@ func (l *LavaMD) Step(i int) error {
 	for k := 0; k < l.particles; k++ {
 		pi := i*l.particles + k
 		var fx, fy, fz float64
-		for n := 0; n < 27; n++ {
-			nb := l.neighbors[i*27+n]
+		for n := 0; n < lavaNeighbors; n++ {
+			nb := l.neighbors[i*lavaNeighbors+n]
 			if int(nb) >= boxes {
 				return ErrCorruptState
 			}
@@ -326,26 +341,29 @@ func (l *LavaMD) Step(i int) error {
 // AppendOutput implements Workload.
 func (l *LavaMD) AppendOutput(dst []float64) []float64 { return append(dst, l.force...) }
 
-// Regions implements Workload.
-func (l *LavaMD) Regions() []Region {
-	return []Region{
-		{Name: "positions", F64: l.pos},
-		{Name: "charges", F64: l.charge},
-		{Name: "forces", F64: l.force},
-		{Name: "neighbors", U32: l.neighbors},
-	}
-}
+// Regions implements Workload: the positions, the charges, the forces
+// box by box, then the neighbor lists box by box.
+func (l *LavaMD) Regions() []Region { return l.regions }
 
-// State implements Workload: steps accumulate into the forces only.
-func (l *LavaMD) State() []Region { return []Region{{Name: "forces", F64: l.force}} }
+// State implements Workload: steps accumulate into the force boxes only.
+func (l *LavaMD) State() []Region { return l.regions[2 : 2+l.Steps()] }
 
-// Uses implements Workload: a step reads every input and adds into one
-// box's forces.
+// Uses implements Workload: step i reads every position and charge, and
+// box i's neighbor list, and adds into box i's forces; the output reads
+// only the forces. A corrupted neighbor index steers only which positions
+// and charges a step reads, and those are Reads at every step, while box
+// i's forces and list are indexed by i alone.
 func (l *LavaMD) Uses(i int) []Use {
-	if i == l.Steps() {
-		return []Use{Unused, Unused, Reads, Unused}
+	boxes := l.Steps()
+	u := make([]Use, 2+2*boxes)
+	if i == boxes {
+		for b := range boxes {
+			u[2+b] = Reads
+		}
+		return u
 	}
-	return []Use{Reads, Reads, Reads, Reads}
+	u[0], u[1], u[2+i], u[2+boxes+i] = Reads, Reads, Reads, Reads
+	return u
 }
 
 // HotSpot --------------------------------------------------------------------
@@ -414,19 +432,25 @@ func (h *HotSpot) Step(i int) error {
 		return fmt.Errorf("HotSpot: step %d out of range", i)
 	}
 	n := h.n
-	const k = 0.2
-	for y := 0; y < n; y++ {
-		for x := 0; x < n; x++ {
-			c := h.temp[y*n+x]
-			up := h.temp[clamp(y-1, n)*n+x]
-			down := h.temp[clamp(y+1, n)*n+x]
-			left := h.temp[y*n+clamp(x-1, n)]
-			right := h.temp[y*n+clamp(x+1, n)]
-			h.next[y*n+x] = c + k*((up+down+left+right)/4-c) + 0.1*h.power[y*n+x]
+	for y := range n {
+		row := h.temp[y*n : (y+1)*n]
+		up, down := h.temp[clamp(y-1, n)*n:][:n], h.temp[clamp(y+1, n)*n:][:n]
+		power, next := h.power[y*n:][:n], h.next[y*n:][:n]
+		next[0] = diffuse(row[0], up[0], down[0], row[0], row[1], power[0])
+		for x := 1; x < n-1; x++ {
+			next[x] = diffuse(row[x], up[x], down[x], row[x-1], row[x+1], power[x])
 		}
+		next[n-1] = diffuse(row[n-1], up[n-1], down[n-1], row[n-2], row[n-1], power[n-1])
 	}
 	copy(h.temp, h.next)
 	return nil
+}
+
+// diffuse is one cell's explicit update from its temperature c, its four
+// neighbors' and its power.
+func diffuse(c, up, down, left, right, power float64) float64 {
+	const k = 0.2
+	return c + k*((up+down+left+right)/4-c) + 0.1*power
 }
 
 // AppendOutput implements Workload.

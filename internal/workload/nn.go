@@ -30,9 +30,13 @@ type YOLO struct {
 	scores  []float64
 }
 
+// YOLO's input edge and the channel counts of its two convolutions; they
+// also size conv2D's stack buffers.
+const yoloSize, yoloC1, yoloC2 = 32, 8, 16
+
 // NewYOLO builds the detection network.
 func NewYOLO() *YOLO {
-	const size, c1, c2, classes = 32, 8, 16, 10
+	const size, c1, c2, classes = yoloSize, yoloC1, yoloC2, 10
 	half, quarter := size/2, size/4
 	return &YOLO{
 		size:    size,
@@ -100,7 +104,7 @@ func (y *YOLO) Steps() int { return 6 }
 
 // Step runs stage i of the network.
 func (y *YOLO) Step(i int) error {
-	const c1, c2 = 8, 16
+	const c1, c2 = yoloC1, yoloC2
 	n := y.size
 	half := n / 2
 	switch i {
@@ -233,16 +237,11 @@ func (m *MNIST) Steps() int { return 3 }
 func (m *MNIST) Step(i int) error {
 	switch i {
 	case 0:
-		for h := 0; h < m.hidden; h++ {
-			sum := 0.0
-			base := h * m.size * m.size
-			for j, v := range m.in {
-				sum += m.w1[base+j] * v
+		denseLayer(m.in, m.w1, m.h)
+		for h, v := range m.h {
+			if v < 0 {
+				m.h[h] = 0
 			}
-			if sum < 0 {
-				sum = 0
-			}
-			m.h[h] = sum
 		}
 	case 1:
 		denseLayer(m.h, m.w2, m.scores)
@@ -292,19 +291,35 @@ func (m *MNIST) Uses(i int) []Use {
 
 // conv2D applies chOut 3×3 filters over a chIn-channel square input with
 // clamped borders, writing chOut feature maps; relu optionally rectifies.
+// For each pixel it gathers the chIn×3×3 input patch through clamped row
+// offsets and column indices tabled once per call, then takes the chOut
+// filters as denseLayer rows over the patch, so every output is one sum
+// from 0.0 in (ci, dy, dx) order. n ≤ yoloSize, chIn ≤ yoloC1 and
+// chOut ≤ yoloC2: the tables and buffers live on the stack.
 func conv2D(in []float64, n, chIn int, w []float64, chOut int, out []float64, relu bool) {
-	for co := 0; co < chOut; co++ {
-		for y := 0; y < n; y++ {
-			for x := 0; x < n; x++ {
-				sum := 0.0
-				for ci := 0; ci < chIn; ci++ {
-					for dy := -1; dy <= 1; dy++ {
-						for dx := -1; dx <= 1; dx++ {
-							wi := ((co*chIn+ci)*3+(dy+1))*3 + (dx + 1)
-							sum += w[wi] * in[(ci*n+clamp(y+dy, n))*n+clamp(x+dx, n)]
-						}
-					}
+	var rowTab, colTab [3 * yoloSize]int
+	var patchBuf [9 * yoloC1]float64
+	var accBuf [yoloC2]float64
+	for i := range n {
+		for d := range 3 {
+			colTab[3*i+d] = clamp(i+d-1, n)
+			rowTab[3*i+d] = colTab[3*i+d] * n
+		}
+	}
+	plane := n * n
+	patch, acc := patchBuf[:9*chIn], accBuf[:chOut]
+	for y := range n {
+		rows := rowTab[3*y : 3*y+3]
+		for x := range n {
+			cols := colTab[3*x : 3*x+3]
+			for ci := range chIn {
+				src, dst := in[ci*plane:(ci+1)*plane], patch[9*ci:9*ci+9]
+				for dy, r := range rows {
+					dst[3*dy], dst[3*dy+1], dst[3*dy+2] = src[r+cols[0]], src[r+cols[1]], src[r+cols[2]]
 				}
+			}
+			denseLayer(patch, w, acc)
+			for co, sum := range acc {
 				if relu && sum < 0 {
 					sum = 0
 				}
@@ -336,14 +351,29 @@ func maxPool(in []float64, n, ch int, out []float64) {
 }
 
 // denseLayer computes out = W·in with W laid out row-major
-// (len(out) × len(in)).
+// (len(out) × len(in)), four rows at a time. Each output is still one sum
+// over j = 0..len(in)-1 from 0.0, in j order, as a one-row loop gives;
+// the four independent sums only interleave, which breaks each output's
+// chain of dependent adds.
 func denseLayer(in, w, out []float64) {
 	cols := len(in)
-	for r := range out {
-		sum := 0.0
-		base := r * cols
+	r := 0
+	for ; r+4 <= len(out); r += 4 {
+		w0, w1 := w[r*cols:(r+1)*cols], w[(r+1)*cols:(r+2)*cols]
+		w2, w3 := w[(r+2)*cols:(r+3)*cols], w[(r+3)*cols:(r+4)*cols]
+		var s0, s1, s2, s3 float64
 		for j, v := range in {
-			sum += w[base+j] * v
+			s0 += w0[j] * v
+			s1 += w1[j] * v
+			s2 += w2[j] * v
+			s3 += w3[j] * v
+		}
+		out[r], out[r+1], out[r+2], out[r+3] = s0, s1, s2, s3
+	}
+	for ; r < len(out); r++ {
+		sum := 0.0
+		for j, v := range w[r*cols : (r+1)*cols] {
+			sum += v * in[j]
 		}
 		out[r] = sum
 	}

@@ -87,14 +87,16 @@ type Workload interface {
 	// Reads but must never understate it.
 	//
 	// A region may be declared Unused or Overwrites at a step only if no
-	// injectable word steers which words that step touches. Otherwise a
-	// flipped index could make the step read a region its declaration
-	// says it ignores, and a flip deferred past that step would land too
-	// late. Multi-fault schedules can hit this; a test that flips one
-	// region at a time cannot. MxM, LUD, HotSpot, CED, YOLO and MNIST
-	// index statically. SC's cursor, BFS's offsets and edges and LavaMD's
-	// neighbor lists are injectable and steer reads, so those workloads
-	// declare Reads at every step.
+	// injectable word can make that step touch it. Otherwise a flipped
+	// index could make the step read a region its declaration says it
+	// ignores, and a flip deferred past that step would land too late.
+	// Multi-fault schedules can hit this; a test that flips one region at
+	// a time cannot. MxM, LUD, HotSpot, CED, YOLO and MNIST index
+	// statically. SC's cursor and BFS's offsets and edges are injectable
+	// and steer reads, so those workloads declare Reads at every step.
+	// LavaMD's neighbor lists steer its position and charge reads, so
+	// those stay Reads at every step; box i's forces and list are indexed
+	// by i alone, so step i leaves every other box's Unused.
 	Uses(i int) []Use
 }
 

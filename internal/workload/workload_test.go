@@ -156,6 +156,50 @@ func TestMxMRegionLayout(t *testing.T) {
 	}
 }
 
+// TestLavaMDRegionLayout pins LavaMD's region split: the positions, the
+// charges, then the forces of each box and the neighbor list of each
+// box, whose words concatenated are positions‖charges‖forces‖neighbors
+// in order. The injector picks a flip's word by its flat index over
+// Regions(), as does the frozen reset-and-replay reference, so a
+// reordered split would move every result while the two kept agreeing.
+func TestLavaMDRegionLayout(t *testing.T) {
+	const dim, p = 3, 8
+	l := NewLavaMD(dim, p)
+	l.Reset(3)
+	boxes := dim * dim * dim
+	regions := l.Regions()
+	if len(regions) != 2+2*boxes {
+		t.Fatalf("LavaMD exposes %d regions, want %d", len(regions), 2+2*boxes)
+	}
+	var f64 []float64
+	var u32 []uint32
+	for i, r := range regions {
+		if (r.U32 != nil) != (i >= 2+boxes) {
+			t.Fatalf("region %d (%q) has the wrong word type for its place", i, r.Name)
+		}
+		f64, u32 = append(f64, r.F64...), append(u32, r.U32...)
+	}
+	if !slices.Equal(f64, slices.Concat(l.pos, l.charge, l.force)) || !slices.Equal(u32, l.neighbors) {
+		t.Fatal("the words of Regions(), concatenated, are not positions‖charges‖forces‖neighbors")
+	}
+	if &regions[0].F64[0] != &l.pos[0] || &regions[1].F64[0] != &l.charge[0] {
+		t.Error("the first two regions do not view the positions and the charges")
+	}
+	state := l.State()
+	if len(state) != boxes {
+		t.Fatalf("State() has %d buffers, want the %d force boxes", len(state), boxes)
+	}
+	for b := range boxes {
+		forces, list := regions[2+b], regions[2+boxes+b]
+		if &forces.F64[0] != &l.force[3*b*p] || &list.U32[0] != &l.neighbors[b*lavaNeighbors] {
+			t.Errorf("box %d's regions do not view its forces and its neighbor list", b)
+		}
+		if &state[b].F64[0] != &forces.F64[0] || len(state[b].F64) != len(forces.F64) {
+			t.Errorf("State()[%d] is not box %d's forces", b, b)
+		}
+	}
+}
+
 func TestFlipBitF64(t *testing.T) {
 	r := Region{Name: "x", F64: []float64{1.0}}
 	if err := r.FlipBit(0, 63); err != nil { // sign bit
@@ -574,6 +618,204 @@ func TestMxMStepMatchesOneColumnLoop(t *testing.T) {
 					if math.Float64bits(v) != math.Float64bits(want[j]) {
 						t.Fatalf("n=%d %s: C[%d][%d] = %v, one-column loop gives %v", n, poison, i, j, v, want[j])
 					}
+				}
+			}
+		}
+	}
+}
+
+// The kernel pin tests run each blocked kernel and the loop it replaced
+// on seeded inputs, then on inputs carrying each of these poisons.
+var poisons = []string{"seeded", "nan", "inf", "negzero", "exponent"}
+
+// plant writes the poison into xs at the given words: NaN, +Inf and -Inf
+// in turn, -0.0, or the value with one exponent bit flipped (the top one
+// and the next in turn, so products both overflow and vanish).
+func plant(poison string, xs []float64, words ...int) {
+	for i, w := range words {
+		switch poison {
+		case "nan":
+			xs[w] = math.NaN()
+		case "inf":
+			xs[w] = math.Inf(1 - 2*(i%2))
+		case "negzero":
+			xs[w] = math.Copysign(0, -1)
+		case "exponent":
+			xs[w] = math.Float64frombits(math.Float64bits(xs[w]) ^ 1<<(62-i%2))
+		}
+	}
+}
+
+// seeded fills xs with uniforms in [-1, 1).
+func seeded(xs []float64, seed uint64) []float64 {
+	g := splitmix(seed)
+	for i := range xs {
+		xs[i] = 2*g.float() - 1
+	}
+	return xs
+}
+
+// firstBitDiff is the first index at which got and want differ in bits,
+// or -1.
+func firstBitDiff(got, want []float64) int {
+	for i, v := range got {
+		if math.Float64bits(v) != math.Float64bits(want[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// oneRowDense is the one-row loop denseLayer replaced.
+func oneRowDense(in, w, out []float64) {
+	cols := len(in)
+	for r := range out {
+		sum := 0.0
+		base := r * cols
+		for j, v := range in {
+			sum += w[base+j] * v
+		}
+		out[r] = sum
+	}
+}
+
+// TestDenseLayerMatchesOneRowLoop pins the four-row kernel to the one-row
+// loop, bit for bit, at output counts of every remainder mod 4 and on
+// inputs carrying NaN, ±Inf, -0.0 and a flipped exponent bit.
+func TestDenseLayerMatchesOneRowLoop(t *testing.T) {
+	for _, rows := range []int{1, 2, 3, 4, 5, 6, 7, 8, 10, 64} {
+		for _, cols := range []int{1, 3, 17, 256} {
+			for _, poison := range poisons {
+				in := seeded(make([]float64, cols), uint64(rows*cols))
+				w := seeded(make([]float64, rows*cols), uint64(rows+cols))
+				plant(poison, in, cols/2)
+				plant(poison, w, 0, len(w)-1)
+				got, want := make([]float64, rows), make([]float64, rows)
+				denseLayer(in, w, got)
+				oneRowDense(in, w, want)
+				if i := firstBitDiff(got, want); i >= 0 {
+					t.Fatalf("%d×%d %s: out[%d] = %v, one-row loop gives %v", rows, cols, poison, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestMNISTHiddenLayerMatchesOneUnitLoop pins MNIST's hidden layer, the
+// dense kernel plus an in-place ReLU, to the one-unit loop it replaced.
+func TestMNISTHiddenLayerMatchesOneUnitLoop(t *testing.T) {
+	for _, poison := range poisons {
+		m := NewMNIST()
+		m.Reset(11)
+		plant(poison, m.in, 3, 200)
+		plant(poison, m.w1, 5, len(m.w1)-7)
+		want := make([]float64, m.hidden)
+		for h := range want {
+			sum := 0.0
+			base := h * m.size * m.size
+			for j, v := range m.in {
+				sum += m.w1[base+j] * v
+			}
+			if sum < 0 {
+				sum = 0
+			}
+			want[h] = sum
+		}
+		if err := m.Step(0); err != nil {
+			t.Fatal(err)
+		}
+		if i := firstBitDiff(m.h, want); i >= 0 {
+			t.Fatalf("%s: hidden[%d] = %v, one-unit loop gives %v", poison, i, m.h[i], want[i])
+		}
+	}
+}
+
+// clampedConv2D is the loop conv2D replaced: a clamp per tap.
+func clampedConv2D(in []float64, n, chIn int, w []float64, chOut int, out []float64, relu bool) {
+	for co := 0; co < chOut; co++ {
+		for y := 0; y < n; y++ {
+			for x := 0; x < n; x++ {
+				sum := 0.0
+				for ci := 0; ci < chIn; ci++ {
+					for dy := -1; dy <= 1; dy++ {
+						for dx := -1; dx <= 1; dx++ {
+							wi := ((co*chIn+ci)*3+(dy+1))*3 + (dx + 1)
+							sum += w[wi] * in[(ci*n+clamp(y+dy, n))*n+clamp(x+dx, n)]
+						}
+					}
+				}
+				if relu && sum < 0 {
+					sum = 0
+				}
+				out[(co*n+y)*n+x] = sum
+			}
+		}
+	}
+}
+
+// TestConv2DMatchesClampedLoop pins conv2D to the clamp-per-tap loop, bit
+// for bit, at YOLO's two layer shapes and at edges of 1, 2 and 3 pixels,
+// with and without the ReLU, on inputs carrying NaN, ±Inf, -0.0 and a
+// flipped exponent bit at a corner, an edge and the interior.
+func TestConv2DMatchesClampedLoop(t *testing.T) {
+	for _, shape := range []struct{ n, chIn, chOut int }{
+		{yoloSize, 1, yoloC1}, {yoloSize / 2, yoloC1, yoloC2},
+		{1, 1, 1}, {1, 3, 5}, {2, 2, 3}, {2, yoloC1, yoloC2}, {3, 1, 4}, {3, 5, 7},
+	} {
+		n, chIn, chOut := shape.n, shape.chIn, shape.chOut
+		for _, poison := range poisons {
+			for _, relu := range []bool{false, true} {
+				in := seeded(make([]float64, chIn*n*n), uint64(n*chIn))
+				w := seeded(make([]float64, chOut*chIn*9), uint64(chOut))
+				plant(poison, in, 0, n-1, len(in)/2)
+				plant(poison, w, 4, len(w)-1)
+				got, want := make([]float64, chOut*n*n), make([]float64, chOut*n*n)
+				conv2D(in, n, chIn, w, chOut, got, relu)
+				clampedConv2D(in, n, chIn, w, chOut, want, relu)
+				if i := firstBitDiff(got, want); i >= 0 {
+					t.Fatalf("n=%d %d→%d %s relu=%v: out[%d] = %v, clamped loop gives %v", n, chIn, chOut, poison, relu, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestHotSpotStepMatchesClampedLoop pins HotSpot's row-slice update to the
+// clamp-per-neighbor loop it replaced, bit for bit, over every step, on
+// grids carrying NaN, ±Inf, -0.0 and a flipped exponent bit at the
+// corners, on the edge rows and columns and in the interior.
+func TestHotSpotStepMatchesClampedLoop(t *testing.T) {
+	clamped := func(h *HotSpot) []float64 {
+		n := h.n
+		const k = 0.2
+		next := make([]float64, n*n)
+		for y := 0; y < n; y++ {
+			for x := 0; x < n; x++ {
+				c := h.temp[y*n+x]
+				up := h.temp[clamp(y-1, n)*n+x]
+				down := h.temp[clamp(y+1, n)*n+x]
+				left := h.temp[y*n+clamp(x-1, n)]
+				right := h.temp[y*n+clamp(x+1, n)]
+				next[y*n+x] = c + k*((up+down+left+right)/4-c) + 0.1*h.power[y*n+x]
+			}
+		}
+		return next
+	}
+	for _, n := range []int{4, 5, 32} {
+		for _, poison := range poisons {
+			h := NewHotSpot(n, 6)
+			h.Reset(uint64(n))
+			corners := []int{0, n - 1, n * (n - 1), n*n - 1}
+			edges := []int{2, n, 2*n - 1, n*(n-1) + 2, n*n/2 + n/2}
+			plant(poison, h.temp, append(corners, edges...)...)
+			plant(poison, h.power, n+1, n*n-2)
+			for i := range h.Steps() {
+				want := clamped(h)
+				if err := h.Step(i); err != nil {
+					t.Fatal(err)
+				}
+				if j := firstBitDiff(h.temp, want); j >= 0 {
+					t.Fatalf("n=%d %s step %d: temp[%d] = %v, clamped loop gives %v", n, poison, i, j, h.temp[j], want[j])
 				}
 			}
 		}
