@@ -30,7 +30,7 @@ func scalarRunShard(t *testing.T, cfg Config, sh engine.Shard, pl *plan.Campaign
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj, err := faultinject.NewInjector(w, cfg.Seed)
+	inj, err := faultinject.NewInjector(w, workload.InputSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

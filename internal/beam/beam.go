@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,7 +46,10 @@ type Config struct {
 	// Derating scales the flux for boards placed off the beam axis when
 	// several boards share the ChipIR beam (default 1; §III-C).
 	Derating float64
-	// Seed makes the campaign reproducible.
+	// Seed drives the campaign's beam streams and makes it reproducible.
+	// The input is fixed: every campaign runs its code on
+	// workload.InputSeed, so the seed changes which neutrons arrive and
+	// which bits they flip, never what the code computes.
 	Seed uint64
 	// CalSamples sets the Monte Carlo budget for the interaction-rate
 	// estimate (default DefaultCalSamples).
@@ -239,10 +241,10 @@ func (t *weightedShardTally) merge(o *weightedShardTally) {
 
 // campaignSetup is everything a campaign derives deterministically before
 // its run loop: the compiled plan, the auto-tuned decomposition and the
-// golden workload run. It is a pure function of Config — the coordinator
-// computing it to partition a campaign, a worker computing it to execute a
-// shard range, and a single-node run all derive identical values
-// (DESIGN.md §15).
+// code whose golden run it replays against. It is a pure function of
+// Config — the coordinator computing it to partition a campaign, a worker
+// computing it to execute a shard range, and a single-node run all derive
+// identical values (DESIGN.md §15).
 type campaignSetup struct {
 	cfg        Config // defaulted and validated
 	pl         *plan.CampaignPlan
@@ -251,20 +253,38 @@ type campaignSetup struct {
 	lambda     float64
 	runs       int
 	grain      int
-	// golden is the workload's golden run, which depends only on the
-	// workload and the seed. The first shard the setup executes records
-	// it on its own workload instance and every shard replays against
-	// it; a coordinator that only partitions or merges never records it.
+	code       *goldenCode
+}
+
+// goldenCode is one code's golden run and the injectors replaying it,
+// shared by every campaign in the process. Every campaign runs a code on
+// one input, workload.InputSeed, as a code runs one input at the beam, so
+// the golden run depends on the code alone: the first shard of any
+// campaign records it, and a coordinator that only partitions or merges
+// never does. goldenCodes covers the closed set workload.Names(), so
+// nothing is ever evicted.
+type goldenCode struct {
+	name       string
 	goldenOnce sync.Once
 	golden     *faultinject.GoldenRun
 	goldenErr  error
-	// injectors is the free list of replay injectors: a shard takes one
-	// or builds one, and returns it when done, so a campaign builds only
-	// as many as run at once. Reuse moves no bit: Injector.Run restores
-	// every buffer it replays from a golden checkpoint first.
-	mu        sync.Mutex
-	injectors []*faultinject.Injector
+	// free is the list of injectors no shard holds: a shard takes one or
+	// builds one, and returns it when done, so the process builds only as
+	// many as have ever run at once. Reuse moves no bit: Injector.Run
+	// restores every buffer it replays from a golden checkpoint first. A
+	// sync.Pool would keep more heap (DESIGN.md §18).
+	mu   sync.Mutex
+	free []*faultinject.Injector
 }
+
+// goldenCodes holds one entry per code, built before any campaign runs.
+var goldenCodes = func() map[string]*goldenCode {
+	m := map[string]*goldenCode{}
+	for _, name := range workload.Names() {
+		m[name] = &goldenCode{name: name}
+	}
+	return m
+}()
 
 // prepare validates the config, compiles (or cache-hits) the campaign
 // plan, and derives the run decomposition.
@@ -274,7 +294,8 @@ func prepare(ctx context.Context, cfg Config) (*campaignSetup, error) {
 		return nil, err
 	}
 	// Validate the workload name before committing to the campaign.
-	if !slices.Contains(workload.Names(), cfg.WorkloadName) {
+	code, ok := goldenCodes[cfg.WorkloadName]
+	if !ok {
 		return nil, fmt.Errorf("workload: unknown benchmark %q", cfg.WorkloadName)
 	}
 	// Campaign setup compiles through the shared plan cache: the first
@@ -326,43 +347,50 @@ func prepare(ctx context.Context, cfg Config) (*campaignSetup, error) {
 		lambda:     lambda,
 		runs:       runs,
 		grain:      grain,
+		code:       code,
 	}, nil
 }
 
-// runShard executes one shard of the campaign on an injector from the
-// free list, replaying it against the campaign's golden run.
+// runShard executes one shard of the campaign on an injector from its
+// code's free list, replaying it against the code's golden run.
 func (s *campaignSetup) runShard(sh engine.Shard, events *atomic.Int64) (shardTally, error) {
-	inj, err := s.injector()
+	inj, err := s.code.injector()
 	if err != nil {
 		return shardTally{}, err
 	}
 	tc := runShard(s.cfg, sh, s.pl, inj, s.lambda, events)
-	s.mu.Lock()
-	s.injectors = append(s.injectors, inj)
-	s.mu.Unlock()
+	s.code.mu.Lock()
+	s.code.free = append(s.code.free, inj)
+	s.code.mu.Unlock()
 	return tc, nil
 }
 
 // injector takes an injector off the free list, or builds one on a fresh
-// workload instance, recording the golden run on it if no shard has yet.
-func (s *campaignSetup) injector() (*faultinject.Injector, error) {
-	s.mu.Lock()
-	if n := len(s.injectors); n > 0 {
-		inj := s.injectors[n-1]
-		s.injectors = s.injectors[:n-1]
-		s.mu.Unlock()
+// workload instance, recording the code's golden run on it if no shard
+// in the process has yet.
+func (c *goldenCode) injector() (*faultinject.Injector, error) {
+	c.mu.Lock()
+	if n := len(c.free); n > 0 {
+		inj := c.free[n-1]
+		c.free = c.free[:n-1]
+		c.mu.Unlock()
 		return inj, nil
 	}
-	s.mu.Unlock()
-	w, err := workload.New(s.cfg.WorkloadName)
+	c.mu.Unlock()
+	w, err := workload.New(c.name)
 	if err != nil {
 		return nil, err
 	}
-	s.goldenOnce.Do(func() { s.golden, s.goldenErr = faultinject.RecordGolden(w, s.cfg.Seed) })
-	if s.goldenErr != nil {
-		return nil, s.goldenErr
+	c.goldenOnce.Do(func() {
+		c.golden, c.goldenErr = faultinject.RecordGolden(w, workload.InputSeed)
+		if c.goldenErr == nil {
+			telemetry.Count("beam.golden_runs", 1)
+		}
+	})
+	if c.goldenErr != nil {
+		return nil, c.goldenErr
 	}
-	return s.golden.NewInjector(w)
+	return c.golden.NewInjector(w)
 }
 
 // RunContext executes the campaign and reports counts and cross sections.
@@ -559,9 +587,9 @@ func (r *Result) estimateCrossSections() error {
 
 // shardRunner executes one shard's slice of beam runs. Each shard holds
 // an injector for its lifetime (injectors replay mutable workload state
-// and are not safe to share between running shards; the campaign's free
-// list hands them from shard to shard, and the golden run they replay
-// against is recorded once per campaign), plus the shard-local list of
+// and are not safe to share between running shards; the code's free list
+// hands them from shard to shard, and the golden run they replay against
+// is recorded once per process), plus the shard-local list of
 // persistent FPGA configuration faults (§V): corruption survives from run
 // to run until an observed error triggers a bitstream reload, and is
 // dropped at the shard boundary. The fault and persistent buffers are

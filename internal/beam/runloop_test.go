@@ -23,7 +23,7 @@ func injectorFor(tb testing.TB, cfg Config) *faultinject.Injector {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	inj, err := faultinject.NewInjector(w, cfg.Seed)
+	inj, err := faultinject.NewInjector(w, workload.InputSeed)
 	if err != nil {
 		tb.Fatal(err)
 	}

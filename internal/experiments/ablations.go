@@ -84,7 +84,7 @@ func A2InjectionTiming(scale Scale, seed uint64) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		inj, err := faultinject.NewInjector(w, 42)
+		inj, err := faultinject.NewInjector(w, workload.InputSeed)
 		if err != nil {
 			return Table{}, err
 		}
@@ -290,7 +290,7 @@ func A6ProblemSize(scale Scale, seed uint64) (Table, error) {
 		{"BFS 4096", func() workload.Workload { return workload.NewBFS(4096, 4) }},
 	}
 	for _, c := range cases {
-		inj, err := faultinject.NewInjector(c.build(), 42)
+		inj, err := faultinject.NewInjector(c.build(), workload.InputSeed)
 		if err != nil {
 			return Table{}, err
 		}

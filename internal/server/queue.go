@@ -71,6 +71,11 @@ type Job struct {
 	cancel   context.CancelFunc
 	subs     map[chan ProgressInfo]struct{}
 
+	// stages is the job's final stage breakdown, computed once when it
+	// reaches a terminal state: its trace is complete by then, so Info
+	// stops rebuilding it.
+	stages []trace.StageTiming
+
 	// done is closed exactly once when the job reaches a terminal state.
 	done chan struct{}
 }
@@ -116,8 +121,13 @@ func (j *Job) Info() JobInfo {
 		TraceID: j.tr.ID().String(),
 		Error:   j.errMsg,
 	}
-	if snap := j.tr.Snapshot(); snap != nil {
-		info.Stages = snap.Stages
+	switch j.state {
+	case StateQueued, StateRunning:
+		if snap := j.tr.Snapshot(); snap != nil {
+			info.Stages = snap.Stages
+		}
+	default:
+		info.Stages = j.stages
 	}
 	if j.hasProg {
 		p := j.progress
@@ -223,9 +233,10 @@ func (j *Job) finish(state string, result []byte, etag string, errMsg string) bo
 	return true
 }
 
-// endTrace settles the job's spans at a terminal state. Span.End is
-// idempotent, so the canceled-while-queued path (which never ran
-// markRunning) and the normal path converge here safely.
+// endTrace settles the job's spans at a terminal state and computes the
+// job's final stage breakdown: every campaign span has ended before the
+// root does. Span.End is idempotent, so the canceled-while-queued path
+// (which never ran markRunning) and the normal path converge here safely.
 func (j *Job) endTrace(state, errMsg string) {
 	j.qspan.End()
 	j.root.SetAttr("state", state)
@@ -233,6 +244,9 @@ func (j *Job) endTrace(state, errMsg string) {
 		j.root.SetAttr("error", errMsg)
 	}
 	j.root.End()
+	if snap := j.tr.Snapshot(); snap != nil {
+		j.stages = snap.Stages
+	}
 }
 
 // Cancel requests cancellation: a queued job is finished as canceled on

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -208,5 +209,37 @@ func TestMetricsEndpointServesValidExposition(t *testing.T) {
 	}
 	if !strings.Contains(string(text), "server_jobs_submitted_total 1") {
 		t.Errorf("/metrics missing job counter:\n%s", text)
+	}
+}
+
+// TestDoneJobInfoReusesStages checks that a terminal job reports the
+// stage breakdown of its final trace without rebuilding the trace on
+// every read: Info of a done job allocates no more than Info of a queued
+// one, whose trace is still live.
+func TestDoneJobInfoReusesStages(t *testing.T) {
+	queued := newJob("j-queued", &CampaignRequest{Kind: "beam"}, "k1", nil)
+	j := newJob("j-done", &CampaignRequest{Kind: "beam"}, "k2", nil)
+	if !j.markRunning(func() {}) {
+		t.Fatal("job did not start")
+	}
+	campaign := j.root.StartChild("beam.campaign")
+	for _, stage := range []string{"compile", "run", "merge"} {
+		sp := campaign.StartChild("beam." + stage)
+		sp.SetStage(stage)
+		sp.End()
+	}
+	campaign.End()
+	if !j.finish(StateDone, []byte(`{}`), "etag", "") {
+		t.Fatal("job did not finish")
+	}
+	info := j.Info()
+	want := j.TraceSnapshot().Stages
+	if len(want) != 4 || !reflect.DeepEqual(info.Stages, want) {
+		t.Errorf("done job stages = %+v, want the trace's %+v", info.Stages, want)
+	}
+	doneAllocs := testing.AllocsPerRun(100, func() { j.Info() })
+	queuedAllocs := testing.AllocsPerRun(100, func() { queued.Info() })
+	if doneAllocs > queuedAllocs {
+		t.Errorf("Info of a done job allocates %.0f times, of a queued job %.0f", doneAllocs, queuedAllocs)
 	}
 }

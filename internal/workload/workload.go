@@ -165,6 +165,14 @@ func TotalWords(regions []Region) int {
 	return n
 }
 
+// InputSeed is the one input every beam campaign runs each code on. At
+// the beam a code runs one input again and again, and every run's output
+// is compared with one golden copy computed before irradiation, so a
+// campaign's seed drives only its beam streams. It is 42 because the
+// injection ablations (A2, A6) already measure that input: their AVFs and
+// the campaigns' masking then describe the same input.
+const InputSeed = 42
+
 // Registry ------------------------------------------------------------------
 
 // New constructs a workload by name. Names match the paper's benchmark
