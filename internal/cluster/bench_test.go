@@ -26,10 +26,11 @@ func TestClusterBenchQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping cluster storm in -short mode")
 	}
-	rep, err := CompareBench(context.Background(), 800*time.Millisecond)
+	rep, err := CompareBench(context.Background(), quickStorm)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("%v storms: single node %d requests, cluster %d", quickStorm, rep.SingleNode.Requests, rep.Cluster.Requests)
 	if !rep.IdentityBitExact {
 		t.Error("distributed results diverged from local execution")
 	}

@@ -6,9 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
-	"strconv"
 	"time"
 
 	"neutronsim/internal/beam"
@@ -18,35 +16,26 @@ import (
 
 // Client speaks the neutrond peer protocol: shard-range execution over
 // the internal POST /v1/shards surface and whole-campaign forwarding
-// over the public submit-and-poll API. All calls retry transient
-// failures with exponential backoff and full jitter, honor Retry-After,
-// and propagate the caller's W3C traceparent so a fan-out is one trace.
+// over the public submit-and-poll API. Each call is one HTTP attempt:
+// a refused, failed or overlong call comes back as an error at once, and
+// the coordinator's failover (re-dispatch of the range, or the next
+// rendezvous-ranked node) handles it. Every call propagates the caller's
+// W3C traceparent, so a fan-out is one trace.
 type Client struct {
 	http *http.Client
-	// retries is the number of attempts per call (default 3).
-	retries int
-	// backoff is the base delay; attempt n sleeps rand[0, backoff*2^n)
-	// (full jitter), clamped by maxBackoff.
-	backoff    time.Duration
-	maxBackoff time.Duration
 	// pollEvery paces job polling on the forward path.
 	pollEvery time.Duration
 }
 
 // NewClient builds a peer client. A nil httpClient gets a default with a
-// generous timeout — shard ranges are synchronous and compute-bound, so
-// the per-request timeout must cover real work, not just network time.
+// generous timeout, which is the one bound on a peer call: shard ranges
+// are synchronous and compute-bound, so it must cover real work, not
+// just network time.
 func NewClient(httpClient *http.Client) *Client {
 	if httpClient == nil {
 		httpClient = &http.Client{Timeout: 2 * time.Minute}
 	}
-	return &Client{
-		http:       httpClient,
-		retries:    3,
-		backoff:    50 * time.Millisecond,
-		maxBackoff: 2 * time.Second,
-		pollEvery:  10 * time.Millisecond,
-	}
+	return &Client{http: httpClient, pollEvery: 10 * time.Millisecond}
 }
 
 // Reply ceilings: the client reads at most this much of a peer's reply.
@@ -71,15 +60,15 @@ const (
 func maxShardReply(n int) int64 { return int64(n)*beam.MaxTallyJSON + 1<<10 }
 
 // readReply reads a peer's reply body up to limit bytes. A longer body is
-// a peer fault, like a dropped connection: transient, so a retry, a
-// re-dispatch of the range or the next-ranked node takes over.
+// a peer fault, like a dropped connection, so a re-dispatch of the range
+// or the next-ranked node takes over.
 func readReply(url string, body io.Reader, limit int64) ([]byte, error) {
 	payload, err := io.ReadAll(io.LimitReader(body, limit+1))
 	if err != nil {
-		return nil, &transientError{err: err}
+		return nil, err
 	}
 	if int64(len(payload)) > limit {
-		return nil, &transientError{err: fmt.Errorf("%s: reply exceeds %d bytes", url, limit)}
+		return nil, fmt.Errorf("%s: reply exceeds %d bytes", url, limit)
 	}
 	return payload, nil
 }
@@ -93,43 +82,9 @@ func quoteReply(payload []byte) string {
 	return string(payload)
 }
 
-// transientError marks failures worth retrying against the same peer.
-type transientError struct {
-	err        error
-	retryAfter time.Duration // from Retry-After, 0 when absent
-}
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// sleepBeforeRetry waits the backoff for attempt (0-based), preferring
-// the server's Retry-After hint when it is longer. Full jitter — a
-// uniform draw over [0, cap) rather than cap itself — keeps N clients
-// rejected together from retrying together.
-func (c *Client) sleepBeforeRetry(ctx context.Context, attempt int, hint time.Duration) error {
-	d := c.backoff << attempt
-	if d > c.maxBackoff {
-		d = c.maxBackoff
-	}
-	d = time.Duration(rand.Int63n(int64(d) + 1))
-	if hint > d {
-		d = hint
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
 // post sends one JSON POST with traceparent propagation and reads at most
-// limit bytes of the reply. A 429/503 answer, a transport error or a
-// longer reply returns *transientError; other non-2xx statuses are
-// permanent (the request itself is bad — retrying cannot help, and the
-// coordinator should fail fast, not mask a protocol bug).
+// limit bytes of the reply. A transport error or a longer reply is an
+// error; the caller judges the status.
 func (c *Client) post(ctx context.Context, url string, body any, limit int64) (int, http.Header, []byte, error) {
 	blob, err := json.Marshal(body)
 	if err != nil {
@@ -147,54 +102,20 @@ func (c *Client) post(ctx context.Context, url string, body any, limit int64) (i
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return 0, nil, nil, &transientError{err: err}
+		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
 	payload, err := readReply(url, resp.Body, limit)
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
-		hint := time.Duration(0)
-		if s := resp.Header.Get("Retry-After"); s != "" {
-			if secs, perr := strconv.Atoi(s); perr == nil && secs > 0 {
-				hint = time.Duration(secs) * time.Second
-			}
-		}
-		return resp.StatusCode, resp.Header, payload, &transientError{
-			err:        fmt.Errorf("%s: status %d: %s", url, resp.StatusCode, quoteReply(payload)),
-			retryAfter: hint,
-		}
-	}
 	return resp.StatusCode, resp.Header, payload, nil
 }
 
-// postRetry runs post with the retry policy.
-func (c *Client) postRetry(ctx context.Context, url string, body any, limit int64) (int, http.Header, []byte, error) {
-	var lastErr error
-	for attempt := 0; attempt < c.retries; attempt++ {
-		status, hdr, payload, err := c.post(ctx, url, body, limit)
-		if err == nil {
-			return status, hdr, payload, nil
-		}
-		te, transient := err.(*transientError)
-		if !transient || ctx.Err() != nil {
-			return status, hdr, payload, err
-		}
-		lastErr = err
-		if attempt+1 < c.retries {
-			hint := te.retryAfter
-			if serr := c.sleepBeforeRetry(ctx, attempt, hint); serr != nil {
-				return 0, nil, nil, serr
-			}
-		}
-	}
-	return 0, nil, nil, fmt.Errorf("cluster: %d attempts failed: %w", c.retries, lastErr)
-}
-
-// RunShardRange executes shards [lo, hi) of campaign on peer.
+// RunShardRange executes shards [lo, hi) of campaign on peer. Any status
+// but 200 is a failure.
 func (c *Client) RunShardRange(ctx context.Context, peer string, campaign *server.CampaignRequest, lo, hi int) (*beam.Partial, error) {
-	status, _, payload, err := c.postRetry(ctx, peer+"/v1/shards", server.ShardRequest{
+	status, _, payload, err := c.post(ctx, peer+"/v1/shards", server.ShardRequest{
 		Campaign: campaign, Lo: lo, Hi: hi,
 	}, maxShardReply(hi-lo))
 	if err != nil {
@@ -231,9 +152,10 @@ type ForwardResult struct {
 
 // Forward submits campaign to peer and waits for the result, polling the
 // job until terminal. A cached or surrogate-served answer returns
-// immediately with its tier marked.
+// immediately with its tier marked. Any status but 200 or 202 is a
+// failure.
 func (c *Client) Forward(ctx context.Context, peer string, campaign *server.CampaignRequest) (*ForwardResult, error) {
-	status, hdr, payload, err := c.postRetry(ctx, peer+"/v1/campaigns", campaign, maxJobReply)
+	status, hdr, payload, err := c.post(ctx, peer+"/v1/campaigns", campaign, maxJobReply)
 	if err != nil {
 		return nil, err
 	}
@@ -271,7 +193,7 @@ func (c *Client) pollJob(ctx context.Context, peer, id string) (*ForwardResult, 
 		}
 		resp, err := c.http.Do(req)
 		if err != nil {
-			return nil, &transientError{err: err}
+			return nil, err
 		}
 		payload, rerr := readReply(url, resp.Body, maxJobReply)
 		resp.Body.Close()

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -49,7 +50,7 @@ func urlsOf(ws []*worker) []string {
 func testCoordinator(ctx context.Context, t *testing.T, peers []string, reg *telemetry.Registry) *Coordinator {
 	t.Helper()
 	c := New(Config{Peers: peers, Registry: reg})
-	c.rangeTimeout = 30 * time.Second
+	c.client.http.Timeout = 30 * time.Second
 	c.healthInterval = 50 * time.Millisecond
 	c.downCooldown = 100 * time.Millisecond
 	c.Start(ctx)
@@ -243,7 +244,7 @@ func TestWorkerKillMidCampaign(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	coord := New(Config{Peers: []string{victim.URL, healthy.ts.URL}, Registry: reg})
 	coord.rangesPerPeer = 4
-	coord.rangeTimeout = 10 * time.Second
+	coord.client.http.Timeout = 10 * time.Second
 	coord.healthInterval = 50 * time.Millisecond
 	coord.downCooldown = time.Minute // once lost, stay lost for this test
 	coord.Start(ctx)
@@ -302,7 +303,7 @@ func TestEndlessPeerReply(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	coord := New(Config{Peers: []string{endless.URL, healthy.ts.URL}, Registry: reg})
 	coord.rangesPerPeer = 4
-	coord.rangeTimeout = 5 * time.Second
+	coord.client.http.Timeout = 5 * time.Second
 	coord.healthInterval = 50 * time.Millisecond
 	coord.downCooldown = time.Minute
 	coord.Start(ctx)
@@ -323,6 +324,117 @@ func TestEndlessPeerReply(t *testing.T) {
 	endless.Close() // waits for the handlers, so written is final
 	if n := written.Load(); n > 1<<20 {
 		t.Errorf("the endless peer wrote %d bytes in %d replies before the coordinator hung up", n, shardCalls.Load())
+	}
+}
+
+// TestDrainingPeerFailsOverAtOnce: a peer that starts draining between
+// two /readyz polls refuses its shard range with 503 and Retry-After.
+// The coordinator re-dispatches that range at once, so the peer sees one
+// call, the campaign does not wait out the hint, and the result still
+// DeepEquals a single node's.
+func TestDrainingPeerFailsOverAtOnce(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := clusterReq(t, "K20", "ChipIR", 903)
+	want, err := server.Execute(ctx, req, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ws := startWorkers(t, 2)
+	var shardCalls atomic.Int64
+	draining := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/shards" {
+			shardCalls.Add(1)
+		}
+		ws[0].srv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(draining.Close)
+
+	coord := New(Config{Peers: []string{draining.URL, ws[1].ts.URL}, Registry: telemetry.NewRegistry()})
+	coord.healthInterval = time.Hour // no later poll sees the drain
+	coord.Start(ctx)
+	if n := len(coord.Peers().Healthy()); n != 2 {
+		t.Fatalf("%d peers healthy after the first poll, want 2", n)
+	}
+	if err := ws[0].srv.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	got, err := coord.Execute(ctx, req, 2)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("execute with a draining peer: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("result with a draining peer diverged\n got: %+v\nwant: %+v", got.Beam, want.Beam)
+	}
+	if n := shardCalls.Load(); n != 1 {
+		t.Errorf("the draining peer got %d shard calls, want 1", n)
+	}
+	if elapsed >= 2*time.Second {
+		t.Errorf("campaign took %v with a draining peer, want under 2s", elapsed)
+	}
+}
+
+// TestRefusedForwardFailsOverAtOnce: a peer that answers a forwarded
+// campaign with 429 and Retry-After costs one call. The coordinator
+// moves on to the next-ranked node, here itself, without waiting out the
+// hint.
+func TestRefusedForwardFailsOverAtOnce(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var submissions atomic.Int64
+	refusing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/readyz":
+			_ = json.NewEncoder(w).Encode(server.ReadyzInfo{Status: "ready"})
+		case "/v1/campaigns":
+			submissions.Add(1)
+			w.Header().Set("Retry-After", "2")
+			http.Error(w, `{"error":"queue full"}`, http.StatusTooManyRequests)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	t.Cleanup(refusing.Close)
+
+	// A one-shard campaign, so it routes whole, whose owner is the peer.
+	var req *server.CampaignRequest
+	for key := 0; req == nil; key++ {
+		r, err := BenchCampaign(20)(key).Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if Rank(r.CacheKey(), []string{refusing.URL, LocalNode})[0] == refusing.URL {
+			req = r
+		}
+	}
+	want, err := server.Execute(ctx, req, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reg := telemetry.NewRegistry()
+	coord := testCoordinator(ctx, t, []string{refusing.URL}, reg)
+	start := time.Now()
+	got, err := coord.Execute(ctx, req, 2)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("execute with a refusing owner: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("result with a refusing owner diverged\n got: %+v\nwant: %+v", got.Beam, want.Beam)
+	}
+	if n := submissions.Load(); n != 1 {
+		t.Errorf("the refusing peer got %d submissions, want 1", n)
+	}
+	if elapsed >= 2*time.Second {
+		t.Errorf("campaign took %v with a refusing owner, want under 2s", elapsed)
+	}
+	if n := reg.Counter("cluster.local_fallback").Value(); n != 1 {
+		t.Errorf("cluster.local_fallback = %d, want 1", n)
 	}
 }
 

@@ -46,9 +46,6 @@ type Coordinator struct {
 	// dying peer strands at most one small range, not a static 1/N slice
 	// of the campaign.
 	rangesPerPeer int
-	// rangeTimeout bounds one shard-range dispatch before it is declared
-	// lost and re-dispatched.
-	rangeTimeout time.Duration
 	// healthInterval paces the background /readyz poller.
 	healthInterval time.Duration
 	// downCooldown keeps a peer that failed a dispatch out of rotation
@@ -68,7 +65,6 @@ func New(cfg Config) *Coordinator {
 		peers:          NewPeerSet(cfg.Peers),
 		client:         NewClient(nil),
 		rangesPerPeer:  2,
-		rangeTimeout:   2 * time.Minute,
 		healthInterval: time.Second,
 		downCooldown:   2 * time.Second,
 	}
@@ -201,9 +197,7 @@ func (c *Coordinator) fanout(ctx context.Context, req *server.CampaignRequest, c
 				if !ok {
 					return
 				}
-				rctx, rcancel := context.WithTimeout(runCtx, c.rangeTimeout)
-				p, err := c.client.RunShardRange(rctx, peer, req, job.lo, job.hi)
-				rcancel()
+				p, err := c.client.RunShardRange(runCtx, peer, req, job.lo, job.hi)
 				if err != nil {
 					if runCtx.Err() != nil {
 						return

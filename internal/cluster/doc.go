@@ -26,9 +26,10 @@
 // what multiplies throughput on cache-heavy workloads.
 //
 // Health is polled from each peer's /readyz (whose JSON body carries
-// queue depth and drain state); dispatch retries with exponential
-// backoff and full jitter, honors Retry-After, and re-dispatches ranges
-// from failed peers — to another peer when one is healthy, locally
-// otherwise, so a coordinator with zero live peers degrades to exactly
-// the single-node behavior.
+// queue depth and drain state). Each peer call is one attempt, and a
+// refused or failed call fails over at once: a range goes back on the
+// work queue, to another peer when one is healthy, locally otherwise,
+// and a whole campaign goes to the next rendezvous-ranked node, so a
+// coordinator with zero live peers degrades to exactly the single-node
+// behavior.
 package cluster

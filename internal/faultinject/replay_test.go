@@ -518,7 +518,6 @@ func TestUsesDeclarationsHold(t *testing.T) {
 type outputOnly struct{ in, acc []float64 }
 
 func (*outputOnly) Name() string                           { return "outputOnly" }
-func (*outputOnly) Class() workload.Class                  { return workload.ClassHPC }
 func (*outputOnly) Steps() int                             { return 3 }
 func (o *outputOnly) AppendOutput(dst []float64) []float64 { return append(dst, o.acc...) }
 func (o *outputOnly) State() []workload.Region             { return []workload.Region{{Name: "acc", F64: o.acc}} }

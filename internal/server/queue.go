@@ -31,15 +31,14 @@ type ProgressInfo struct {
 // JobInfo is the wire representation of a job (GET /v1/jobs/{id} and the
 // body of a 202 Accepted).
 type JobInfo struct {
-	ID       string           `json:"id"`
-	State    string           `json:"state"`
-	Kind     string           `json:"kind"`
-	Key      string           `json:"key"`
-	TraceID  string           `json:"trace_id,omitempty"`
-	Error    string           `json:"error,omitempty"`
-	Progress *ProgressInfo    `json:"progress,omitempty"`
-	Result   json.RawMessage  `json:"result,omitempty"`
-	Request  *CampaignRequest `json:"request,omitempty"`
+	ID       string          `json:"id"`
+	State    string          `json:"state"`
+	Kind     string          `json:"kind"`
+	Key      string          `json:"key"`
+	TraceID  string          `json:"trace_id,omitempty"`
+	Error    string          `json:"error,omitempty"`
+	Progress *ProgressInfo   `json:"progress,omitempty"`
+	Result   json.RawMessage `json:"result,omitempty"`
 	// Stages is the per-stage wall-time breakdown derived from the job's
 	// trace (queue wait, plan compile, sharded run, merge). Present as soon
 	// as the first staged span has started; see GET /v1/jobs/{id}/trace for

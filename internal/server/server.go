@@ -93,8 +93,8 @@ func (c Config) withDefaults() Config {
 
 const (
 	// retryAfter is the Retry-After hint, in seconds, of every 429 and
-	// 503. cluster.Client's own backoff never exceeds it, so a peer waits
-	// exactly the hint before it retries.
+	// 503, for external clients. A cluster coordinator does not wait on
+	// it: it fails over to another node at once.
 	retryAfter = "2"
 	// maxJobRecords bounds retained job records; the oldest terminal jobs
 	// are forgotten beyond it.

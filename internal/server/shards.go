@@ -37,7 +37,7 @@ type ShardResponse struct {
 // Concurrency is bounded by Config.ShardSlots; excess requests wait in
 // the handler until a slot frees or the client gives up, so a saturated
 // worker exerts backpressure through latency rather than queue growth
-// (the coordinator's per-range timeout and re-dispatch handle the rest).
+// (the coordinator's client timeout and re-dispatch handle the rest).
 // The endpoint always executes locally — never through Config.Execute —
 // so a coordinator receiving a range does not recurse into its own
 // fan-out.

@@ -36,9 +36,6 @@ func NewSC(n int) *SC {
 // Name implements Workload.
 func (c *SC) Name() string { return "SC" }
 
-// Class implements Workload.
-func (c *SC) Class() Class { return ClassHeterogeneous }
-
 // Reset implements Workload.
 func (c *SC) Reset(seed uint64) {
 	g := splitmix(seed)
@@ -147,9 +144,6 @@ func NewCED(n int) *CED {
 
 // Name implements Workload.
 func (c *CED) Name() string { return "CED" }
-
-// Class implements Workload.
-func (c *CED) Class() Class { return ClassHeterogeneous }
 
 // Reset paints a synthetic scene: gradient background with bright boxes
 // (urban-dataset-like content without the dataset).
@@ -294,9 +288,6 @@ func NewBFS(n, degree int) *BFS {
 
 // Name implements Workload.
 func (b *BFS) Name() string { return "BFS" }
-
-// Class implements Workload.
-func (b *BFS) Class() Class { return ClassHeterogeneous }
 
 // Reset builds the graph: each node links to its ring successor and
 // degree-1 random shortcuts, giving small-world distances.

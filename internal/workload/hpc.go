@@ -42,9 +42,6 @@ func NewMxM(n int) *MxM {
 // Name implements Workload.
 func (m *MxM) Name() string { return "MxM" }
 
-// Class implements Workload.
-func (m *MxM) Class() Class { return ClassHPC }
-
 // Reset implements Workload.
 func (m *MxM) Reset(seed uint64) {
 	g := splitmix(seed)
@@ -133,9 +130,6 @@ func NewLUD(n int) *LUD {
 
 // Name implements Workload.
 func (l *LUD) Name() string { return "LUD" }
-
-// Class implements Workload.
-func (l *LUD) Class() Class { return ClassHPC }
 
 // Reset fills the matrix with A·Aᵀ + n·I, which is SPD and hence safely
 // factorizable without pivoting.
@@ -249,9 +243,6 @@ func NewLavaMD(dim, p int) *LavaMD {
 
 // Name implements Workload.
 func (l *LavaMD) Name() string { return "LavaMD" }
-
-// Class implements Workload.
-func (l *LavaMD) Class() Class { return ClassHPC }
 
 // Reset implements Workload.
 func (l *LavaMD) Reset(seed uint64) {
@@ -397,9 +388,6 @@ func NewHotSpot(n, iterations int) *HotSpot {
 
 // Name implements Workload.
 func (h *HotSpot) Name() string { return "HotSpot" }
-
-// Class implements Workload.
-func (h *HotSpot) Class() Class { return ClassHPC }
 
 // Reset implements Workload.
 func (h *HotSpot) Reset(seed uint64) {

@@ -56,9 +56,6 @@ func NewYOLO() *YOLO {
 // Name implements Workload.
 func (y *YOLO) Name() string { return "YOLO" }
 
-// Class implements Workload.
-func (y *YOLO) Class() Class { return ClassNeuralNetwork }
-
 // Reset initializes weights (deterministic Xavier-ish) and paints a
 // synthetic road scene.
 func (y *YOLO) Reset(seed uint64) {
@@ -205,9 +202,6 @@ func NewMNIST() *MNIST {
 
 // Name implements Workload.
 func (m *MNIST) Name() string { return "MNIST" }
-
-// Class implements Workload.
-func (m *MNIST) Class() Class { return ClassNeuralNetwork }
 
 // Reset initializes weights and draws a synthetic digit (a bright stroke).
 func (m *MNIST) Reset(seed uint64) {

@@ -15,30 +15,6 @@ import (
 	"math"
 )
 
-// Class groups workloads the way the paper assigns them to devices.
-type Class int
-
-// Workload classes.
-const (
-	ClassHPC Class = iota + 1
-	ClassHeterogeneous
-	ClassNeuralNetwork
-)
-
-// String names the class.
-func (c Class) String() string {
-	switch c {
-	case ClassHPC:
-		return "HPC"
-	case ClassHeterogeneous:
-		return "heterogeneous"
-	case ClassNeuralNetwork:
-		return "neural network"
-	default:
-		return "unknown"
-	}
-}
-
 // ErrCorruptState marks detectably corrupted control state, the analogue
 // of a crash or illegal access. A workload returning it from Step is what
 // the beam harness classifies as a DUE (the application "dies or gets
@@ -49,8 +25,6 @@ var ErrCorruptState = errors.New("workload: corrupt control state")
 type Workload interface {
 	// Name is the benchmark's short name (e.g. "MxM").
 	Name() string
-	// Class is the benchmark family.
-	Class() Class
 	// Reset (re)initializes all inputs and state from the seed.
 	Reset(seed uint64)
 	// Steps is the number of execution steps after Reset.

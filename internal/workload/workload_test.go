@@ -283,13 +283,6 @@ func TestForDeviceKind(t *testing.T) {
 	}
 }
 
-func TestClassString(t *testing.T) {
-	if ClassHPC.String() != "HPC" || ClassHeterogeneous.String() != "heterogeneous" ||
-		ClassNeuralNetwork.String() != "neural network" || Class(0).String() != "unknown" {
-		t.Error("class names wrong")
-	}
-}
-
 // --- kernel-specific correctness ---
 
 func TestMxMCorrectness(t *testing.T) {

@@ -21,8 +21,8 @@ import (
 // each with the reason. A key names a function (pkg.F, pkg.T.M or
 // pkg.(*T).M), every method of a type (pkg.T or pkg.(*T)), or a file.
 // The root facade, the library's public API that example_test.go runs,
-// and String and Class methods are kept by rule. Everything else no
-// binary links is dead code: delete it, or add it here with its reason.
+// and String methods are kept by rule. Everything else no binary links
+// is dead code: delete it, or add it here with its reason.
 var keep = map[string]string{
 	"neutronsim/internal/checkpoint.YoungInterval":                       "the first-order optimum TestDalyCloseToYoungForSmallDelta checks DalyInterval against",
 	"neutronsim/internal/jobsim.SweepIntervals":                          "the empirical optimum TestEmpiricalOptimumNearDaly checks DalyInterval against",
@@ -46,7 +46,7 @@ var keep = map[string]string{
 // excused reports whether an unlinked function stays, and the keep key
 // that says why ("" when a rule keeps it).
 func excused(pkg string, d funcDecl) (key string, ok bool) {
-	if pkg == "neutronsim" || strings.HasSuffix(d.name, ".String") || strings.HasSuffix(d.name, ".Class") {
+	if pkg == "neutronsim" || strings.HasSuffix(d.name, ".String") {
 		return "", true
 	}
 	full := pkg + "." + d.name
