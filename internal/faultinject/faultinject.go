@@ -62,8 +62,8 @@ type Result struct {
 }
 
 // GoldenRun is one workload's fault-free execution from one seed: its
-// output, a checkpoint of its State before every step, and where each
-// region's next use lies. It is never written after RecordGolden returns,
+// output, a checkpoint of its State at every step boundary, and how each
+// step uses each region. It is never written after RecordGolden returns,
 // so any number of injectors — every shard of a campaign — can replay
 // against one.
 type GoldenRun struct {
@@ -71,24 +71,26 @@ type GoldenRun struct {
 	seed   uint64
 	output []float64
 	// checkpoints[k] holds the content of every State buffer before step
-	// k, sharing unchanged snapshots and blocks with checkpoint k-1.
+	// k, and checkpoints[Steps()] after the last step, sharing unchanged
+	// snapshots and blocks with the checkpoint before it.
 	checkpoints [][]*snapshot
-	// readOnly[r] reports whether Regions()[r] lies outside State: no
-	// step writes it, so a replay restores it by undoing the bits it
-	// flipped there instead of copying it.
-	readOnly []bool
-	// observe[k][r] is the first step at or after k that uses region r,
-	// which is where a bit flipped in r before step k first matters
-	// (len(checkpoints) when only the output reads it). It is -1 when
-	// that use overwrites r, or nothing uses r again: the flip never
-	// matters.
-	observe [][]int
+	// stateOf[r] is the index in State of Regions()[r], or -1 when the
+	// region lies outside State: no step writes it, so a replay restores
+	// it by undoing the bits it flipped there instead of copying it.
+	stateOf []int32
+	// regionOf[j] is the index in Regions of State()[j], or -1 when that
+	// buffer is not injectable. Steps do not declare their uses of those.
+	regionOf []int32
+	// uses[k*len(stateOf)+r] is how step k uses region r; k = Steps()
+	// stands for the output.
+	uses []workload.Use
 }
 
 // RecordGolden resets w from seed, runs it to completion without faults,
-// and records the golden run. It fails if a step fails or if w breaks the
-// State contract: a step that writes an injectable region outside State,
-// or buffers that move while the workload runs.
+// and records the golden run. It fails if a step fails, if w declares a
+// use it cannot make, or if w breaks the State contract: a step that
+// writes an injectable region outside State, or buffers that move while
+// the workload runs.
 func RecordGolden(w workload.Workload, seed uint64) (*GoldenRun, error) {
 	if w == nil {
 		return nil, errors.New("faultinject: nil workload")
@@ -99,26 +101,30 @@ func RecordGolden(w workload.Workload, seed uint64) (*GoldenRun, error) {
 	}
 	w.Reset(seed)
 	regions, state := w.Regions(), w.State()
-	g := &GoldenRun{name: w.Name(), seed: seed, readOnly: readOnly(regions, state), checkpoints: make([][]*snapshot, steps)}
+	g := &GoldenRun{name: w.Name(), seed: seed, checkpoints: make([][]*snapshot, steps+1)}
+	g.stateOf, g.regionOf = layout(regions, state)
 	var err error
-	if g.observe, err = observe(w, steps, len(regions)); err != nil {
+	if g.uses, err = useTable(w, steps, g.stateOf); err != nil {
 		return nil, err
 	}
 	before := make([]uint64, len(regions))
-	for i, r := range regions {
-		if g.readOnly[i] {
-			before[i] = checksum(r)
+	for r, reg := range regions {
+		if g.stateOf[r] < 0 {
+			before[r] = checksum(reg)
 		}
 	}
 	// Every checkpoint's snapshot pointers are allocated together.
-	snaps, prev := make([]*snapshot, steps*len(state)), make([]*snapshot, len(state))
+	snaps, prev := make([]*snapshot, (steps+1)*len(state)), make([]*snapshot, len(state))
 	var buf snapshot
-	for k := range steps {
+	for k := 0; k <= steps; k++ {
 		cp := snaps[k*len(state) : (k+1)*len(state) : (k+1)*len(state)]
 		for j, r := range state {
 			cp[j] = takeSnapshot(r, prev[j], &buf)
 		}
 		g.checkpoints[k], prev = cp, cp
+		if k == steps {
+			break
+		}
 		if err := w.Step(k); err != nil {
 			return nil, fmt.Errorf("faultinject: golden run failed at step %d: %w", k, err)
 		}
@@ -126,39 +132,33 @@ func RecordGolden(w workload.Workload, seed uint64) (*GoldenRun, error) {
 	if !slices.EqualFunc(w.Regions(), regions, sameBuffer) || !slices.EqualFunc(w.State(), state, sameBuffer) {
 		return nil, fmt.Errorf("faultinject: %s moved its buffers during the golden run", g.name)
 	}
-	for i, r := range regions {
-		if g.readOnly[i] && checksum(r) != before[i] {
-			return nil, fmt.Errorf("faultinject: %s steps write region %q, which State omits", g.name, r.Name)
+	for r, reg := range regions {
+		if g.stateOf[r] < 0 && checksum(reg) != before[r] {
+			return nil, fmt.Errorf("faultinject: %s steps write region %q, which State omits", g.name, reg.Name)
 		}
 	}
 	g.output = w.AppendOutput(nil)
 	return g, nil
 }
 
-// observe derives GoldenRun.observe from w's Uses declarations, walking
-// back from the output.
-func observe(w workload.Workload, steps, regions int) ([][]int, error) {
-	obs := make([][]int, steps+1)
-	for k := steps; k >= 0; k-- {
+// useTable reads w's Uses declarations, step by step, into one table.
+// Each step must declare one known use per region, Overwrites only of a
+// State region, and the output none.
+func useTable(w workload.Workload, steps int, stateOf []int32) ([]workload.Use, error) {
+	table := make([]workload.Use, 0, (steps+1)*len(stateOf))
+	for k := 0; k <= steps; k++ {
 		uses := w.Uses(k)
-		if len(uses) != regions {
-			return nil, fmt.Errorf("faultinject: %s declares %d region uses at step %d, want %d", w.Name(), len(uses), k, regions)
+		if len(uses) != len(stateOf) {
+			return nil, fmt.Errorf("faultinject: %s declares %d region uses at step %d, want %d", w.Name(), len(uses), k, len(stateOf))
 		}
-		obs[k] = make([]int, regions)
 		for r, u := range uses {
-			switch {
-			case u == workload.Reads:
-				obs[k][r] = k
-			case u == workload.Unused && k < steps:
-				obs[k][r] = obs[k+1][r]
-			case u == workload.Unused, u == workload.Overwrites && k < steps:
-				obs[k][r] = -1
-			default: // an unknown use, or an output that overwrites
+			if u > workload.Overwrites || u == workload.Overwrites && (k == steps || stateOf[r] < 0) {
 				return nil, fmt.Errorf("faultinject: %s declares use %d of region %d at step %d", w.Name(), u, r, k)
 			}
 		}
+		table = append(table, uses...)
 	}
-	return obs[:steps], nil
+	return table, nil
 }
 
 // NewInjector resets w from the golden run's seed and returns an injector
@@ -169,8 +169,8 @@ func (g *GoldenRun) NewInjector(w workload.Workload) (*Injector, error) {
 		return nil, errors.New("faultinject: nil workload")
 	}
 	regions, state := w.Regions(), w.State()
-	if w.Name() != g.name || w.Steps() != len(g.checkpoints) ||
-		!slices.Equal(readOnly(regions, state), g.readOnly) ||
+	if stateOf, _ := layout(regions, state); w.Name() != g.name || w.Steps() != len(g.checkpoints)-1 ||
+		!slices.Equal(stateOf, g.stateOf) ||
 		!slices.EqualFunc(g.checkpoints[0], state, (*snapshot).fits) {
 		return nil, fmt.Errorf("faultinject: %s workload does not match the golden %s run", w.Name(), g.name)
 	}
@@ -179,14 +179,18 @@ func (g *GoldenRun) NewInjector(w workload.Workload) (*Injector, error) {
 }
 
 func (g *GoldenRun) injector(w workload.Workload, regions, state []workload.Region) *Injector {
-	return &Injector{w: w, golden: g, regions: regions, words: workload.TotalWords(regions), state: state}
+	return &Injector{
+		w: w, golden: g, regions: regions, words: workload.TotalWords(regions), state: state,
+		held: make([]*snapshot, len(state)), dirtied: make([]bool, len(regions)),
+	}
 }
 
 // Injector replays one live workload instance under injected faults. A
-// faulty run starts from the golden checkpoint at the first step that can
-// see one of its flips rather than from Reset: the steps before it would
-// recompute that checkpoint bit for bit. It is not safe for concurrent
-// use; use one Injector per goroutine.
+// faulty run executes only the steps that read a buffer one of its flips
+// may have changed; it carries the live workload over every other
+// stretch of steps by copying the golden checkpoint at its end, since
+// those steps would recompute it bit for bit. It is not safe for
+// concurrent use; use one Injector per goroutine.
 type Injector struct {
 	w      workload.Workload
 	golden *GoldenRun
@@ -195,20 +199,30 @@ type Injector struct {
 	regions []workload.Region
 	words   int
 	state   []workload.Region
-	// scratch, flips and out are the reusable data-fault, bit-flip and
-	// output buffers of Run; keeping them on the injector makes repeated
-	// injections allocation-free once their capacity has grown to the
-	// campaign's fault-count high-water mark.
+	// scratch and out are the reusable data-fault and output buffers of
+	// Run; keeping them, and the slices below, on the injector makes
+	// repeated injections allocation-free once their capacity has grown
+	// to the campaign's high-water mark.
 	scratch []Timed
-	flips   []flip
 	out     []float64
-	// undo lists the bits flipped in read-only regions since the last
-	// restore. Flipping them again restores those regions exactly.
+	// undo lists the bits flipped in read-only regions since the last run
+	// began. Flipping them again restores those regions exactly.
 	undo []flip
+	// held[j] is the snapshot State()[j] holds bit for bit, or nil when
+	// it may hold anything else; a sync copies only the blocks it does
+	// not share with the checkpoint.
+	held []*snapshot
+	// dirty lists the regions whose content may differ from the golden
+	// run's at the replay's step boundary, and dirtied marks them. hot
+	// reports that a State buffer outside Regions may differ: steps do
+	// not declare their reads of those, so every step from there runs.
+	dirty   []int32
+	dirtied []bool
+	hot     bool
 }
 
-// flip is one drawn bit flip, to be applied before step at (-1: never).
-type flip struct{ region, word, bit, at int }
+// flip is one bit flipped in a region.
+type flip struct{ region, word, bit int }
 
 // NewInjector records w's golden run from seed (RecordGolden) and returns
 // an injector replaying w itself against it.
@@ -221,7 +235,7 @@ func NewInjector(w workload.Workload, seed uint64) (*Injector, error) {
 }
 
 // Steps is the replayed workload's step count.
-func (inj *Injector) Steps() int { return len(inj.golden.checkpoints) }
+func (inj *Injector) Steps() int { return len(inj.golden.checkpoints) - 1 }
 
 // Run replays the workload under the faults, each landing before its step,
 // and classifies the outcome.
@@ -249,43 +263,50 @@ func (inj *Injector) Run(faults []Timed, s *rng.Stream) Result {
 			dataFaults[j], dataFaults[j-1] = dataFaults[j-1], dataFaults[j]
 		}
 	}
-	// Every flip is drawn in fault order, exactly when the step-by-step
-	// replay would draw it: the faults landing before any step could see
-	// a flip are drawn up front, the rest as the replay reaches their
-	// steps. A flip is deferred to the first step that uses its region
-	// (observe), so the replay resumes from the golden checkpoint there:
-	// the steps before it cannot see any flip and would recompute that
-	// checkpoint bit for bit.
-	steps := len(inj.golden.checkpoints)
-	inj.flips = inj.flips[:0]
-	resume, next, live := steps, 0, false
-	for ; next < len(dataFaults); next++ {
-		k := clampStep(dataFaults[next].Step, steps)
-		if k > resume {
-			break
+	// The replay walks the step boundaries as the step-by-step reference
+	// does, and wherever it stands, the live buffers hold what the
+	// reference holds there: each fault's flips land in memory when the
+	// walk reaches its step, in fault order, so a DUE cuts the draws
+	// short where the reference's does, and a step that runs reads
+	// exactly what the reference's reads, wherever a corrupted index
+	// steers it. A step that reads no dirty region would recompute the
+	// golden run's results, so the walk skips it; synced reports whether
+	// the clean State buffers have been brought to the current boundary,
+	// which only a step that runs and the output need.
+	inj.begin()
+	steps := inj.Steps()
+	flipped, next, synced := 0, 0, false
+	for i := 0; i < steps; {
+		for ; next < len(dataFaults) && clampStep(dataFaults[next].Step, steps) == i; next++ {
+			flipped += inj.draw(dataFaults[next].Fault, i, s)
 		}
-		for _, f := range inj.draw(dataFaults[next].Fault, k, s) {
-			if f.at >= 0 {
-				resume, live = min(resume, f.at), true
+		if !inj.hot {
+			stop := steps
+			if next < len(dataFaults) {
+				stop = clampStep(dataFaults[next].Step, steps)
+			}
+			if j := inj.skip(i, stop); j > i {
+				i, synced = j, false
+				continue
 			}
 		}
-	}
-	flipped := len(inj.flips)
-	if !live {
-		return Result{Outcome: OutcomeMasked, FlippedBits: flipped}
-	}
-	resume = min(resume, steps-1) // output-only flips still need a final state
-	inj.restore(resume)
-	for i := resume; i < steps; i++ {
-		for ; next < len(dataFaults) && clampStep(dataFaults[next].Step, steps) == i; next++ {
-			flipped += len(inj.draw(dataFaults[next].Fault, i, s))
+		if !synced {
+			inj.sync(i)
+			synced = true
 		}
-		inj.flipAt(i)
-		if err := inj.w.Step(i); err != nil {
+		err := inj.w.Step(i)
+		inj.wrote(i) // a failed step may have written too
+		if err != nil {
 			return Result{Outcome: OutcomeDUE, Err: err, FlippedBits: flipped}
 		}
+		i++
 	}
-	inj.flipAt(steps)
+	if !inj.hot && !inj.reads(steps) {
+		return Result{Outcome: OutcomeMasked, FlippedBits: flipped}
+	}
+	if !synced {
+		inj.sync(steps)
+	}
 	inj.out = inj.w.AppendOutput(inj.out[:0])
 	if !slices.Equal(inj.out, inj.golden.output) {
 		return Result{Outcome: OutcomeSDC, FlippedBits: flipped}
@@ -293,16 +314,94 @@ func (inj *Injector) Run(faults []Timed, s *rng.Stream) Result {
 	return Result{Outcome: OutcomeMasked, FlippedBits: flipped}
 }
 
-// restore puts the live workload into its golden state before step k:
-// read-only regions by undoing the flips of earlier runs, every buffer a
-// step writes by copying checkpoint k.
-func (inj *Injector) restore(k int) {
+// begin starts a run from the golden state before step 0: it undoes the
+// last run's flips in read-only regions and forgets its dirty regions.
+// The State buffers that run changed already hold no snapshot.
+func (inj *Injector) begin() {
 	for _, f := range inj.undo {
 		_ = inj.regions[f.region].FlipBit(f.word, f.bit) // in range: it was flipped once
 	}
 	inj.undo = inj.undo[:0]
-	for j, r := range inj.state {
-		inj.golden.checkpoints[k][j].restore(r)
+	for _, r := range inj.dirty {
+		inj.dirtied[r] = false
+	}
+	inj.dirty, inj.hot = inj.dirty[:0], false
+}
+
+// sync brings every clean State buffer to checkpoint k. A dirty buffer
+// already holds what the reference holds at step k.
+func (inj *Injector) sync(k int) {
+	for j, r := range inj.golden.regionOf {
+		if r < 0 || !inj.dirtied[r] {
+			inj.place(j, k)
+		}
+	}
+}
+
+// place copies checkpoint k into State buffer j, block by block where the
+// buffer does not already hold that block.
+func (inj *Injector) place(j, k int) {
+	if snap := inj.golden.checkpoints[k][j]; inj.held[j] != snap {
+		snap.restore(inj.state[j], inj.held[j])
+		inj.held[j] = snap
+	}
+}
+
+// reads reports whether step k (the output at k = Steps()) reads a dirty
+// region.
+func (inj *Injector) reads(k int) bool {
+	uses := inj.golden.uses[k*len(inj.regions):]
+	for _, r := range inj.dirty {
+		if uses[r] == workload.Reads {
+			return true
+		}
+	}
+	return false
+}
+
+// skip advances from step i over the steps that read no dirty region, up
+// to stop, and returns the step it stopped at. The reference runs those
+// steps as the golden run does, so a dirty region one of them overwrites
+// holds its golden content after it: the region turns clean, and the
+// next sync copies it.
+func (inj *Injector) skip(i, stop int) int {
+	for ; i < stop && !inj.reads(i); i++ {
+		uses := inj.golden.uses[i*len(inj.regions):]
+		dirty := inj.dirty[:0]
+		for _, r := range inj.dirty {
+			if uses[r] == workload.Overwrites {
+				inj.dirtied[r] = false
+			} else {
+				dirty = append(dirty, r)
+			}
+		}
+		inj.dirty = dirty
+	}
+	return i
+}
+
+// wrote marks dirty every State buffer step i may have written: each
+// region it declares other than Unused, and every buffer outside Regions.
+func (inj *Injector) wrote(i int) {
+	uses := inj.golden.uses[i*len(inj.regions):]
+	for j, r := range inj.golden.regionOf {
+		switch {
+		case r < 0:
+			inj.held[j], inj.hot = nil, true
+		case uses[r] != workload.Unused:
+			inj.mark(r)
+		}
+	}
+}
+
+// mark records that region r may differ from the golden run.
+func (inj *Injector) mark(r int32) {
+	if j := inj.golden.stateOf[r]; j >= 0 {
+		inj.held[j] = nil
+	}
+	if !inj.dirtied[r] {
+		inj.dirtied[r] = true
+		inj.dirty = append(inj.dirty, r)
 	}
 }
 
@@ -316,50 +415,37 @@ func clampStep(step, steps int) int {
 	return step
 }
 
-// draw picks the words and bits a fault landing before step k flips —
-// memory faults prefer large storage regions, datapath faults are uniform
-// over all words — appends them to inj.flips, each due at the first step
-// that uses its region, and returns the appended flips.
-func (inj *Injector) draw(f device.Fault, k int, s *rng.Stream) []flip {
+// draw lands the bit flips of fault f in memory before step k and returns
+// how many it flipped. The first bit's word is uniform over all
+// injectable words, so large regions take most faults; MBU bits land in
+// adjacent words. A clean State buffer takes checkpoint k before its
+// first flip, so it then holds what the reference holds.
+func (inj *Injector) draw(f device.Fault, k int, s *rng.Stream) int {
 	if inj.words == 0 {
-		return nil
+		return 0
 	}
-	bits := f.Bits
-	if bits < 1 {
-		bits = 1
-	}
-	n := len(inj.flips)
-	// Pick the word for the first bit; MBU bits land in adjacent words.
-	word := s.Intn(inj.words)
-	for b := 0; b < bits; b++ {
+	word, flipped := s.Intn(inj.words), 0
+	for b := range max(f.Bits, 1) {
 		idx := word + b
 		if idx >= inj.words {
-			idx = inj.words - 1 - (idx - inj.words)
-			if idx < 0 {
-				idx = 0
-			}
+			idx = max(inj.words-1-(idx-inj.words), 0)
 		}
-		ri, off := locate(inj.regions, idx)
-		if ri < 0 {
+		r, off := locate(inj.regions, idx)
+		if r < 0 {
 			continue
 		}
-		bit := s.Intn(inj.regions[ri].BitsPerWord())
-		inj.flips = append(inj.flips, flip{region: ri, word: off, bit: bit, at: inj.golden.observe[k][ri]})
-	}
-	return inj.flips[n:]
-}
-
-// flipAt applies the flips due before step i.
-func (inj *Injector) flipAt(i int) {
-	for _, f := range inj.flips {
-		if f.at != i {
-			continue
+		bit := s.Intn(inj.regions[r].BitsPerWord())
+		switch j := inj.golden.stateOf[r]; {
+		case j < 0:
+			inj.undo = append(inj.undo, flip{region: r, word: off, bit: bit})
+		case !inj.dirtied[r]:
+			inj.place(int(j), k)
 		}
-		_ = inj.regions[f.region].FlipBit(f.word, f.bit) // in range by construction
-		if inj.golden.readOnly[f.region] {
-			inj.undo = append(inj.undo, f)
-		}
+		_ = inj.regions[r].FlipBit(off, bit) // in range by construction
+		inj.mark(int32(r))
+		flipped++
 	}
+	return flipped
 }
 
 // locate maps a global word index onto its region index and local offset;
@@ -375,24 +461,25 @@ func locate(regions []workload.Region, idx int) (int, int) {
 	return -1, 0
 }
 
-// readOnly classifies injectable regions: a region is read-only when it
-// is not one of the State buffers. State lists the injectable buffers it
-// holds in Regions order, so one forward pass over regions finds them.
-func readOnly(regions, state []workload.Region) []bool {
-	ro := make([]bool, len(regions))
-	for i := range ro {
-		ro[i] = true
+// layout maps each region to its index in State and each State buffer to
+// its region, -1 where there is none. State lists the injectable buffers
+// it holds in Regions order, so one forward pass over regions finds them.
+func layout(regions, state []workload.Region) (stateOf, regionOf []int32) {
+	stateOf, regionOf = make([]int32, len(regions)), make([]int32, len(state))
+	for r := range stateOf {
+		stateOf[r] = -1
 	}
 	next := 0
-	for _, s := range state {
-		for i := next; i < len(regions); i++ {
-			if sameBuffer(regions[i], s) {
-				ro[i], next = false, i+1
+	for j, s := range state {
+		regionOf[j] = -1
+		for r := next; r < len(regions); r++ {
+			if sameBuffer(regions[r], s) {
+				stateOf[r], regionOf[j], next = int32(j), int32(r), r+1
 				break
 			}
 		}
 	}
-	return ro
+	return stateOf, regionOf
 }
 
 // sameBuffer reports whether two regions view the same buffer.
@@ -461,7 +548,7 @@ func MeasureAVF(inj *Injector, template device.Fault, n int, s *rng.Stream) (AVF
 	if n <= 0 {
 		return AVF{}, errors.New("faultinject: run count must be positive")
 	}
-	steps := len(inj.golden.checkpoints)
+	steps := inj.Steps()
 	avf := AVF{Runs: n}
 	for i := 0; i < n; i++ {
 		f := Timed{Step: s.Intn(steps), Fault: template}

@@ -3,6 +3,7 @@ package faultinject
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"testing"
@@ -145,7 +146,10 @@ func TestCheckpointedRunMatchesResetReplay(t *testing.T) {
 	if testing.Short() {
 		runs = 60
 	}
-	build := map[string]func() workload.Workload{"outputOnly": func() workload.Workload { return &outputOnly{} }}
+	build := map[string]func() workload.Workload{
+		"outputOnly": func() workload.Workload { return &outputOnly{} },
+		"steered":    func() workload.Workload { return &steered{} },
+	}
 	for _, name := range workload.Names() {
 		build[name] = func() workload.Workload { w, _ := workload.New(name); return w }
 	}
@@ -192,47 +196,21 @@ func (c *stepCounter) Step(i int) error {
 	return c.Workload.Step(i)
 }
 
-// TestMxMReplaysFromTheRowItReads pins the saving of MxM's row regions:
-// a flip in a row of A waits for the step that reads that row, one in a
-// row of C that a later step overwrites is dropped, and one in a row of C
-// already written replays only the last step. Over single-bit faults at
-// uniform steps that averages 5.8 replayed steps per fault; declaring A
-// and C whole, as one region each, averaged 12.5.
-func TestMxMReplaysFromTheRowItReads(t *testing.T) {
-	const faults = 100_000
-	w := &stepCounter{Workload: workload.NewMxM(24)}
-	inj, err := NewInjector(w, 42)
+// replayedSteps replays single-bit faults at uniform steps, split over
+// injectors on one golden run of build(), each drawing its faults from
+// its own stream (rng.New(17), rng.New(18), …), and returns the steps
+// replayed per fault.
+func replayedSteps(t *testing.T, build func() workload.Workload, faults, injectors int) float64 {
+	t.Helper()
+	g, err := RecordGolden(build(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.steps = 0
-	s := rng.New(17)
-	for range faults {
-		inj.Run([]Timed{{Step: s.Intn(inj.Steps()), Fault: dataFault(1)}}, s)
-	}
-	if perFault := float64(w.steps) / faults; perFault > 6 {
-		t.Errorf("MxM replays %.2f steps per single-bit fault, want at most 6", perFault)
-	}
-}
-
-// TestLavaMDReplaysFromTheBoxItReads pins the saving of LavaMD's box
-// regions: a flip in box b's forces or neighbor list waits for step b,
-// one in a list already used is dropped, and one in forces already summed
-// replays only the last step. Over single-bit faults at uniform steps
-// that averages 7.3 replayed steps per fault; declaring the forces and
-// the lists whole, as one region each, averaged 12.7. Every replayed step
-// runs LavaMD's pair loop, so two injectors on one golden run share the
-// faults, each from its own stream.
-func TestLavaMDReplaysFromTheBoxItReads(t *testing.T) {
-	const faults = 100_000
-	g, err := RecordGolden(workload.NewLavaMD(3, 8), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counters := []*stepCounter{{Workload: workload.NewLavaMD(3, 8)}, {Workload: workload.NewLavaMD(3, 8)}}
+	counters := make([]*stepCounter, injectors)
 	var wg sync.WaitGroup
-	for i, w := range counters {
-		inj, err := g.NewInjector(w)
+	for i := range counters {
+		counters[i] = &stepCounter{Workload: build()}
+		inj, err := g.NewInjector(counters[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +218,7 @@ func TestLavaMDReplaysFromTheBoxItReads(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			s := rng.New(17 + uint64(i))
-			for range faults / len(counters) {
+			for range faults / injectors {
 				inj.Run([]Timed{{Step: s.Intn(inj.Steps()), Fault: dataFault(1)}}, s)
 			}
 		}()
@@ -250,20 +228,81 @@ func TestLavaMDReplaysFromTheBoxItReads(t *testing.T) {
 	for _, w := range counters {
 		steps += w.steps
 	}
-	if perFault := float64(steps) / faults; perFault > 7.5 {
-		t.Errorf("LavaMD replays %.2f steps per single-bit fault, want at most 7.5", perFault)
+	return float64(steps) / float64(faults)
+}
+
+// TestMxMReplaysFromTheRowItReads pins the saving of MxM's row regions:
+// a flip in a row of A runs only the step that reads that row, one in a
+// row of C that a later step overwrites is dropped, and one in a row of C
+// already written replays no step. Over single-bit faults at uniform
+// steps that averages 4.29 replayed steps per fault, nearly all of them
+// for flips in B, which every later step reads. Replaying every step
+// from the first that reads a flip averaged 5.78, and declaring A and C
+// whole, as one region each, 12.5.
+func TestMxMReplaysFromTheRowItReads(t *testing.T) {
+	build := func() workload.Workload { return workload.NewMxM(24) }
+	if perFault := replayedSteps(t, build, 100_000, 1); perFault > 4.5 {
+		t.Errorf("MxM replays %.2f steps per single-bit fault, want at most 4.5", perFault)
+	}
+}
+
+// TestLavaMDReplaysFromTheBoxItReads pins the saving of LavaMD's box
+// regions: a flip in box b's positions or charges runs only the later
+// steps whose boxes neighbor b, one in box b's forces or list runs step b
+// at most, one in a list already used is dropped, and one in forces
+// already summed replays no step. Over single-bit faults at uniform steps
+// that averages 2.84 replayed steps per fault. Replaying every step from
+// the first that reads a flip, with the positions and charges whole,
+// averaged 7.30, and declaring the forces and the lists whole too, 12.7.
+// Every replayed step runs LavaMD's pair loop, so two injectors share the
+// faults.
+func TestLavaMDReplaysFromTheBoxItReads(t *testing.T) {
+	build := func() workload.Workload { return workload.NewLavaMD(3, 8) }
+	if perFault := replayedSteps(t, build, 100_000, 2); perFault > 3 {
+		t.Errorf("LavaMD replays %.2f steps per single-bit fault, want at most 3.0", perFault)
+	}
+}
+
+// TestBFSReplaysFromTheChunksItReads pins the saving of BFS's chunk
+// regions: a flip in the offsets or edges of a chunk runs nothing until
+// a step expands one of the chunk's nodes, and nothing at all once the
+// search has passed them, while a flip in the distances runs every later
+// step. Over single-bit faults at uniform steps that averages 8.00
+// replayed steps per fault; declaring the offsets and edges whole, and
+// replaying every step from the first that reads a flip, averaged 29.07.
+func TestBFSReplaysFromTheChunksItReads(t *testing.T) {
+	build := func() workload.Workload { return workload.NewBFS(1024, 4) }
+	if perFault := replayedSteps(t, build, 50_000, 2); perFault > 8.5 {
+		t.Errorf("BFS replays %.2f steps per single-bit fault, want at most 8.5", perFault)
+	}
+}
+
+// TestSCReplaysFromTheChunkItReads pins the saving of SC's chunk
+// regions: a flip in data or flags chunk c waits for step c and is
+// dropped once step c has run, while a flip in the output or the cursor
+// runs every later step. Over single-bit faults at uniform steps that
+// averages 4.07 replayed steps per fault; declaring the data and flags
+// whole, and replaying every step from the first that reads a flip,
+// averaged 7.59.
+func TestSCReplaysFromTheChunkItReads(t *testing.T) {
+	build := func() workload.Workload { return workload.NewSC(4096) }
+	if perFault := replayedSteps(t, build, 50_000, 1); perFault > 4.5 {
+		t.Errorf("SC replays %.2f steps per single-bit fault, want at most 4.5", perFault)
 	}
 }
 
 // BenchmarkInjectorRun measures one single-bit data-fault replay per op at
-// a uniform step, the dominant cost of a device assessment.
+// a uniform step, the dominant cost of a device assessment. It reports
+// the steps replayed per op too: that count repeats exactly from run to
+// run, where ns/op swings with the host.
 func BenchmarkInjectorRun(b *testing.B) {
 	for _, name := range workload.Names() {
 		b.Run(name, func(b *testing.B) {
-			w, err := workload.New(name)
+			live, err := workload.New(name)
 			if err != nil {
 				b.Fatal(err)
 			}
+			w := &stepCounter{Workload: live}
 			inj, err := NewInjector(w, 42)
 			if err != nil {
 				b.Fatal(err)
@@ -271,6 +310,7 @@ func BenchmarkInjectorRun(b *testing.B) {
 			steps := w.Steps()
 			s := rng.New(1)
 			faults := make([]Timed, 1)
+			w.steps = 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -279,6 +319,7 @@ func BenchmarkInjectorRun(b *testing.B) {
 					b.Fatalf("unclassified outcome at op %d", i)
 				}
 			}
+			b.ReportMetric(float64(w.steps)/float64(b.N), "steps/op")
 		})
 	}
 }
@@ -369,14 +410,27 @@ func (o outputOverwrites) Uses(i int) []workload.Use {
 	return u
 }
 
+// readOnlyOverwrites declares that step 0 overwrites row 0 of A, a
+// region outside State that no step writes.
+type readOnlyOverwrites struct{ *workload.MxM }
+
+func (o readOnlyOverwrites) Uses(i int) []workload.Use {
+	u := o.MxM.Uses(i)
+	if i == 0 {
+		u[0] = workload.Overwrites
+	}
+	return u
+}
+
 func TestRecordGoldenRejectsBrokenStateContract(t *testing.T) {
 	for name, w := range map[string]workload.Workload{
-		"state omits a written region": leaky{workload.NewMxM(6)},
-		"buffers move":                 &mover{MxM: workload.NewMxM(6), extra: make([]float64, 4)},
-		"no steps":                     noSteps{workload.NewMxM(6)},
-		"uses for too few regions":     shortUses{workload.NewMxM(6)},
-		"output overwrites a region":   outputOverwrites{workload.NewMxM(6)},
-		"nil workload":                 nil,
+		"state omits a written region":       leaky{workload.NewMxM(6)},
+		"buffers move":                       &mover{MxM: workload.NewMxM(6), extra: make([]float64, 4)},
+		"no steps":                           noSteps{workload.NewMxM(6)},
+		"uses for too few regions":           shortUses{workload.NewMxM(6)},
+		"output overwrites a region":         outputOverwrites{workload.NewMxM(6)},
+		"a region outside State overwritten": readOnlyOverwrites{workload.NewMxM(6)},
+		"nil workload":                       nil,
 	} {
 		if _, err := RecordGolden(w, 1); err == nil {
 			t.Errorf("%s: recorded without error", name)
@@ -431,7 +485,7 @@ func TestSnapshotComparesBits(t *testing.T) {
 		t.Error("unchanged blocks not shared, or a changed block shared")
 	}
 	r.F64[blockWords+1] = 0
-	next.restore(r)
+	next.restore(r, nil)
 	if !holds(next, r) || r.F64[blockWords+1] != 0 || !math.Signbit(r.F64[blockWords+1]) {
 		t.Error("restore did not bring back the signed zero")
 	}
@@ -451,7 +505,7 @@ func TestUsesDeclarationsHold(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			inj := newInjector(t, name)
 			g, w := inj.golden, inj.w
-			steps := len(g.checkpoints)
+			steps := inj.Steps()
 			gen := rng.New(3)
 			var flips []flip
 			flipSome := func(r int) {
@@ -503,7 +557,7 @@ func TestUsesDeclarationsHold(t *testing.T) {
 						t.Errorf("step %d results depend on region %q, declared use %v", i, inj.regions[r].Name, u)
 					}
 					for rr, reg := range inj.regions {
-						if g.readOnly[rr] && checksum(reg) != checksum(fresh.Regions()[rr]) {
+						if g.stateOf[rr] < 0 && checksum(reg) != checksum(fresh.Regions()[rr]) {
 							t.Errorf("step %d left read-only region %q changed (region %q declared %v)", i, reg.Name, inj.regions[r].Name, u)
 						}
 					}
@@ -511,6 +565,63 @@ func TestUsesDeclarationsHold(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestStepsWriteOnlyDeclaredRegions checks the write half of the Uses
+// contract, which holds whatever the regions hold: from the golden state
+// before each step of the nine workloads, exponent-bit flips in one
+// region the step declares Reads may send it anywhere, but if the step
+// returns without error, every State region it declares Unused must
+// still hold its golden content bit for bit. A replay skips the steps
+// that read no flipped region, so a write there would go unseen.
+func TestStepsWriteOnlyDeclaredRegions(t *testing.T) {
+	for _, name := range workload.Names() {
+		t.Run(name, func(t *testing.T) {
+			inj := newInjector(t, name)
+			g, w := inj.golden, inj.w
+			gen := rng.New(4)
+			for i := range inj.Steps() {
+				uses := w.Uses(i)
+				for r, u := range uses {
+					if u != workload.Reads {
+						continue
+					}
+					inj.restore(i)
+					reg := inj.regions[r]
+					flips := make([]flip, 16)
+					for k := range flips {
+						flips[k] = flip{region: r, word: gen.Intn(reg.Words()), bit: gen.Intn(32)}
+						if reg.F64 != nil {
+							flips[k].bit = 62 // the top exponent bit
+						}
+						_ = reg.FlipBit(flips[k].word, flips[k].bit)
+					}
+					err := w.Step(i)
+					if g.stateOf[r] < 0 {
+						for _, f := range flips {
+							_ = reg.FlipBit(f.word, f.bit)
+						}
+					}
+					if err != nil {
+						continue
+					}
+					for j, buf := range inj.state {
+						if rr := g.regionOf[j]; rr >= 0 && uses[rr] == workload.Unused && !holds(g.checkpoints[i][j], buf) {
+							t.Errorf("step %d wrote region %d (%q), declared Unused, with region %d (%q) flipped", i, rr, buf.Name, r, reg.Name)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// restore puts the live workload into its golden state before step k,
+// whatever was done to it.
+func (inj *Injector) restore(k int) {
+	inj.begin()
+	clear(inj.held)
+	inj.sync(k)
 }
 
 // outputOnly has a region that only the output reads after step 0, so
@@ -552,6 +663,80 @@ func (o *outputOnly) Uses(i int) []workload.Use {
 		return []workload.Use{workload.Unused, workload.Reads}
 	}
 	return []workload.Use{workload.Unused, workload.Unused}
+}
+
+// steered is a workload whose steps a corrupted index sends to a region
+// no step declares. Step i sums region A or region B, whichever the
+// parity of idx[i]'s bits names, into acc[i]. B holds A's words and then
+// zeros, so both sums agree, and every golden index names A: step i
+// declares A, idx and acc[i], which it overwrites, and a lone flip in
+// idx is masked. A flip in B shows only when a steered step reads it: a
+// replay that held that flip back until a step declared B, or lost track
+// of what a step wrote or overwrote, would disagree with the reference.
+// B takes most of the words, so random schedules often flip it before a
+// steered step reads it.
+type steered struct{ a, b, idx, acc []uint32 }
+
+const steeredSteps = 6
+
+func (*steered) Name() string { return "steered" }
+func (*steered) Steps() int   { return steeredSteps }
+
+func (w *steered) Reset(seed uint64) {
+	if w.a == nil {
+		w.a, w.b = make([]uint32, 2), make([]uint32, 16)
+		w.idx, w.acc = make([]uint32, steeredSteps), make([]uint32, steeredSteps)
+	}
+	w.a[0], w.a[1] = uint32(seed), uint32(seed)*2654435761
+	clear(w.b)
+	copy(w.b, w.a)
+	for i := range w.idx {
+		w.idx[i], w.acc[i] = 3<<i, 0 // two bits set: A
+	}
+}
+
+func (w *steered) Step(i int) error {
+	src := w.a
+	if bits.OnesCount32(w.idx[i])%2 == 1 {
+		src = w.b
+	}
+	var sum uint32
+	for _, v := range src {
+		sum += v
+	}
+	w.acc[i] = sum
+	return nil
+}
+
+func (w *steered) AppendOutput(dst []float64) []float64 {
+	for _, v := range w.acc {
+		dst = append(dst, float64(v))
+	}
+	return dst
+}
+
+// Regions is A, B, idx, then acc one word per step, so that B and idx
+// are adjacent words and one MBU can flip both.
+func (w *steered) Regions() []workload.Region {
+	regions := []workload.Region{{Name: "A", U32: w.a}, {Name: "B", U32: w.b}, {Name: "idx", U32: w.idx}}
+	for i := range w.acc {
+		regions = append(regions, workload.Region{Name: "acc", U32: w.acc[i : i+1]})
+	}
+	return regions
+}
+
+func (w *steered) State() []workload.Region { return w.Regions()[3:] }
+
+func (w *steered) Uses(i int) []workload.Use {
+	u := make([]workload.Use, 3+steeredSteps)
+	if i == steeredSteps {
+		for k := range steeredSteps {
+			u[3+k] = workload.Reads
+		}
+		return u
+	}
+	u[0], u[2], u[3+i] = workload.Reads, workload.Reads, workload.Overwrites
+	return u
 }
 
 // holds reports whether r holds the snapshot's content bit for bit.

@@ -85,13 +85,23 @@ func appendBlocks[T float64 | uint32](dst [][]T, cur []T, prev [][]T, zero []T, 
 	return dst
 }
 
-// restore copies the snapshot into r, which has its shape.
-func (s snapshot) restore(r workload.Region) {
-	for b, blk := range s.f64 {
-		copy(r.F64[b*blockWords:], blk)
+// restore copies the snapshot into r, which has its shape and holds the
+// snapshot old (nil: anything). A block old shares with s is in place
+// already, so only the others are copied.
+func (s *snapshot) restore(r workload.Region, old *snapshot) {
+	var o snapshot
+	if old != nil {
+		o = *old
 	}
-	for b, blk := range s.u32 {
-		copy(r.U32[b*blockWords:], blk)
+	restoreBlocks(r.F64, s.f64, o.f64)
+	restoreBlocks(r.U32, s.u32, o.u32)
+}
+
+func restoreBlocks[T float64 | uint32](dst []T, blocks, old [][]T) {
+	for b, blk := range blocks {
+		if b >= len(old) || &old[b][0] != &blk[0] {
+			copy(dst[b*blockWords:], blk)
+		}
 	}
 }
 

@@ -16,6 +16,11 @@ type SC struct {
 	out    []float64
 	flags  []uint32
 	cursor []uint32 // [0] = write position; control state
+	// regions is the data chunk by chunk, the output, the flags chunk by
+	// chunk, then the cursor: the word order of data‖out‖flags‖cursor,
+	// split by chunk so that a flip's region tells which step reads it.
+	// Built once at its exact capacity.
+	regions []Region
 }
 
 // NewSC builds a stream-compaction workload over n elements.
@@ -23,14 +28,30 @@ func NewSC(n int) *SC {
 	if n < 16 {
 		n = 16
 	}
-	return &SC{
-		n:      n,
-		chunks: 16,
-		data:   make([]float64, n),
-		out:    make([]float64, n),
-		flags:  make([]uint32, n),
-		cursor: make([]uint32, 1),
+	const chunks = 16
+	c := &SC{
+		n:       n,
+		chunks:  chunks,
+		data:    make([]float64, n),
+		out:     make([]float64, n),
+		flags:   make([]uint32, n),
+		cursor:  make([]uint32, 1),
+		regions: make([]Region, 2*chunks+2),
 	}
+	c.regions[chunks] = Region{Name: "out", F64: c.out}
+	c.regions[2*chunks+1] = Region{Name: "cursor", U32: c.cursor}
+	for i := range chunks {
+		lo, hi := c.chunk(i)
+		c.regions[i] = Region{Name: "data", F64: c.data[lo:hi]}
+		c.regions[chunks+1+i] = Region{Name: "flags", U32: c.flags[lo:hi]}
+	}
+	return c
+}
+
+// chunk is the element range step i compacts.
+func (c *SC) chunk(i int) (lo, hi int) {
+	size := (c.n + c.chunks - 1) / c.chunks
+	return min(i*size, c.n), min((i+1)*size, c.n)
 }
 
 // Name implements Workload.
@@ -60,12 +81,7 @@ func (c *SC) Step(i int) error {
 	if i < 0 || i >= c.chunks {
 		return fmt.Errorf("SC: step %d out of range", i)
 	}
-	chunk := (c.n + c.chunks - 1) / c.chunks
-	lo := i * chunk
-	hi := lo + chunk
-	if hi > c.n {
-		hi = c.n
-	}
+	lo, hi := c.chunk(i)
 	for j := lo; j < hi; j++ {
 		if c.flags[j] == 0 {
 			continue
@@ -89,30 +105,26 @@ func (c *SC) AppendOutput(dst []float64) []float64 {
 	return append(append(dst, c.out...), float64(c.cursor[0]))
 }
 
-// Regions implements Workload.
-func (c *SC) Regions() []Region {
-	return []Region{
-		{Name: "data", F64: c.data},
-		{Name: "out", F64: c.out},
-		{Name: "flags", U32: c.flags},
-		{Name: "cursor", U32: c.cursor},
-	}
-}
+// Regions implements Workload: the data chunks, the output, the flag
+// chunks, then the cursor.
+func (c *SC) Regions() []Region { return c.regions }
 
 // State implements Workload: the compacted output and its write cursor.
 func (c *SC) State() []Region {
-	return []Region{
-		{Name: "out", F64: c.out},
-		{Name: "cursor", U32: c.cursor},
-	}
+	return []Region{c.regions[c.chunks], c.regions[2*c.chunks+1]}
 }
 
-// Uses implements Workload: a step reads its chunk and appends to out.
+// Uses implements Workload: step i reads data chunk i and flags chunk i,
+// and appends to the output at the cursor; the output reads the output
+// and the cursor. The chunks are indexed by i alone, and the cursor,
+// which steers the writes, is read at every step.
 func (c *SC) Uses(i int) []Use {
-	if i == c.chunks {
-		return []Use{Unused, Reads, Unused, Reads}
+	u := make([]Use, len(c.regions))
+	u[c.chunks], u[2*c.chunks+1] = Reads, Reads
+	if i < c.chunks {
+		u[i], u[c.chunks+1+i] = Reads, Reads
 	}
-	return []Use{Reads, Reads, Reads, Reads}
+	return u
 }
 
 // CED ------------------------------------------------------------------------
@@ -266,7 +278,19 @@ type BFS struct {
 	edges   []uint32 // CSR targets
 	dist    []uint32
 	levels  int
+	// level is each node's distance on the input graph, as the search
+	// finds it (unvisited where it never does): Reset records it, so Uses
+	// can name the chunks each step reads on the golden graph.
+	level []uint32
+	// regions is the offsets and the edges, each one region per chunk of
+	// bfsChunk nodes, then the distances: the word order of
+	// offsets‖edges‖dist, split by chunk so that a flip's region tells
+	// which steps read it. Built once at its exact capacity.
+	regions []Region
 }
+
+// bfsChunk is the number of nodes whose offsets and edges share a region.
+const bfsChunk = 16
 
 // NewBFS builds a BFS workload over n nodes with the given average degree.
 func NewBFS(n, degree int) *BFS {
@@ -276,14 +300,28 @@ func NewBFS(n, degree int) *BFS {
 	if degree < 2 {
 		degree = 2
 	}
-	return &BFS{
+	chunks := (n + bfsChunk - 1) / bfsChunk
+	b := &BFS{
 		n:       n,
 		degree:  degree,
 		offsets: make([]uint32, n+1),
 		edges:   make([]uint32, n*degree),
 		dist:    make([]uint32, n),
 		levels:  64,
+		level:   make([]uint32, n),
+		regions: make([]Region, 2*chunks+1),
 	}
+	for c := range chunks {
+		lo, hi := c*bfsChunk, min((c+1)*bfsChunk, n)
+		if c == chunks-1 {
+			b.regions[c] = Region{Name: "offsets", U32: b.offsets[lo:]}
+		} else {
+			b.regions[c] = Region{Name: "offsets", U32: b.offsets[lo:hi]}
+		}
+		b.regions[chunks+c] = Region{Name: "edges", U32: b.edges[lo*degree : hi*degree]}
+	}
+	b.regions[2*chunks] = Region{Name: "dist", U32: b.dist}
+	return b
 }
 
 // Name implements Workload.
@@ -306,6 +344,22 @@ func (b *BFS) Reset(seed uint64) {
 	}
 	b.offsets[b.n] = uint32(e)
 	b.dist[0] = 0
+	// Record the levels the search will find: each pass expands one
+	// level as Step does, until a level reaches no new node.
+	copy(b.level, b.dist)
+	for l, more := uint32(0), true; more; l++ {
+		more = false
+		for v, d := range b.level {
+			if d != l {
+				continue
+			}
+			for _, t := range b.edges[b.offsets[v]:b.offsets[v+1]] {
+				if b.level[t] == unvisited {
+					b.level[t], more = l+1, true
+				}
+			}
+		}
+	}
 }
 
 // Steps implements Workload: one frontier level per step, up to the level
@@ -348,22 +402,31 @@ func (b *BFS) AppendOutput(dst []float64) []float64 {
 	return dst
 }
 
-// Regions implements Workload.
-func (b *BFS) Regions() []Region {
-	return []Region{
-		{Name: "offsets", U32: b.offsets},
-		{Name: "edges", U32: b.edges},
-		{Name: "dist", U32: b.dist},
-	}
-}
+// Regions implements Workload: the offset chunks, the edge chunks, then
+// the distances.
+func (b *BFS) Regions() []Region { return b.regions }
 
 // State implements Workload: the search writes only the distances.
-func (b *BFS) State() []Region { return []Region{{Name: "dist", U32: b.dist}} }
+func (b *BFS) State() []Region { return b.regions[len(b.regions)-1:] }
 
-// Uses implements Workload.
+// Uses implements Workload: step i reads every distance, and the offsets
+// and edges of the nodes at level i of the input graph; the output reads
+// only the distances. Node v's offsets are words v and v+1, which may lie
+// in the next chunk, and its edges lie in its own chunk. A corrupted
+// distance, offset or edge target steers the step to other nodes, but
+// the step reads that word first.
 func (b *BFS) Uses(i int) []Use {
+	chunks := len(b.regions) / 2
+	u := make([]Use, len(b.regions))
+	u[2*chunks] = Reads
 	if i == b.levels {
-		return []Use{Unused, Unused, Reads}
+		return u
 	}
-	return []Use{Reads, Reads, Reads}
+	for v, l := range b.level {
+		if l == uint32(i) {
+			c := v / bfsChunk
+			u[c], u[min((v+1)/bfsChunk, chunks-1)], u[chunks+c] = Reads, Reads, Reads
+		}
+	}
+	return u
 }

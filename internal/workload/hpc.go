@@ -207,10 +207,10 @@ type LavaMD struct {
 	charge    []float64
 	force     []float64
 	neighbors []uint32 // per box: lavaNeighbors indices of neighbor boxes
-	// regions is the positions, the charges, then the forces and the
-	// neighbor lists one box each: the word order of
+	// regions is the positions, the charges, the forces and the neighbor
+	// lists, each one region per box: the word order of
 	// positions‖charges‖forces‖neighbors, split by box so that a flip's
-	// region tells which step uses it. Built once at its exact capacity.
+	// region tells which steps use it. Built once at its exact capacity.
 	regions []Region
 }
 
@@ -230,13 +230,13 @@ func NewLavaMD(dim, p int) *LavaMD {
 		charge:    make([]float64, boxes*p),
 		force:     make([]float64, 3*boxes*p),
 		neighbors: make([]uint32, boxes*lavaNeighbors),
-		regions:   make([]Region, 2+2*boxes),
+		regions:   make([]Region, 4*boxes),
 	}
-	l.regions[0] = Region{Name: "positions", F64: l.pos}
-	l.regions[1] = Region{Name: "charges", F64: l.charge}
 	for b := range boxes {
-		l.regions[2+b] = Region{Name: "forces", F64: l.force[3*b*p : 3*(b+1)*p]}
-		l.regions[2+boxes+b] = Region{Name: "neighbors", U32: l.neighbors[b*lavaNeighbors : (b+1)*lavaNeighbors]}
+		l.regions[b] = Region{Name: "positions", F64: l.pos[3*b*p : 3*(b+1)*p]}
+		l.regions[boxes+b] = Region{Name: "charges", F64: l.charge[b*p : (b+1)*p]}
+		l.regions[2*boxes+b] = Region{Name: "forces", F64: l.force[3*b*p : 3*(b+1)*p]}
+		l.regions[3*boxes+b] = Region{Name: "neighbors", U32: l.neighbors[b*lavaNeighbors : (b+1)*lavaNeighbors]}
 	}
 	return l
 }
@@ -260,18 +260,19 @@ func (l *LavaMD) Reset(seed uint64) {
 			l.force[3*idx+1] = 0
 			l.force[3*idx+2] = 0
 		}
-		// Neighbor list: the surrounding boxes with clamped coordinates.
-		ni := 0
-		for dz := -1; dz <= 1; dz++ {
-			for dy := -1; dy <= 1; dy++ {
-				for dx := -1; dx <= 1; dx++ {
-					nx, ny, nz := clamp(bx+dx, d), clamp(by+dy, d), clamp(bz+dz, d)
-					l.neighbors[b*lavaNeighbors+ni] = uint32(nx + ny*d + nz*d*d)
-					ni++
-				}
-			}
+		for n := range lavaNeighbors {
+			l.neighbors[b*lavaNeighbors+n] = uint32(lavaNeighbor(b, n, d))
 		}
 	}
+}
+
+// lavaNeighbor is entry n of box b's neighbor list on a d³ grid: the box
+// at offset (n%3-1, n/3%3-1, n/9-1) from b, its coordinates clamped to
+// the grid. Reset fills the lists from it, and Uses names the boxes a
+// step reads on the golden lists.
+func lavaNeighbor(b, n, d int) int {
+	bx, by, bz := b%d, (b/d)%d, b/(d*d)
+	return clamp(bx+n%3-1, d) + clamp(by+n/3%3-1, d)*d + clamp(bz+n/9-1, d)*d*d
 }
 
 func clamp(v, n int) int {
@@ -333,27 +334,32 @@ func (l *LavaMD) Step(i int) error {
 func (l *LavaMD) AppendOutput(dst []float64) []float64 { return append(dst, l.force...) }
 
 // Regions implements Workload: the positions, the charges, the forces
-// box by box, then the neighbor lists box by box.
+// and the neighbor lists, each box by box.
 func (l *LavaMD) Regions() []Region { return l.regions }
 
 // State implements Workload: steps accumulate into the force boxes only.
-func (l *LavaMD) State() []Region { return l.regions[2 : 2+l.Steps()] }
+func (l *LavaMD) State() []Region { return l.regions[2*l.Steps() : 3*l.Steps()] }
 
-// Uses implements Workload: step i reads every position and charge, and
-// box i's neighbor list, and adds into box i's forces; the output reads
-// only the forces. A corrupted neighbor index steers only which positions
-// and charges a step reads, and those are Reads at every step, while box
-// i's forces and list are indexed by i alone.
+// Uses implements Workload: step i reads box i's neighbor list, the
+// positions and charges of the boxes on it, and adds into box i's
+// forces; the output reads only the forces. On the golden lists those
+// boxes are the 8 to 27 distinct ones around box i. A corrupted list
+// entry steers the step to other boxes, but the step reads that entry,
+// and box i's forces and list are indexed by i alone.
 func (l *LavaMD) Uses(i int) []Use {
 	boxes := l.Steps()
-	u := make([]Use, 2+2*boxes)
+	u := make([]Use, 4*boxes)
 	if i == boxes {
 		for b := range boxes {
-			u[2+b] = Reads
+			u[2*boxes+b] = Reads
 		}
 		return u
 	}
-	u[0], u[1], u[2+i], u[2+boxes+i] = Reads, Reads, Reads, Reads
+	for n := range lavaNeighbors {
+		nb := lavaNeighbor(i, n, l.dim)
+		u[nb], u[boxes+nb] = Reads, Reads
+	}
+	u[2*boxes+i], u[3*boxes+i] = Reads, Reads
 	return u
 }
 

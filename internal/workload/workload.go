@@ -45,9 +45,9 @@ type Workload interface {
 	// step boundary, injectable or not; a scratch buffer each step fully
 	// rewrites before reading it may be left out. Step must never write
 	// an injectable region outside State: the fault injector checkpoints
-	// State at each step boundary of the golden run and resumes a faulty
-	// run from a checkpoint, so it restores only State and undoes its own
-	// bit flips everywhere else.
+	// State at each step boundary of the golden run and copies those
+	// checkpoints into State where a faulty run skips steps, so it
+	// restores only State and undoes its own bit flips everywhere else.
 	//
 	// State lists the injectable buffers it holds in the order Regions
 	// lists them. Regions and State return the same buffers, in the same
@@ -55,22 +55,22 @@ type Workload interface {
 	// the returned slices.
 	State() []Region
 	// Uses reports how step i uses each of Regions(), in order; i ==
-	// Steps() stands for AppendOutput, which never overwrites. The injector
-	// defers a bit flip to the first step that uses its region and drops
-	// it when that use overwrites it, so a declaration may overstate
-	// Reads but must never understate it.
+	// Steps() stands for AppendOutput, which never overwrites. It
+	// describes step i when every region it declares Reads holds its
+	// golden content, the content the fault-free run from the same Reset
+	// gives it before step i: the step then touches no region it declares
+	// Unused, and writes every word of a region it declares Overwrites
+	// before it reads any. Whatever any region holds, a step writes no
+	// injectable region it declares Unused, and only State regions may be
+	// declared Overwrites.
 	//
-	// A region may be declared Unused or Overwrites at a step only if no
-	// injectable word can make that step touch it. Otherwise a flipped
-	// index could make the step read a region its declaration says it
-	// ignores, and a flip deferred past that step would land too late.
-	// Multi-fault schedules can hit this; a test that flips one region at
-	// a time cannot. MxM, LUD, HotSpot, CED, YOLO and MNIST index
-	// statically. SC's cursor and BFS's offsets and edges are injectable
-	// and steer reads, so those workloads declare Reads at every step.
-	// LavaMD's neighbor lists steer its position and charge reads, so
-	// those stay Reads at every step; box i's forces and list are indexed
-	// by i alone, so step i leaves every other box's Unused.
+	// The fault injector lands each bit flip in memory when it is drawn,
+	// and runs a step only when the step reads a region that may differ
+	// from the golden run, so a declaration may overstate Reads but must
+	// never understate it. A step that a corrupted index steers elsewhere
+	// (a LavaMD neighbor entry, a BFS edge target or distance, SC's
+	// cursor) reads that index, so it runs, and reads whatever the
+	// corrupted run holds where it is steered.
 	Uses(i int) []Use
 }
 

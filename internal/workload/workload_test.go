@@ -157,9 +157,9 @@ func TestMxMRegionLayout(t *testing.T) {
 }
 
 // TestLavaMDRegionLayout pins LavaMD's region split: the positions, the
-// charges, then the forces of each box and the neighbor list of each
-// box, whose words concatenated are positions‖charges‖forces‖neighbors
-// in order. The injector picks a flip's word by its flat index over
+// charges, the forces and the neighbor lists, each one region per box,
+// whose words concatenated are positions‖charges‖forces‖neighbors in
+// order. The injector picks a flip's word by its flat index over
 // Regions(), as does the frozen reset-and-replay reference, so a
 // reordered split would move every result while the two kept agreeing.
 func TestLavaMDRegionLayout(t *testing.T) {
@@ -168,13 +168,13 @@ func TestLavaMDRegionLayout(t *testing.T) {
 	l.Reset(3)
 	boxes := dim * dim * dim
 	regions := l.Regions()
-	if len(regions) != 2+2*boxes {
-		t.Fatalf("LavaMD exposes %d regions, want %d", len(regions), 2+2*boxes)
+	if len(regions) != 4*boxes {
+		t.Fatalf("LavaMD exposes %d regions, want %d", len(regions), 4*boxes)
 	}
 	var f64 []float64
 	var u32 []uint32
 	for i, r := range regions {
-		if (r.U32 != nil) != (i >= 2+boxes) {
+		if (r.U32 != nil) != (i >= 3*boxes) {
 			t.Fatalf("region %d (%q) has the wrong word type for its place", i, r.Name)
 		}
 		f64, u32 = append(f64, r.F64...), append(u32, r.U32...)
@@ -182,20 +182,95 @@ func TestLavaMDRegionLayout(t *testing.T) {
 	if !slices.Equal(f64, slices.Concat(l.pos, l.charge, l.force)) || !slices.Equal(u32, l.neighbors) {
 		t.Fatal("the words of Regions(), concatenated, are not positions‖charges‖forces‖neighbors")
 	}
-	if &regions[0].F64[0] != &l.pos[0] || &regions[1].F64[0] != &l.charge[0] {
-		t.Error("the first two regions do not view the positions and the charges")
-	}
 	state := l.State()
 	if len(state) != boxes {
 		t.Fatalf("State() has %d buffers, want the %d force boxes", len(state), boxes)
 	}
 	for b := range boxes {
-		forces, list := regions[2+b], regions[2+boxes+b]
-		if &forces.F64[0] != &l.force[3*b*p] || &list.U32[0] != &l.neighbors[b*lavaNeighbors] {
-			t.Errorf("box %d's regions do not view its forces and its neighbor list", b)
+		pos, charge, forces, list := regions[b], regions[boxes+b], regions[2*boxes+b], regions[3*boxes+b]
+		if &pos.F64[0] != &l.pos[3*b*p] || &charge.F64[0] != &l.charge[b*p] ||
+			&forces.F64[0] != &l.force[3*b*p] || &list.U32[0] != &l.neighbors[b*lavaNeighbors] {
+			t.Errorf("box %d's regions do not view its positions, charges, forces and neighbor list", b)
 		}
 		if &state[b].F64[0] != &forces.F64[0] || len(state[b].F64) != len(forces.F64) {
 			t.Errorf("State()[%d] is not box %d's forces", b, b)
+		}
+	}
+}
+
+// TestBFSRegionLayout pins BFS's region split: the offsets and the edges
+// of each chunk of bfsChunk nodes, then the distances, whose words
+// concatenated are offsets‖edges‖dist in order; the last offsets chunk
+// also holds the closing offset. It checks a node count that fills its
+// chunks and one that does not. A reordered split would move every
+// result, as TestMxMRegionLayout explains.
+func TestBFSRegionLayout(t *testing.T) {
+	for _, n := range []int{1024, 100} {
+		const degree = 4
+		b := NewBFS(n, degree)
+		b.Reset(3)
+		chunks := (n + bfsChunk - 1) / bfsChunk
+		regions := b.Regions()
+		if len(regions) != 2*chunks+1 {
+			t.Fatalf("BFS over %d nodes exposes %d regions, want %d", n, len(regions), 2*chunks+1)
+		}
+		var flat []uint32
+		for _, r := range regions {
+			flat = append(flat, r.U32...)
+		}
+		if !slices.Equal(flat, slices.Concat(b.offsets, b.edges, b.dist)) {
+			t.Fatalf("over %d nodes, the words of Regions(), concatenated, are not offsets‖edges‖dist", n)
+		}
+		for c := range chunks {
+			offsets, edges := regions[c].U32, regions[chunks+c].U32
+			if &offsets[0] != &b.offsets[c*bfsChunk] || &edges[0] != &b.edges[c*bfsChunk*degree] {
+				t.Errorf("over %d nodes, chunk %d's regions do not view its offsets and edges", n, c)
+			}
+		}
+		if last := regions[chunks-1].U32; &last[len(last)-1] != &b.offsets[n] {
+			t.Errorf("over %d nodes, the last offsets chunk does not hold the closing offset", n)
+		}
+		if state := b.State(); len(state) != 1 || &state[0].U32[0] != &b.dist[0] || len(state[0].U32) != n {
+			t.Errorf("over %d nodes, State() is not the distances", n)
+		}
+	}
+}
+
+// TestSCRegionLayout pins SC's region split: the data chunk by chunk,
+// the output, the flags chunk by chunk, then the cursor, whose words
+// concatenated are data‖out‖flags‖cursor in order, each chunk the range
+// its step compacts. It checks an element count that fills its chunks and
+// one that does not. A reordered split would move every result, as
+// TestMxMRegionLayout explains.
+func TestSCRegionLayout(t *testing.T) {
+	for _, n := range []int{4096, 100} {
+		c := NewSC(n)
+		c.Reset(3)
+		regions := c.Regions()
+		if len(regions) != 2*c.chunks+2 {
+			t.Fatalf("SC over %d elements exposes %d regions, want %d", n, len(regions), 2*c.chunks+2)
+		}
+		var f64 []float64
+		var u32 []uint32
+		for i, r := range regions {
+			if (r.U32 != nil) != (i > c.chunks) {
+				t.Fatalf("region %d (%q) has the wrong word type for its place", i, r.Name)
+			}
+			f64, u32 = append(f64, r.F64...), append(u32, r.U32...)
+		}
+		if !slices.Equal(f64, slices.Concat(c.data, c.out)) || !slices.Equal(u32, slices.Concat(c.flags, c.cursor)) {
+			t.Fatalf("over %d elements, the words of Regions(), concatenated, are not data‖out‖flags‖cursor", n)
+		}
+		for i := range c.chunks {
+			lo, hi := c.chunk(i)
+			data, flags := regions[i].F64, regions[c.chunks+1+i].U32
+			if len(data) != hi-lo || len(flags) != hi-lo || hi > lo && (&data[0] != &c.data[lo] || &flags[0] != &c.flags[lo]) {
+				t.Errorf("over %d elements, chunk %d's regions do not view the range [%d,%d) step %d compacts", n, i, lo, hi, i)
+			}
+		}
+		state := c.State()
+		if len(state) != 2 || &state[0].F64[0] != &c.out[0] || &state[1].U32[0] != &c.cursor[0] {
+			t.Errorf("over %d elements, State() is not the output and the cursor", n)
 		}
 	}
 }
