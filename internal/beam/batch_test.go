@@ -71,7 +71,7 @@ func scalarRunShard(t *testing.T, cfg Config, sh engine.Shard, pl *plan.Campaign
 			var f device.Fault
 			var upset bool
 			if weighted {
-				en, w := pl.SampleInteractionWeighted(s)
+				en, w := pl.WeightedSampler().Sample(s)
 				tc.Weighted.Draws.Add(w)
 				wRun *= w
 				f, upset = cfg.Device.InteractionUpset(en, s)
@@ -79,7 +79,7 @@ func scalarRunShard(t *testing.T, cfg Config, sh engine.Shard, pl *plan.Campaign
 					tc.Weighted.UpsetsByBand[f.Band].Add(w)
 				}
 			} else {
-				en := pl.SampleInteraction(s)
+				en := pl.Sampler().Sample(s)
 				f, upset = cfg.Device.InteractionUpset(en, s)
 			}
 			if !upset {

@@ -304,7 +304,7 @@ func prepare(ctx context.Context, cfg Config) (*campaignSetup, error) {
 	// compiled plan (DESIGN.md §12).
 	calCtx, cal := trace.StartChild(ctx, "beam.calibrate")
 	cal.SetStage("compile")
-	pl := plan.Shared.ForBiasedContext(calCtx, cfg.Device, cfg.Beam, cfg.CalSamples, cfg.Seed, cfg.Bias)
+	pl := plan.Shared.ForBiasedContext(calCtx, cfg.Device, cfg.Beam, cfg.CalSamples, cfg.Bias)
 	cal.End()
 
 	flux := float64(cfg.Beam.TotalFlux()) * cfg.Derating

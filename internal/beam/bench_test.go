@@ -43,7 +43,7 @@ func BenchmarkInteractionSamplerDraw(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = is.SampleInteraction(s)
+		_ = is.Sampler().Sample(s)
 	}
 }
 

@@ -204,6 +204,9 @@ func AssemblePartials(ctx context.Context, cfg Config, partials []*Partial) (*Re
 	telemetry.Count("beam.neutrons_sampled", int64(s.cfg.CalSamples))
 	shards := engine.Plan(s.runs, s.grain)
 	nShards := len(shards)
+	if slices.Contains(partials, nil) {
+		return nil, fmt.Errorf("beam: nil partial")
+	}
 	sorted := append([]*Partial(nil), partials...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Range.Lo < sorted[j].Range.Lo })
 	biased := s.cfg.Bias != nil
@@ -211,8 +214,6 @@ func AssemblePartials(ctx context.Context, cfg Config, partials []*Partial) (*Re
 	next := 0
 	for _, p := range sorted {
 		switch {
-		case p == nil:
-			return nil, fmt.Errorf("beam: nil partial")
 		case p.Range.Lo < next:
 			return nil, fmt.Errorf("beam: partial %s overlaps shard %d (double-count)", p.Range, next)
 		case p.Range.Lo > next:

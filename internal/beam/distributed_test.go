@@ -165,6 +165,7 @@ func TestAssemblePartialsRejectsBadCoverage(t *testing.T) {
 		{"gap", []*Partial{a}, "missing"},
 		{"overlap", []*Partial{a, overlap}, "double-count"},
 		{"duplicate", []*Partial{a, a, b}, "double-count"},
+		{"nil", []*Partial{a, nil, b}, "nil partial"},
 		{"empty", nil, "missing"},
 	}
 	for _, tc := range cases {
@@ -328,6 +329,7 @@ func FuzzAssemblePartials(f *testing.F) {
 		add(biased, a)
 		add(biased, a, overlap)
 		add(biased, a, a, b)
+		add(biased, a, nil, b)
 		add(biased)
 		for _, tc := range tallyTampers {
 			bad := roundTrip(f, a)

@@ -115,38 +115,40 @@ type Fault struct {
 	Bits      int // number of bits upset (>=1; >1 is an MBU)
 }
 
-// Device is a physical sensitivity model of one chip.
+// Device is a physical sensitivity model of one chip. Its JSON form, with
+// Technology and Kind written as their display names, is the
+// human-editable on-disk schema for custom device models (json.go).
 type Device struct {
-	Name    string
-	Vendor  string
-	Process string
-	Tech    Technology
-	Kind    Kind
+	Name    string     `json:"name"`
+	Vendor  string     `json:"vendor,omitempty"`
+	Process string     `json:"process,omitempty"`
+	Tech    Technology `json:"technology"`
+	Kind    Kind       `json:"kind"`
 
 	// DieAreaCm2 is the exposed silicon area.
-	DieAreaCm2 float64
+	DieAreaCm2 float64 `json:"dieAreaCm2"`
 	// SensitiveDepthUm is the charge-collection depth; thinner for FinFET.
-	SensitiveDepthUm float64
+	SensitiveDepthUm float64 `json:"sensitiveDepthUm"`
 	// SensitiveFraction is the fraction of interactions that occur close
 	// enough to a sensitive node to matter (layout density factor).
-	SensitiveFraction float64
+	SensitiveFraction float64 `json:"sensitiveFraction"`
 	// Boron10PerCm2 is the ¹⁰B areal density — the proprietary quantity
 	// the paper infers from beam tests. Zero means boron-free (immune to
 	// thermal neutrons).
-	Boron10PerCm2 float64
+	Boron10PerCm2 float64 `json:"boron10PerCm2"`
 	// QcritFC and QcritSigmaFC describe the critical-charge distribution.
-	QcritFC      float64
-	QcritSigmaFC float64
+	QcritFC      float64 `json:"qcritFC"`
+	QcritSigmaFC float64 `json:"qcritSigmaFC"`
 	// ControlFracFast and ControlFracThermal give the probability that a
 	// fast/thermal fault lands in control logic (DUE path). They differ
 	// because ¹⁰B is not uniformly distributed across chip structures
 	// (the paper's APU discussion, §V).
-	ControlFracFast    float64
-	ControlFracThermal float64
+	ControlFracFast    float64 `json:"controlFracFast"`
+	ControlFracThermal float64 `json:"controlFracThermal"`
 	// MBUProb is the probability an upset flips more than one bit.
-	MBUProb float64
+	MBUProb float64 `json:"mbuProb"`
 	// ConfigMemory marks SRAM-FPGA-style persistent configuration faults.
-	ConfigMemory bool
+	ConfigMemory bool `json:"configMemory,omitempty"`
 }
 
 // Validate checks the model parameters.

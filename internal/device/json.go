@@ -1,101 +1,57 @@
 package device
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
 )
 
-// deviceJSON is the on-disk schema for custom device models. All physical
-// fields mirror Device; enums are serialized as their display names so the
-// files stay human-editable.
-type deviceJSON struct {
-	Name               string  `json:"name"`
-	Vendor             string  `json:"vendor,omitempty"`
-	Process            string  `json:"process,omitempty"`
-	Technology         string  `json:"technology"`
-	Kind               string  `json:"kind"`
-	DieAreaCm2         float64 `json:"dieAreaCm2"`
-	SensitiveDepthUm   float64 `json:"sensitiveDepthUm"`
-	SensitiveFraction  float64 `json:"sensitiveFraction"`
-	Boron10PerCm2      float64 `json:"boron10PerCm2"`
-	QcritFC            float64 `json:"qcritFC"`
-	QcritSigmaFC       float64 `json:"qcritSigmaFC"`
-	ControlFracFast    float64 `json:"controlFracFast"`
-	ControlFracThermal float64 `json:"controlFracThermal"`
-	MBUProb            float64 `json:"mbuProb"`
-	ConfigMemory       bool    `json:"configMemory,omitempty"`
+// MarshalText writes the technology's display name.
+func (t Technology) MarshalText() ([]byte, error) { return []byte(t.String()), nil }
+
+// UnmarshalText reads a technology display name.
+func (t *Technology) UnmarshalText(b []byte) (err error) {
+	*t, err = parseName("technology", string(b), CMOSPlanar, TriGate)
+	return err
 }
 
-var technologyNames = map[string]Technology{
-	"planar CMOS":  CMOSPlanar,
-	"FinFET":       FinFET,
-	"3-D Tri-Gate": TriGate,
+// MarshalText writes the kind's display name.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText reads a kind display name.
+func (k *Kind) UnmarshalText(b []byte) (err error) {
+	*k, err = parseName("kind", string(b), KindCPU, KindFPGA)
+	return err
 }
 
-var kindNames = map[string]Kind{
-	"CPU":         KindCPU,
-	"GPU":         KindGPU,
-	"accelerator": KindAccelerator,
-	"APU":         KindAPU,
-	"FPGA":        KindFPGA,
+// parseName returns the value in [first, last] whose String is name.
+func parseName[T interface {
+	~int
+	String() string
+}](what, name string, first, last T) (T, error) {
+	var names []string
+	for v := first; v <= last; v++ {
+		if v.String() == name {
+			return v, nil
+		}
+		names = append(names, v.String())
+	}
+	return 0, fmt.Errorf("unknown %s %q (want one of: %s)", what, name, strings.Join(names, ", "))
 }
 
-// MarshalJSON serializes the device model.
-func (d *Device) MarshalJSON() ([]byte, error) {
-	return json.Marshal(deviceJSON{
-		Name:               d.Name,
-		Vendor:             d.Vendor,
-		Process:            d.Process,
-		Technology:         d.Tech.String(),
-		Kind:               d.Kind.String(),
-		DieAreaCm2:         d.DieAreaCm2,
-		SensitiveDepthUm:   d.SensitiveDepthUm,
-		SensitiveFraction:  d.SensitiveFraction,
-		Boron10PerCm2:      d.Boron10PerCm2,
-		QcritFC:            d.QcritFC,
-		QcritSigmaFC:       d.QcritSigmaFC,
-		ControlFracFast:    d.ControlFracFast,
-		ControlFracThermal: d.ControlFracThermal,
-		MBUProb:            d.MBUProb,
-		ConfigMemory:       d.ConfigMemory,
-	})
-}
-
-// UnmarshalJSON deserializes and validates a device model.
+// UnmarshalJSON decodes a device model strictly, rejecting unknown
+// members and unknown names, and validates it.
 func (d *Device) UnmarshalJSON(data []byte) error {
-	var raw deviceJSON
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	type plain Device // no methods: decoding it does not recurse
+	var raw plain
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&raw); err != nil {
 		return fmt.Errorf("device: parse: %w", err)
 	}
-	tech, ok := technologyNames[raw.Technology]
-	if !ok {
-		return fmt.Errorf("device: unknown technology %q (want one of: planar CMOS, FinFET, 3-D Tri-Gate)", raw.Technology)
-	}
-	kind, ok := kindNames[raw.Kind]
-	if !ok {
-		return fmt.Errorf("device: unknown kind %q (want one of: CPU, GPU, accelerator, APU, FPGA)", raw.Kind)
-	}
-	*d = Device{
-		Name:               raw.Name,
-		Vendor:             raw.Vendor,
-		Process:            raw.Process,
-		Tech:               tech,
-		Kind:               kind,
-		DieAreaCm2:         raw.DieAreaCm2,
-		SensitiveDepthUm:   raw.SensitiveDepthUm,
-		SensitiveFraction:  raw.SensitiveFraction,
-		Boron10PerCm2:      raw.Boron10PerCm2,
-		QcritFC:            raw.QcritFC,
-		QcritSigmaFC:       raw.QcritSigmaFC,
-		ControlFracFast:    raw.ControlFracFast,
-		ControlFracThermal: raw.ControlFracThermal,
-		MBUProb:            raw.MBUProb,
-		ConfigMemory:       raw.ConfigMemory,
-	}
+	*d = Device(raw)
 	return d.Validate()
 }
 

@@ -138,11 +138,6 @@ func TestBiasedCampaignShardCountInvariance(t *testing.T) {
 	}
 }
 
-// unkeyedSpectrum hides the concrete spectrum's Fingerprint method, so
-// every campaign compiles its plan instead of hitting the shared cache —
-// which makes the calibration-draw telemetry deterministic per run.
-type unkeyedSpectrum struct{ spectrum.Spectrum }
-
 // TestBeamTelemetryCountersShardCountInvariant pins the telemetry side of
 // the conformance contract: the beam.neutrons_sampled (calibration draws)
 // and beam.neutrons_weighted (weighted interaction draws) counters must
@@ -159,7 +154,7 @@ func TestBeamTelemetryCountersShardCountInvariant(t *testing.T) {
 		_, err := beam.RunContext(context.Background(), beam.Config{
 			Device:          d,
 			WorkloadName:    workload.ForDeviceKind(d.Kind.String())[0],
-			Beam:            unkeyedSpectrum{spectrum.ChipIR()},
+			Beam:            spectrum.ChipIR(),
 			DurationSeconds: 600,
 			RunSeconds:      1,
 			Seed:            12,

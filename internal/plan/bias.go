@@ -83,18 +83,15 @@ func (b Bias) IsIdentity() bool {
 // to distinct keys, so they can never collide in the cache; a factor
 // spelled 0 and the same factor spelled 1.0 hash identically because both
 // resolve to the same sampler.
-func KeyForBiased(d *device.Device, sp spectrum.Spectrum, calSamples int, bias Bias) (string, bool) {
-	h, ok := keyHash(d, sp, calSamples)
-	if !ok {
-		return "", false
-	}
+func KeyForBiased(d *device.Device, sp spectrum.Spectrum, calSamples int, bias Bias) string {
+	h := keyHash(d, sp, calSamples)
 	h.Write([]byte("bias/v1\x00"))
 	var buf [8]byte
 	for _, f := range bias.factors() {
 		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
 		h.Write(buf[:])
 	}
-	return hex.EncodeToString(h.Sum(nil)), true
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // CompileBiased compiles a plan whose one alias table is band-biased. The
@@ -121,14 +118,6 @@ func CompileBiased(d *device.Device, sp spectrum.Spectrum, n int, cal *rng.Strea
 // IsBiased reports whether the plan's table is the biased one (it was
 // built by CompileBiased — including with identity factors).
 func (p *CampaignPlan) IsBiased() bool { return p.biased }
-
-// SampleInteractionWeighted draws an interacting energy through the plan's
-// WeightedSampler view and returns it with its likelihood weight. On an
-// exact plan it degrades to SampleInteraction with weight 1, consuming
-// the same stream state.
-func (p *CampaignPlan) SampleInteractionWeighted(s *rng.Stream) (units.Energy, float64) {
-	return p.WeightedSampler().Sample(s)
-}
 
 // UpsetCrossSectionWeighted estimates the device's upset cross section
 // from n (biased) interaction draws: σ = MeanP · (Σ wᵢ·1{upsetᵢ})/n ·

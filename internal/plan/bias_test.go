@@ -19,14 +19,8 @@ import (
 // compile the same sampler.
 func TestBiasedKeySensitivity(t *testing.T) {
 	d := device.K20()
-	key := func(bias Bias) string {
-		k, ok := KeyForBiased(d, spectrum.ChipIR(), 20000, bias)
-		if !ok {
-			t.Fatal("KeyForBiased not keyable on a fingerprinted spectrum")
-		}
-		return k
-	}
-	exact, _ := KeyFor(d, spectrum.ChipIR(), 20000)
+	key := func(bias Bias) string { return KeyForBiased(d, spectrum.ChipIR(), 20000, bias) }
+	exact := KeyFor(d, spectrum.ChipIR(), 20000)
 	identity := key(Bias{})
 	if identity == exact {
 		t.Error("identity-bias key collides with the exact key; biased and exact plans would share a cache entry")
@@ -54,8 +48,8 @@ func TestBiasedKeySensitivity(t *testing.T) {
 	renamed.Name = "renamed"
 	renamed.DieAreaCm2 *= 3
 	renamed.QcritFC *= 2
-	ka, _ := KeyForBiased(d, spectrum.ChipIR(), 20000, Bias{Thermal: 8})
-	kb, _ := KeyForBiased(renamed, spectrum.ChipIR(), 20000, Bias{Thermal: 8})
+	ka := KeyForBiased(d, spectrum.ChipIR(), 20000, Bias{Thermal: 8})
+	kb := KeyForBiased(renamed, spectrum.ChipIR(), 20000, Bias{Thermal: 8})
 	if ka != kb {
 		t.Error("run-only device fields changed the biased plan key")
 	}
@@ -90,8 +84,8 @@ func TestCompileBiasedIdentity(t *testing.T) {
 	// from the same stream state, with weight exactly 1.
 	se, sw := rng.New(77), rng.New(77)
 	for i := 0; i < 5000; i++ {
-		we, w := unit.SampleInteractionWeighted(sw)
-		if e := exact.SampleInteraction(se); we != e || w != 1 {
+		we, w := unit.WeightedSampler().Sample(sw)
+		if e := exact.Sampler().Sample(se); we != e || w != 1 {
 			t.Fatalf("draw %d: weighted (%v, %v) != exact (%v, 1)", i, we, w, e)
 		}
 	}
@@ -107,7 +101,7 @@ func TestCompileBiasedIdentityStratified(t *testing.T) {
 	c := NewCache(4, telemetry.NewRegistry())
 	for _, sp := range []spectrum.Spectrum{spectrum.ChipIR(), spectrum.ROTAX()} {
 		exact := c.For(d, sp, 4000, 1)
-		unit := c.ForBiasedContext(context.Background(), d, sp, 4000, 2, &Bias{})
+		unit := c.ForBiasedContext(context.Background(), d, sp, 4000, &Bias{})
 		if !unit.IsBiased() {
 			t.Fatalf("%s: identity-bias plan must still carry the biased table", sp.Name())
 		}
@@ -167,7 +161,7 @@ func TestCompileBiasedWeights(t *testing.T) {
 	const draws = 200000
 	thermal := 0
 	for i := 0; i < draws; i++ {
-		e, w := p.SampleInteractionWeighted(s)
+		e, w := p.WeightedSampler().Sample(s)
 		if want := p.bandW[physics.Classify(e)]; w != want {
 			t.Fatalf("draw %d: weight %v != band weight %v", i, w, want)
 		}
@@ -205,7 +199,7 @@ func TestCompileBiasedDegenerate(t *testing.T) {
 	}
 	s := rng.New(9)
 	for i := 0; i < 1000; i++ {
-		if _, w := p.SampleInteractionWeighted(s); w != 1 {
+		if _, w := p.WeightedSampler().Sample(s); w != 1 {
 			t.Fatalf("degenerate draw carries weight %v, want 1", w)
 		}
 	}
@@ -253,7 +247,7 @@ func FuzzBiasedAlias(f *testing.F) {
 		}
 		s := rng.New(seed)
 		for i := 0; i < 256; i++ {
-			_, w := p.SampleInteractionWeighted(s)
+			_, w := p.WeightedSampler().Sample(s)
 			if math.IsNaN(w) || math.IsInf(w, 0) || w <= 0 {
 				t.Fatalf("bias %+v draw %d carries non-finite or non-positive weight %v", bias, i, w)
 			}
@@ -272,21 +266,21 @@ func TestCacheForBiased(t *testing.T) {
 	ctx := context.Background()
 
 	exact := c.For(d, spectrum.ChipIR(), n, 1)
-	if viaNil := c.ForBiasedContext(ctx, d, spectrum.ChipIR(), n, 1, nil); viaNil != exact {
+	if viaNil := c.ForBiasedContext(ctx, d, spectrum.ChipIR(), n, nil); viaNil != exact {
 		t.Error("nil bias must share the exact plan's cache entry")
 	}
-	identity := c.ForBiasedContext(ctx, d, spectrum.ChipIR(), n, 1, &Bias{})
+	identity := c.ForBiasedContext(ctx, d, spectrum.ChipIR(), n, &Bias{})
 	if identity == exact {
 		t.Error("identity bias shared the exact entry; it must compile its own biased plan")
 	}
 	if !identity.IsBiased() {
 		t.Error("cached identity plan lost its biased table")
 	}
-	thermal := c.ForBiasedContext(ctx, d, spectrum.ChipIR(), n, 1, &Bias{Thermal: 8})
+	thermal := c.ForBiasedContext(ctx, d, spectrum.ChipIR(), n, &Bias{Thermal: 8})
 	if thermal == identity || thermal == exact {
 		t.Error("distinct bias factors shared a cache entry")
 	}
-	if again := c.ForBiasedContext(ctx, d, spectrum.ChipIR(), n, 1, &Bias{Thermal: 8}); again != thermal {
+	if again := c.ForBiasedContext(ctx, d, spectrum.ChipIR(), n, &Bias{Thermal: 8}); again != thermal {
 		t.Error("repeated biased lookup recompiled instead of hitting")
 	}
 	st := c.Stats()

@@ -29,7 +29,6 @@ type Cache struct {
 	misses    *telemetry.Counter
 	evicts    *telemetry.Counter
 	coalesced *telemetry.Counter
-	bypass    *telemetry.Counter
 	compile   *telemetry.Histogram
 	entries   *telemetry.Gauge
 
@@ -74,7 +73,6 @@ func NewCache(capacity int, reg *telemetry.Registry) *Cache {
 		misses:    reg.Counter("plan.cache_miss"),
 		evicts:    reg.Counter("plan.cache_evict"),
 		coalesced: reg.Counter("plan.cache_coalesced"),
-		bypass:    reg.Counter("plan.cache_bypass"),
 		compile:   reg.Histogram("plan.compile_seconds"),
 		entries:   reg.Gauge("plan.cache_entries"),
 		capacity:  capacity,
@@ -88,14 +86,13 @@ func NewCache(capacity int, reg *telemetry.Registry) *Cache {
 // the key matches. The first request for a key compiles (counted as a
 // miss); concurrent requests for the same key wait for that compilation
 // instead of repeating it (counted as coalesced); later requests are hits.
-// A cached plan calibrates on the spectrum's stratified point set, so the
-// seed does not reach it: every campaign with the same physics gets the
-// same plan. Spectra that are not Fingerprinted cannot be keyed and are
-// compiled on every call from CalibrationStream(seed) (counted as bypass).
-// The returned plan is immutable and shared — callers must treat it as
-// read-only, which the CampaignPlan API enforces by construction.
-func (c *Cache) For(d *device.Device, sp spectrum.Spectrum, calSamples int, seed uint64) *CampaignPlan {
-	return c.ForBiasedContext(context.Background(), d, sp, calSamples, seed, nil)
+// A plan calibrates on the spectrum's stratified point set, so no seed
+// reaches it: every campaign with the same physics gets the same plan, and
+// the unnamed seed parameter is ignored. The returned plan is immutable
+// and shared — callers must treat it as read-only, which the CampaignPlan
+// API enforces by construction.
+func (c *Cache) For(d *device.Device, sp spectrum.Spectrum, calSamples int, _ uint64) *CampaignPlan {
+	return c.ForBiasedContext(context.Background(), d, sp, calSamples, nil)
 }
 
 // ForBiasedContext is For with an optional importance-sampling bias and a
@@ -108,33 +105,27 @@ func (c *Cache) For(d *device.Device, sp spectrum.Spectrum, calSamples int, seed
 // compile input.
 //
 // The lookup opens a "plan.lookup" trace span (annotated with the
-// outcome — hit, miss, coalesced or bypass) and a cache miss nests the
+// outcome — hit, miss or coalesced) and a cache miss nests the
 // "plan.compile" span under it, so traced jobs see exactly where campaign
 // setup time went.
-func (c *Cache) ForBiasedContext(ctx context.Context, d *device.Device, sp spectrum.Spectrum, calSamples int, seed uint64, bias *Bias) *CampaignPlan {
+func (c *Cache) ForBiasedContext(ctx context.Context, d *device.Device, sp spectrum.Spectrum, calSamples int, bias *Bias) *CampaignPlan {
 	var key string
-	var ok bool
 	if bias == nil {
-		key, ok = KeyFor(d, sp, calSamples)
+		key = KeyFor(d, sp, calSamples)
 	} else {
-		key, ok = KeyForBiased(d, sp, calSamples, *bias)
+		key = KeyForBiased(d, sp, calSamples, *bias)
 	}
-	return c.lookup(ctx, key, ok, func(ctx context.Context, key string) *CampaignPlan {
-		return c.timedCompile(ctx, d, sp, calSamples, seed, bias, key)
+	return c.lookup(ctx, key, func(ctx context.Context) *CampaignPlan {
+		return c.timedCompile(ctx, d, sp, calSamples, bias, key)
 	})
 }
 
-// lookup runs the hit/coalesce/miss/bypass protocol for one key, calling
-// compile on a miss (and on bypass, with an empty key).
-func (c *Cache) lookup(ctx context.Context, key string, ok bool, compile func(context.Context, string) *CampaignPlan) *CampaignPlan {
+// lookup runs the hit/coalesce/miss protocol for one key, calling compile
+// on a miss.
+func (c *Cache) lookup(ctx context.Context, key string, compile func(context.Context) *CampaignPlan) *CampaignPlan {
 	ctx, span := trace.StartChild(ctx, "plan.lookup")
 	span.SetStage("compile")
 	defer span.End()
-	if !ok {
-		c.bypass.Add(1)
-		span.SetAttr("outcome", "bypass")
-		return compile(ctx, "")
-	}
 	c.mu.Lock()
 	if el, hit := c.index[key]; hit {
 		c.ll.MoveToFront(el)
@@ -164,7 +155,7 @@ func (c *Cache) lookup(ctx context.Context, key string, ok bool, compile func(co
 // compileFlight compiles for the flight's waiters and settles the cache
 // entry. The deferred settlement runs even if Compile panics, so waiters
 // never block forever and the panic propagates to every caller.
-func (c *Cache) compileFlight(ctx context.Context, fl *flight, key string, compile func(context.Context, string) *CampaignPlan) *CampaignPlan {
+func (c *Cache) compileFlight(ctx context.Context, fl *flight, key string, compile func(context.Context) *CampaignPlan) *CampaignPlan {
 	defer func() {
 		if r := recover(); r != nil {
 			fl.panicked = r
@@ -175,7 +166,7 @@ func (c *Cache) compileFlight(ctx context.Context, fl *flight, key string, compi
 			panic(r)
 		}
 	}()
-	pl := compile(ctx, key)
+	pl := compile(ctx)
 	fl.plan = pl
 	c.mu.Lock()
 	delete(c.inflight, key)
@@ -187,23 +178,16 @@ func (c *Cache) compileFlight(ctx context.Context, fl *flight, key string, compi
 	return pl
 }
 
-// timedCompile compiles the plan, exact or biased, recording the duration
-// into plan.compile_seconds and a "plan.compile" span. A keyed plan
-// calibrates on the spectrum's stratified point set; a bypass (empty key)
-// on the calibration stream for the seed, as Compile and CompileBiased do.
-// The bias was validated at the API boundary (beam.Config.validate, the
-// neutrond request normalizer), so an invalid one here is a programming
-// error and panics — same contract as the weight check in compile.
-func (c *Cache) timedCompile(ctx context.Context, d *device.Device, sp spectrum.Spectrum, calSamples int, seed uint64, bias *Bias, key string) *CampaignPlan {
+// timedCompile compiles the plan, exact or biased, on the spectrum's
+// stratified point set, recording the duration into plan.compile_seconds
+// and a "plan.compile" span. The bias was validated at the API boundary
+// (beam.Config.validate, the neutrond request normalizer), so an invalid
+// one here is a programming error and panics — same contract as the
+// weight check in compile.
+func (c *Cache) timedCompile(ctx context.Context, d *device.Device, sp spectrum.Spectrum, calSamples int, bias *Bias, key string) *CampaignPlan {
 	_, span := trace.StartChild(ctx, "plan.compile")
 	start := time.Now()
-	var pl *CampaignPlan
-	var err error
-	if key != "" {
-		pl, err = compile(d, sp, calSamples, nil, sp.(Fingerprinted).Points(calSamples), bias)
-	} else {
-		pl, err = compile(d, sp, calSamples, CalibrationStream(seed), nil, bias)
-	}
+	pl, err := compile(d, sp, calSamples, nil, sp.Points(calSamples), bias)
 	if err != nil {
 		panic(fmt.Sprintf("plan: compile biased plan: %v", err))
 	}
@@ -246,12 +230,11 @@ type Stats struct {
 	Misses    int64 `json:"misses"`
 	Evictions int64 `json:"evictions"`
 	Coalesced int64 `json:"coalesced"`
-	Bypass    int64 `json:"bypass"`
 	Entries   int   `json:"entries"`
 	Capacity  int   `json:"capacity"`
 }
 
-// HitRatio returns hits / (hits + misses), or 0 before any keyed lookup.
+// HitRatio returns hits / (hits + misses), or 0 before any lookup.
 func (s Stats) HitRatio() float64 {
 	total := s.Hits + s.Misses
 	if total == 0 {
@@ -270,7 +253,6 @@ func (c *Cache) Stats() Stats {
 		Misses:    c.misses.Value(),
 		Evictions: c.evicts.Value(),
 		Coalesced: c.coalesced.Value(),
-		Bypass:    c.bypass.Value(),
 		Entries:   entries,
 		Capacity:  capacity,
 	}

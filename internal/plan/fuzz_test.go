@@ -36,7 +36,7 @@ func checkPlan(t *testing.T, p *CampaignPlan, n int, s *rng.Stream) {
 		t.Fatalf("meanP = %v", p.meanP)
 	}
 	for i := 0; i < 64; i++ {
-		if e := p.SampleInteraction(s); !members[e] {
+		if e := p.Sampler().Sample(s); !members[e] {
 			t.Fatalf("sample returned %v, not in the calibration table", e)
 		}
 	}
@@ -94,7 +94,7 @@ func TestZeroProbabilityFallback(t *testing.T) {
 	s := rng.New(9)
 	seen := map[units.Energy]int{}
 	for i := 0; i < 50*n; i++ {
-		seen[p.SampleInteraction(s)]++
+		seen[p.Sampler().Sample(s)]++
 	}
 	if len(seen) < n/2 {
 		t.Errorf("uniform fallback drew only %d of %d calibration energies", len(seen), n)
@@ -120,7 +120,7 @@ func TestSampleBoundary(t *testing.T) {
 	}
 	s := rng.New(11)
 	for i := 0; i < 1000; i++ {
-		e := p.SampleInteraction(s)
+		e := p.Sampler().Sample(s)
 		if e != 1 && e != 2 {
 			t.Fatalf("sample returned %v", e)
 		}
@@ -157,7 +157,7 @@ func TestZeroPrefixPrecision(t *testing.T) {
 	}
 	s := rng.New(17)
 	for i := 0; i < 100000; i++ {
-		if e := p.SampleInteraction(s); !e.IsFast() {
+		if e := p.Sampler().Sample(s); !e.IsFast() {
 			t.Fatalf("draw %d returned zero-probability prefix energy %v", i, e)
 		}
 	}
@@ -165,8 +165,9 @@ func TestZeroPrefixPrecision(t *testing.T) {
 
 // prefixSpectrum emits `prefix` thermal energies followed by fast energies,
 // giving the calibration table a long zero-probability prefix on a
-// boron-free device. It deliberately has no Fingerprint, which also makes
-// it the cache-bypass test subject.
+// boron-free device. Its sequence depends on its call count, not on the
+// stream, so it has no content identity and no point set: only
+// stream-calibrated Compile may use it, never the cache.
 type prefixSpectrum struct {
 	calls  int
 	prefix int
@@ -184,3 +185,5 @@ func (p *prefixSpectrum) TotalFlux() units.Flux { return 1 }
 func (p *prefixSpectrum) FluxInBand(physics.EnergyBand) units.Flux {
 	return 0
 }
+func (p *prefixSpectrum) Fingerprint() string         { panic("prefixSpectrum: no content identity") }
+func (p *prefixSpectrum) Points(int) []spectrum.Point { panic("prefixSpectrum: no point set") }

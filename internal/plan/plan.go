@@ -61,18 +61,9 @@ type slot struct {
 	_     float64
 }
 
-// Fingerprinted is implemented by spectra whose sampling behavior can be
-// content-hashed and that offer a deterministic stratified calibration
-// point set (the catalog Mixture and Mono types). The cache keys and
-// calibrates a plan on these alone; spectra without them bypass the cache
-// and calibrate on the campaign's stream.
-type Fingerprinted interface {
-	Fingerprint() string
-	Points(n int) []spectrum.Point
-}
-
 // CalibrationStream derives the calibration substream for a campaign seed,
-// rng.New(seed).Split(): the stream a cache bypass calibrates on.
+// rng.New(seed).Split(), for a stream-calibrated Compile or CompileBiased
+// outside the cache.
 func CalibrationStream(seed uint64) *rng.Stream {
 	return rng.New(seed).Split()
 }
@@ -81,34 +72,25 @@ func CalibrationStream(seed uint64) *rng.Stream {
 // set of inputs it reads changes.
 const keyVersion = "plan/v2\x00"
 
-// KeyFor returns the canonical cache key for a campaign compilation, or
-// ok=false when the spectrum is not Fingerprinted. The key hashes every
-// input a cached compile reads and nothing else: the spectrum's sampling
-// identity (which fixes its point set), the exact device fields
-// device.InteractionProbability consults (Boron10PerCm2, SensitiveDepthUm,
-// SensitiveFraction) and the calibration budget. Fields that only shape
-// the run — die area, Qcrit, workload, duration, derating, and the
-// campaign seed — are deliberately absent, so campaigns with the same
-// physics share one plan.
-func KeyFor(d *device.Device, sp spectrum.Spectrum, calSamples int) (string, bool) {
-	h, ok := keyHash(d, sp, calSamples)
-	if !ok {
-		return "", false
-	}
-	return hex.EncodeToString(h.Sum(nil)), true
+// KeyFor returns the canonical cache key for a campaign compilation. The
+// key hashes every input a cached compile reads and nothing else: the
+// spectrum's sampling identity (which fixes its point set), the exact
+// device fields device.InteractionProbability consults (Boron10PerCm2,
+// SensitiveDepthUm, SensitiveFraction) and the calibration budget. Fields
+// that only shape the run — die area, Qcrit, workload, duration, derating,
+// and the campaign seed — are deliberately absent, so campaigns with the
+// same physics share one plan.
+func KeyFor(d *device.Device, sp spectrum.Spectrum, calSamples int) string {
+	return hex.EncodeToString(keyHash(d, sp, calSamples).Sum(nil))
 }
 
 // keyHash hashes the shared (device physics, spectrum, cal budget) key
 // material. KeyFor finalizes it directly; KeyForBiased appends the bias
 // factors first, so an exact plan and any biased plan can never collide.
-func keyHash(d *device.Device, sp spectrum.Spectrum, calSamples int) (hash.Hash, bool) {
-	fp, ok := sp.(Fingerprinted)
-	if !ok {
-		return nil, false
-	}
+func keyHash(d *device.Device, sp spectrum.Spectrum, calSamples int) hash.Hash {
 	h := sha256.New()
 	h.Write([]byte(keyVersion))
-	h.Write([]byte(fp.Fingerprint()))
+	h.Write([]byte(sp.Fingerprint()))
 	var buf [8]byte
 	writeU64 := func(v uint64) {
 		binary.LittleEndian.PutUint64(buf[:], v)
@@ -118,7 +100,7 @@ func keyHash(d *device.Device, sp spectrum.Spectrum, calSamples int) (hash.Hash,
 	writeU64(math.Float64bits(d.SensitiveDepthUm))
 	writeU64(math.Float64bits(d.SensitiveFraction))
 	writeU64(uint64(calSamples))
-	return h, true
+	return h
 }
 
 // Compile runs the Monte Carlo calibration and builds the plan: n energies
@@ -250,13 +232,6 @@ func (p *CampaignPlan) MeanP() float64 { return p.meanP }
 
 // Len returns the calibration-table size.
 func (p *CampaignPlan) Len() int { return len(p.slots) }
-
-// SampleInteraction draws an interacting energy (weighted by interaction
-// probability) in constant time through an exact plan's Sampler view; like
-// Sampler, it panics on a biased plan. It performs no allocations.
-func (p *CampaignPlan) SampleInteraction(s *rng.Stream) units.Energy {
-	return p.Sampler().Sample(s)
-}
 
 // draw is the one alias draw behind every sampler: the integer part of one
 // uniform picks a slot, the fractional part decides between the slot's

@@ -18,31 +18,24 @@ import (
 // does not read: campaigns on two seeds share one plan.
 func TestKeySensitivity(t *testing.T) {
 	base := device.K20()
-	key := func(d *device.Device, sp spectrum.Spectrum, n int) string {
-		k, ok := KeyFor(d, sp, n)
-		if !ok {
-			t.Fatalf("KeyFor(%s, %s) not keyable", d.Name, sp.Name())
-		}
-		return k
-	}
-	ref := key(base, spectrum.ChipIR(), 20000)
-	if again := key(device.K20(), spectrum.ChipIR(), 20000); again != ref {
+	ref := KeyFor(base, spectrum.ChipIR(), 20000)
+	if again := KeyFor(device.K20(), spectrum.ChipIR(), 20000); again != ref {
 		t.Errorf("identical inputs produced different keys:\n%s\n%s", ref, again)
 	}
 
 	perturbed := map[string]string{
-		"spectrum":   key(base, spectrum.ROTAX(), 20000),
-		"calSamples": key(base, spectrum.ChipIR(), 20001),
+		"spectrum":   KeyFor(base, spectrum.ROTAX(), 20000),
+		"calSamples": KeyFor(base, spectrum.ChipIR(), 20001),
 	}
 	boron := device.K20()
 	boron.Boron10PerCm2 *= 2
-	perturbed["boron"] = key(boron, spectrum.ChipIR(), 20000)
+	perturbed["boron"] = KeyFor(boron, spectrum.ChipIR(), 20000)
 	depth := device.K20()
 	depth.SensitiveDepthUm *= 2
-	perturbed["depth"] = key(depth, spectrum.ChipIR(), 20000)
+	perturbed["depth"] = KeyFor(depth, spectrum.ChipIR(), 20000)
 	frac := device.K20()
 	frac.SensitiveFraction /= 2
-	perturbed["fraction"] = key(frac, spectrum.ChipIR(), 20000)
+	perturbed["fraction"] = KeyFor(frac, spectrum.ChipIR(), 20000)
 
 	seen := map[string]string{ref: "reference"}
 	for name, k := range perturbed {
@@ -70,8 +63,8 @@ func TestKeyIgnoresRunOnlyFields(t *testing.T) {
 	b.DieAreaCm2 *= 3
 	b.QcritFC *= 2
 	b.QcritSigmaFC *= 2
-	ka, _ := KeyFor(a, spectrum.ChipIR(), 20000)
-	kb, _ := KeyFor(b, spectrum.ChipIR(), 20000)
+	ka := KeyFor(a, spectrum.ChipIR(), 20000)
+	kb := KeyFor(b, spectrum.ChipIR(), 20000)
 	if ka != kb {
 		t.Errorf("run-only device fields changed the plan key:\n%s\n%s", ka, kb)
 	}
@@ -121,28 +114,6 @@ func TestCacheHitMissEvict(t *testing.T) {
 	}
 	if ratio := c.Stats().HitRatio(); ratio <= 0 || ratio >= 1 {
 		t.Errorf("hit ratio = %v, want in (0,1)", ratio)
-	}
-}
-
-// TestCacheBypass pins the unkeyable-spectrum path: a spectrum without a
-// Fingerprint compiles on every call, never lands in the cache, and is
-// counted as a bypass.
-func TestCacheBypass(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	c := NewCache(4, reg)
-	d := device.K20()
-	sp := &prefixSpectrum{prefix: 0}
-	a := c.For(d, sp, 64, 1)
-	b := c.For(d, sp, 64, 1)
-	if a == b {
-		t.Error("bypass returned a shared instance; unkeyable spectra must compile per call")
-	}
-	if a.key != "" {
-		t.Errorf("bypass plan has key %q, want none", a.key)
-	}
-	st := c.Stats()
-	if st.Bypass != 2 || st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
-		t.Fatalf("after two bypasses: %+v", st)
 	}
 }
 
@@ -217,7 +188,7 @@ func TestSharedCompileMatchesDirect(t *testing.T) {
 	d := device.TitanV()
 	const n = 2000
 	for _, bias := range []*Bias{nil, {Thermal: 10}} {
-		cached := c.ForBiasedContext(context.Background(), d, spectrum.ROTAX(), n, 42, bias)
+		cached := c.ForBiasedContext(context.Background(), d, spectrum.ROTAX(), n, bias)
 		direct := CompileStratified(d, spectrum.ROTAX(), n, bias)
 		if cached.Checksum() != direct.Checksum() {
 			t.Fatalf("bias %v: cached plan differs from a direct stratified compile", bias)

@@ -34,7 +34,7 @@ func TestStratifiedPlanMatchesReference(t *testing.T) {
 		for _, d := range device.All() {
 			ref := referenceOf(d, energies)
 			for _, bias := range []*Bias{nil, {Thermal: 10}} {
-				pl := c.ForBiasedContext(context.Background(), d, sp, calSamples, 1, bias)
+				pl := c.ForBiasedContext(context.Background(), d, sp, calSamples, bias)
 				name := d.Name + "/" + sp.Name()
 				if bias != nil {
 					name += "/biased"

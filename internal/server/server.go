@@ -85,6 +85,9 @@ func (c Config) withDefaults() Config {
 	if c.ShardSlots <= 0 {
 		c.ShardSlots = runtime.GOMAXPROCS(0)
 	}
+	if c.Execute == nil {
+		c.Execute = Execute
+	}
 	if c.Registry == nil {
 		c.Registry = telemetry.Default
 	}
@@ -137,8 +140,6 @@ type Server struct {
 	listener net.Listener
 	httpSrv  *http.Server
 
-	// execute runs one campaign; tests override it to control timing.
-	execute func(ctx context.Context, req *CampaignRequest, shards int) (*ResultEnvelope, error)
 	// maxJobs and heartbeat are maxJobRecords and sseHeartbeat; tests
 	// shrink them.
 	maxJobs   int
@@ -162,12 +163,8 @@ func New(cfg Config) *Server {
 		shardSem:  make(chan struct{}, cfg.ShardSlots),
 		byID:      map[string]*Job{},
 		inflight:  map[string]*Job{},
-		execute:   Execute,
 		maxJobs:   maxJobRecords,
 		heartbeat: sseHeartbeat,
-	}
-	if cfg.Execute != nil {
-		s.execute = cfg.Execute
 	}
 	s.runCtx, s.runCancel = context.WithCancel(context.Background())
 	s.jobsRunning = cfg.Registry.Gauge("server.jobs_running")
@@ -306,7 +303,7 @@ func (s *Server) runJob(j *Job) {
 	ctx = trace.NewContext(ctx, j.root)
 	log := telemetry.LogWith(ctx).With("job_id", j.ID, "kind", j.Req.Kind)
 	log.Info("job started")
-	env, err := s.execute(ctx, j.Req, s.cfg.JobShards)
+	env, err := s.cfg.Execute(ctx, j.Req, s.cfg.JobShards)
 	s.cfg.Registry.Histogram("server.job_seconds").ObserveSince(start)
 	switch {
 	case err == nil:

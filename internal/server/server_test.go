@@ -45,7 +45,7 @@ func TestQueueBackpressure(t *testing.T) {
 	defer srv.Drain()
 	started := make(chan string, 4)
 	release := make(chan struct{})
-	srv.execute = blockingExec(started, release)
+	srv.cfg.Execute = blockingExec(started, release)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -92,7 +92,7 @@ func TestGracefulDrainFinishesInFlight(t *testing.T) {
 	srv := New(Config{Workers: 1, DrainTimeout: 30 * time.Second, Registry: reg})
 	started := make(chan string, 1)
 	release := make(chan struct{})
-	srv.execute = blockingExec(started, release)
+	srv.cfg.Execute = blockingExec(started, release)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -144,7 +144,7 @@ func TestGracefulDrainFinishesInFlight(t *testing.T) {
 func TestDrainDeadlineCancelsStuckJobs(t *testing.T) {
 	srv := New(Config{Workers: 1, DrainTimeout: 100 * time.Millisecond, Registry: telemetry.NewRegistry()})
 	started := make(chan string, 1)
-	srv.execute = blockingExec(started, nil) // never released: only ctx can end it
+	srv.cfg.Execute = blockingExec(started, nil) // never released: only ctx can end it
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -174,7 +174,7 @@ func TestCancelRunningAndQueuedJobs(t *testing.T) {
 	srv := New(Config{Workers: 1, DrainTimeout: 200 * time.Millisecond, Registry: reg})
 	defer srv.Drain()
 	started := make(chan string, 2)
-	srv.execute = blockingExec(started, nil)
+	srv.cfg.Execute = blockingExec(started, nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -238,7 +238,7 @@ func TestSSEStreamsProgressAndTerminalState(t *testing.T) {
 	srv := New(Config{Workers: 1, Registry: telemetry.NewRegistry()})
 	defer srv.Drain()
 	connected := make(chan struct{})
-	srv.execute = func(ctx context.Context, req *CampaignRequest, _ int) (*ResultEnvelope, error) {
+	srv.cfg.Execute = func(ctx context.Context, req *CampaignRequest, _ int) (*ResultEnvelope, error) {
 		<-connected
 		for i := 1; i <= 3; i++ {
 			telemetry.ReportProgressContext(ctx, telemetry.ProgressUpdate{
@@ -288,7 +288,7 @@ func TestJobETagConditionalGet(t *testing.T) {
 	defer srv.Drain()
 	release := make(chan struct{})
 	close(release)
-	srv.execute = blockingExec(nil, release)
+	srv.cfg.Execute = blockingExec(nil, release)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -382,7 +382,7 @@ func TestJobRecordEviction(t *testing.T) {
 	srv.maxJobs = 2
 	release := make(chan struct{})
 	close(release)
-	srv.execute = blockingExec(nil, release)
+	srv.cfg.Execute = blockingExec(nil, release)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -428,7 +428,7 @@ func TestStatsEndpoint(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	srv := New(Config{Workers: 1, Registry: reg})
 	defer srv.Drain()
-	srv.execute = func(_ context.Context, req *CampaignRequest, _ int) (*ResultEnvelope, error) {
+	srv.cfg.Execute = func(_ context.Context, req *CampaignRequest, _ int) (*ResultEnvelope, error) {
 		return &ResultEnvelope{Kind: req.Kind}, nil
 	}
 	ts := httptest.NewServer(srv.Handler())

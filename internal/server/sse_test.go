@@ -53,7 +53,7 @@ func TestSSEEventOrdering(t *testing.T) {
 	srv := New(Config{Workers: 1, Registry: telemetry.NewRegistry()})
 	defer srv.Drain()
 	connected := make(chan struct{})
-	srv.execute = func(ctx context.Context, req *CampaignRequest, _ int) (*ResultEnvelope, error) {
+	srv.cfg.Execute = func(ctx context.Context, req *CampaignRequest, _ int) (*ResultEnvelope, error) {
 		<-connected
 		for i := 1; i <= 5; i++ {
 			telemetry.ReportProgressContext(ctx, telemetry.ProgressUpdate{
@@ -126,7 +126,7 @@ func TestSSEHeartbeatOnIdleStream(t *testing.T) {
 	srv.heartbeat = 20 * time.Millisecond
 	release := make(chan struct{})
 	started := make(chan string, 1)
-	srv.execute = blockingExec(started, release)
+	srv.cfg.Execute = blockingExec(started, release)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -192,7 +192,7 @@ func TestSSEClosesOnJobCancellation(t *testing.T) {
 	started := make(chan string, 1)
 	release := make(chan struct{})
 	defer close(release)
-	srv.execute = blockingExec(started, release)
+	srv.cfg.Execute = blockingExec(started, release)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -76,8 +76,7 @@ func (t *surrogateTier) answer(req *CampaignRequest, tolerance float64) *ResultE
 			return nil
 		}
 	}
-	fp, ok := surrogate.SpectrumFingerprint(sp)
-	if !t.model.Hull.Contains(f) || !ok || !t.model.SpectrumTrained(fp) {
+	if !t.model.Hull.Contains(f) || !t.model.SpectrumTrained(sp.Fingerprint()) {
 		t.fallbackHull.Add(1)
 		return nil
 	}

@@ -134,7 +134,7 @@ func TestJobTraceFreshWhenHeaderMalformed(t *testing.T) {
 	defer srv.Drain()
 	release := make(chan struct{})
 	close(release)
-	srv.execute = blockingExec(nil, release)
+	srv.cfg.Execute = blockingExec(nil, release)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -178,7 +178,7 @@ func TestMetricsEndpointServesValidExposition(t *testing.T) {
 	defer srv.Drain()
 	release := make(chan struct{})
 	close(release)
-	srv.execute = blockingExec(nil, release)
+	srv.cfg.Execute = blockingExec(nil, release)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

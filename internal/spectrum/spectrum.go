@@ -34,6 +34,14 @@ type Spectrum interface {
 	TotalFlux() units.Flux
 	// FluxInBand is the flux restricted to one energy band.
 	FluxInBand(b physics.EnergyBand) units.Flux
+	// Fingerprint is a stable content hash of the sampling identity,
+	// without the name: equal fingerprints mean identical draws from
+	// identical streams and identical point sets. It keys campaign plans
+	// (internal/plan) and surrogate training rows.
+	Fingerprint() string
+	// Points is the n-point stratified calibration set, a pure function
+	// of the spectrum and n, that cached campaign plans calibrate on.
+	Points(n int) []Point
 }
 
 // Component is one band-pure piece of a mixture spectrum.

@@ -89,17 +89,6 @@ func effectiveFactor(v float64) float64 {
 	return v
 }
 
-// SpectrumFingerprint returns the spectrum's content fingerprint, or
-// ok=false for spectrum types that do not publish one (such spectra can
-// neither train a model nor be served by one).
-func SpectrumFingerprint(sp spectrum.Spectrum) (string, bool) {
-	fp, ok := sp.(interface{ Fingerprint() string })
-	if !ok {
-		return "", false
-	}
-	return fp.Fingerprint(), true
-}
-
 // DesignDevice returns the sweep design-space device for one
 // (boron, Qcrit) point: the K20 planar template with the two design
 // knobs applied and the catalog's QcritSigma = Qcrit/4 spread.

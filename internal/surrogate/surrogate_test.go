@@ -222,9 +222,9 @@ func TestFeatureVectorDegradesOutOfDomain(t *testing.T) {
 func TestSpectrumFingerprintAndTraining(t *testing.T) {
 	m, _ := trainedModel(t)
 	for _, sp := range []spectrum.Spectrum{spectrum.ROTAX(), spectrum.ChipIR()} {
-		fp, ok := SpectrumFingerprint(sp)
-		if !ok || fp == "" {
-			t.Fatalf("%s does not publish a fingerprint", sp.Name())
+		fp := sp.Fingerprint()
+		if fp == "" {
+			t.Fatalf("%s publishes an empty fingerprint", sp.Name())
 		}
 		if !m.SpectrumTrained(fp) {
 			t.Errorf("model not marked trained on %s", sp.Name())

@@ -61,12 +61,11 @@ func NewDataset(calSamples int, seed uint64) *Dataset {
 // Add appends one observation, building its feature vector from the
 // design point, the spectrum, and the estimator's bias factors.
 func (ds *Dataset) Add(boronPerCm2, qcritFC float64, sp spectrum.Spectrum, bias plan.Bias, sigmaCm2 float64) {
-	fp, _ := SpectrumFingerprint(sp)
 	ds.Rows = append(ds.Rows, Row{
 		Features:            FeatureVector(boronPerCm2, qcritFC, sp, bias),
 		SigmaCm2:            sigmaCm2,
 		Spectrum:            sp.Name(),
-		SpectrumFingerprint: fp,
+		SpectrumFingerprint: sp.Fingerprint(),
 		BoronPerCm2:         boronPerCm2,
 		QcritFC:             qcritFC,
 	})
@@ -317,9 +316,7 @@ func Train(ds *Dataset, cfg TrainConfig) (*Model, error) {
 			m.Hull.Min[i] = math.Min(m.Hull.Min[i], f)
 			m.Hull.Max[i] = math.Max(m.Hull.Max[i], f)
 		}
-		if r.SpectrumFingerprint != "" {
-			fps[r.SpectrumFingerprint] = true
-		}
+		fps[r.SpectrumFingerprint] = true
 	}
 	for fp := range fps {
 		m.SpectrumFingerprints = append(m.SpectrumFingerprints, fp)

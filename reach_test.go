@@ -24,23 +24,21 @@ import (
 // and String methods are kept by rule. Everything else no binary links
 // is dead code: delete it, or add it here with its reason.
 var keep = map[string]string{
-	"neutronsim/internal/checkpoint.YoungInterval":                       "the first-order optimum TestDalyCloseToYoungForSmallDelta checks DalyInterval against",
-	"neutronsim/internal/jobsim.SweepIntervals":                          "the empirical optimum TestEmpiricalOptimumNearDaly checks DalyInterval against",
-	"neutronsim/internal/spectrum.(*Mixture).Components":                 "the components the rejection-sampler reference of TestAliasCDFEquivalence draws from",
-	"neutronsim/internal/spectrum.EstimateBandFluxes":                    "the Monte Carlo band fluxes TestAliasBandFluxEquivalence checks the alias sampler with",
-	"neutronsim/internal/spectrum.NewEnvironment":                        "the three-band mixture the alias equivalence tests sample next to ChipIR and ROTAX",
-	"neutronsim/internal/spectrum.(*Mono)":                               "Mono's Spectrum methods: TestCompilePinnedDigests compiles plans on a thermal Mono",
-	"neutronsim/internal/stats.(*Histogram).Total":                       "the probe TestLethargyHistogramFluxConservation checks flux conservation with",
-	"neutronsim/internal/units.CrossSection.Barns":                       "the unit the physics tests state tabulated cross sections in",
-	"neutronsim/internal/transport.(*TransportWeights)":                  "the weighted exit totals the TestImplicitCapture suite compares with analog counts",
-	"neutronsim/internal/plan.(*CampaignPlan).Checksum":                  "the plan digest TestCompilePinnedDigests pins",
-	"neutronsim/internal/plan.(*CampaignPlan).SampleInteraction":         "the draw of the frozen scalar run loop in internal/beam/batch_test.go",
-	"neutronsim/internal/plan.(*CampaignPlan).SampleInteractionWeighted": "the weighted draw of the frozen scalar run loop in internal/beam/batch_test.go",
-	"neutronsim/internal/plan.Bias.IsIdentity":                           "the engine's biased conformance test checks identity-factor campaigns against exact ones through it",
-	"neutronsim/internal/server.(*Server).Handler":                       "the httptest seam every server and cluster test mounts",
-	"neutronsim/internal/cluster.(*Coordinator).Peers":                   "the peer set the cluster conformance test and CompareBench read",
-	"internal/cluster/bench.go":                                          "CompareBench, the cluster gate row, and Storm, the closed-loop storm of the gate rows and TestSurrogateTierStorm; they set the client's unexported poll interval, so they live in package cluster",
-	"neutronsim/internal/surrogate.LoadDataset":                          "reads back the training set sweep -train-out writes",
+	"neutronsim/internal/checkpoint.YoungInterval":       "the first-order optimum TestDalyCloseToYoungForSmallDelta checks DalyInterval against",
+	"neutronsim/internal/jobsim.SweepIntervals":          "the empirical optimum TestEmpiricalOptimumNearDaly checks DalyInterval against",
+	"neutronsim/internal/spectrum.(*Mixture).Components": "the components the rejection-sampler reference of TestAliasCDFEquivalence draws from",
+	"neutronsim/internal/spectrum.EstimateBandFluxes":    "the Monte Carlo band fluxes TestAliasBandFluxEquivalence checks the alias sampler with",
+	"neutronsim/internal/spectrum.NewEnvironment":        "the three-band mixture the alias equivalence tests sample next to ChipIR and ROTAX",
+	"neutronsim/internal/spectrum.(*Mono)":               "Mono's Spectrum methods: TestCompilePinnedDigests compiles plans on a thermal Mono",
+	"neutronsim/internal/stats.(*Histogram).Total":       "the probe TestLethargyHistogramFluxConservation checks flux conservation with",
+	"neutronsim/internal/units.CrossSection.Barns":       "the unit the physics tests state tabulated cross sections in",
+	"neutronsim/internal/transport.(*TransportWeights)":  "the weighted exit totals the TestImplicitCapture suite compares with analog counts",
+	"neutronsim/internal/plan.(*CampaignPlan).Checksum":  "the plan digest TestCompilePinnedDigests pins",
+	"neutronsim/internal/plan.Bias.IsIdentity":           "the engine's biased conformance test checks identity-factor campaigns against exact ones through it",
+	"neutronsim/internal/server.(*Server).Handler":       "the httptest seam every server and cluster test mounts",
+	"neutronsim/internal/cluster.(*Coordinator).Peers":   "the peer set the cluster conformance test and CompareBench read",
+	"internal/cluster/bench.go":                          "CompareBench, the cluster gate row, and Storm, the closed-loop storm of the gate rows and TestSurrogateTierStorm; they set the client's unexported poll interval, so they live in package cluster",
+	"neutronsim/internal/surrogate.LoadDataset":          "reads back the training set sweep -train-out writes",
 }
 
 // excused reports whether an unlinked function stays, and the keep key
