@@ -127,7 +127,7 @@ func gateSurrogateSpeedup(b *testing.B) float64 {
 		}
 	})
 	d, s := surrogate.DesignDevice(1e14, 3), rng.New(1)
-	exact := nsPerOp(func() { _, err = d.UpsetCrossSection(rotax.Sample, 60000, s) })
+	exact := nsPerOp(func() { _, err = d.UpsetCrossSection(context.Background(), rotax.Sample, 60000, s) })
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"context"
 	"errors"
 
 	"neutronsim/internal/rng"
@@ -32,11 +33,11 @@ var RatioTargets = map[string]float64{
 // cross-section ratio by Monte Carlo against the two beam energy samplers
 // (typically ChipIR and ROTAX spectra).
 func MeasuredRatio(d *Device, fastBeam, thermalBeam func(*rng.Stream) units.Energy, n int, s *rng.Stream) (float64, error) {
-	sigmaF, err := d.UpsetCrossSection(fastBeam, n, s)
+	sigmaF, err := d.UpsetCrossSection(context.Background(), fastBeam, n, s)
 	if err != nil {
 		return 0, err
 	}
-	sigmaT, err := d.UpsetCrossSection(thermalBeam, n, s)
+	sigmaT, err := d.UpsetCrossSection(context.Background(), thermalBeam, n, s)
 	if err != nil {
 		return 0, err
 	}

@@ -13,6 +13,7 @@
 package device
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -209,12 +210,6 @@ func (d *Device) InteractionProbability(e units.Energy) float64 {
 // die. Campaign harnesses that sample interactions directly (rather than
 // tracking every beam neutron) use this entry point.
 func (d *Device) InteractionUpset(e units.Energy, s *rng.Stream) (Fault, bool) {
-	return d.upsetFromInteraction(e, s)
-}
-
-// upsetFromInteraction runs the charge-deposition and classification stage
-// for a neutron already known to have interacted.
-func (d *Device) upsetFromInteraction(e units.Energy, s *rng.Stream) (Fault, bool) {
 	band := physics.Classify(e)
 	var sec physics.Secondary
 	switch band {
@@ -259,11 +254,17 @@ func (d *Device) upsetFromInteraction(e units.Energy, s *rng.Stream) (Fault, boo
 	return f, true
 }
 
+// ctxCheckEvery is how many energies UpsetCrossSection draws between two
+// looks at its context.
+const ctxCheckEvery = 4096
+
 // UpsetCrossSection estimates the device's upset cross section (cm² per
 // device, before any workload masking) against an energy sampler, using n
 // Monte Carlo energies. This is the calibration estimator: it measures
-// sigma = A × E[p_interact(E) × P(upset | interaction, E)].
-func (d *Device) UpsetCrossSection(sample func(*rng.Stream) units.Energy, n int, s *rng.Stream) (units.CrossSection, error) {
+// sigma = A × E[p_interact(E) × P(upset | interaction, E)]. It checks ctx
+// every ctxCheckEvery energies and returns ctx's error once ctx is done,
+// so a caller can stop an estimate of any budget; the check draws nothing.
+func (d *Device) UpsetCrossSection(ctx context.Context, sample func(*rng.Stream) units.Energy, n int, s *rng.Stream) (units.CrossSection, error) {
 	if n <= 0 {
 		return 0, errors.New("device: sample count must be positive")
 	}
@@ -272,12 +273,17 @@ func (d *Device) UpsetCrossSection(sample func(*rng.Stream) units.Energy, n int,
 	}
 	sum := 0.0
 	for i := 0; i < n; i++ {
+		if i%ctxCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return 0, err
+			}
+		}
 		e := sample(s)
 		p := d.InteractionProbability(e)
 		if p == 0 {
 			continue
 		}
-		if _, ok := d.upsetFromInteraction(e, s); ok {
+		if _, ok := d.InteractionUpset(e, s); ok {
 			sum += p
 		}
 	}

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -15,7 +16,7 @@ func tryUpset(d *Device, e units.Energy, s *rng.Stream) (Fault, bool) {
 	if !s.Bernoulli(d.InteractionProbability(e)) {
 		return Fault{}, false
 	}
-	return d.upsetFromInteraction(e, s)
+	return d.InteractionUpset(e, s)
 }
 
 func TestCatalogValidates(t *testing.T) {
@@ -166,7 +167,7 @@ func TestControlFractionPerBand(t *testing.T) {
 	frac := func(e units.Energy) float64 {
 		control, total := 0, 0
 		for i := 0; i < 40000; i++ {
-			if f, ok := d.upsetFromInteraction(e, s); ok {
+			if f, ok := d.InteractionUpset(e, s); ok {
 				total++
 				if f.Target == TargetControl {
 					control++
@@ -214,10 +215,10 @@ func TestMBUBits(t *testing.T) {
 func TestUpsetCrossSectionValidation(t *testing.T) {
 	d := K20()
 	s := rng.New(6)
-	if _, err := d.UpsetCrossSection(nil, 10, s); err == nil {
+	if _, err := d.UpsetCrossSection(context.Background(), nil, 10, s); err == nil {
 		t.Error("nil sampler accepted")
 	}
-	if _, err := d.UpsetCrossSection(func(*rng.Stream) units.Energy { return 1 }, 0, s); err == nil {
+	if _, err := d.UpsetCrossSection(context.Background(), func(*rng.Stream) units.Energy { return 1 }, 0, s); err == nil {
 		t.Error("zero samples accepted")
 	}
 }
@@ -228,11 +229,11 @@ func TestUpsetCrossSectionScalesWithBoron(t *testing.T) {
 	d1 := K20()
 	d2 := K20()
 	d2.Boron10PerCm2 *= 4
-	s1, err := d1.UpsetCrossSection(thermal, 300000, s)
+	s1, err := d1.UpsetCrossSection(context.Background(), thermal, 300000, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := d2.UpsetCrossSection(thermal, 300000, s)
+	s2, err := d2.UpsetCrossSection(context.Background(), thermal, 300000, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +251,8 @@ func TestQcritOrdersThermalSensitivity(t *testing.T) {
 	lo.QcritFC, lo.QcritSigmaFC = 1, 0.2
 	hi := K20()
 	hi.QcritFC, hi.QcritSigmaFC = 20, 2
-	sLo, _ := lo.UpsetCrossSection(thermal, 200000, s)
-	sHi, _ := hi.UpsetCrossSection(thermal, 200000, s)
+	sLo, _ := lo.UpsetCrossSection(context.Background(), thermal, 200000, s)
+	sHi, _ := hi.UpsetCrossSection(context.Background(), thermal, 200000, s)
 	if sLo <= sHi {
 		t.Errorf("low-Qcrit device should be more sensitive: %v vs %v", sLo, sHi)
 	}

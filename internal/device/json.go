@@ -3,6 +3,7 @@ package device
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -55,14 +56,21 @@ func (d *Device) UnmarshalJSON(data []byte) error {
 	return d.Validate()
 }
 
-// Load reads a device model from JSON.
+// Load reads a device model from JSON: one object, with nothing but
+// whitespace after it.
 func Load(r io.Reader) (*Device, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("device: read: %w", err)
 	}
 	d := &Device{}
-	if err := d.UnmarshalJSON(data); err != nil {
+	if err := json.Unmarshal(data, d); err != nil {
+		// A syntax error, trailing content included, is json.Unmarshal's
+		// own; UnmarshalJSON's errors already start with "device".
+		var syntax *json.SyntaxError
+		if errors.As(err, &syntax) {
+			return nil, fmt.Errorf("device: parse: %w", err)
+		}
 		return nil, err
 	}
 	return d, nil

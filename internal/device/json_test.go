@@ -44,6 +44,28 @@ func TestLoadRejectsInvalidModels(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsTrailingContent holds Load to one JSON object: a second
+// object or garbage after it is an error, while the whitespace Save ends
+// its output with, or more of it, still loads.
+func TestLoadRejectsTrailingContent(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Save(&buf, K20()); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.String()
+	if d, err := Load(strings.NewReader(saved + " \t\n")); err != nil || *d != *K20() {
+		t.Fatalf("Save output with trailing whitespace: %v, %+v", err, d)
+	}
+	for name, tail := range map[string]string{
+		"second object":    `{"name":"y"}`,
+		"trailing garbage": "garbage",
+	} {
+		if d, err := Load(strings.NewReader(saved + tail)); err == nil {
+			t.Errorf("%s after the device accepted, loaded %s", name, d.Name)
+		}
+	}
+}
+
 func TestLoadMinimalCustomDevice(t *testing.T) {
 	in := `{
   "name": "MyASIC",

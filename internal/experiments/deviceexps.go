@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"neutronsim/internal/device"
@@ -73,12 +74,12 @@ func E11BPSG(scale Scale, seed uint64) (Table, error) {
 		Title:  "BPSG ablation: thermal upset cross section (§II)",
 		Header: []string{"variant", "σ_thermal [cm²]", "vs baseline"},
 	}
-	sigmaBase, err := base.UpsetCrossSection(thermal, n, s)
+	sigmaBase, err := base.UpsetCrossSection(context.Background(), thermal, n, s)
 	if err != nil {
 		return Table{}, err
 	}
 	for _, d := range []*device.Device{base, bpsg, depleted} {
-		sigma, err := d.UpsetCrossSection(thermal, n, s)
+		sigma, err := d.UpsetCrossSection(context.Background(), thermal, n, s)
 		if err != nil {
 			return Table{}, err
 		}

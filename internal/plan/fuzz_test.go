@@ -17,8 +17,8 @@ import (
 // the calibration table.
 func checkPlan(t *testing.T, p *CampaignPlan, n int, s *rng.Stream) {
 	t.Helper()
-	if p.Len() != n {
-		t.Fatalf("table size %d, want %d", p.Len(), n)
+	if len(p.slots) != n {
+		t.Fatalf("table size %d, want %d", len(p.slots), n)
 	}
 	members := make(map[units.Energy]bool, n)
 	for _, sl := range p.slots {

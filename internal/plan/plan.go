@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"hash"
 	"math"
-	"sync"
 
 	"neutronsim/internal/device"
 	"neutronsim/internal/physics"
@@ -124,9 +123,8 @@ func Compile(d *device.Device, sp spectrum.Spectrum, n int, cal *rng.Stream) *Ca
 // its band's factor as well for a biased one, whose bias must pass
 // Validate. The exact mass Σ p·mass (n·meanP) and the table's mass are
 // Kahan-summed in point order, and the alias table is built in place over
-// the slots, so a compile allocates only the table the plan keeps. Exact
-// and biased compiles read the same points, which is what makes an
-// identity-bias table bit-identical to the exact one.
+// the slots. Exact and biased compiles read the same points, which is
+// what makes an identity-bias table bit-identical to the exact one.
 func compile(d *device.Device, sp spectrum.Spectrum, n int, cal *rng.Stream, pts []spectrum.Point, bias *Bias) (*CampaignPlan, error) {
 	var factors *[physics.NumBands + 1]float64
 	if bias != nil {
@@ -138,38 +136,25 @@ func compile(d *device.Device, sp spectrum.Spectrum, n int, cal *rng.Stream, pts
 	}
 	p := &CampaignPlan{slots: make([]slot, n), biased: factors != nil}
 	var sum, comp, mass, mcomp float64
-	var buf [256]units.Energy
-	m, isMixture := sp.(*spectrum.Mixture)
-	for base := 0; base < n; base += len(buf) {
-		energies := buf[:min(len(buf), n-base)]
-		switch {
-		case pts != nil:
-			for i := range energies {
-				energies[i] = pts[base+i].Energy
-			}
-		case isMixture:
-			m.SampleN(energies, cal) // the energies successive Samples draw
-		default:
-			for i := range energies {
-				energies[i] = sp.Sample(cal)
-			}
+	for i := range p.slots {
+		pt := spectrum.Point{Mass: 1}
+		if pts != nil {
+			pt = pts[i]
+		} else {
+			pt.Energy = sp.Sample(cal)
 		}
-		for i, e := range energies {
-			pr := d.InteractionProbability(e)
-			if pts != nil {
-				pr *= pts[base+i].Mass
-			}
-			w := pr
-			if factors != nil {
-				w *= factors[physics.Classify(e)]
-			}
-			if !(w >= 0) || math.IsInf(w, 1) {
-				panic(fmt.Sprintf("plan: calibration weight %v at %v eV is not finite and non-negative", w, e))
-			}
-			sum, comp = kahanAdd(sum, comp, pr)
-			mass, mcomp = kahanAdd(mass, mcomp, w)
-			p.slots[base+i] = slot{prob: w, self: e}
+		e := pt.Energy
+		pr := d.InteractionProbability(e) * pt.Mass
+		w := pr
+		if factors != nil {
+			w *= factors[physics.Classify(e)]
 		}
+		if !(w >= 0) || math.IsInf(w, 1) {
+			panic(fmt.Sprintf("plan: calibration weight %v at %v eV is not finite and non-negative", w, e))
+		}
+		sum, comp = kahanAdd(sum, comp, pr)
+		mass, mcomp = kahanAdd(mass, mcomp, w)
+		p.slots[i] = slot{prob: w, self: e}
 	}
 	p.meanP = sum / float64(n)
 	fuse(p.slots, mass)
@@ -190,10 +175,9 @@ func kahanAdd(sum, comp, x float64) (float64, float64) {
 }
 
 // fuse turns the weights held in the slots' prob fields, whose Kahan
-// total is mass, into the plan's alias table in place: rng.Vose on pooled
-// scratch, with each alias resolved to its energy, or uniform selection
-// over the calibration energies (prob 1 ⇒ always self) when nothing
-// interacts.
+// total is mass, into the plan's alias table in place: rng.Vose, with each
+// alias resolved to its energy, or uniform selection over the calibration
+// energies (prob 1 ⇒ always self) when nothing interacts.
 func fuse(slots []slot, mass float64) {
 	if mass <= 0 {
 		for i := range slots {
@@ -202,36 +186,19 @@ func fuse(slots []slot, mass float64) {
 		return
 	}
 	n := len(slots)
-	sc := scratchPool.Get().(*voseScratch)
-	if cap(sc.prob) < n {
-		sc.prob, sc.alias, sc.work = make([]float64, n), make([]int32, n), make([]int32, n)
-	}
-	prob, alias := sc.prob[:n], sc.alias[:n]
+	prob, alias := make([]float64, n), make([]int32, n)
 	for i := range prob {
 		prob[i] = slots[i].prob
 	}
-	rng.Vose(prob, alias, sc.work[:n], mass)
+	rng.Vose(prob, alias, make([]int32, n), mass)
 	for i, a := range alias {
 		slots[i].prob, slots[i].alias = prob[i], slots[a].self
 	}
-	scratchPool.Put(sc)
 }
-
-// voseScratch is rng.Vose's working set, recycled so that a compile
-// allocates only the table the plan keeps.
-type voseScratch struct {
-	prob        []float64
-	alias, work []int32
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(voseScratch) }}
 
 // MeanP returns the calibration's mean interaction probability — the
 // quantity that converts beam flux × die area into an interaction rate.
 func (p *CampaignPlan) MeanP() float64 { return p.meanP }
-
-// Len returns the calibration-table size.
-func (p *CampaignPlan) Len() int { return len(p.slots) }
 
 // draw is the one alias draw behind every sampler: the integer part of one
 // uniform picks a slot, the fractional part decides between the slot's

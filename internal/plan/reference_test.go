@@ -30,7 +30,10 @@ func TestStratifiedPlanMatchesReference(t *testing.T) {
 	c := NewCache(64, telemetry.NewRegistry())
 	energies := make([]units.Energy, refSamples)
 	for si, sp := range []*spectrum.Mixture{spectrum.ChipIR(), spectrum.ROTAX()} {
-		sp.SampleN(energies, rng.NewSequence(0x5EFE7E11CE, uint64(si)))
+		s := rng.NewSequence(0x5EFE7E11CE, uint64(si))
+		for i := range energies {
+			energies[i] = sp.Sample(s)
+		}
 		for _, d := range device.All() {
 			ref := referenceOf(d, energies)
 			for _, bias := range []*Bias{nil, {Thermal: 10}} {

@@ -105,20 +105,13 @@ func Vose(prob []float64, alias, work []int32, sum float64) {
 	}
 }
 
-// Len returns the number of outcomes.
-func (t *AliasTable) Len() int { return len(t.prob) }
-
 // Draw returns an outcome index distributed according to the construction
-// weights. It consumes exactly one uniform variate.
-func (t *AliasTable) Draw(s *Stream) int { return t.Pick(s.Float64()) }
-
-// Pick returns the outcome the uniform u in [0, 1) selects: the integer
-// part of u·n picks the slot and the fractional part decides between the
-// slot's own outcome and its alias. Draw is Pick on the stream's next
-// uniform; batch samplers pick with uniforms they generated by Fill.
-func (t *AliasTable) Pick(u float64) int {
+// weights. It consumes exactly one uniform variate: the integer part of
+// u·n picks the slot and the fractional part decides between the slot's
+// own outcome and its alias.
+func (t *AliasTable) Draw(s *Stream) int {
 	n := len(t.prob)
-	u *= float64(n)
+	u := s.Float64() * float64(n)
 	i := int(u)
 	if i >= n {
 		// u < 1, but u·n can round up to exactly n for large n.

@@ -63,12 +63,12 @@ func TestAliasTableExtremeDynamicRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < at.Len(); i++ {
+	for i := 0; i < len(at.prob); i++ {
 		p, a := at.prob[i], int(at.alias[i])
 		if math.IsNaN(p) || p < 0 || p > 1 {
 			t.Fatalf("slot %d prob = %v", i, p)
 		}
-		if a < 0 || a >= at.Len() {
+		if a < 0 || a >= len(at.prob) {
 			t.Fatalf("slot %d alias = %d", i, a)
 		}
 	}
@@ -128,7 +128,7 @@ func TestAliasTableMassConservation(t *testing.T) {
 	for _, w := range weights {
 		total += w
 	}
-	n := at.Len()
+	n := len(at.prob)
 	mass := make([]float64, n)
 	for i := 0; i < n; i++ {
 		p, a := at.prob[i], int(at.alias[i])

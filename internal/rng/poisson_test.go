@@ -6,25 +6,6 @@ import (
 	"testing"
 )
 
-// TestFillMatchesSequentialDraws pins Fill as the batch equivalent of
-// successive Uint64 calls.
-func TestFillMatchesSequentialDraws(t *testing.T) {
-	s, ref := New(99), New(99)
-	buf := make([]uint64, 300)
-	s.Fill(buf)
-	for i, got := range buf {
-		if want := ref.Uint64(); got != want {
-			t.Fatalf("Fill[%d] = %#x, sequential draw = %#x", i, got, want)
-		}
-	}
-	// The stream must continue seamlessly after the batch.
-	for i := 0; i < 10; i++ {
-		if got, want := s.Uint64(), ref.Uint64(); got != want {
-			t.Fatalf("post-Fill draw %d mismatch", i)
-		}
-	}
-}
-
 // poissonRunRef is PoissonRun spelled out as single Poisson draws.
 func poissonRunRef(s *Stream, mean float64, limit int) (int, int64) {
 	zeros := 0

@@ -85,27 +85,6 @@ func (s *Stream) Uint64() uint64 {
 	return bits.RotateLeft64(xored, -int(rot))
 }
 
-// Fill overwrites buf with the stream's next len(buf) Uint64 outputs —
-// the batch equivalent of len(buf) successive Uint64 calls, bit for bit,
-// for samplers that consume a batch of outputs in one pass
-// (spectrum.Mixture.SampleN). The 128-bit state and increment live in
-// locals for the whole loop: one state load/store pair per batch instead
-// of per draw.
-func (s *Stream) Fill(buf []uint64) {
-	hi, lo := s.stateHi, s.stateLo
-	incHi, incLo := s.incHi, s.incLo
-	for i := range buf {
-		h, l := bits.Mul64(lo, mulLo)
-		h += hi*mulLo + lo*mulHi
-		var carry uint64
-		l, carry = bits.Add64(l, incLo, 0)
-		h, _ = bits.Add64(h, incHi, carry)
-		hi, lo = h, l
-		buf[i] = bits.RotateLeft64(h^l, -int(h>>58))
-	}
-	s.stateHi, s.stateLo = hi, lo
-}
-
 // Split derives an independent child stream. The parent advances by one
 // draw, so successive Splits produce distinct children.
 func (s *Stream) Split() *Stream {
@@ -115,11 +94,7 @@ func (s *Stream) Split() *Stream {
 }
 
 // Float64 returns a uniform value in [0, 1).
-func (s *Stream) Float64() float64 { return Float64From(s.Uint64()) }
-
-// Float64From maps one raw Uint64 output to the uniform Float64 derives
-// from it, for samplers that batch-generate their outputs with Fill.
-func Float64From(x uint64) float64 { return float64(x>>11) / (1 << 53) }
+func (s *Stream) Float64() float64 { return float64(s.Uint64()>>11) / (1 << 53) }
 
 // Float64Open returns a uniform value in (0, 1), safe for log transforms.
 func (s *Stream) Float64Open() float64 {

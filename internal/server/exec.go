@@ -60,7 +60,7 @@ func Execute(ctx context.Context, req *CampaignRequest, shards int) (*ResultEnve
 	case KindTransport:
 		return execTransport(ctx, req, shards)
 	case KindXsection:
-		return execXsection(req)
+		return execXsection(ctx, req)
 	}
 	return nil, fmt.Errorf("unknown kind %q", req.Kind)
 }
@@ -192,14 +192,16 @@ func execTransport(ctx context.Context, req *CampaignRequest, shards int) (*Resu
 // execXsection is the exact Monte Carlo path for a design-space
 // cross-section query: surrogate.Sigma on the request's seed, the
 // estimator every cmd/sweep grid point runs, so a surrogate trained on
-// sweep output predicts exactly this quantity.
-func execXsection(req *CampaignRequest) (*ResultEnvelope, error) {
+// sweep output predicts exactly this quantity. The job's ctx reaches the
+// unbiased estimator's loop, so DELETE, the job deadline and Drain stop a
+// query of any sample budget.
+func execXsection(ctx context.Context, req *CampaignRequest) (*ResultEnvelope, error) {
 	p := req.Xsection
 	sp, err := SpectrumByName(p.Spectrum)
 	if err != nil {
 		return nil, err
 	}
-	sigma, err := surrogate.Sigma(p.BoronPerCm2, p.QcritFC, sp, p.Samples, rng.New(req.Seed), p.Bias)
+	sigma, err := surrogate.Sigma(ctx, p.BoronPerCm2, p.QcritFC, sp, p.Samples, rng.New(req.Seed), p.Bias)
 	if err != nil {
 		return nil, err
 	}

@@ -234,6 +234,50 @@ func TestCancelRunningAndQueuedJobs(t *testing.T) {
 	}
 }
 
+// TestExactXsectionStopsWithItsJob holds the exact xsection estimator,
+// whose sample budget has no ceiling, to its job's context: a query of
+// 2²⁶ samples, some ten seconds of work, must end failed within 2 s of a
+// 200 ms job deadline, and canceled within 2 s of a DELETE.
+func TestExactXsectionStopsWithItsJob(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration
+		want    string
+	}{
+		{"deadline", 200 * time.Millisecond, StateFailed},
+		{"delete", -1, StateCanceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := New(Config{Workers: 1, JobTimeout: tc.timeout, Registry: telemetry.NewRegistry()})
+			defer srv.Drain()
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			resp, body := postCampaign(t, ts, &CampaignRequest{Kind: KindXsection, Seed: 1, Xsection: &XsectionParams{
+				BoronPerCm2: 1e14, QcritFC: 3, Spectrum: "ROTAX", Samples: 1 << 26,
+			}}, nil)
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("submit: status %d: %s", resp.StatusCode, body)
+			}
+			var info JobInfo
+			if err := json.Unmarshal(body, &info); err != nil {
+				t.Fatal(err)
+			}
+			if tc.want == StateCanceled {
+				waitFor(t, 2*time.Second, func() bool { return srv.jobsRunning.Value() == 1 })
+				req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+info.ID, nil)
+				resp, err := ts.Client().Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+			}
+			if got := awaitJob(t, ts, info.ID, 2*time.Second); got.State != tc.want {
+				t.Errorf("job ended %s (%s), want %s", got.State, got.Error, tc.want)
+			}
+		})
+	}
+}
+
 func TestSSEStreamsProgressAndTerminalState(t *testing.T) {
 	srv := New(Config{Workers: 1, Registry: telemetry.NewRegistry()})
 	defer srv.Drain()

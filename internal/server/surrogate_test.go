@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -82,7 +83,7 @@ func directXsection(t *testing.T, req *CampaignRequest) float64 {
 	d := surrogate.DesignDevice(p.BoronPerCm2, p.QcritFC)
 	s := rng.New(req.Seed)
 	if p.Bias == nil {
-		sigma, err := d.UpsetCrossSection(sp.Sample, p.Samples, s)
+		sigma, err := d.UpsetCrossSection(context.Background(), sp.Sample, p.Samples, s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -127,29 +127,8 @@ func (m *Mixture) FluxInBand(b physics.EnergyBand) units.Flux {
 // (re-drawn or clamped at construction), and each band is a contiguous
 // energy interval, so interpolation cannot leave it.
 func (m *Mixture) Sample(s *rng.Stream) units.Energy {
-	u := s.Float64()
-	return m.energy(u, s.Float64())
-}
-
-// SampleN fills dst with the energies len(dst) successive Sample calls
-// would return, bit for bit, and leaves s where they would leave it, but
-// takes its uniforms from Fill a batch at a time (plan compilation).
-func (m *Mixture) SampleN(dst []units.Energy, s *rng.Stream) {
-	var raw [512]uint64
-	for len(dst) > 0 {
-		k := min(len(dst), len(raw)/2)
-		s.Fill(raw[:2*k])
-		for i := range dst[:k] {
-			dst[i] = m.energy(rng.Float64From(raw[2*i]), rng.Float64From(raw[2*i+1]))
-		}
-		dst = dst[k:]
-	}
-}
-
-// energy is the one transform behind Sample and SampleN: uniform u picks
-// the component, uniform v the position along its quantile table.
-func (m *Mixture) energy(u, v float64) units.Energy {
-	return m.tables[m.pick.Pick(u)].at(v)
+	c := m.pick.Draw(s)
+	return m.tables[c].at(s.Float64())
 }
 
 // Point is one point of a stratified calibration set: an energy and the

@@ -282,28 +282,6 @@ func TestLogNormalBumpTruncation(t *testing.T) {
 	}
 }
 
-// TestSampleNMatchesSample pins the batch draw to the scalar one: for
-// batch lengths around the internal Fill batch, SampleN must return
-// exactly the energies successive Sample calls return and leave the
-// stream in the same state.
-func TestSampleNMatchesSample(t *testing.T) {
-	for _, m := range []*Mixture{ChipIR(), ROTAX()} {
-		for _, n := range []int{0, 1, 255, 256, 257, 1000} {
-			scalar, batch := rng.New(uint64(n)), rng.New(uint64(n))
-			got := make([]units.Energy, n)
-			m.SampleN(got, batch)
-			for i := range got {
-				if want := m.Sample(scalar); got[i] != want {
-					t.Fatalf("%s n=%d: energy %d = %v, Sample gives %v", m.Name(), n, i, got[i], want)
-				}
-			}
-			if scalar.Uint64() != batch.Uint64() {
-				t.Fatalf("%s n=%d: SampleN left the stream elsewhere than Sample", m.Name(), n)
-			}
-		}
-	}
-}
-
 // TestPoints pins the stratified calibration set at budgets below, at and
 // above the component count: n points carrying mass n, each inside the
 // band and energy range of a component, with each band holding the mass

@@ -77,7 +77,7 @@ func BenchmarkSurrogateExactXsection(b *testing.B) {
 	s := rng.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.UpsetCrossSection(sp.Sample, benchExactSamples, s); err != nil {
+		if _, err := d.UpsetCrossSection(context.Background(), sp.Sample, benchExactSamples, s); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,9 +15,9 @@ import (
 // hash, so a layout change can never collide with an old model.
 const ModelVersion = "surrogate/v1"
 
-// MaxDegree is the highest polynomial total degree Train fits and Verify
-// accepts. It bounds the multiplications Predict spends per term, so a
-// model that loads answers in the O(µs) serving budget.
+// MaxDegree is the highest polynomial total degree Verify accepts (Train
+// fits a lower one). It bounds the multiplications Predict spends per
+// term, so a model that loads answers in the O(µs) serving budget.
 const MaxDegree = 8
 
 // Hull is the axis-aligned bounding box of the training features — the
@@ -75,7 +75,7 @@ type Model struct {
 	DroppedRows         int     `json:"dropped_rows"`
 	HeldOutMaxRelErr    float64 `json:"held_out_max_rel_err"`
 	HeldOutMeanRelErr   float64 `json:"held_out_mean_rel_err"`
-	// CertifiedRelErr is the serving guarantee: SafetyFactor × the max
+	// CertifiedRelErr is the serving guarantee: 1.5 × the max
 	// held-out relative error (floored). Queries whose tolerance is
 	// below it are never answered approximately.
 	CertifiedRelErr float64 `json:"certified_rel_err"`

@@ -19,6 +19,7 @@
 package surrogate
 
 import (
+	"context"
 	"math"
 
 	"neutronsim/internal/device"
@@ -103,15 +104,16 @@ func DesignDevice(boronPerCm2, qcritFC float64) *device.Device {
 
 // Sigma estimates the upset cross section (cm²) of DesignDevice(boron,
 // Qcrit) under sp from samples energies drawn on s. A nil bias runs the
-// analog estimator. Otherwise Sigma compiles a biased campaign plan,
+// analog estimator, which stops with ctx's error once ctx is done: its
+// budget has no ceiling. Otherwise Sigma compiles a biased campaign plan,
 // whose calibration set doubles as the estimator's energy sample, and
 // returns the likelihood-weighted estimate. EvaluateGrid and neutrond's
 // exact xsection path both call it, so a surrogate trained on the grid
 // predicts exactly the quantity the exact path computes.
-func Sigma(boronPerCm2, qcritFC float64, sp spectrum.Spectrum, samples int, s *rng.Stream, bias *plan.Bias) (float64, error) {
+func Sigma(ctx context.Context, boronPerCm2, qcritFC float64, sp spectrum.Spectrum, samples int, s *rng.Stream, bias *plan.Bias) (float64, error) {
 	d := DesignDevice(boronPerCm2, qcritFC)
 	if bias == nil {
-		sigma, err := d.UpsetCrossSection(sp.Sample, samples, s)
+		sigma, err := d.UpsetCrossSection(ctx, sp.Sample, samples, s)
 		return float64(sigma), err
 	}
 	cp, err := plan.CompileBiased(d, sp, samples, s, *bias)

@@ -121,44 +121,28 @@ func LoadDataset(path string) (*Dataset, error) {
 	return &ds, nil
 }
 
-// TrainConfig are the fit hyperparameters. The zero value gets the
-// defaults from withDefaults; every field is part of the model's
-// content hash via the fields copied onto the Model.
-type TrainConfig struct {
-	// Degree is the polynomial total degree, at most MaxDegree (default
-	// 4 — enough for the spectrum-switch × log-Qcrit-curvature
-	// interactions the physics has; on the default grid it halves the
-	// held-out error of a cubic while keeping fewer terms than training
-	// rows).
-	Degree int
-	// Lambda is the ridge strength relative to the training row count
-	// (default 1e-6).
-	Lambda float64
-	// HoldEvery holds out every HoldEvery-th usable row for
-	// certification (default 4). The held-out rows never influence the
-	// coefficients, so the measured error honestly describes the served
-	// model.
-	HoldEvery int
-	// SafetyFactor inflates the max held-out relative error into the
-	// certified serving bound (default 1.5, floored at 1%).
-	SafetyFactor float64
-}
+// TrainConfig has no fields: the fit's settings are the constants below.
+// Train copies trainDegree and trainLambda onto the Model, so they are
+// part of its content hash.
+type TrainConfig struct{}
 
-func (c TrainConfig) withDefaults() TrainConfig {
-	if c.Degree <= 0 {
-		c.Degree = 4
-	}
-	if c.Lambda <= 0 {
-		c.Lambda = 1e-6
-	}
-	if c.HoldEvery <= 1 {
-		c.HoldEvery = 4
-	}
-	if c.SafetyFactor < 1 {
-		c.SafetyFactor = 1.5
-	}
-	return c
-}
+const (
+	// trainDegree is the polynomial total degree, below MaxDegree: enough
+	// for the spectrum-switch × log-Qcrit-curvature interactions the
+	// physics has; on the default grid it halves the held-out error of a
+	// cubic while keeping fewer terms than training rows.
+	trainDegree = 4
+	// trainLambda is the ridge strength relative to the training row
+	// count.
+	trainLambda = 1e-6
+	// holdEvery holds out every holdEvery-th usable row for
+	// certification. The held-out rows never influence the coefficients,
+	// so the measured error honestly describes the served model.
+	holdEvery = 4
+	// safetyFactor inflates the max held-out relative error into the
+	// certified serving bound (floored at minCertifiedRelErr).
+	safetyFactor = 1.5
+)
 
 // minCertifiedRelErr floors the certified bound: even a fit that nails
 // every held-out point cannot promise better than 1% — the targets
@@ -170,13 +154,9 @@ const minCertifiedRelErr = 0.01
 // non-positive measured cross section are dropped (and counted): the
 // target is log σ, and a zero estimate means the grid point starved —
 // nothing a smooth fit should learn from. Training is fully
-// deterministic, so identical datasets and hyperparameters produce
-// byte-identical models with identical content hashes.
-func Train(ds *Dataset, cfg TrainConfig) (*Model, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Degree > MaxDegree {
-		return nil, fmt.Errorf("surrogate: degree %d above the ceiling %d", cfg.Degree, MaxDegree)
-	}
+// deterministic, so identical datasets produce byte-identical models
+// with identical content hashes.
+func Train(ds *Dataset, _ TrainConfig) (*Model, error) {
 	if ds == nil || len(ds.Rows) == 0 {
 		return nil, fmt.Errorf("surrogate: empty dataset")
 	}
@@ -196,7 +176,7 @@ func Train(ds *Dataset, cfg TrainConfig) (*Model, error) {
 	}
 	var train, held []Row
 	for i, r := range kept {
-		if i%cfg.HoldEvery == cfg.HoldEvery-1 {
+		if i%holdEvery == holdEvery-1 {
 			held = append(held, r)
 		} else {
 			train = append(train, r)
@@ -232,7 +212,7 @@ func Train(ds *Dataset, cfg TrainConfig) (*Model, error) {
 	for i := range active {
 		active[i] = scale[i] > 0
 	}
-	terms := enumerateTerms(active, cfg.Degree)
+	terms := enumerateTerms(active, trainDegree)
 
 	standardize := func(f []float64) []float64 {
 		z := make([]float64, dim)
@@ -280,7 +260,7 @@ func Train(ds *Dataset, cfg TrainConfig) (*Model, error) {
 			a[i][j] = a[j][i]
 		}
 	}
-	coef, err := ridgeSolve(a, b, cfg.Lambda*float64(len(train)))
+	coef, err := ridgeSolve(a, b, trainLambda*float64(len(train)))
 	if err != nil {
 		return nil, err
 	}
@@ -289,8 +269,8 @@ func Train(ds *Dataset, cfg TrainConfig) (*Model, error) {
 		Version:             ModelVersion,
 		Quantity:            "log10_sigma_cm2",
 		FeatureNames:        append([]string(nil), ds.FeatureNames...),
-		Degree:              cfg.Degree,
-		Lambda:              cfg.Lambda,
+		Degree:              trainDegree,
+		Lambda:              trainLambda,
 		Mean:                mean,
 		Scale:               scale,
 		Terms:               terms,
@@ -333,7 +313,7 @@ func Train(ds *Dataset, cfg TrainConfig) (*Model, error) {
 	}
 	m.HeldOutMaxRelErr = maxErr
 	m.HeldOutMeanRelErr = sumErr / float64(len(held))
-	m.CertifiedRelErr = math.Max(cfg.SafetyFactor*maxErr, minCertifiedRelErr)
+	m.CertifiedRelErr = math.Max(safetyFactor*maxErr, minCertifiedRelErr)
 	if math.IsInf(m.CertifiedRelErr, 0) || math.IsNaN(m.CertifiedRelErr) {
 		return nil, fmt.Errorf("surrogate: held-out error is not finite; fit diverged")
 	}
@@ -528,11 +508,11 @@ func EvaluateGrid(cfg GridConfig) (*Dataset, error) {
 			telemetry.ReportProgress(telemetry.ProgressUpdate{Component: "sweep",
 				Done: float64(done), Total: float64(total), Elapsed: time.Since(start)})
 		},
-	}, len(streams), 1, func(_ context.Context, sh engine.Shard) (struct{}, error) {
+	}, len(streams), 1, func(ctx context.Context, sh engine.Shard) (struct{}, error) {
 		// Shard i fills rows 2i and 2i+1 and no others.
 		for k, sp := range beamlines {
 			r := &ds.Rows[len(beamlines)*sh.Index+k]
-			sigma, err := Sigma(r.BoronPerCm2, r.QcritFC, sp, cfg.Samples, sh.Stream, cfg.Bias)
+			sigma, err := Sigma(ctx, r.BoronPerCm2, r.QcritFC, sp, cfg.Samples, sh.Stream, cfg.Bias)
 			if err != nil {
 				return struct{}{}, err
 			}
