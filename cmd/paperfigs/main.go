@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -83,7 +84,7 @@ func run(args []string) error {
 			return fmt.Errorf("%s: %w", d.ID, err)
 		}
 		telemetry.Count("paperfigs.experiments_run", 1)
-		telemetry.ReportProgress(telemetry.ProgressUpdate{
+		telemetry.ReportProgress(context.Background(), telemetry.ProgressUpdate{
 			Component: "paperfigs",
 			Phase:     d.ID,
 			Done:      float64(i + 1),

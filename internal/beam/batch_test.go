@@ -3,7 +3,6 @@ package beam
 import (
 	"math"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"neutronsim/internal/device"
@@ -203,10 +202,9 @@ func TestBatchedRunLoopMatchesScalarReference(t *testing.T) {
 			shard := func(i int) engine.Shard {
 				return engine.Shard{Index: i, Count: c.runs, Stream: engine.StreamForShard(cfg.Seed, i)}
 			}
-			var events atomic.Int64
 			inj := injectorFor(t, cfg)
 			if c.lambda <= 0 || c.lambda >= 30 {
-				got := runShard(cfg, shard(3), pl, inj, c.lambda, &events)
+				got := runShard(cfg, shard(3), pl, inj, c.lambda)
 				want := scalarRunShard(t, cfg, shard(3), pl, c.lambda)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("shard tally diverged from scalar reference:\n got %+v\nwant %+v", got, want)
@@ -214,17 +212,11 @@ func TestBatchedRunLoopMatchesScalarReference(t *testing.T) {
 				if want.Interactions == 0 && c.lambda > 0 {
 					t.Error("reference drew no interactions; comparison is vacuous")
 				}
-				if events.Load() != got.SDC+got.DUE {
-					t.Errorf("events counter = %d, want sdc+due = %d", events.Load(), got.SDC+got.DUE)
-				}
 				return
 			}
 			var got, want [][]float64
-			var sdcDUE int64
 			for i := range refShards {
-				tc := runShard(cfg, shard(i), pl, inj, c.lambda, &events)
-				sdcDUE += tc.SDC + tc.DUE
-				got = append(got, tallyFields(tc))
+				got = append(got, tallyFields(runShard(cfg, shard(i), pl, inj, c.lambda)))
 				want = append(want, tallyFields(scalarRunShard(t, cfg, shard(refShards+i), pl, c.lambda)))
 			}
 			worst := 0.0
@@ -246,11 +238,6 @@ func TestBatchedRunLoopMatchesScalarReference(t *testing.T) {
 			t.Logf("worst |z| over %d tally fields: %.2f", len(got[0]), worst)
 			if mean, _ := meanSE(want, 5); mean == 0 {
 				t.Error("reference drew no interactions; comparison is vacuous")
-			}
-			// The events counter is flushed per block but must still total
-			// exactly the shards' SDC+DUE count by shard completion.
-			if events.Load() != sdcDUE {
-				t.Errorf("events counter = %d, want sdc+due = %d", events.Load(), sdcDUE)
 			}
 		})
 	}

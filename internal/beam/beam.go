@@ -353,12 +353,12 @@ func prepare(ctx context.Context, cfg Config) (*campaignSetup, error) {
 
 // runShard executes one shard of the campaign on an injector from its
 // code's free list, replaying it against the code's golden run.
-func (s *campaignSetup) runShard(sh engine.Shard, events *atomic.Int64) (shardTally, error) {
+func (s *campaignSetup) runShard(sh engine.Shard) (shardTally, error) {
 	inj, err := s.code.injector()
 	if err != nil {
 		return shardTally{}, err
 	}
-	tc := runShard(s.cfg, sh, s.pl, inj, s.lambda, events)
+	tc := runShard(s.cfg, sh, s.pl, inj, s.lambda)
 	s.code.mu.Lock()
 	s.code.free = append(s.code.free, inj)
 	s.code.mu.Unlock()
@@ -420,17 +420,18 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 
 	_, runSpan := trace.StartChild(ctx, "beam.runs")
 	runStart := time.Now()
-	// events is the only state shared across shards: an atomic SDC+DUE
-	// count feeding progress lines (Result fields are written only after
-	// the merge, so concurrent shards never touch them).
+	// events is the only state shared across shards: the SDC+DUE count of
+	// the finished shards, added as each one returns and before the
+	// engine's hook reports it (Result fields are written only after the
+	// merge, so concurrent shards never touch them).
 	var events atomic.Int64
 	tallies, err := engine.Map(ctx, engine.Config{
 		Workers: s.cfg.Shards,
 		Grain:   s.grain,
 		Seed:    s.cfg.Seed,
 		Name:    "beam",
-		OnShardDone: func(_ engine.Shard, doneItems, totalItems int) {
-			telemetry.ReportProgressContext(ctx, telemetry.ProgressUpdate{
+		OnShardDone: func(doneItems, totalItems int) {
+			telemetry.ReportProgress(ctx, telemetry.ProgressUpdate{
 				Component: "beam",
 				Device:    s.cfg.Device.Name,
 				Beam:      s.cfg.Beam.Name(),
@@ -442,7 +443,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			})
 		},
 	}, s.runs, DefaultShardGrain, func(_ context.Context, sh engine.Shard) (shardTally, error) {
-		return s.runShard(sh, &events)
+		tc, err := s.runShard(sh)
+		events.Add(tc.SDC + tc.DUE)
+		return tc, err
 	})
 	runSpan.End()
 	if err != nil {
@@ -612,7 +615,6 @@ type shardRunner struct {
 	inj        *faultinject.Injector
 	steps      int
 	s          *rng.Stream
-	events     *atomic.Int64
 	tc         shardTally
 	faults     []faultinject.Timed
 	persistent []faultinject.Timed
@@ -627,7 +629,7 @@ type shardRunner struct {
 	wCarried float64
 }
 
-func newShardRunner(cfg Config, sh engine.Shard, pl *plan.CampaignPlan, inj *faultinject.Injector, lambda float64, events *atomic.Int64) *shardRunner {
+func newShardRunner(cfg Config, sh engine.Shard, pl *plan.CampaignPlan, inj *faultinject.Injector, lambda float64) *shardRunner {
 	r := &shardRunner{
 		cfg:      cfg,
 		lambda:   lambda,
@@ -635,7 +637,6 @@ func newShardRunner(cfg Config, sh engine.Shard, pl *plan.CampaignPlan, inj *fau
 		inj:      inj,
 		steps:    inj.Steps(),
 		s:        sh.Stream,
-		events:   events,
 		wCarried: 1,
 	}
 	if r.biased {
@@ -655,11 +656,9 @@ func newShardRunner(cfg Config, sh engine.Shard, pl *plan.CampaignPlan, inj *fau
 // replays on its own, until an observed error reprograms the FPGA; the
 // rest of the gap counts as masked in one add, and on the biased path in
 // one unit-weight add, since an empty run's outcome weight is wCarried·1
-// = 1 while nothing is carried. The shared events counter is flushed
-// once, at the end. It must stay free of per-run allocations (asserted by
-// TestRunLoopZeroAllocs for both estimators).
+// = 1 while nothing is carried. It must stay free of per-run allocations
+// (asserted by TestRunLoopZeroAllocs for both estimators).
 func (r *shardRunner) runBlock(n int) {
-	before := r.tc.SDC + r.tc.DUE
 	for n > 0 {
 		zeros, nInt := r.s.PoissonRun(r.lambda, n)
 		n -= zeros
@@ -676,9 +675,6 @@ func (r *shardRunner) runBlock(n int) {
 			r.materialize(nInt)
 			n--
 		}
-	}
-	if d := r.tc.SDC + r.tc.DUE - before; d != 0 {
-		r.events.Add(d)
 	}
 }
 
@@ -772,8 +768,8 @@ func (r *shardRunner) advanceCarried(wRun float64) {
 	r.wCarried *= wRun
 }
 
-func runShard(cfg Config, sh engine.Shard, pl *plan.CampaignPlan, inj *faultinject.Injector, lambda float64, events *atomic.Int64) shardTally {
-	r := newShardRunner(cfg, sh, pl, inj, lambda, events)
+func runShard(cfg Config, sh engine.Shard, pl *plan.CampaignPlan, inj *faultinject.Injector, lambda float64) shardTally {
+	r := newShardRunner(cfg, sh, pl, inj, lambda)
 	r.runBlock(sh.Count)
 	return r.tc
 }

@@ -2,13 +2,16 @@ package beam
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"neutronsim/internal/device"
 	"neutronsim/internal/physics"
 	"neutronsim/internal/spectrum"
+	"neutronsim/internal/telemetry"
 	"neutronsim/internal/units"
 )
 
@@ -79,6 +82,55 @@ func TestRunConservationAndFluence(t *testing.T) {
 	}
 	if res.Upsets == 0 || res.SDC == 0 {
 		t.Errorf("boosted campaign collected no statistics: %+v", res)
+	}
+}
+
+// TestRunContextProgressCountsEvents checks what a campaign reports while
+// it runs, at 1 and 4 workers: one update per shard, and the update that
+// completes the campaign reads Done == Total == Runs and counts every SDC
+// and DUE of the result. Updates from concurrent shards may arrive out of
+// order, so the test keeps the one with the most runs done.
+func TestRunContextProgressCountsEvents(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var mu sync.Mutex
+			var last telemetry.ProgressUpdate
+			updates := 0
+			ctx := telemetry.ContextWithProgress(context.Background(), func(u telemetry.ProgressUpdate) {
+				mu.Lock()
+				defer mu.Unlock()
+				updates++
+				if u.Done > last.Done {
+					last = u
+				}
+			})
+			res, err := RunContext(ctx, Config{
+				Device:          boosted(device.K20(), 5),
+				WorkloadName:    "MxM",
+				Beam:            spectrum.ChipIR(),
+				DurationSeconds: 400,
+				RunSeconds:      1,
+				Seed:            3,
+				CalSamples:      2000,
+				Shards:          workers,
+				ShardGrain:      32,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shards := (res.Runs + 31) / 32; updates != shards {
+				t.Errorf("%d progress updates, want one per shard (%d)", updates, shards)
+			}
+			if last.Done != float64(res.Runs) || last.Total != float64(res.Runs) {
+				t.Errorf("last update done %v of %v, want %d of %d", last.Done, last.Total, res.Runs, res.Runs)
+			}
+			if last.Events != res.SDC+res.DUE {
+				t.Errorf("last update counts %d events, want SDC+DUE = %d", last.Events, res.SDC+res.DUE)
+			}
+			if n := res.SDC + res.DUE; n == 0 || n == int64(res.Runs) {
+				t.Errorf("%d of %d runs ended in an error; the event count must tell errors from runs", n, res.Runs)
+			}
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package beam
 
 import (
 	"context"
-	"sync/atomic"
 	"testing"
 
 	"neutronsim/internal/device"
@@ -61,14 +60,13 @@ func benchRunLoop(b *testing.B, sp spectrum.Spectrum, d *device.Device, lambda f
 	}.withDefaults()
 	sampler := benchSampler(b, sp, d)
 	inj := injectorFor(b, cfg)
-	var events atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	runShard(cfg, engine.Shard{
 		Index:  0,
 		Count:  b.N,
 		Stream: rng.New(3),
-	}, sampler, inj, lambda, &events)
+	}, sampler, inj, lambda)
 }
 
 // BenchmarkBeamCampaignRunLoopFast is the ChipIR (fast-dominated) per-run

@@ -17,7 +17,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"neutronsim/internal/engine"
 	"neutronsim/internal/stats"
@@ -170,14 +169,13 @@ func RunRange(ctx context.Context, cfg Config, lo, hi int) (*Partial, error) {
 	if err != nil {
 		return nil, err
 	}
-	var events atomic.Int64
 	tallies, err := engine.MapRange(ctx, engine.Config{
 		Workers: s.cfg.Shards,
 		Grain:   s.grain,
 		Seed:    s.cfg.Seed,
 		Name:    "beam",
 	}, s.runs, DefaultShardGrain, lo, hi, func(_ context.Context, sh engine.Shard) (shardTally, error) {
-		return s.runShard(sh, &events)
+		return s.runShard(sh)
 	})
 	if err != nil {
 		return nil, err

@@ -3,7 +3,6 @@ package beam
 import (
 	"context"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"neutronsim/internal/device"
@@ -97,7 +96,6 @@ func privateInjectorResult(t *testing.T, cfg Config) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events atomic.Int64
 	var tallies []shardTally
 	for _, sh := range engine.Plan(s.runs, s.grain) {
 		w, err := workload.New(cfg.WorkloadName)
@@ -109,7 +107,7 @@ func privateInjectorResult(t *testing.T, cfg Config) *Result {
 			t.Fatal(err)
 		}
 		sh.Stream = engine.StreamForShard(cfg.Seed, sh.Index)
-		tallies = append(tallies, runShard(s.cfg, sh, s.pl, inj, s.lambda, &events))
+		tallies = append(tallies, runShard(s.cfg, sh, s.pl, inj, s.lambda))
 	}
 	res, err := s.assemble(context.Background(), tallies, 0)
 	if err != nil {

@@ -2,7 +2,6 @@ package beam
 
 import (
 	"context"
-	"sync/atomic"
 	"testing"
 
 	"neutronsim/internal/device"
@@ -54,8 +53,7 @@ func TestRunLoopZeroAllocs(t *testing.T) {
 			{"weighted", biased},
 		} {
 			t.Run(sp.Name()+"/"+c.mode, func(t *testing.T) {
-				var events atomic.Int64
-				r := newShardRunner(cfg, engine.Shard{Index: 0, Count: 1, Stream: rng.New(3)}, c.pl, injectorFor(t, cfg), 2, &events)
+				r := newShardRunner(cfg, engine.Shard{Index: 0, Count: 1, Stream: rng.New(3)}, c.pl, injectorFor(t, cfg), 2)
 				r.runBlock(100) // warm up scratch capacities before measuring steady state
 				if avg := testing.AllocsPerRun(2000, func() { r.runBlock(1) }); avg != 0 {
 					t.Errorf("run loop allocates %.2f times per run, want 0", avg)
@@ -90,8 +88,7 @@ func TestReplayRunsZeroAllocs(t *testing.T) {
 		t.Run(c.workload, func(t *testing.T) {
 			cfg := Config{Device: c.dev, WorkloadName: c.workload, Beam: spectrum.ChipIR(), Seed: 7}.withDefaults()
 			pl := plan.Compile(cfg.Device, cfg.Beam, 20000, rng.New(1))
-			var events atomic.Int64
-			r := newShardRunner(cfg, engine.Shard{Index: 0, Count: 1, Stream: rng.New(3)}, pl, injectorFor(t, cfg), 2, &events)
+			r := newShardRunner(cfg, engine.Shard{Index: 0, Count: 1, Stream: rng.New(3)}, pl, injectorFor(t, cfg), 2)
 			r.runBlock(300)
 			if avg := testing.AllocsPerRun(300, func() { r.runBlock(1) }); avg != 0 {
 				t.Errorf("replaying run loop allocates %.2f times per run, want 0", avg)

@@ -69,7 +69,7 @@ type Config struct {
 	// OnShardDone, when set, is called after each successful shard with
 	// the cumulative number of finished items. It is invoked from worker
 	// goroutines and must be safe for concurrent use.
-	OnShardDone func(sh Shard, doneItems, totalItems int)
+	OnShardDone func(doneItems, totalItems int)
 }
 
 func (c Config) workers(shards int) int {
@@ -204,7 +204,7 @@ func MapRange[T any](ctx context.Context, cfg Config, total, defaultGrain, lo, h
 		}
 		results[i] = r
 		if cfg.OnShardDone != nil {
-			cfg.OnShardDone(sh, int(done.Add(int64(sh.Count))), total)
+			cfg.OnShardDone(int(done.Add(int64(sh.Count))), total)
 		}
 	}
 	if workers := cfg.workers(len(shards)); workers == 1 {

@@ -295,7 +295,7 @@ func TestMapOnShardDone(t *testing.T) {
 	_, err := Map(context.Background(), Config{
 		Workers: 4,
 		Grain:   7,
-		OnShardDone: func(sh Shard, done, total int) {
+		OnShardDone: func(done, total int) {
 			if total != 30 {
 				t.Errorf("total = %d, want 30", total)
 			}

@@ -168,7 +168,7 @@ func SimulateContext(ctx context.Context, cfg Config) (*Log, error) {
 		if rainy {
 			log.RainyDays++
 		}
-		telemetry.ReportProgressContext(ctx, telemetry.ProgressUpdate{
+		telemetry.ReportProgress(ctx, telemetry.ProgressUpdate{
 			Component: "fleet",
 			Done:      float64(day + 1),
 			Total:     float64(cfg.Days),

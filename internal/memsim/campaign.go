@@ -238,8 +238,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		Grain:   cfg.ShardGrain,
 		Seed:    cfg.Seed,
 		Name:    "memsim",
-		OnShardDone: func(_ engine.Shard, doneItems, totalItems int) {
-			telemetry.ReportProgressContext(ctx, telemetry.ProgressUpdate{
+		OnShardDone: func(doneItems, totalItems int) {
+			telemetry.ReportProgress(ctx, telemetry.ProgressUpdate{
 				Component: "memsim",
 				Device:    cfg.Spec.Generation.String(),
 				Beam:      cfg.Band.String(),

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"neutronsim/internal/device"
@@ -23,7 +24,10 @@ const DefaultCapacity = 64
 // LRU eviction and singleflight coalescing: concurrent requests for the
 // same key compile once and share the result. Entries never expire —
 // a plan is a pure function of its key, so it can only become wrong if
-// the physics changes, which is a new binary, not a new request.
+// the physics changes, which is a new binary, not a new request. A compile
+// that panics re-panics in every caller that asks for its entry, and the
+// entry may stay cached; that is harmless, because a compile is
+// deterministic and would panic again.
 type Cache struct {
 	hits      *telemetry.Counter
 	misses    *telemetry.Counter
@@ -36,21 +40,16 @@ type Cache struct {
 	capacity int
 	ll       *list.List // front = most recently used; values are *cacheEntry
 	index    map[string]*list.Element
-	inflight map[string]*flight
 }
 
-// cacheEntry is one memoized plan.
+// cacheEntry is one memoized plan. It enters the cache on the miss that
+// compiles it: plan is a sync.OnceValue over the compile, so concurrent
+// lookups of the key wait for that one compile, and compiled is set when
+// it returns.
 type cacheEntry struct {
-	key  string
-	plan *CampaignPlan
-}
-
-// flight is one in-progress compilation; waiters block on done and then
-// read plan (or re-panic with panicked).
-type flight struct {
-	done     chan struct{}
-	plan     *CampaignPlan
-	panicked any
+	key      string
+	plan     func() *CampaignPlan
+	compiled atomic.Bool
 }
 
 // Shared is the process-wide plan cache. beam.RunContext compiles through
@@ -78,7 +77,6 @@ func NewCache(capacity int, reg *telemetry.Registry) *Cache {
 		capacity:  capacity,
 		ll:        list.New(),
 		index:     map[string]*list.Element{},
-		inflight:  map[string]*flight{},
 	}
 }
 
@@ -120,62 +118,40 @@ func (c *Cache) ForBiasedContext(ctx context.Context, d *device.Device, sp spect
 	})
 }
 
-// lookup runs the hit/coalesce/miss protocol for one key, calling compile
-// on a miss.
+// lookup runs the hit/coalesce/miss protocol for one key. A miss enters
+// the key's entry under the lock and calls compile outside it; a lookup
+// that finds the entry before its compile returns is coalesced onto it.
 func (c *Cache) lookup(ctx context.Context, key string, compile func(context.Context) *CampaignPlan) *CampaignPlan {
 	ctx, span := trace.StartChild(ctx, "plan.lookup")
 	span.SetStage("compile")
 	defer span.End()
 	c.mu.Lock()
-	if el, hit := c.index[key]; hit {
+	if el, ok := c.index[key]; ok {
 		c.ll.MoveToFront(el)
+		e := el.Value.(*cacheEntry)
 		c.mu.Unlock()
-		c.hits.Add(1)
-		span.SetAttr("outcome", "hit")
-		return el.Value.(*cacheEntry).plan
-	}
-	if fl, flying := c.inflight[key]; flying {
-		c.mu.Unlock()
-		c.coalesced.Add(1)
-		span.SetAttr("outcome", "coalesced")
-		<-fl.done
-		if fl.panicked != nil {
-			panic(fl.panicked)
+		if e.compiled.Load() {
+			c.hits.Add(1)
+			span.SetAttr("outcome", "hit")
+		} else {
+			c.coalesced.Add(1)
+			span.SetAttr("outcome", "coalesced")
 		}
-		return fl.plan
+		return e.plan()
 	}
-	fl := &flight{done: make(chan struct{})}
-	c.inflight[key] = fl
-	c.mu.Unlock()
-	c.misses.Add(1)
-	span.SetAttr("outcome", "miss")
-	return c.compileFlight(ctx, fl, key, compile)
-}
-
-// compileFlight compiles for the flight's waiters and settles the cache
-// entry. The deferred settlement runs even if Compile panics, so waiters
-// never block forever and the panic propagates to every caller.
-func (c *Cache) compileFlight(ctx context.Context, fl *flight, key string, compile func(context.Context) *CampaignPlan) *CampaignPlan {
-	defer func() {
-		if r := recover(); r != nil {
-			fl.panicked = r
-			c.mu.Lock()
-			delete(c.inflight, key)
-			c.mu.Unlock()
-			close(fl.done)
-			panic(r)
-		}
-	}()
-	pl := compile(ctx)
-	fl.plan = pl
-	c.mu.Lock()
-	delete(c.inflight, key)
-	c.index[key] = c.ll.PushFront(&cacheEntry{key: key, plan: pl})
+	e := &cacheEntry{key: key}
+	e.plan = sync.OnceValue(func() *CampaignPlan {
+		pl := compile(ctx)
+		e.compiled.Store(true)
+		return pl
+	})
+	c.index[key] = c.ll.PushFront(e)
 	c.evictLocked()
 	c.entries.Set(float64(c.ll.Len()))
 	c.mu.Unlock()
-	close(fl.done)
-	return pl
+	c.misses.Add(1)
+	span.SetAttr("outcome", "miss")
+	return e.plan()
 }
 
 // timedCompile compiles the plan, exact or biased, on the spectrum's

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -176,6 +177,45 @@ func TestCoalescing(t *testing.T) {
 	}
 	if st.Hits+st.Coalesced != callers-1 {
 		t.Errorf("hits %d + coalesced %d, want %d", st.Hits, st.Coalesced, callers-1)
+	}
+}
+
+// TestCompilePanicReachesEveryCaller holds the cache to its panic
+// contract: a compile that panics re-panics, with its value, in the caller
+// that missed, in every caller coalesced onto it, and in a later caller.
+func TestCompilePanicReachesEveryCaller(t *testing.T) {
+	c := NewCache(4, telemetry.NewRegistry())
+	release := make(chan struct{})
+	compiles := 0
+	compile := func(context.Context) *CampaignPlan {
+		compiles++
+		<-release
+		panic("bad compile")
+	}
+	lookup := func() (v any) {
+		defer func() { v = recover() }()
+		c.lookup(context.Background(), "k", compile)
+		return nil
+	}
+	const callers = 4
+	got := make(chan any, callers)
+	for i := 0; i < callers; i++ {
+		go func() { got <- lookup() }()
+	}
+	for st := c.Stats(); st.Misses+st.Coalesced < callers; st = c.Stats() {
+		runtime.Gosched()
+	}
+	close(release)
+	for i := 0; i < callers; i++ {
+		if v := <-got; v != "bad compile" {
+			t.Errorf("caller %d recovered %v, want the compile's panic", i, v)
+		}
+	}
+	if compiles != 1 {
+		t.Errorf("%d compiles for %d concurrent callers, want 1", compiles, callers)
+	}
+	if v := lookup(); v != "bad compile" {
+		t.Errorf("later caller recovered %v, want the compile's panic", v)
 	}
 }
 

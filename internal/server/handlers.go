@@ -244,7 +244,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if !coalesced {
 		telemetry.Log().Info("job accepted",
-			"job_id", j.ID, "kind", j.Req.Kind, "trace_id", j.tr.ID().String())
+			"job_id", j.ID, "kind", j.Req.Kind, "trace_id", j.root.Trace().ID().String())
 	}
 	writeJSON(w, http.StatusAccepted, j.Info())
 }
@@ -289,8 +289,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if j.Cancel() {
-		s.clearInflight(j)
+		s.cfg.Registry.Counter("server.jobs_canceled").Add(1)
 	}
+	s.clearInflight(j)
 	writeJSON(w, http.StatusOK, j.Info())
 }
 

@@ -256,6 +256,7 @@ func (s *Server) flushQueue() {
 		case j := <-s.queue:
 			s.queueDepth.Add(-1)
 			if j.finish(StateCanceled, nil, "", "server draining") {
+				s.cfg.Registry.Counter("server.jobs_canceled").Add(1)
 				s.clearInflight(j)
 			}
 		default:

@@ -220,10 +220,10 @@ func TestCancelRunningAndQueuedJobs(t *testing.T) {
 	if got.State != StateCanceled {
 		t.Errorf("running job after DELETE: %s, want canceled", got.State)
 	}
-	if n := reg.Counter("server.jobs_canceled").Value(); n != 1 {
-		// Only the running job reaches runJob's cancel accounting; the
-		// queued one was settled before a worker picked it up.
-		t.Errorf("jobs_canceled = %d, want 1", n)
+	if n := reg.Counter("server.jobs_canceled").Value(); n != 2 {
+		// Each job is counted where it became canceled: the queued one by
+		// the DELETE that settled it, the running one by runJob.
+		t.Errorf("jobs_canceled = %d, want 2", n)
 	}
 	// After cancellation the key is free for resubmission (no coalescing
 	// with a dead job).
@@ -231,6 +231,79 @@ func TestCancelRunningAndQueuedJobs(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted || resp.Header.Get("X-Coalesced") == "true" {
 		t.Errorf("resubmit after cancel: status %d coalesced=%q: %s",
 			resp.StatusCode, resp.Header.Get("X-Coalesced"), body)
+	}
+}
+
+// TestJobCountsAddUp cancels a job on each of the three paths that can
+// end one canceled: DELETE of a queued job, DELETE of a running job, and
+// the drain's flush of a job still queued. Each must be counted once, so
+// GET /v1/stats reads three canceled and the job counts add up to the
+// submitted total.
+func TestJobCountsAddUp(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	srv := New(Config{Workers: 1, DrainTimeout: 10 * time.Second, Registry: reg})
+	started := make(chan string, 1)
+	srv.cfg.Execute = blockingExec(started, nil)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	submit := func(seed uint64) string {
+		resp, body := postCampaign(t, ts, testRequest(seed), nil)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d: %s", seed, resp.StatusCode, body)
+		}
+		var info JobInfo
+		if err := json.Unmarshal(body, &info); err != nil {
+			t.Fatal(err)
+		}
+		return info.ID
+	}
+	del := func(id string) {
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	state := func(id string) string {
+		srv.mu.Lock()
+		j := srv.byID[id]
+		srv.mu.Unlock()
+		return j.State()
+	}
+	running := submit(1)
+	<-started
+	deleted, flushed := submit(2), submit(3)
+	del(deleted)
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Drain() }()
+	waitFor(t, 5*time.Second, func() bool { return state(flushed) == StateCanceled })
+	del(running)
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	for _, id := range []string{running, deleted, flushed} {
+		if got := state(id); got != StateCanceled {
+			t.Errorf("job %s ended %s, want canceled", id, got)
+		}
+	}
+
+	resp, err := ts.Client().Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	j := st.Jobs
+	if j.Canceled != 3 {
+		t.Errorf("canceled = %d, want 3 (%+v)", j.Canceled, j)
+	}
+	if settled := j.Completed + j.Failed + j.Canceled + int64(j.Running) + int64(j.QueueDepth); settled != j.Submitted {
+		t.Errorf("completed + failed + canceled + running + queue_depth = %d, submitted %d (%+v)", settled, j.Submitted, j)
 	}
 }
 
@@ -285,7 +358,7 @@ func TestSSEStreamsProgressAndTerminalState(t *testing.T) {
 	srv.cfg.Execute = func(ctx context.Context, req *CampaignRequest, _ int) (*ResultEnvelope, error) {
 		<-connected
 		for i := 1; i <= 3; i++ {
-			telemetry.ReportProgressContext(ctx, telemetry.ProgressUpdate{
+			telemetry.ReportProgress(ctx, telemetry.ProgressUpdate{
 				Component: "beam", Done: float64(i), Total: 3,
 			})
 		}

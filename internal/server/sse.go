@@ -8,11 +8,13 @@ import (
 )
 
 // handleEvents is GET /v1/jobs/{id}/events: a Server-Sent Events stream of
-// the job's progress, wired to the engine's per-shard completion counter
+// the job's progress, fed by the engine's per-shard completion hook
 // through the job's context observer. Each progress frame is a "progress"
-// event; the stream ends with one "state" event carrying the terminal
-// JobInfo (minus the result body — fetch that from /v1/jobs/{id} or
-// resubmit the request for a cache hit).
+// event carrying the job's latest update: one on connect if there is one,
+// then one each time an update wakes the stream, so a stream that falls
+// behind skips to the latest value. The stream ends with one "state" event
+// carrying the terminal JobInfo (minus the result body — fetch that from
+// /v1/jobs/{id} or resubmit the request for a cache hit).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j := s.jobOr404(w, r)
 	if j == nil {
@@ -29,8 +31,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	sub := j.subscribe()
-	defer j.unsubscribe(sub)
+	p, progressed := j.watchProgress()
+	if p != nil {
+		writeEvent(w, "progress", p)
+		flusher.Flush()
+	}
 	// Idle streams emit SSE comment frames so proxies and clients with
 	// read timeouts keep the connection open while a long campaign runs
 	// between progress updates.
@@ -43,21 +48,17 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		case <-heartbeat.C:
 			fmt.Fprint(w, ": heartbeat\n\n")
 			flusher.Flush()
-		case p := <-sub:
+		case <-progressed:
+			p, progressed = j.watchProgress()
 			writeEvent(w, "progress", p)
 			flusher.Flush()
 		case <-j.Done():
-			// Drain any progress frames that beat the terminal state.
-			for {
-				select {
-				case p := <-sub:
-					writeEvent(w, "progress", p)
-					continue
-				default:
-				}
-				break
-			}
 			info := j.Info()
+			select {
+			case <-progressed: // an update beat the terminal state
+				writeEvent(w, "progress", info.Progress)
+			default:
+			}
 			info.Result = nil // keep the stream light; the body lives at /v1/jobs/{id}
 			writeEvent(w, "state", info)
 			flusher.Flush()

@@ -56,11 +56,11 @@ func TestSSEEventOrdering(t *testing.T) {
 	srv.cfg.Execute = func(ctx context.Context, req *CampaignRequest, _ int) (*ResultEnvelope, error) {
 		<-connected
 		for i := 1; i <= 5; i++ {
-			telemetry.ReportProgressContext(ctx, telemetry.ProgressUpdate{
+			telemetry.ReportProgress(ctx, telemetry.ProgressUpdate{
 				Component: "beam", Done: float64(i), Total: 5,
 			})
-			// Give the subscriber channel room to drain so no frame is
-			// dropped by the non-blocking send.
+			// Let the stream wake between updates, so it sends several
+			// frames rather than skipping to the last.
 			time.Sleep(5 * time.Millisecond)
 		}
 		return &ResultEnvelope{Kind: req.Kind}, nil
@@ -96,7 +96,7 @@ func TestSSEEventOrdering(t *testing.T) {
 		switch f.event {
 		case "progress":
 			progress++
-			var p ProgressInfo
+			var p telemetry.ProgressUpdate
 			if err := json.Unmarshal([]byte(f.data), &p); err != nil {
 				t.Fatalf("frame %d: %v", i, err)
 			}
@@ -237,5 +237,93 @@ func TestSSEClosesOnJobCancellation(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("stream did not close after job cancellation")
+	}
+}
+
+// nextFrame reads one SSE frame (event or comment) from a live stream.
+func nextFrame(t *testing.T, r *bufio.Reader) sseFrame {
+	t.Helper()
+	var chunk strings.Builder
+	for {
+		line, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatalf("stream ended after %q: %v", chunk.String(), err)
+		}
+		if line == "\n" {
+			break
+		}
+		chunk.WriteString(line)
+	}
+	frames := readSSE(t, chunk.String())
+	if len(frames) != 1 {
+		t.Fatalf("want one frame, got %q", chunk.String())
+	}
+	return frames[0]
+}
+
+// TestSSEProgressFramesPinned pins the progress wire form byte for byte:
+// the data of two progress frames, one without and one with fluence and
+// events, and the progress member of GET /v1/jobs/{id}. The update's
+// device, beam, phase and elapsed time stay off the wire.
+func TestSSEProgressFramesPinned(t *testing.T) {
+	srv := New(Config{Workers: 1, Registry: telemetry.NewRegistry()})
+	defer srv.Drain()
+	updates := []telemetry.ProgressUpdate{
+		{Component: "beam", Device: "K20", Beam: "ChipIR", Done: 4096, Total: 10000, Elapsed: time.Second},
+		{Component: "beam", Device: "K20", Beam: "ChipIR", Phase: "runs", Done: 10000, Total: 10000,
+			Fluence: 1.0368e10, Events: 425, Elapsed: 3 * time.Second},
+	}
+	want := []string{
+		`{"component":"beam","done":4096,"total":10000}`,
+		`{"component":"beam","done":10000,"total":10000,"fluence":10368000000,"events":425}`,
+	}
+	step := make(chan struct{})
+	srv.cfg.Execute = func(ctx context.Context, req *CampaignRequest, _ int) (*ResultEnvelope, error) {
+		for _, u := range updates {
+			<-step
+			telemetry.ReportProgress(ctx, u)
+		}
+		<-step
+		return &ResultEnvelope{Kind: req.Kind}, nil
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, body := postCampaign(t, ts, testRequest(1), nil)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %s", resp.StatusCode, body)
+	}
+	var info JobInfo
+	if err := json.Unmarshal(body, &info); err != nil {
+		t.Fatal(err)
+	}
+	stream, err := ts.Client().Get(ts.URL + "/v1/jobs/" + info.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	r := bufio.NewReader(stream.Body)
+	for i, w := range want {
+		step <- struct{}{}
+		if f := nextFrame(t, r); f.event != "progress" || f.data != w {
+			t.Errorf("frame %d: event %q data %s, want progress %s", i, f.event, f.data, w)
+		}
+	}
+	step <- struct{}{}
+	if f := nextFrame(t, r); f.event != "state" || !strings.Contains(f.data, `"state":"done"`) {
+		t.Errorf("terminal frame: event %q data %s", f.event, f.data)
+	}
+
+	job, err := ts.Client().Get(ts.URL + "/v1/jobs/" + info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer job.Body.Close()
+	var members map[string]json.RawMessage
+	if err := json.NewDecoder(job.Body).Decode(&members); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(members["progress"]); got != want[1] {
+		t.Errorf("GET /v1/jobs/{id} progress = %s, want %s", got, want[1])
 	}
 }

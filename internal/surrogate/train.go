@@ -504,8 +504,8 @@ func EvaluateGrid(cfg GridConfig) (*Dataset, error) {
 	_, err := engine.Map(context.Background(), engine.Config{
 		Workers: cfg.Workers, Grain: 1, Name: "sweep",
 		StreamFor: func(i int) *rng.Stream { return streams[i] },
-		OnShardDone: func(_ engine.Shard, done, total int) {
-			telemetry.ReportProgress(telemetry.ProgressUpdate{Component: "sweep",
+		OnShardDone: func(done, total int) {
+			telemetry.ReportProgress(context.Background(), telemetry.ProgressUpdate{Component: "sweep",
 				Done: float64(done), Total: float64(total), Elapsed: time.Since(start)})
 		},
 	}, len(streams), 1, func(ctx context.Context, sh engine.Shard) (struct{}, error) {

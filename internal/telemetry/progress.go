@@ -10,27 +10,31 @@ import (
 )
 
 // ProgressUpdate is one campaign status report posted by an instrumented
-// hot loop. Reporting is free (one atomic load) when no reporter is
-// enabled, so hot paths may post every iteration.
+// hot loop. Reporting is free (one atomic load and one context lookup)
+// when no reporter or observer is attached, so hot paths may post every
+// iteration. Its JSON encoding is the wire form of neutrond's progress:
+// the progress member of GET /v1/jobs/{id} and the data of each progress
+// frame on /v1/jobs/{id}/events.
 type ProgressUpdate struct {
 	// Component identifies the emitting simulator ("beam", "fleet", ...).
-	Component string
+	Component string `json:"component,omitempty"`
 	// Device and Beam name the campaign when applicable.
-	Device string
-	Beam   string
+	Device string `json:"-"`
+	Beam   string `json:"-"`
 	// Phase optionally names a sub-stage (experiment id, grid point, ...).
-	Phase string
+	Phase string `json:"-"`
 	// Done and Total measure completion in the component's own units
 	// (runs, days, grid points). Total 0 means unknown.
-	Done, Total float64
+	Done  float64 `json:"done"`
+	Total float64 `json:"total"`
 	// Fluence is the particle fluence delivered so far (n/cm²), 0 if not
 	// applicable.
-	Fluence float64
+	Fluence float64 `json:"fluence,omitempty"`
 	// Events counts observed error events (SDC+DUE) so far.
-	Events int64
+	Events int64 `json:"events,omitempty"`
 	// Elapsed is the wall time the component has spent so far; used for
 	// the ETA estimate.
-	Elapsed time.Duration
+	Elapsed time.Duration `json:"-"`
 }
 
 // progressPrinter serializes throttled status lines to one writer.
@@ -52,37 +56,29 @@ func EnableProgress(w io.Writer, interval time.Duration) {
 // DisableProgress stops progress reporting.
 func DisableProgress() { progressSink.Store(nil) }
 
-// ReportProgress posts a status update to the active reporter, if any.
-func ReportProgress(u ProgressUpdate) {
-	p := progressSink.Load()
-	if p == nil {
-		return
-	}
-	p.report(u)
-}
-
 // progressObserverKey carries a per-campaign progress observer in a context.
 type progressObserverKey struct{}
 
-// ContextWithProgress returns a context that routes ReportProgressContext
-// posts to fn in addition to the global reporter. It is how a service can
-// watch one campaign's progress without intercepting every other campaign
-// running in the process: the observer travels with the campaign's context
-// into the engine's completion hooks. fn is invoked from worker goroutines
-// and must be safe for concurrent use.
+// ContextWithProgress returns a context that routes ReportProgress posts
+// to fn in addition to the printer. It is how a service can watch one
+// campaign's progress without intercepting every other campaign running in
+// the process: the observer travels with the campaign's context into the
+// engine's completion hooks. fn is invoked from worker goroutines and must
+// be safe for concurrent use.
 func ContextWithProgress(ctx context.Context, fn func(ProgressUpdate)) context.Context {
 	return context.WithValue(ctx, progressObserverKey{}, fn)
 }
 
-// ReportProgressContext posts a status update to the context's observer (if
-// one was attached with ContextWithProgress) and to the global reporter.
-// Instrumented hot loops that have a context should prefer this over
-// ReportProgress so callers can subscribe per campaign.
-func ReportProgressContext(ctx context.Context, u ProgressUpdate) {
+// ReportProgress posts a status update to the context's observer, if one
+// was attached with ContextWithProgress, and to the printer EnableProgress
+// set up, if any.
+func ReportProgress(ctx context.Context, u ProgressUpdate) {
 	if fn, ok := ctx.Value(progressObserverKey{}).(func(ProgressUpdate)); ok && fn != nil {
 		fn(u)
 	}
-	ReportProgress(u)
+	if p := progressSink.Load(); p != nil {
+		p.report(u)
+	}
 }
 
 func (p *progressPrinter) report(u ProgressUpdate) {

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -95,14 +96,14 @@ func TestProgressReporter(t *testing.T) {
 	var buf bytes.Buffer
 	EnableProgress(&buf, 0)
 	defer DisableProgress()
-	ReportProgress(ProgressUpdate{
+	ReportProgress(context.Background(), ProgressUpdate{
 		Component: "beam", Device: "K20", Beam: "ROTAX",
 		Done: 50, Total: 100, Fluence: 1.5e9, Events: 7,
 		Elapsed: 10 * time.Second,
 	})
-	ReportProgress(ProgressUpdate{Component: "beam", Device: "K20", Beam: "ROTAX", Done: 100, Total: 100, Events: 11})
+	ReportProgress(context.Background(), ProgressUpdate{Component: "beam", Device: "K20", Beam: "ROTAX", Done: 100, Total: 100, Events: 11})
 	DisableProgress()
-	ReportProgress(ProgressUpdate{Component: "beam", Events: 99}) // dropped
+	ReportProgress(context.Background(), ProgressUpdate{Component: "beam", Events: 99}) // dropped
 	out := buf.String()
 	for _, want := range []string{"beam K20 @ ROTAX", "50.0%", "fluence=1.5e+09", "events=7", "eta=10s", "done"} {
 		if !strings.Contains(out, want) {
@@ -119,7 +120,7 @@ func TestProgressThrottle(t *testing.T) {
 	EnableProgress(&buf, time.Hour)
 	defer DisableProgress()
 	for i := 1; i <= 10; i++ {
-		ReportProgress(ProgressUpdate{Component: "sweep", Done: float64(i), Total: 20})
+		ReportProgress(context.Background(), ProgressUpdate{Component: "sweep", Done: float64(i), Total: 20})
 	}
 	if got := strings.Count(buf.String(), "\n"); got != 1 {
 		t.Errorf("throttled reporter printed %d lines, want 1:\n%s", got, buf.String())

@@ -19,10 +19,9 @@ package trace
 
 import (
 	"context"
-	cryptorand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
-	"math/rand"
+	"math/rand/v2"
 	"strconv"
 	"sync"
 	"time"
@@ -43,42 +42,24 @@ func (s SpanID) IsZero() bool { return s == SpanID{} }
 func (t TraceID) String() string { return hex.EncodeToString(t[:]) }
 func (s SpanID) String() string  { return hex.EncodeToString(s[:]) }
 
-// idSource generates random IDs. It is seeded once from crypto/rand (the
-// IDs need uniqueness, not secrecy) and guarded by a mutex; ID generation
-// happens per span, never per Monte Carlo draw, so contention is nil.
-var idSource = struct {
-	sync.Mutex
-	r *rand.Rand
-}{r: rand.New(rand.NewSource(cryptoSeed()))}
-
-func cryptoSeed() int64 {
-	var b [8]byte
-	if _, err := cryptorand.Read(b[:]); err != nil {
-		return time.Now().UnixNano()
-	}
-	return int64(binary.LittleEndian.Uint64(b[:]))
-}
-
-// NewTraceID returns a random non-zero trace ID.
+// NewTraceID returns a random non-zero trace ID. IDs need uniqueness, not
+// secrecy: they come from math/rand/v2's top-level generator, which the
+// runtime seeds and which is safe for concurrent use without a lock.
 func NewTraceID() TraceID {
 	var id TraceID
-	idSource.Lock()
 	for id.IsZero() {
-		binary.LittleEndian.PutUint64(id[:8], idSource.r.Uint64())
-		binary.LittleEndian.PutUint64(id[8:], idSource.r.Uint64())
+		binary.LittleEndian.PutUint64(id[:8], rand.Uint64())
+		binary.LittleEndian.PutUint64(id[8:], rand.Uint64())
 	}
-	idSource.Unlock()
 	return id
 }
 
 // NewSpanID returns a random non-zero span ID.
 func NewSpanID() SpanID {
 	var id SpanID
-	idSource.Lock()
 	for id.IsZero() {
-		binary.LittleEndian.PutUint64(id[:], idSource.r.Uint64())
+		binary.LittleEndian.PutUint64(id[:], rand.Uint64())
 	}
-	idSource.Unlock()
 	return id
 }
 

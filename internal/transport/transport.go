@@ -250,8 +250,8 @@ func SimulateContext(ctx context.Context, slabs []Slab, n int, source func(*rng.
 		Grain:     grain,
 		Name:      "transport",
 		StreamFor: func(i int) *rng.Stream { return streams[i] },
-		OnShardDone: func(_ engine.Shard, doneItems, totalItems int) {
-			telemetry.ReportProgressContext(ctx, telemetry.ProgressUpdate{
+		OnShardDone: func(doneItems, totalItems int) {
+			telemetry.ReportProgress(ctx, telemetry.ProgressUpdate{
 				Component: "transport",
 				Done:      float64(doneItems),
 				Total:     float64(totalItems),
